@@ -58,13 +58,10 @@ from .io import (
     tree_to_json,
 )
 from .policy import (
-    IntervalState,
     annotate_reachable_states,
     build_index_tree,
     index_policy_cost,
     index_policy_next,
-    policy_cost_from_state,
-    reachable_interval_states,
 )
 from .sim import (
     BlockExperimentReport,
@@ -105,7 +102,6 @@ __all__ = [
     "HuffmanCode",
     "IngestedProfile",
     "InputError",
-    "IntervalState",
     "Leaf",
     "LemmaRecord",
     "LemmaReport",
@@ -143,8 +139,6 @@ __all__ = [
     "optimal_first_transmitters",
     "optimal_tree",
     "parse_profile_text",
-    "policy_cost_from_state",
-    "reachable_interval_states",
     "run_block_replications",
     "run_block_strategy",
     "simulate_tree",

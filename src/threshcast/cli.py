@@ -250,7 +250,8 @@ def cmd_policy(args: argparse.Namespace, config: dict) -> str:
     theta = require_theta(args, config)
     spec = ThresholdSpec(profile.n, theta)
     cost = index_policy_cost(profile, theta)
-    tree = build_index_tree(profile.n, theta)
+    out_format = resolve(args, config, "format", "table")
+    tree = build_index_tree(profile.n, theta) if args.check or out_format in ("json", "dot") else None
 
     check: Optional[dict] = None
     check_failed = False
@@ -274,7 +275,6 @@ def cmd_policy(args: argparse.Namespace, config: dict) -> str:
 
     annotations = annotate_reachable_states(profile, theta) if args.annotate else None
 
-    out_format = resolve(args, config, "format", "table")
     if out_format == "table":
         pairs = [("n", str(profile.n)), ("theta", str(theta))]
         pairs += profile_fields(ingested)

@@ -206,9 +206,16 @@ def validate_tree(tree: DecisionTree, spec: ThresholdSpec) -> None:
     Internal nodes must query a remaining node of an undetermined state;
     leaves must sit exactly at determined states and carry the determined
     value.  No-repeat along paths follows from querying remaining nodes.
+    A shared subtree is checked once per state it is reached at, so a DAG
+    costs its (node, state) pairs, not its root-to-leaf paths.
     """
+    checked: set[tuple[int, frozenset[int], int]] = set()
 
     def check(t: DecisionTree, state: ComputationState) -> None:
+        key = (id(t), state.remaining, state.residual_theta)
+        if key in checked:
+            return
+        checked.add(key)
         det = classify_state(state)
         if isinstance(t, Leaf):
             if det is Determination.UNDETERMINED:

@@ -1,4 +1,4 @@
-"""Closed-form transmission policy and its reachable-state structure.
+"""Closed-form transmission policy and its decision lattice.
 
 At an undetermined state with m remaining nodes and residual threshold t,
 the policy picks the node at sorted position m - t + 1 (1-based, ranks
@@ -8,19 +8,30 @@ theta) alone.  Equivalently: starting from node k + 1 with k = n - theta,
 each observed 0 steps the transmitter one rank down, each observed 1
 steps it one rank up, so the queried nodes always form a contiguous rank
 block around k + 1.
+
+Every decision point is therefore a lattice point (z, o, side): z zeros
+and o ones seen so far, and the end of the block the pending transmitter
+sits on, which is the end the last bit pushed to.  The transmitter is
+k + 1 - z on the low side and k + 1 + o on the high side.  A 0 leads to
+(z + 1, o, low) and a 1 to (z, o + 1, high); z = k + 1 or o = theta
+decides the function.  The points are the root (0, 0), (z, o, low) for
+z >= 1 and (z, o, high) for o >= 1, with z <= k and o <= theta - 1:
+(k + 1) * theta + k * (theta - 1) in all.  One sweep over the
+anti-diagonals d = z + o, deepest first, yields costs and the tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Sequence
+
+import numpy as np
 
 from .core import (
     ComputationState,
     ContractViolation,
     DecisionTree,
     Determination,
-    InputError,
     Leaf,
     Node,
     ProbabilityProfile,
@@ -38,165 +49,93 @@ def index_policy_next(state: ComputationState) -> int:
     return sorted(state.remaining)[m - t]
 
 
+# ---------------------------------------------------------------------------
+# The (z, o, side) lattice
+
+
+def _diagonal(k: int, theta: int, d: int) -> tuple[int, int, range, range]:
+    """z span [a, b) of anti-diagonal d, and the low- and high-side transmitters over it."""
+    a, b = max(0, d - theta + 1), min(k, d) + 1
+    return a, b, range(k + 1 - a, k + 1 - b, -1), range(k + 1 + d - a, k + 1 + d - b, -1)
+
+
+def _sweep(
+    k: int,
+    theta: int,
+    blank: Callable[[], tuple[Sequence, Sequence]],
+    step: Callable[[range, Sequence, Sequence], Sequence],
+) -> Iterator[tuple[int, Sequence, Sequence]]:
+    """Fold the lattice of an undetermined (n, theta) from its deepest diagonal to the root.
+
+    A diagonal's values sit in a (low side, high side) pair of sequences
+    indexed by z.  `blank()` makes a pair of length k + 2 that holds, off
+    the diagonal, the value of a determined child: low entries are read
+    by a 0 past z = k, high entries by a 1 past o = theta - 1.
+    `step(ranks, on_zero, on_one)` maps a run of transmitters and the
+    values of their 0- and 1-children to the run's values.  Yields
+    (d, low, high) for d = k + theta - 1 down to 0, so a caller that
+    keeps only the last pair needs O(n) memory.  Entries of the
+    unreachable corner points (z = 0 < o on the low side, o = 0 on the
+    high side) are filled but never read.
+    """
+    low, high = blank()
+    for d in range(k + theta - 1, -1, -1):
+        a, b, low_ranks, high_ranks = _diagonal(k, theta, d)
+        on_zero, on_one = low[a + 1 : b + 1], high[a:b]
+        low, high = blank()
+        low[a:b] = step(low_ranks, on_zero, on_one)
+        high[a:b] = step(high_ranks, on_zero, on_one)
+        yield d, low, high
+
+
+def _probs_of(probs: np.ndarray, ranks: range) -> np.ndarray:
+    """Marginals of a descending run of ranks, as a view in run order."""
+    return probs[ranks.stop : ranks.start][::-1]
+
+
+def _cost_sweep(profile: ProbabilityProfile, theta: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Expected onward bits at every lattice point, one diagonal at a time."""
+    k = profile.n - theta
+    probs = np.asarray(profile.probs)
+
+    def step(ranks: range, on_zero: np.ndarray, on_one: np.ndarray) -> np.ndarray:
+        p = _probs_of(probs, ranks)
+        return 1.0 + p * on_one + (1.0 - p) * on_zero
+
+    return _sweep(k, theta, lambda: (np.zeros(k + 2), np.zeros(k + 2)), step)
+
+
+def _root(sweep: Iterator[tuple[int, Sequence, Sequence]]):
+    """Value at (0, 0) once the sweep has reached d = 0."""
+    for _, low, _ in sweep:
+        pass
+    return low[0]
+
+
 def build_index_tree(n: int, theta: int) -> DecisionTree:
-    """Full strategy tree of the policy, shared as a DAG over equal states."""
+    """Full strategy tree of the policy, shared as a DAG with one node per lattice point."""
     spec = ThresholdSpec(n, theta)
-    memo: dict[tuple[frozenset[int], int], DecisionTree] = {}
-
-    def build(remaining: frozenset[int], t: int) -> DecisionTree:
-        state = ComputationState(remaining, t)
-        det = classify_state(state)
-        if det is Determination.ONE:
-            return Leaf(1)
-        if det is Determination.ZERO:
-            return Leaf(0)
-        key = (remaining, t)
-        node = memo.get(key)
-        if node is None:
-            rank = index_policy_next(state)
-            rest = remaining - {rank}
-            node = Node(rank, build(rest, t), build(rest, t - 1))
-            memo[key] = node
-        return node
-
-    return build(frozenset(range(1, n + 1)), spec.theta)
-
-
-def policy_cost_from_state(
-    profile: ProbabilityProfile,
-    state: ComputationState,
-    _memo: Optional[dict] = None,
-) -> float:
-    """Expected remaining bits when the policy plays on from `state`."""
-    memo = _memo if _memo is not None else {}
-
-    def rec(remaining: frozenset[int], t: int) -> float:
-        s = ComputationState(remaining, t)
-        if classify_state(s) is not Determination.UNDETERMINED:
-            return 0.0
-        key = (remaining, t)
-        val = memo.get(key)
-        if val is not None:
-            return val
-        rank = index_policy_next(s)
-        p = profile.p(rank)
-        rest = remaining - {rank}
-        c = 1.0 + p * rec(rest, t - 1) + (1.0 - p) * rec(rest, t)
-        memo[key] = c
-        return c
-
-    return rec(state.remaining, state.residual_theta)
+    if theta == 0:
+        return Leaf(1)
+    if theta > n:
+        return Leaf(0)
+    zero, one = Leaf(0), Leaf(1)
+    return _root(
+        _sweep(
+            spec.k,
+            theta,
+            lambda: ([zero] * (spec.k + 2), [one] * (spec.k + 2)),
+            lambda ranks, on_zero, on_one: list(map(Node, ranks, on_zero, on_one)),
+        )
+    )
 
 
 def index_policy_cost(profile: ProbabilityProfile, theta: int) -> float:
-    """Expected bits of the policy strategy, in O(n^2) states.
-
-    States reachable under the policy always have the form
-    remaining = {1..lo-1} | {hi+1..n}, and the next transmitter is
-    adjacent to the removed block (asserted).  That keeps the recursion
-    quadratic instead of exponential, so this scales far past the
-    subset-table solver.
-    """
-    spec = ThresholdSpec(profile.n, theta)
-    n = profile.n
-    probs = profile.probs
-    memo: dict[tuple[int, int, int], float] = {}
-
-    def rec(lo: int, hi: int, t: int) -> float:
-        m = (lo - 1) + (n - hi)
-        if t <= 0 or t > m:
-            return 0.0
-        key = (lo, hi, t)
-        val = memo.get(key)
-        if val is not None:
-            return val
-        j = m - t + 1
-        node = j if j <= lo - 1 else hi + (j - (lo - 1))
-        if node not in (lo - 1, hi + 1):
-            raise AssertionError(
-                f"policy left the contiguous block: picked {node} at lo={lo} hi={hi} t={t}"
-            )
-        p = probs[node - 1]
-        if node == lo - 1:
-            c = 1.0 + p * rec(lo - 1, hi, t - 1) + (1.0 - p) * rec(lo - 1, hi, t)
-        else:
-            c = 1.0 + p * rec(lo, hi + 1, t - 1) + (1.0 - p) * rec(lo, hi + 1, t)
-        memo[key] = c
-        return c
-
-    k = spec.k
-    return rec(k + 1, k, spec.theta)
-
-
-# ---------------------------------------------------------------------------
-# Interval coordinates for reachable decision points
-
-
-@dataclass(frozen=True)
-class IntervalState:
-    """Decision point of the policy in (zeros seen, ones seen) coordinates.
-
-    With k = n - theta, the nodes that have spoken plus the one about to
-    speak form the contiguous rank block [k+1-z, k+1+o].  The transmitter
-    sits at the block end that the last observed bit pushed to (either
-    end is possible for the same (z, o), depending on bit order), but the
-    set left after it speaks, {1..k-z} | {k+2+o..n}, is the same either
-    way.  Only undetermined decision points are representable.
-    """
-
-    n: int
-    theta: int
-    zeros_seen: int
-    ones_seen: int
-
-    def __post_init__(self) -> None:
-        spec = ThresholdSpec(self.n, self.theta)
-        if not 1 <= self.theta <= self.n:
-            raise InputError("decision points exist only for 1 <= theta <= n")
-        if not 0 <= self.zeros_seen <= spec.k:
-            raise InputError(f"zeros_seen {self.zeros_seen} outside 0..{spec.k}")
-        if not 0 <= self.ones_seen <= self.theta - 1:
-            raise InputError(f"ones_seen {self.ones_seen} outside 0..{self.theta - 1}")
-
-    @property
-    def k(self) -> int:
-        return self.n - self.theta
-
-    @property
-    def block(self) -> tuple[int, int]:
-        """Rank block spanned by past transmitters plus the pending one."""
-        return (self.k + 1 - self.zeros_seen, self.k + 1 + self.ones_seen)
-
-    @property
-    def residual_theta(self) -> int:
-        return self.theta - self.ones_seen
-
-    @property
-    def remaining_after(self) -> frozenset[int]:
-        """Node set still silent once the pending transmitter has spoken."""
-        lo, hi = self.block
-        return frozenset(range(1, lo)) | frozenset(range(hi + 1, self.n + 1))
-
-    def after_zero(self) -> Optional["IntervalState"]:
-        """Next decision point if the pending bit is 0 (None when determined)."""
-        if self.zeros_seen == self.k:
-            return None
-        return IntervalState(self.n, self.theta, self.zeros_seen + 1, self.ones_seen)
-
-    def after_one(self) -> Optional["IntervalState"]:
-        if self.ones_seen == self.theta - 1:
-            return None
-        return IntervalState(self.n, self.theta, self.zeros_seen, self.ones_seen + 1)
-
-
-def reachable_interval_states(n: int, theta: int) -> Iterator[IntervalState]:
-    """All decision points of the policy, in (z, o) lexicographic order."""
-    spec = ThresholdSpec(n, theta)
-    if not 1 <= theta <= n:
-        return
-    for z in range(spec.k + 1):
-        for o in range(theta):
-            yield IntervalState(n, theta, z, o)
+    """Expected bits of the policy strategy: O(n * theta) time, O(n) memory."""
+    ThresholdSpec(profile.n, theta)
+    if not 1 <= theta <= profile.n:
+        return 0.0
+    return float(_root(_cost_sweep(profile, theta)))
 
 
 @dataclass(frozen=True)
@@ -213,44 +152,41 @@ class StateAnnotation:
 def annotate_reachable_states(profile: ProbabilityProfile, theta: int) -> list[StateAnnotation]:
     """Reach probability and onward cost for every policy decision state.
 
-    States are keyed by (remaining, residual threshold); distinct bit
-    orders that land on the same state pool their path probabilities.
+    States are keyed by (remaining, residual threshold); the two bit
+    orders that reach a lattice point pool their path probabilities.
     Output is ordered by transmissions made, then remaining set, then
     residual threshold, which is deterministic.
     """
-    spec = ThresholdSpec(profile.n, theta)
-    initial = spec.initial_state()
-    if classify_state(initial) is not Determination.UNDETERMINED:
+    n = profile.n
+    k = ThresholdSpec(n, theta).k
+    if not 1 <= theta <= n:
         return []
-    cost_memo: dict = {}
-    reach: dict[tuple[frozenset[int], int], float] = {(initial.remaining, initial.residual_theta): 1.0}
-    # process levels by remaining-set size so probabilities are final before use
-    levels: dict[int, list[tuple[frozenset[int], int]]] = {profile.n: [(initial.remaining, theta)]}
+    costs = {d: (low.tolist(), high.tolist()) for d, low, high in _cost_sweep(profile, theta)}
+    probs = np.asarray(profile.probs)
+    reach_low, reach_high = np.zeros(k + 2), np.zeros(k + 2)
+    reach_low[0] = 1.0
     out: list[StateAnnotation] = []
-    for size in range(profile.n, 0, -1):
-        for remaining, t in sorted(levels.get(size, ()), key=lambda kt: (sorted(kt[0]), kt[1])):
-            state = ComputationState(remaining, t)
-            prob = reach[(remaining, t)]
-            rank = index_policy_next(state)
-            cost = policy_cost_from_state(profile, state, _memo=cost_memo)
-            out.append(
-                StateAnnotation(
-                    remaining=tuple(sorted(remaining)),
-                    residual_theta=t,
-                    transmitter=rank,
-                    reach_probability=prob,
-                    expected_remaining_cost=cost,
-                )
-            )
-            p = profile.p(rank)
-            rest = remaining - {rank}
-            for bit, q in ((0, 1.0 - p), (1, p)):
-                child = ComputationState(rest, t - bit)
-                if classify_state(child) is not Determination.UNDETERMINED:
-                    continue
-                key = (child.remaining, child.residual_theta)
-                if key not in reach:
-                    reach[key] = 0.0
-                    levels.setdefault(size - 1, []).append(key)
-                reach[key] += prob * q
+    for d in range(k + theta):
+        a, b, low_ranks, high_ranks = _diagonal(k, theta, d)
+        cost_low, cost_high = costs[d]
+        here_low, here_high = reach_low.tolist(), reach_high.tolist()
+        # Within a diagonal, (z, low) precedes (z, high): its remaining set
+        # keeps a longer prefix 1..k+1-z, so it sorts first, and it ties
+        # with (z - 1, high) only on the set, where the larger residual
+        # threshold of the low point puts it second.
+        for z, rank_low, rank_high in zip(range(a, b), low_ranks, high_ranks):
+            t = theta - (d - z)
+            if z >= 1 or d == 0:  # spoken block [rank_low + 1, rank_low + d]
+                rest = tuple(range(1, rank_low + 1)) + tuple(range(rank_low + d + 1, n + 1))
+                out.append(StateAnnotation(rest, t, rank_low, here_low[z], cost_low[z]))
+            if z < d:  # spoken block [rank_high - d, rank_high - 1]
+                rest = tuple(range(1, rank_high - d)) + tuple(range(rank_high, n + 1))
+                out.append(StateAnnotation(rest, t, rank_high, here_high[z], cost_high[z]))
+        # A point has at most two parents, one per side, so its pooled reach
+        # is one addition and does not depend on the order parents are met.
+        p_low, p_high = _probs_of(probs, low_ranks), _probs_of(probs, high_ranks)
+        from_low, from_high = reach_low[a:b], reach_high[a:b]
+        reach_low, reach_high = np.zeros(k + 2), np.zeros(k + 2)
+        reach_low[a + 1 : b + 1] = from_low * (1.0 - p_low) + from_high * (1.0 - p_high)
+        reach_high[a:b] = from_low * p_low + from_high * p_high
     return out

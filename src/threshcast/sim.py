@@ -63,8 +63,9 @@ def simulate_tree(
 ) -> SimulationReport:
     """Run `trials` independent walks of `tree` and tally bits and errors.
 
-    Trials are partitioned down the tree as index arrays, so cost is
-    O(trials * depth) regardless of tree size.
+    Trials are partitioned down the tree as index arrays and a branch no
+    trial takes is never entered, so cost is O(trials * depth) regardless
+    of tree size.
     """
     if trials < 2:
         raise InputError("at least 2 trials are needed for a standard error")
@@ -75,6 +76,8 @@ def simulate_tree(
     values = np.zeros(trials, dtype=np.int8)
 
     def walk(t: DecisionTree, idx: np.ndarray, depth: int) -> None:
+        if idx.size == 0:
+            return
         if isinstance(t, Leaf):
             values[idx] = t.value
             bits[idx] = depth

@@ -1,9 +1,19 @@
-"""Shared test plumbing: the acceptance-criteria result board.
+"""Shared test plumbing: the acceptance-criteria result board and the
+policy's state walker.
 
 Acceptance tests register one verdict per criterion before asserting, so
 the terminal summary always shows a pass/fail line per criterion even
 when a criterion's assertion fires.
 """
+
+from threshcast.core import (
+    ComputationState,
+    Determination,
+    ThresholdSpec,
+    apply_transmission,
+    classify_state,
+)
+from threshcast.policy import index_policy_next
 
 ACCEPTANCE_RESULTS: dict[int, tuple[bool, str]] = {}
 
@@ -20,3 +30,31 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         passed, detail = ACCEPTANCE_RESULTS[num]
         status = "PASS" if passed else "FAIL"
         terminalreporter.write_line(f"[criterion {num}] {status} - {detail}")
+
+
+def reachable_decision_states(n: int, theta: int) -> list[ComputationState]:
+    """Every state where the rank policy makes a choice, each visited once.
+
+    An oracle independent of the policy's lattice engine: it applies only
+    `index_policy_next` and `apply_transmission` from the initial state.
+    """
+    spec = ThresholdSpec(n, theta)
+    initial = spec.initial_state()
+    if classify_state(initial) is not Determination.UNDETERMINED:
+        return []
+    seen = {(initial.remaining, initial.residual_theta)}
+    stack = [initial]
+    out = []
+    while stack:
+        state = stack.pop()
+        out.append(state)
+        rank = index_policy_next(state)
+        for bit in (0, 1):
+            child = apply_transmission(state, rank, bit)
+            if classify_state(child) is not Determination.UNDETERMINED:
+                continue
+            key = (child.remaining, child.residual_theta)
+            if key not in seen:
+                seen.add(key)
+                stack.append(child)
+    return out

@@ -164,6 +164,13 @@ class TestPolicy:
         assert code == 0
         assert float(kv(out)["policy_cost"]) > 1.0
 
+    def test_far_past_the_recursion_limit(self, capsys):
+        n = 1200
+        probs = ",".join(f"{(i * 37 % (n + 1) + 0.5) / (n + 1):.6f}" for i in range(1, n + 1))
+        code, out, err = run_cli(capsys, "policy", "--probs", probs, "--theta", "600")
+        assert code == 0 and err == ""
+        assert 1.0 < float(kv(out)["policy_cost"]) <= n
+
 
 class TestVerify:
     def test_explicit_profile_csv(self, capsys):

@@ -1,0 +1,72 @@
+"""Golden CLI output: pinned sha256 digests of stdout for fixed command lines.
+
+Criterion 7 only compares two runs of the same code; these digests were
+captured once and pin the bytes across versions, so a refactor that
+changes any printed digit, key order or tree shape fails here.  To see
+the full text of a mismatch, run the command with `python -m
+threshcast.cli` and diff it against the same command on an older
+checkout.
+"""
+
+import hashlib
+
+import pytest
+
+from threshcast.cli import main
+
+
+def probs_arg(n: int, step: int, modulus: int) -> str:
+    """Distinct marginals in (0, 1), in a scrambled (unsorted) input order."""
+    return ",".join(f"{(i * step % modulus + 0.5) / modulus:.6f}" for i in range(1, n + 1))
+
+
+P8 = probs_arg(8, 5, 13)
+P10 = probs_arg(10, 7, 23)
+P12 = probs_arg(12, 7, 29)
+P200 = probs_arg(200, 37, 211)
+
+GOLDEN = [
+    (
+        "policy-annotate-table-n12",
+        ["policy", "--probs", P12, "--theta", "5", "--annotate"],
+        "72eef615ed7233dc33f97a18cff96ce24d178b0300bfa645cc8540adab90023b",
+    ),
+    (
+        "policy-annotate-json-n12",
+        ["policy", "--probs", P12, "--theta", "5", "--annotate", "--format", "json"],
+        "c3f050c78dd9436595783fe0754f84f42430303ab4bb40dbfb06171ab6bd4734",
+    ),
+    (
+        "policy-json-n8",
+        ["policy", "--probs", P8, "--theta", "3", "--format", "json"],
+        "62036b669d5da76af3a19d8b7ddae0abe0c404ff348d92eb019e2a169dcd8884",
+    ),
+    (
+        "policy-dot-n8",
+        ["policy", "--probs", P8, "--theta", "3", "--format", "dot", "--labels", "a,b,c,d,e,f,g,h"],
+        "a73195f7edb84541dac99d235cd6c376f9c107cb1ea2244c0a14e00f7322c203",
+    ),
+    (
+        "policy-check-csv-n8",
+        ["policy", "--probs", P8, "--theta", "6", "--check", "--format", "csv"],
+        "34d553b464c2d95d51cb63ccd25524444d99290e9902f7f6d5dfb9cbcd89d37d",
+    ),
+    (
+        "policy-table-n200",
+        ["policy", "--probs", P200, "--theta", "83"],
+        "873c73efe69a11c9fbfa8c6f09bbb885cb0fff0b33af4be40db657ba8eaa3264",
+    ),
+    (
+        "simulate-n10",
+        ["simulate", "--probs", P10, "--theta", "4", "--trials", "20000", "--seed", "7"],
+        "52b9925230e4e02a364dc6f5e902541ad65f7699367819cbbdfeb6dc7c20048c",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,digest", [g[1:] for g in GOLDEN], ids=[g[0] for g in GOLDEN])
+def test_stdout_matches_pinned_digest(capsys, argv, digest):
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -1,30 +1,64 @@
-"""Rank-based policy: choices, tree shape, cost agreement, interval states."""
+"""Rank-based policy: choices, tree shape, cost agreement, lattice states.
+
+The lattice engine is checked against oracles that do not share its
+coordinates: the state walker in conftest (only `index_policy_next` and
+`apply_transmission`), a plain recursion over walked states, the exact
+subset table, DAG costing of the tree, and enumeration of every outcome.
+"""
+
+import itertools
+import time
 
 import numpy as np
 import pytest
 
+from conftest import reachable_decision_states
 from threshcast.core import (
     ComputationState,
     ContractViolation,
-    InputError,
+    Determination,
     Leaf,
     Node,
     ProbabilityProfile,
     ThresholdSpec,
+    apply_transmission,
+    classify_state,
     tree_internal_states,
     validate_tree,
 )
 from threshcast.dp import CostTable, optimal_cost, strategy_cost
 from threshcast.policy import (
-    IntervalState,
     StateAnnotation,
     annotate_reachable_states,
     build_index_tree,
     index_policy_cost,
     index_policy_next,
-    policy_cost_from_state,
-    reachable_interval_states,
 )
+
+
+def random_profile(rng: np.random.Generator, n: int) -> ProbabilityProfile:
+    return ProbabilityProfile(tuple(sorted(float(p) for p in rng.uniform(0.02, 0.98, n))))
+
+
+def walked_cost(profile: ProbabilityProfile, state: ComputationState, memo: dict) -> float:
+    """Policy cost from `state` by plain recursion over explicit states."""
+    if classify_state(state) is not Determination.UNDETERMINED:
+        return 0.0
+    key = (state.remaining, state.residual_theta)
+    if key not in memo:
+        rank = index_policy_next(state)
+        p = profile.p(rank)
+        memo[key] = (
+            1.0
+            + p * walked_cost(profile, apply_transmission(state, rank, 1), memo)
+            + (1.0 - p) * walked_cost(profile, apply_transmission(state, rank, 0), memo)
+        )
+    return memo[key]
+
+
+def lattice_size(n: int, theta: int) -> int:
+    k = n - theta
+    return (k + 1) * theta + k * (theta - 1)
 
 
 class TestNextTransmitter:
@@ -79,32 +113,52 @@ class TestIndexTree:
     def test_deterministic_construction(self):
         assert build_index_tree(6, 3) == build_index_tree(6, 3)
 
+    def test_one_node_per_lattice_point(self):
+        for n in range(1, 9):
+            for theta in range(1, n + 1):
+                nodes = {}
+                stack = [build_index_tree(n, theta)]
+                while stack:
+                    t = stack.pop()
+                    if isinstance(t, Node) and id(t) not in nodes:
+                        nodes[id(t)] = t
+                        stack += [t.on_zero, t.on_one]
+                assert len(nodes) == lattice_size(n, theta), (n, theta)
+
 
 class TestCostAgreement:
     def test_three_cost_paths_agree(self):
         rng = np.random.default_rng(19)
         for _ in range(20):
             n = int(rng.integers(1, 10))
-            probs = tuple(sorted(float(p) for p in rng.uniform(0.02, 0.98, n)))
-            profile = ProbabilityProfile(probs)
+            profile = random_profile(rng, n)
             for theta in range(0, n + 2):
-                via_interval = index_policy_cost(profile, theta)
-                via_states = policy_cost_from_state(
-                    profile, ThresholdSpec(n, theta).initial_state()
-                )
+                via_lattice = index_policy_cost(profile, theta)
+                via_states = walked_cost(profile, ThresholdSpec(n, theta).initial_state(), {})
                 via_tree = strategy_cost(build_index_tree(n, theta), profile, theta)
-                assert via_interval == pytest.approx(via_states, abs=1e-12)
-                assert via_interval == pytest.approx(via_tree, abs=1e-12)
+                assert via_lattice == pytest.approx(via_states, abs=1e-12)
+                assert via_lattice == pytest.approx(via_tree, abs=1e-12)
 
-    def test_interval_recursion_scales_past_subset_table(self):
+    def test_lattice_sweep_scales_past_subset_table(self):
         # 40 nodes is far beyond any subset enumeration
         rng = np.random.default_rng(23)
-        probs = tuple(sorted(float(p) for p in rng.uniform(0.05, 0.95, 40)))
-        profile = ProbabilityProfile(probs)
+        profile = ProbabilityProfile(tuple(sorted(float(p) for p in rng.uniform(0.05, 0.95, 40))))
         a = index_policy_cost(profile, 17)
-        b = policy_cost_from_state(profile, ThresholdSpec(40, 17).initial_state())
+        b = walked_cost(profile, ThresholdSpec(40, 17).initial_state(), {})
+        c = strategy_cost(build_index_tree(40, 17), profile, 17)
         assert a == pytest.approx(b, abs=1e-9)
+        assert a == pytest.approx(c, abs=1e-9)
         assert a > 1.0
+
+    def test_cost_at_ten_thousand_nodes_within_budget(self):
+        # the sweep keeps two diagonals and never recurses
+        rng = np.random.default_rng(37)
+        n = 10_000
+        profile = ProbabilityProfile(tuple(np.sort(rng.uniform(0.01, 0.99, n)).tolist()))
+        start = time.perf_counter()
+        cost = index_policy_cost(profile, n // 2)
+        assert time.perf_counter() - start < 20.0
+        assert 1.0 < cost <= n
 
     def test_policy_attains_exact_optimum(self):
         rng = np.random.default_rng(29)
@@ -123,93 +177,101 @@ class TestCostAgreement:
         assert index_policy_cost(ProbabilityProfile((0.3, 0.6)), 2) == pytest.approx(1.3)
 
 
+def annotation_at(n: int, theta: int, zeros: int, ones: int) -> list[StateAnnotation]:
+    """Annotated states after `zeros` 0s and `ones` 1s, one per side the block grew on."""
+    profile = ProbabilityProfile(tuple((i + 0.5) / n for i in range(n)))
+    return [
+        a
+        for a in annotate_reachable_states(profile, theta)
+        if len(a.remaining) == n - zeros - ones and a.residual_theta == theta - ones
+    ]
+
+
 class TestIntervalStates:
-    def test_bounds_validation(self):
-        with pytest.raises(InputError):
-            IntervalState(3, 0, 0, 0)
-        with pytest.raises(InputError):
-            IntervalState(3, 4, 0, 0)
-        with pytest.raises(InputError):
-            IntervalState(4, 2, 3, 0)  # zeros_seen > k = 2
-        with pytest.raises(InputError):
-            IntervalState(4, 2, 0, 2)  # ones_seen > theta - 1
+    """Decision points in (zeros seen, ones seen) coordinates.
+
+    With k = n - theta, the nodes that have spoken plus the one about to
+    speak form the contiguous rank block [k+1-z, k+1+o]; the pending
+    transmitter sits at the end the last bit pushed to, and the set left
+    once it has spoken is the same for both ends.
+    """
 
     def test_block_and_remaining_after(self):
-        s = IntervalState(6, 3, 1, 1)  # k = 3, block [3, 5]
-        assert s.k == 3
-        assert s.block == (3, 5)
-        assert s.residual_theta == 2
-        assert s.remaining_after == frozenset({1, 2, 6})
+        states = annotation_at(6, 3, 1, 1)  # k = 3, block [3, 5]
+        assert sorted(a.transmitter for a in states) == [3, 5]
+        for a in states:
+            assert set(a.remaining) - {a.transmitter} == {1, 2, 6}
+            assert a.residual_theta == 2
 
     def test_initial_state_block(self):
-        s = IntervalState(5, 2, 0, 0)
-        assert s.block == (4, 4)
-        assert s.remaining_after == frozenset({1, 2, 3, 5})
+        (root,) = annotation_at(5, 2, 0, 0)
+        assert root.transmitter == 4
+        assert set(root.remaining) - {root.transmitter} == {1, 2, 3, 5}
 
     def test_transitions(self):
-        s = IntervalState(6, 3, 1, 1)
-        assert s.after_zero() == IntervalState(6, 3, 2, 1)
-        assert s.after_one() == IntervalState(6, 3, 1, 2)
+        root = build_index_tree(6, 3)  # k = 3
+        via_low, via_high = root.on_one.on_zero, root.on_zero.on_one
+        assert (via_low.transmitter, via_high.transmitter) == (3, 5)
+        for point in (via_low, via_high):
+            assert point.on_zero.transmitter == 2  # (2, 1), low end
+            assert point.on_one.transmitter == 6  # (1, 2), high end
+        assert via_low.on_zero is via_high.on_zero
+        assert via_low.on_one is via_high.on_one
 
     def test_transitions_hit_determination_edges(self):
-        s = IntervalState(4, 2, 2, 1)  # k = 2: zeros maxed, one more 1 decides
-        assert s.after_zero() is None
-        assert s.after_one() is None
-        assert IntervalState(4, 2, 0, 1).after_one() is None
-        assert IntervalState(4, 2, 2, 0).after_zero() is None
+        root = build_index_tree(4, 2)  # k = 2
+        zeros_maxed = root.on_zero.on_zero.on_one  # (2, 1): either bit decides
+        assert zeros_maxed.on_zero == Leaf(0)
+        assert zeros_maxed.on_one == Leaf(1)
+        assert root.on_one.on_one == Leaf(1)  # (0, 1) then a 1
+        assert root.on_zero.on_zero.on_zero == Leaf(0)  # (2, 0) then a 0
 
     def test_enumeration_count(self):
-        # decision points factor as (k + 1) * theta
         for n in range(1, 8):
+            profile = ProbabilityProfile(tuple((i + 0.5) / n for i in range(n)))
             for theta in range(1, n + 1):
-                states = list(reachable_interval_states(n, theta))
-                assert len(states) == (n - theta + 1) * theta
-        assert list(reachable_interval_states(3, 0)) == []
-        assert list(reachable_interval_states(3, 4)) == []
-
-
-def interval_decision_states(n: int, theta: int) -> set:
-    """Expand interval coordinates into explicit (remaining, t) decision states.
-
-    The pending transmitter sits at the block end the last bit pushed to,
-    so past the initial state each (z, o) yields a low form (reachable when
-    z >= 1) and a high form (reachable when o >= 1).
-    """
-    out = set()
-    for s in reachable_interval_states(n, theta):
-        lo, hi = s.block
-        t = s.residual_theta
-        if s.zeros_seen == 0 and s.ones_seen == 0:
-            out.add((frozenset(range(1, n + 1)), t))
-            continue
-        if s.zeros_seen >= 1:
-            low_form = frozenset(range(1, lo + 1)) | frozenset(range(hi + 1, n + 1))
-            out.add((low_form, t))
-        if s.ones_seen >= 1:
-            high_form = frozenset(range(1, lo)) | frozenset(range(hi, n + 1))
-            out.add((high_form, t))
-    return out
+                assert len(annotate_reachable_states(profile, theta)) == lattice_size(n, theta)
 
 
 class TestIntervalCoverage:
     def test_interval_states_match_tree_walk(self):
-        for n in range(1, 9):
+        rng = np.random.default_rng(41)
+        for n in range(1, 10):
+            profile = random_profile(rng, n)
             for theta in range(1, n + 1):
-                tree = build_index_tree(n, theta)
-                spec = ThresholdSpec(n, theta)
-                walked = {
-                    (state.remaining, state.residual_theta)
-                    for state, _ in tree_internal_states(tree, spec)
-                }
-                assert walked == interval_decision_states(n, theta), (n, theta)
+                walked = reachable_decision_states(n, theta)
+                anns = annotate_reachable_states(profile, theta)
+                keys = [(frozenset(a.remaining), a.residual_theta) for a in anns]
+                assert len(set(keys)) == len(keys)
+                assert set(keys) == {(s.remaining, s.residual_theta) for s in walked}, (n, theta)
+                for a in anns:
+                    state = ComputationState(frozenset(a.remaining), a.residual_theta)
+                    assert a.transmitter == index_policy_next(state)
+                if n <= 8:
+                    tree_states = {
+                        (s.remaining, s.residual_theta)
+                        for s, _ in tree_internal_states(build_index_tree(n, theta), ThresholdSpec(n, theta))
+                    }
+                    assert tree_states == set(keys)
+
+    def test_tree_cost_matches_sweep(self):
+        rng = np.random.default_rng(43)
+        for n in range(1, 10):
+            profile = random_profile(rng, n)
+            for theta in range(0, n + 2):
+                assert strategy_cost(build_index_tree(n, theta), profile, theta) == pytest.approx(
+                    index_policy_cost(profile, theta), abs=1e-12
+                ), (n, theta)
 
     def test_transmitter_adjacent_to_block(self):
-        for n in range(1, 9):
+        for n in range(1, 10):
             for theta in range(1, n + 1):
-                for s in reachable_interval_states(n, theta):
-                    lo, hi = s.block
-                    assert 1 <= lo <= hi <= n
-                    assert s.remaining_after.isdisjoint(range(lo, hi + 1))
+                k = n - theta
+                for state in reachable_decision_states(n, theta):
+                    spoken = set(range(1, n + 1)) - state.remaining
+                    block = spoken | {index_policy_next(state)}
+                    assert block == set(range(min(block), max(block) + 1))
+                    assert k + 1 in block
 
 
 class TestAnnotations:
@@ -245,3 +307,38 @@ class TestAnnotations:
     def test_constant_function_has_no_states(self):
         assert annotate_reachable_states(ProbabilityProfile((0.3, 0.6)), 0) == []
         assert annotate_reachable_states(ProbabilityProfile((0.3, 0.6)), 3) == []
+
+    def test_order_is_transmissions_then_remaining_then_threshold(self):
+        rng = np.random.default_rng(47)
+        for n in range(1, 10):
+            profile = random_profile(rng, n)
+            for theta in range(1, n + 1):
+                anns = annotate_reachable_states(profile, theta)
+                key = lambda a: (-len(a.remaining), a.remaining, a.residual_theta)
+                assert anns == sorted(anns, key=key)
+
+    def test_reach_and_onward_cost_match_enumeration(self):
+        # reach: total probability of the outcomes whose walk passes the state;
+        # onward cost: the exact table, which the policy attains at every state
+        rng = np.random.default_rng(53)
+        for n in range(1, 9):
+            profile = random_profile(rng, n)
+            table = CostTable(profile)
+            for theta in range(1, n + 1):
+                reach: dict = {}
+                for x in itertools.product((0, 1), repeat=n):
+                    weight = float(np.prod([p if b else 1.0 - p for p, b in zip(profile.probs, x)]))
+                    state = ThresholdSpec(n, theta).initial_state()
+                    while classify_state(state) is Determination.UNDETERMINED:
+                        key = (tuple(sorted(state.remaining)), state.residual_theta)
+                        reach[key] = reach.get(key, 0.0) + weight
+                        rank = index_policy_next(state)
+                        state = apply_transmission(state, rank, x[rank - 1])
+                anns = annotate_reachable_states(profile, theta)
+                assert len(anns) == len(reach)
+                for a in anns:
+                    assert a.reach_probability == pytest.approx(
+                        reach[(a.remaining, a.residual_theta)], abs=1e-12
+                    )
+                    state = ComputationState(frozenset(a.remaining), a.residual_theta)
+                    assert a.expected_remaining_cost == pytest.approx(table.cost(state), abs=1e-12)

@@ -1,11 +1,13 @@
 """Monte Carlo walker and the lockstep block protocol."""
 
+import time
+
 import numpy as np
 import pytest
 
 from threshcast.core import InputError, ProbabilityProfile, walk_tree
 from threshcast.dp import optimal_tree, strategy_cost
-from threshcast.policy import build_index_tree
+from threshcast.policy import build_index_tree, index_policy_cost
 from threshcast.sim import (
     BlockExperimentReport,
     draw_measurements,
@@ -73,6 +75,17 @@ class TestSimulateTree:
         tree = build_index_tree(3, 2)
         report = simulate_tree(tree, profile, 2, 100, seed=5)
         assert report.expected_bits == pytest.approx(strategy_cost(tree, profile, 2), abs=1e-15)
+
+    def test_shared_dag_at_sixty_nodes_within_budget(self):
+        # the policy DAG has ~1800 nodes but C(60, 30) root-to-leaf paths:
+        # validation and the walk must visit nodes, not paths
+        rng = np.random.default_rng(59)
+        profile = ProbabilityProfile(tuple(np.sort(rng.uniform(0.05, 0.95, 60)).tolist()))
+        start = time.perf_counter()
+        report = simulate_tree(build_index_tree(60, 30), profile, 30, 1000, seed=3)
+        assert time.perf_counter() - start < 20.0
+        assert report.error_count == 0
+        assert report.expected_bits == pytest.approx(index_policy_cost(profile, 30), abs=1e-9)
 
 
 class TestBlockProtocol:
