@@ -210,11 +210,12 @@ def validate_tree(tree: DecisionTree, spec: ThresholdSpec) -> None:
     costs its (node, state) pairs, not its root-to-leaf paths.
     """
     checked: set[tuple[int, frozenset[int], int]] = set()
-
-    def check(t: DecisionTree, state: ComputationState) -> None:
+    stack: list[tuple[DecisionTree, ComputationState]] = [(tree, spec.initial_state())]
+    while stack:
+        t, state = stack.pop()
         key = (id(t), state.remaining, state.residual_theta)
         if key in checked:
-            return
+            continue
         checked.add(key)
         det = classify_state(state)
         if isinstance(t, Leaf):
@@ -226,7 +227,7 @@ def validate_tree(tree: DecisionTree, spec: ThresholdSpec) -> None:
             want = 1 if det is Determination.ONE else 0
             if t.value != want:
                 raise TreeInvalidError(f"leaf value {t.value} contradicts determined value {want}")
-            return
+            continue
         if det is not Determination.UNDETERMINED:
             raise TreeInvalidError(
                 f"internal node {t.transmitter} at a determined state: tree queries after determination"
@@ -235,22 +236,28 @@ def validate_tree(tree: DecisionTree, spec: ThresholdSpec) -> None:
             raise TreeInvalidError(
                 f"transmitter {t.transmitter} not in remaining set {sorted(state.remaining)}"
             )
-        check(t.on_one, apply_transmission(state, t.transmitter, 1))
-        check(t.on_zero, apply_transmission(state, t.transmitter, 0))
-
-    if spec.n >= 1:
-        check(tree, spec.initial_state())
+        stack.append((t.on_zero, apply_transmission(state, t.transmitter, 0)))
+        stack.append((t.on_one, apply_transmission(state, t.transmitter, 1)))
 
 
 def tree_internal_states(
     tree: DecisionTree, spec: ThresholdSpec
 ) -> Iterator[tuple[ComputationState, int]]:
-    """Yield (state, transmitter) for every internal node, preorder, one-branch first."""
+    """Yield (state, transmitter) for every internal node, preorder, one-branch first.
+
+    A shared subtree reached again at the same state is skipped, so a DAG
+    yields each (node, state) pair once, at its first visit.
+    """
+    seen: set[tuple[int, frozenset[int], int]] = set()
     stack: list[tuple[DecisionTree, ComputationState]] = [(tree, spec.initial_state())]
     while stack:
         t, state = stack.pop()
         if isinstance(t, Leaf):
             continue
+        key = (id(t), state.remaining, state.residual_theta)
+        if key in seen:
+            continue
+        seen.add(key)
         yield state, t.transmitter
         stack.append((t.on_zero, apply_transmission(state, t.transmitter, 0)))
         stack.append((t.on_one, apply_transmission(state, t.transmitter, 1)))

@@ -5,17 +5,21 @@ remaining set R and residual threshold t,
 
     C(R, t) = min_{i in R} [ 1 + p_i * C(R - {i}, t - 1) + (1 - p_i) * C(R - {i}, t) ]
 
-with C = 0 at determined states.  The table memoizes over (subset mask,
-residual threshold), so a single table answers every substate query for
-one profile.  Subset enumeration is exponential in n; the cap guards
-against accidental huge instances.
+with C = 0 at determined states.  Each subset reads only subsets one
+element smaller, so the table is filled one cardinality level at a time
+(Held & Karp's subset DP), each level a few whole-array operations, and
+one filled table answers every substate query for one profile.  Subset
+enumeration is exponential in n; the cap guards against accidental huge
+instances.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf
+from math import comb, inf
 from typing import Optional
+
+import numpy as np
 
 from .core import (
     CapacityError,
@@ -31,9 +35,8 @@ from .core import (
 
 DEFAULT_NODE_CAP = 20
 DEFAULT_TIE_TOL = 1e-12
-
-# residual threshold fits in 5 bits for n <= 30 (t <= n + 1)
-_T_SHIFT = 5
+# masks index an int32 row map, so no cap can lift n above this
+MAX_TABLE_N = 30
 
 
 def mask_of(remaining: frozenset[int]) -> int:
@@ -55,11 +58,13 @@ def set_of(mask: int) -> frozenset[int]:
 
 
 class CostTable:
-    """Lazy memoized cost table for one probability profile.
+    """Cost table for one probability profile, filled on the first query.
 
-    With exact=True all arithmetic runs in rationals (probabilities taken
-    at their exact binary float values), so ties are ties, not artifacts
-    of rounding.
+    Level l holds every l-subset as one row of C(R, t) for t = 0..l+1,
+    rows in ascending mask order; the columns t = 0 and t = l+1 are the
+    determined states and stay 0.  With exact=True the same fill runs
+    over object arrays of rationals (probabilities taken at their exact
+    binary float values), so ties are ties, not artifacts of rounding.
     """
 
     def __init__(
@@ -68,9 +73,11 @@ class CostTable:
         node_cap: int = DEFAULT_NODE_CAP,
         exact: bool = False,
     ) -> None:
-        if profile.n > node_cap:
+        cap = min(node_cap, MAX_TABLE_N)
+        if profile.n > cap:
             raise CapacityError(
-                f"profile has {profile.n} nodes, above the cap of {node_cap}; "
+                f"profile has {profile.n} nodes, above the cap of {cap} "
+                f"(the table never exceeds {MAX_TABLE_N}); "
                 f"the table enumerates subsets and would need about 2**{profile.n} entries"
             )
         self.profile = profile
@@ -82,8 +89,48 @@ class CostTable:
             self._probs = profile.probs
             self._one = 1.0
         self._zero = self._one - self._one
-        self._memo: dict[int, object] = {}
-        self._full_mask = (1 << profile.n) - 1
+        # per level, once filled: a memoryview of the float array (it reads
+        # out Python floats), or the object array of Fractions itself
+        self._levels: Optional[list] = None
+        self._row = None  # memoryview: mask -> row within its level
+
+    def _fill(self) -> None:
+        n = self.profile.n
+        one, zero = self._one, self._zero
+        dtype = object if self.exact else np.float64
+        popcount = np.zeros(1 << n, dtype=np.int8)
+        for i in range(n):
+            popcount[1 << i : 2 << i] = popcount[: 1 << i] + 1
+        by_level = np.argsort(popcount, kind="stable")
+        sizes = [comb(n, l) for l in range(n + 1)]
+        starts = np.cumsum([0] + sizes)
+        row = np.empty(1 << n, dtype=np.int32)
+        row[by_level] = np.arange(1 << n) - np.repeat(starts[:-1], sizes)
+        levels = [np.full((1, 2), zero, dtype=dtype)]
+        for l in range(1, n + 1):
+            masks = by_level[starts[l] : starts[l + 1]]
+            prev = levels[l - 1]
+            cur = np.full((sizes[l], l + 2), zero, dtype=dtype)
+            cur[:, 1 : l + 1] = inf
+            for i in range(n):
+                rows = np.flatnonzero((masks >> i) & 1)
+                below = prev[row[masks[rows] ^ (1 << i)]]
+                p = self._probs[i]
+                # the recurrence's operation order, so entries are bit-identical to it
+                c = one + p * below[:, :-1] + (one - p) * below[:, 1:]
+                cur[rows, 1 : l + 1] = np.minimum(cur[rows, 1 : l + 1], c)
+            levels.append(cur)
+        self._row = memoryview(row)
+        self._levels = levels if self.exact else [memoryview(a) for a in levels]
+
+    def _entry(self, mask: int, t: int):
+        """C(mask, t) for any mask and t, by table lookup."""
+        level = mask.bit_count()
+        if t <= 0 or t > level:
+            return self._zero
+        if self._levels is None:
+            self._fill()
+        return self._levels[level][self._row[mask], t]
 
     def _check_state(self, state: ComputationState) -> tuple[int, int]:
         for rank in state.remaining:
@@ -93,30 +140,7 @@ class CostTable:
 
     def cost(self, state: ComputationState):
         """Optimal expected bits from `state` (0 when already determined)."""
-        mask, t = self._check_state(state)
-        return self.cost_mask(mask, t)
-
-    def cost_mask(self, mask: int, t: int):
-        if t <= 0 or t > mask.bit_count():
-            return self._zero
-        key = (mask << _T_SHIFT) | t
-        val = self._memo.get(key)
-        if val is not None:
-            return val
-        probs = self._probs
-        one = self._one
-        best = inf
-        mm = mask
-        while mm:
-            low = mm & -mm
-            mm ^= low
-            p = probs[low.bit_length() - 1]
-            sub = mask ^ low
-            c = one + p * self.cost_mask(sub, t - 1) + (one - p) * self.cost_mask(sub, t)
-            if c < best:
-                best = c
-        self._memo[key] = best
-        return best
+        return self._entry(*self._check_state(state))
 
     def candidate_costs(self, state: ComputationState) -> dict[int, object]:
         """Expected cost of each legal first transmitter at an undetermined state."""
@@ -132,7 +156,7 @@ class CostTable:
             rank = low.bit_length()
             p = self._probs[rank - 1]
             sub = mask ^ low
-            out[rank] = one + p * self.cost_mask(sub, t - 1) + (one - p) * self.cost_mask(sub, t)
+            out[rank] = one + p * self._entry(sub, t - 1) + (one - p) * self._entry(sub, t)
         return out
 
     def minimizers(self, state: ComputationState, tol: float = DEFAULT_TIE_TOL) -> tuple[int, ...]:
@@ -183,14 +207,14 @@ def optimal_tree(
     spec = ThresholdSpec(profile.n, theta)
     if table is None:
         table = CostTable(profile)
-    memo: dict[int, DecisionTree] = {}
+    memo: dict[tuple[int, int], DecisionTree] = {}
 
     def build(mask: int, t: int) -> DecisionTree:
         if t <= 0:
             return Leaf(1)
         if t > mask.bit_count():
             return Leaf(0)
-        key = (mask << _T_SHIFT) | t
+        key = (mask, t)
         node = memo.get(key)
         if node is not None:
             return node
@@ -217,18 +241,21 @@ def strategy_cost(
     """
     if validate:
         validate_tree(tree, ThresholdSpec(profile.n, theta))
+    if isinstance(tree, Leaf):
+        return 0.0
     memo: dict[int, float] = {}
-
-    def cost(t: DecisionTree) -> float:
-        if isinstance(t, Leaf):
-            return 0.0
-        key = id(t)
-        val = memo.get(key)
-        if val is not None:
-            return val
+    stack = [tree]
+    while stack:
+        t = stack[-1]
+        c1 = 0.0 if isinstance(t.on_one, Leaf) else memo.get(id(t.on_one))
+        c0 = 0.0 if isinstance(t.on_zero, Leaf) else memo.get(id(t.on_zero))
+        if c1 is None or c0 is None:
+            if c1 is None:
+                stack.append(t.on_one)
+            if c0 is None:
+                stack.append(t.on_zero)
+            continue
+        stack.pop()
         p = profile.p(t.transmitter)
-        c = 1.0 + p * cost(t.on_one) + (1.0 - p) * cost(t.on_zero)
-        memo[key] = c
-        return c
-
-    return cost(tree)
+        memo[id(t)] = 1.0 + p * c1 + (1.0 - p) * c0
+    return memo[id(tree)]

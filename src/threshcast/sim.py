@@ -75,18 +75,18 @@ def simulate_tree(
     bits = np.zeros(trials, dtype=np.int64)
     values = np.zeros(trials, dtype=np.int8)
 
-    def walk(t: DecisionTree, idx: np.ndarray, depth: int) -> None:
+    stack: list[tuple[DecisionTree, np.ndarray, int]] = [(tree, np.arange(trials), 0)]
+    while stack:
+        t, idx, depth = stack.pop()
         if idx.size == 0:
-            return
+            continue
         if isinstance(t, Leaf):
             values[idx] = t.value
             bits[idx] = depth
-            return
+            continue
         ones = X[idx, t.transmitter - 1]
-        walk(t.on_zero, idx[~ones], depth + 1)
-        walk(t.on_one, idx[ones], depth + 1)
-
-    walk(tree, np.arange(trials), 0)
+        stack.append((t.on_one, idx[ones], depth + 1))
+        stack.append((t.on_zero, idx[~ones], depth + 1))
     truth = (X.sum(axis=1) >= theta).astype(np.int8)
     error_count = int((values != truth).sum())
     mean = float(bits.mean())

@@ -1,10 +1,12 @@
-"""Shared test plumbing: the acceptance-criteria result board and the
-policy's state walker.
+"""Shared test plumbing: the acceptance-criteria result board, the
+policy's state walker and the recursive subset-cost oracle.
 
 Acceptance tests register one verdict per criterion before asserting, so
 the terminal summary always shows a pass/fail line per criterion even
 when a criterion's assertion fires.
 """
+
+from fractions import Fraction
 
 from threshcast.core import (
     ComputationState,
@@ -58,3 +60,38 @@ def reachable_decision_states(n: int, theta: int) -> list[ComputationState]:
                 seen.add(key)
                 stack.append(child)
     return out
+
+
+def reference_cost_table(probs: tuple, exact: bool = False):
+    """The subset cost table as a recursive memo, an oracle for the fill.
+
+    Returns cost(mask, t), computed on demand by
+    C(R, t) = min_i [1 + p_i C(R - i, t - 1) + (1 - p_i) C(R - i, t)]
+    with the candidates taken lowest bit first, in floats or, with
+    exact=True, in rationals.
+    """
+    one = Fraction(1) if exact else 1.0
+    ps = tuple(Fraction(p) for p in probs) if exact else tuple(probs)
+    zero = one - one
+    memo: dict = {}
+
+    def cost(mask: int, t: int):
+        if t <= 0 or t > mask.bit_count():
+            return zero
+        val = memo.get((mask, t))
+        if val is not None:
+            return val
+        best = float("inf")
+        mm = mask
+        while mm:
+            low = mm & -mm
+            mm ^= low
+            p = ps[low.bit_length() - 1]
+            sub = mask ^ low
+            c = one + p * cost(sub, t - 1) + (one - p) * cost(sub, t)
+            if c < best:
+                best = c
+        memo[(mask, t)] = best
+        return best
+
+    return cost

@@ -105,6 +105,12 @@ class TestSolve:
         assert code == 3
         assert "error:" in err
 
+    def test_table_ceiling_holds_above_max_n(self, capsys):
+        probs = ",".join(f"{(i + 0.5) / 31:.4f}" for i in range(31))
+        code, out, err = run_cli(capsys, "solve", "--probs", probs, "--theta", "3", "--max-n", "40")
+        assert code == 3 and out == ""
+        assert "30" in err
+
     def test_bad_probs_value(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--probs", "0.3,1.5", "--theta", "1")
         assert code == 2
@@ -288,6 +294,17 @@ class TestSimulate:
         assert obj["expected_bits"] == 2.25
         assert obj["error_count"] == 0
         assert obj["seed"] == 1
+
+    def test_tree_deeper_than_the_recursion_limit(self, capsys):
+        n = 1100
+        probs = ",".join(f"{(i * 37 % (n + 1) + 0.5) / (n + 1):.6f}" for i in range(1, n + 1))
+        code, out, err = run_cli(
+            capsys, "simulate", "--probs", probs, "--theta", "5", "--trials", "100", "--seed", "1"
+        )
+        assert code == 0 and err == ""
+        fields = kv(out)
+        assert fields["error_count"] == "0"
+        assert 5.0 <= float(fields["expected_bits"]) <= n
 
     def test_disagreement_exits_5(self, capsys, monkeypatch):
         def broken(tree, profile, theta, trials, seed=None, rng=None):

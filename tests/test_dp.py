@@ -1,9 +1,12 @@
 """Exact solver: hand-computed values, an independent oracle, tie handling."""
 
+import tracemalloc
 from fractions import Fraction
+from time import perf_counter
 
 import numpy as np
 import pytest
+from conftest import reference_cost_table
 
 from threshcast.core import (
     CapacityError,
@@ -16,6 +19,7 @@ from threshcast.core import (
     validate_tree,
 )
 from threshcast.dp import (
+    MAX_TABLE_N,
     CostTable,
     mask_of,
     optimal_cost,
@@ -126,7 +130,75 @@ class TestMinimizersAndTies:
             table.cost(ComputationState(frozenset({1, 5}), 1))
 
 
+def all_entries(n: int):
+    """Every (remaining set, mask, t) the table holds, determined columns included."""
+    for mask in range(1 << n):
+        remaining = set_of(mask)
+        for t in range(0, len(remaining) + 2):
+            yield remaining, mask, t
+
+
+class TestLevelFill:
+    """The popcount-level fill against the recursive memo it replaced."""
+
+    def test_float_fill_is_bit_identical_to_the_recursion(self):
+        rng = np.random.default_rng(19)
+        for n in range(1, 11):
+            for probs in (
+                tuple(sorted(float(p) for p in rng.uniform(0.01, 0.99, n))),
+                (0.5,) * n,
+            ):
+                table = CostTable(ProbabilityProfile(probs))
+                want = reference_cost_table(probs)
+                for remaining, mask, t in all_entries(n):
+                    got = table.cost(ComputationState(remaining, t))
+                    assert type(got) is float
+                    assert got == want(mask, t), (probs, mask, t)
+
+    def test_exact_fill_matches_the_rational_recursion(self):
+        rng = np.random.default_rng(23)
+        for n in range(1, 8):
+            probs = tuple(sorted(float(p) for p in rng.uniform(0.01, 0.99, n)))
+            table = CostTable(ProbabilityProfile(probs), exact=True)
+            want = reference_cost_table(probs, exact=True)
+            for remaining, mask, t in all_entries(n):
+                got = table.cost(ComputationState(remaining, t))
+                assert type(got) is Fraction
+                assert got == want(mask, t), (probs, mask, t)
+
+    def test_candidate_costs_are_the_recurrence_terms(self):
+        probs = (0.15, 0.3, 0.3, 0.55, 0.8, 0.9)
+        table = CostTable(ProbabilityProfile(probs))
+        state = ComputationState(frozenset({1, 2, 4, 6}), 2)
+        cand = table.candidate_costs(state)
+        assert min(cand.values()) == table.cost(state)
+        for rank, c in cand.items():
+            rest = ComputationState(state.remaining - {rank}, 2)
+            down = ComputationState(state.remaining - {rank}, 1)
+            p = probs[rank - 1]
+            assert c == 1.0 + p * table.cost(down) + (1.0 - p) * table.cost(rest)
+
+    def test_n18_fill_within_budget(self):
+        probs = tuple((i + 0.5) / 18 for i in range(18))
+        table = CostTable(ProbabilityProfile(probs))
+        start = perf_counter()
+        cost = table.cost(ThresholdSpec(18, 9).initial_state())
+        assert perf_counter() - start < 30.0
+        assert 9.0 <= cost <= 18.0
+
+
 class TestCapacity:
+    def test_ceiling_holds_whatever_the_cap(self):
+        probs = tuple((i + 1) / 33.0 for i in range(MAX_TABLE_N + 1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match=str(MAX_TABLE_N)):
+                CostTable(ProbabilityProfile(probs), node_cap=40)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_node_cap(self):
         probs = tuple((i + 1) / 30.0 for i in range(25))
         with pytest.raises(CapacityError):

@@ -254,6 +254,13 @@ class TestIntervalCoverage:
                     }
                     assert tree_states == set(keys)
 
+    def test_tree_states_are_yielded_once(self):
+        # the DAG at (15, 7) has 11,439 root-to-leaf path states but 111 decision states
+        n, theta = 15, 7
+        tree = build_index_tree(n, theta)
+        keys = [(s.remaining, s.residual_theta) for s, _ in tree_internal_states(tree, ThresholdSpec(n, theta))]
+        assert len(keys) == len(set(keys)) == len(reachable_decision_states(n, theta)) == 111
+
     def test_tree_cost_matches_sweep(self):
         rng = np.random.default_rng(43)
         for n in range(1, 10):

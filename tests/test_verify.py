@@ -11,7 +11,7 @@ from threshcast.core import (
     ThresholdSpec,
     validate_tree,
 )
-from threshcast.dp import _T_SHIFT, CostTable
+from threshcast.dp import CostTable, mask_of
 from threshcast.verify import (
     FAMILIES,
     LemmaViolation,
@@ -27,6 +27,14 @@ from threshcast.verify import (
 
 def table_for(probs):
     return CostTable(ProbabilityProfile(probs))
+
+
+def bump_entry(table: CostTable, state: ComputationState, by: float) -> None:
+    """Corrupt one stored table entry in place (test-only access to the storage)."""
+    before = table.cost(state)  # fills the table
+    mask = mask_of(state.remaining)
+    table._levels[mask.bit_count()][table._row[mask], state.residual_theta] += by
+    assert table.cost(state) == before + by
 
 
 class TestGapQuantities:
@@ -110,10 +118,7 @@ class TestLemmaReport:
         profile = ProbabilityProfile((0.4, 0.4, 0.4))
         table = CostTable(profile)
         state = ComputationState(frozenset({1, 3}), 2)
-        table.cost(state)  # force the memo entry into existence
-        key = (0b101 << _T_SHIFT) | 2
-        assert key in table._memo
-        table._memo[key] += 1.0
+        bump_entry(table, state, 1.0)
         report = check_lemma_inequalities(profile, table=table)
         assert not report.passed
         families = {v.family for v in report.violations}
@@ -173,8 +178,7 @@ class TestExhaustiveCheck:
         profile = ProbabilityProfile((0.3, 0.5, 0.6))
         table = CostTable(profile)
         spec = ThresholdSpec(3, 2)
-        table.cost(spec.initial_state())
-        table._memo[(0b111 << _T_SHIFT) | 2] += 1.0
+        bump_entry(table, spec.initial_state(), 1.0)
         report = exhaustive_strategy_check(profile, 2, table=table)
         assert not report.passed
         assert report.witness is not None
