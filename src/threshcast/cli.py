@@ -175,6 +175,32 @@ def render_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def text_value(v) -> str:
+    """A record value as printed: floats by `fmt`, booleans lower case, None empty."""
+    if v is None or isinstance(v, bool):
+        return "" if v is None else str(v).lower()
+    return fmt(v) if isinstance(v, float) else str(v)
+
+
+def json_value(v):
+    return jround(v) if isinstance(v, float) else v
+
+
+def render_record(record: list[tuple[str, object]], out_format: str, **json_extra) -> str:
+    """One flat record as key=value lines, a header-and-values csv, or json.
+
+    `json_extra` entries go into the json object only.
+    """
+    if out_format == "json":
+        return render_json({**{k: json_value(v) for k, v in record}, **json_extra})
+    pairs = [(k, text_value(v)) for k, v in record]
+    if out_format == "table":
+        return render_kv(pairs)
+    if out_format == "csv":
+        return render_csv([[k for k, _ in pairs], [v for _, v in pairs]])
+    raise InputError(f"unknown format {out_format!r}")
+
+
 def profile_fields(ingested: IngestedProfile) -> list[tuple[str, str]]:
     pairs = [("probs", ";".join(fmt(p) for p in ingested.profile.probs))]
     rmap = rank_map_items(ingested)
@@ -234,11 +260,8 @@ def cmd_solve(args: argparse.Namespace, config: dict) -> str:
         )
         return render_json(obj)
     if out_format == "csv":
-        rows = [
-            ["n", "theta", "optimal_cost", "optimal_first_transmitters"],
-            [str(profile.n), str(theta), fmt(cost_f), ";".join(str(r) for r in first)],
-        ]
-        return render_csv(rows)
+        record = [("n", profile.n), ("theta", theta), ("optimal_cost", cost_f)]
+        return render_record(record + [("optimal_first_transmitters", ";".join(str(r) for r in first))], "csv")
     if out_format == "dot":
         return tree_to_dot(tree, labels=rank_labels(ingested, resolve(args, config, "labels")))
     raise InputError(f"unknown format {out_format!r}")
@@ -274,66 +297,32 @@ def cmd_policy(args: argparse.Namespace, config: dict) -> str:
         }
 
     annotations = annotate_reachable_states(profile, theta) if args.annotate else None
-
+    if out_format == "dot":
+        return tree_to_dot(tree, labels=rank_labels(ingested, resolve(args, config, "labels")))
+    record = [("policy_cost", cost), *(check or {}).items()]
     if out_format == "table":
-        pairs = [("n", str(profile.n)), ("theta", str(theta))]
-        pairs += profile_fields(ingested)
-        pairs.append(("policy_cost", fmt(cost)))
-        if check is not None:
-            pairs.append(("table_cost", fmt(check["table_cost"])))
-            pairs.append(("cost_matches_table", str(check["cost_matches_table"]).lower()))
-            pairs.append(("states_off_policy", str(check["states_off_policy"])))
-            pairs.append(("check", check["check"]))
-        text = render_kv(pairs)
+        pairs = [("n", str(profile.n)), ("theta", str(theta))] + profile_fields(ingested)
+        text = render_kv(pairs + [(k, text_value(v)) for k, v in record])
         if annotations is not None:
             rows = [["remaining", "residual_theta", "transmitter", "reach_probability", "expected_remaining_cost"]]
             for a in annotations:
-                rows.append(
-                    [
-                        "|".join(str(r) for r in a.remaining),
-                        str(a.residual_theta),
-                        str(a.transmitter),
-                        fmt(a.reach_probability),
-                        fmt(a.expected_remaining_cost),
-                    ]
-                )
+                rows.append(["|".join(str(r) for r in a.remaining), str(a.residual_theta), str(a.transmitter),
+                             fmt(a.reach_probability), fmt(a.expected_remaining_cost)])
             text += render_csv(rows)
-        if check_failed:
-            raise VerificationFailure(text)
-        return text
-    if out_format == "json":
+    elif out_format == "json":
         obj = profile_json(ingested)
-        obj.update({"n": profile.n, "theta": theta, "policy_cost": jround(cost)})
-        obj["tree"] = tree_to_dict(tree)
-        if check is not None:
-            obj["table_cost"] = jround(check["table_cost"])
-            obj["cost_matches_table"] = check["cost_matches_table"]
-            obj["states_off_policy"] = check["states_off_policy"]
-            obj["check"] = check["check"]
+        obj.update({"n": profile.n, "theta": theta, "tree": tree_to_dict(tree)})
+        obj.update({k: json_value(v) for k, v in record})
         if annotations is not None:
-            obj["states"] = [
-                {
-                    "remaining": list(a.remaining),
-                    "residual_theta": a.residual_theta,
-                    "transmitter": a.transmitter,
-                    "reach_probability": jround(a.reach_probability),
-                    "expected_remaining_cost": jround(a.expected_remaining_cost),
-                }
-                for a in annotations
-            ]
+            obj["states"] = [{k: json_value(v) for k, v in vars(a).items()} for a in annotations]
         text = render_json(obj)
-        if check_failed:
-            raise VerificationFailure(text)
-        return text
-    if out_format == "dot":
-        return tree_to_dot(tree, labels=rank_labels(ingested, resolve(args, config, "labels")))
-    if out_format == "csv":
-        rows = [["n", "theta", "policy_cost"], [str(profile.n), str(theta), fmt(cost)]]
-        text = render_csv(rows)
-        if check_failed:
-            raise VerificationFailure(text)
-        return text
-    raise InputError(f"unknown format {out_format!r}")
+    elif out_format == "csv":
+        text = render_record([("n", profile.n), ("theta", theta), ("policy_cost", cost)], "csv")
+    else:
+        raise InputError(f"unknown format {out_format!r}")
+    if check_failed:
+        raise VerificationFailure(text)
+    return text
 
 
 def _sweep_profiles(rng: np.random.Generator, sweeps: int, max_n: int) -> list[ProbabilityProfile]:
@@ -465,52 +454,18 @@ def cmd_simulate(args: argparse.Namespace, config: dict) -> str:
     report = simulate_tree(tree, profile, theta, trials, seed=seed)
     z = (report.mean_bits - report.expected_bits) / report.std_error if report.std_error else 0.0
 
-    out_format = resolve(args, config, "format", "table")
-    if out_format == "table":
-        pairs = [
-            ("n", str(report.n)),
-            ("theta", str(report.theta)),
-            ("trials", str(report.trials)),
-            ("seed", "" if seed is None else str(seed)),
-            ("expected_bits", fmt(report.expected_bits)),
-            ("mean_bits", fmt(report.mean_bits)),
-            ("std_error", fmt(report.std_error)),
-            ("z", fmt(z)),
-            ("error_count", str(report.error_count)),
-        ]
-        text = render_kv(pairs)
-    elif out_format == "csv":
-        rows = [
-            ["n", "theta", "trials", "seed", "expected_bits", "mean_bits", "std_error", "z", "error_count"],
-            [
-                str(report.n),
-                str(report.theta),
-                str(report.trials),
-                "" if seed is None else str(seed),
-                fmt(report.expected_bits),
-                fmt(report.mean_bits),
-                fmt(report.std_error),
-                fmt(z),
-                str(report.error_count),
-            ],
-        ]
-        text = render_csv(rows)
-    elif out_format == "json":
-        obj = {
-            "n": report.n,
-            "theta": report.theta,
-            "trials": report.trials,
-            "seed": seed,
-            "expected_bits": jround(report.expected_bits),
-            "mean_bits": jround(report.mean_bits),
-            "std_error": jround(report.std_error),
-            "z": jround(z),
-            "error_count": report.error_count,
-        }
-        text = render_json(obj)
-    else:
-        raise InputError(f"unknown format {out_format!r}")
-
+    record = [
+        ("n", report.n),
+        ("theta", report.theta),
+        ("trials", report.trials),
+        ("seed", seed),
+        ("expected_bits", report.expected_bits),
+        ("mean_bits", report.mean_bits),
+        ("std_error", report.std_error),
+        ("z", z),
+        ("error_count", report.error_count),
+    ]
+    text = render_record(record, resolve(args, config, "format", "table"))
     if report.error_count > 0:
         raise SimulationFailure(text)
     return text
@@ -532,63 +487,32 @@ def cmd_block(args: argparse.Namespace, config: dict) -> str:
     reports, summary = run_block_replications(profile, theta, N, reps, seed=seed, order=order)
     single = index_policy_cost(profile, theta)
 
-    out_format = resolve(args, config, "format", "table")
-    base_pairs = [
-        ("n", str(summary.n)),
-        ("theta", str(summary.theta)),
-        ("N", str(summary.N)),
-        ("reps", str(summary.reps)),
-        ("seed", "" if seed is None else str(seed)),
+    record = [
+        ("n", summary.n),
+        ("theta", summary.theta),
+        ("N", summary.N),
+        ("reps", summary.reps),
+        ("seed", seed),
         ("order", summary.order),
-        ("single_instance_cost", fmt(single)),
-        ("mean_bits_per_instance", fmt(summary.mean_bits_per_instance)),
-        ("se_bits_per_instance", fmt(summary.se_bits_per_instance)),
-        ("mean_first_round_per_instance", fmt(summary.mean_first_round_per_instance)),
-        ("se_first_round_per_instance", fmt(summary.se_first_round_per_instance)),
-        ("error_count", str(summary.error_count)),
+        ("single_instance_cost", single),
+        ("mean_bits_per_instance", summary.mean_bits_per_instance),
+        ("se_bits_per_instance", summary.se_bits_per_instance),
+        ("mean_first_round_per_instance", summary.mean_first_round_per_instance),
+        ("se_first_round_per_instance", summary.se_first_round_per_instance),
+        ("error_count", summary.error_count),
     ]
-    if out_format == "table":
-        text = render_kv(base_pairs)
-    elif out_format == "csv":
-        rows = [[k for k, _ in base_pairs], [v for _, v in base_pairs]]
-        text = render_csv(rows)
-    elif out_format == "json":
-        obj = {
-            "n": summary.n,
-            "theta": summary.theta,
-            "N": summary.N,
-            "reps": summary.reps,
-            "seed": seed,
-            "order": summary.order,
-            "single_instance_cost": jround(single),
-            "mean_bits_per_instance": jround(summary.mean_bits_per_instance),
-            "se_bits_per_instance": jround(summary.se_bits_per_instance),
-            "mean_first_round_per_instance": jround(summary.mean_first_round_per_instance),
-            "se_first_round_per_instance": jround(summary.se_first_round_per_instance),
-            "error_count": summary.error_count,
-        }
-        if args.transcript:
-            obj["replications"] = [
-                {
-                    "total_bits": r.total_bits,
-                    "bits_per_instance": jround(r.bits_per_instance),
-                    "error_count": r.error_count,
-                    "rounds": [
-                        {
-                            "index": rd.index,
-                            "transmitter": rd.transmitter,
-                            "live_count": rd.live_count,
-                            "code_bits": rd.code_bits,
-                        }
-                        for rd in r.rounds
-                    ],
-                }
-                for r in reports
-            ]
-        text = render_json(obj)
-    else:
-        raise InputError(f"unknown format {out_format!r}")
-
+    transcript = {}
+    if args.transcript:
+        transcript["replications"] = [
+            {
+                "total_bits": r.total_bits,
+                "bits_per_instance": jround(r.bits_per_instance),
+                "error_count": r.error_count,
+                "rounds": [vars(rd) for rd in r.rounds],
+            }
+            for r in reports
+        ]
+    text = render_record(record, resolve(args, config, "format", "table"), **transcript)
     if summary.error_count > 0:
         raise SimulationFailure(text)
     return text

@@ -263,13 +263,19 @@ def tree_internal_states(
         stack.append((t.on_one, apply_transmission(state, t.transmitter, 1)))
 
 
-def tree_depth(tree: DecisionTree) -> int:
-    if isinstance(tree, Leaf):
-        return 0
-    return 1 + max(tree_depth(tree.on_zero), tree_depth(tree.on_one))
-
-
-def count_internal_nodes(tree: DecisionTree) -> int:
-    if isinstance(tree, Leaf):
-        return 0
-    return 1 + count_internal_nodes(tree.on_zero) + count_internal_nodes(tree.on_one)
+def tree_extent(tree: DecisionTree) -> tuple[int, int]:
+    """(node count, depth in edges) of the tree a DAG expands to, memoized per node."""
+    memo: dict[int, tuple[int, int]] = {}
+    stack = [tree]
+    while stack:
+        t = stack[-1]
+        if isinstance(t, Leaf):
+            memo[id(t)] = (1, 0)
+        elif id(t.on_zero) in memo and id(t.on_one) in memo:
+            (zs, zd), (os_, od) = memo[id(t.on_zero)], memo[id(t.on_one)]
+            memo[id(t)] = (1 + zs + os_, 1 + max(zd, od))
+        else:
+            stack += [c for c in (t.on_zero, t.on_one) if id(c) not in memo]
+            continue
+        stack.pop()
+    return memo[id(tree)]

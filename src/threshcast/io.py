@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import DecisionTree, InputError, Leaf, Node, ProbabilityProfile
+from .core import CapacityError, DecisionTree, InputError, Leaf, Node, ProbabilityProfile, tree_extent
 
 
 @dataclass(frozen=True)
@@ -86,15 +86,33 @@ def parse_probs_arg(arg: str) -> IngestedProfile:
 # ---------------------------------------------------------------------------
 # Tree serialization
 
+# Strategies are shared DAGs, and rendering expands them into trees.  A
+# tree past these caps is refused with CapacityError (exit 3) instead of
+# being printed: 10**6 nodes admits every policy tree up to n = 20 (at
+# most 705 k nodes), and 900 levels of nesting is what the stdlib json
+# encoder handles at the default recursion limit, with room left for
+# its callers' frames.
+MAX_RENDER_NODES = 1_000_000
+MAX_JSON_DEPTH = 900
+
+
+def _check_render_caps(tree: DecisionTree, max_depth: int | None = None) -> None:
+    size, depth = tree_extent(tree)
+    if size > MAX_RENDER_NODES:
+        raise CapacityError(f"the strategy expands to {size} tree nodes, over the rendering cap of {MAX_RENDER_NODES}")
+    if max_depth is not None and depth > max_depth:
+        raise CapacityError(f"the strategy is {depth} levels deep, over the JSON nesting cap of {max_depth}")
+
 
 def tree_to_dict(tree: DecisionTree) -> dict:
-    if isinstance(tree, Leaf):
-        return {"value": tree.value}
-    return {
-        "transmitter": tree.transmitter,
-        "on_zero": tree_to_dict(tree.on_zero),
-        "on_one": tree_to_dict(tree.on_one),
-    }
+    _check_render_caps(tree, MAX_JSON_DEPTH)
+
+    def expand(t: DecisionTree) -> dict:
+        if isinstance(t, Leaf):
+            return {"value": t.value}
+        return {"transmitter": t.transmitter, "on_zero": expand(t.on_zero), "on_one": expand(t.on_one)}
+
+    return expand(tree)
 
 
 def tree_from_dict(data: object) -> DecisionTree:
@@ -131,33 +149,33 @@ def tree_from_json(text: str) -> DecisionTree:
 def tree_to_dot(tree: DecisionTree, labels: Sequence[str] | None = None) -> str:
     """Render a strategy as Graphviz DOT with deterministic preorder node ids.
 
-    `labels[r-1]` overrides the display name of rank r, which lets callers
-    show original input labels on a rank-space tree.
+    A node's two edges follow its whole subtree.  `labels[r-1]` overrides
+    the display name of rank r, which lets callers show original input
+    labels on a rank-space tree.
     """
+    _check_render_caps(tree)
     lines = ["digraph strategy {"]
+    # (subtree, id of the node it is the one-branch of, else -1), or
+    # (None, edge lines), which pops once that one-branch subtree is done;
+    # a zero-branch child's id is always its parent's id + 1
+    stack: list = [(tree, -1)]
     counter = 0
-
-    def name(t: DecisionTree) -> str:
-        if isinstance(t, Leaf):
-            return str(t.value)
-        if labels is not None and 1 <= t.transmitter <= len(labels):
-            return str(labels[t.transmitter - 1])
-        return f"x{t.transmitter}"
-
-    def emit(t: DecisionTree) -> str:
-        nonlocal counter
-        nid = f"n{counter}"
+    while stack:
+        t, parent = stack.pop()
+        if t is None:
+            lines.append(parent)
+            continue
+        nid = counter
         counter += 1
+        if parent >= 0:
+            stack.append((None, f'  n{parent} -> n{parent + 1} [label="0"];\n  n{parent} -> n{nid} [label="1"];'))
         if isinstance(t, Leaf):
-            lines.append(f'  {nid} [label="{name(t)}", shape=box];')
-            return nid
-        lines.append(f'  {nid} [label="{name(t)}", shape=ellipse];')
-        zero_id = emit(t.on_zero)
-        one_id = emit(t.on_one)
-        lines.append(f'  {nid} -> {zero_id} [label="0"];')
-        lines.append(f'  {nid} -> {one_id} [label="1"];')
-        return nid
-
-    emit(tree)
+            lines.append(f'  n{nid} [label="{t.value}", shape=box];')
+            continue
+        name = f"x{t.transmitter}"
+        if labels is not None and 1 <= t.transmitter <= len(labels):
+            name = str(labels[t.transmitter - 1])
+        lines.append(f'  n{nid} [label="{name}", shape=ellipse];')
+        stack += ((t.on_one, nid), (t.on_zero, -1))
     lines.append("}")
     return "\n".join(lines) + "\n"

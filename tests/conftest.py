@@ -1,11 +1,14 @@
 """Shared test plumbing: the acceptance-criteria result board, the
-policy's state walker and the recursive subset-cost oracle.
+policy's state walker, the recursive subset-cost oracle and the heap
+block-code builder.
 
 Acceptance tests register one verdict per criterion before asserting, so
 the terminal summary always shows a pass/fail line per criterion even
 when a criterion's assertion fires.
 """
 
+import heapq
+import math
 from fractions import Fraction
 
 from threshcast.core import (
@@ -15,6 +18,7 @@ from threshcast.core import (
     apply_transmission,
     classify_state,
 )
+from threshcast.huffman import _class_values
 from threshcast.policy import index_policy_next
 
 ACCEPTANCE_RESULTS: dict[int, tuple[bool, str]] = {}
@@ -95,3 +99,61 @@ def reference_cost_table(probs: tuple, exact: bool = False):
         return best
 
     return cost
+
+
+def reference_aggregate_lengths(p: float, L: int) -> list[dict[int, int]]:
+    """Codeword-length multiset per weight class, via family-level merging
+    through a heap: the oracle for the two-queue builder in the package.
+
+    Returns, for each w, a dict {length: count} with counts summing to
+    C(L, w).  Merge events are recorded forward and replayed in reverse
+    to push depth multisets from the root back down to the classes.
+    """
+    values = _class_values(p, L)
+    # heap entries: (family value, family id, tree count); ids 0..L are classes
+    heap = [(values[w], w, math.comb(L, w)) for w in range(L + 1)]
+    heapq.heapify(heap)
+    next_id = L + 1
+    # events: (new id, ((child id, subtrees per new tree), ...))
+    events: list[tuple[int, tuple[tuple[int, int], ...]]] = []
+
+    while True:
+        v1, g1, c1 = heapq.heappop(heap)
+        if not heap and c1 == 1:
+            root = g1
+            break
+        if c1 >= 2:
+            if heap and heap[0][0] == v1:
+                v2, g2, c2 = heapq.heappop(heap)
+                take = min(c1, c2)
+                events.append((next_id, ((g1, 1), (g2, 1))))
+                heapq.heappush(heap, (v1 + v2, next_id, take))
+                next_id += 1
+                if c1 > take:
+                    heapq.heappush(heap, (v1, g1, c1 - take))
+                if c2 > take:
+                    heapq.heappush(heap, (v2, g2, c2 - take))
+            else:
+                events.append((next_id, ((g1, 2),)))
+                heapq.heappush(heap, (v1 + v1, next_id, c1 // 2))
+                next_id += 1
+                if c1 % 2:
+                    heapq.heappush(heap, (v1, g1, 1))
+        else:
+            v2, g2, c2 = heapq.heappop(heap)
+            events.append((next_id, ((g1, 1), (g2, 1))))
+            heapq.heappush(heap, (v1 + v2, next_id, 1))
+            next_id += 1
+            if c2 > 1:
+                heapq.heappush(heap, (v2, g2, c2 - 1))
+
+    depth: dict[int, dict[int, int]] = {root: {0: 1}}
+    for new_id, children in reversed(events):
+        # consumers of new_id all lie later in forward order, so its
+        # multiset is complete by the time its creation event replays
+        dm = depth.pop(new_id)
+        for child, per in children:
+            tgt = depth.setdefault(child, {})
+            for d, cnt in dm.items():
+                tgt[d + 1] = tgt.get(d + 1, 0) + cnt * per
+    return [depth.get(w, {}) for w in range(L + 1)]

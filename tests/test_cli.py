@@ -178,6 +178,56 @@ class TestPolicy:
         assert 1.0 < float(kv(out)["policy_cost"]) <= n
 
 
+def scrambled_probs(n: int) -> str:
+    return ",".join(f"{(i * 37 % (n + 1) + 0.5) / (n + 1):.6f}" for i in range(1, n + 1))
+
+
+class TestTreeRenderingCaps:
+    """Rendering expands the policy DAG; deep or huge trees exit 3, never crash."""
+
+    def test_dot_deeper_than_the_recursion_limit(self, capsys):
+        code, out, err = run_cli(
+            capsys, "policy", "--probs", scrambled_probs(1100), "--theta", "1", "--format", "dot"
+        )
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        # theta = 1 asks ranks in turn until a one: 1100 questions, 1101 leaves
+        assert sum("shape=ellipse" in ln for ln in lines) == 1100
+        assert sum("shape=box" in ln for ln in lines) == 1101
+        assert lines[0] == "digraph strategy {" and lines[-1] == "}"
+
+    def test_json_past_the_depth_cap_exits_3(self, capsys):
+        code, out, err = run_cli(
+            capsys, "policy", "--probs", scrambled_probs(1100), "--theta", "1", "--format", "json"
+        )
+        assert code == 3 and out == ""
+        assert "1100 levels deep" in err and "cap of 900" in err
+
+    def test_json_at_the_depth_cap_renders(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "policy", "--probs", scrambled_probs(900), "--theta", "1", "--format", "json"
+        )
+        assert code == 0
+        node, depth = json.loads(out)["tree"], 0
+        while "on_zero" in node:
+            node, depth = node["on_zero"], depth + 1
+        assert depth == 900
+
+    def test_json_of_a_wide_deep_tree_exits_3(self, capsys):
+        code, out, err = run_cli(
+            capsys, "policy", "--probs", scrambled_probs(1100), "--theta", "5", "--format", "json"
+        )
+        assert code == 3 and out == ""
+        assert "cap of 1000000" in err
+
+    def test_mid_theta_dot_at_n24_exits_3(self, capsys):
+        code, out, err = run_cli(
+            capsys, "policy", "--probs", scrambled_probs(24), "--theta", "12", "--format", "dot"
+        )
+        assert code == 3 and out == ""
+        assert "10400599 tree nodes" in err and "cap of 1000000" in err
+
+
 class TestVerify:
     def test_explicit_profile_csv(self, capsys):
         code, out, _ = run_cli(

@@ -16,10 +16,9 @@ from threshcast.core import (
     TreeInvalidError,
     apply_transmission,
     classify_state,
-    count_internal_nodes,
     eliminate_deterministic,
     evaluate_function,
-    tree_depth,
+    tree_extent,
     validate_tree,
     walk_tree,
 )
@@ -175,9 +174,10 @@ class TestTrees:
 
     def test_size_helpers(self):
         tree = self.or2_tree()
-        assert tree_depth(tree) == 2
-        assert count_internal_nodes(tree) == 2
-        assert tree_depth(Leaf(1)) == 0
+        assert tree_extent(tree) == (5, 2)
+        assert tree_extent(Leaf(1)) == (1, 0)
+        shared = Node(1, Leaf(0), Leaf(1))
+        assert tree_extent(Node(2, shared, shared)) == (7, 2)
 
 
 @settings(max_examples=60, deadline=None)

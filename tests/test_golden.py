@@ -2,10 +2,10 @@
 
 Criterion 7 only compares two runs of the same code; these digests were
 captured once and pin the bytes across versions, so a refactor that
-changes any printed digit, key order or tree shape fails here.  To see
-the full text of a mismatch, run the command with `python -m
-threshcast.cli` and diff it against the same command on an older
-checkout.
+changes any printed digit, key order, tree shape or block codeword
+length fails here.  To see the full text of a mismatch, run the command
+with `python -m threshcast.cli` and diff it against the same command on
+an older checkout.
 """
 
 import hashlib
@@ -23,6 +23,8 @@ def probs_arg(n: int, step: int, modulus: int) -> str:
 P8 = probs_arg(8, 5, 13)
 P10 = probs_arg(10, 7, 23)
 P12 = probs_arg(12, 7, 29)
+P3 = probs_arg(3, 2, 7)
+P4 = probs_arg(4, 3, 11)
 P200 = probs_arg(200, 37, 211)
 
 GOLDEN = [
@@ -60,6 +62,17 @@ GOLDEN = [
         "simulate-n10",
         ["simulate", "--probs", P10, "--theta", "4", "--trials", "20000", "--seed", "7"],
         "52b9925230e4e02a364dc6f5e902541ad65f7699367819cbbdfeb6dc7c20048c",
+    ),
+    (
+        "block-table-n3",
+        ["block", "--probs", P3, "--theta", "2", "--N", "128", "--reps", "3", "--seed", "11"],
+        "ab133ec5f0a6dcdb287536de296d7cd8a4ff0886c3df69b9ea6d81c621fcb024",
+    ),
+    (
+        "block-json-transcript-n4",
+        ["block", "--probs", P4, "--theta", "2", "--N", "96", "--reps", "2", "--seed", "5",
+         "--format", "json", "--transcript"],
+        "2702e15c552fbece1f501ebc02a4754d00207991ea85a9a4ac4b1fe9374548b6",
     ),
 ]
 

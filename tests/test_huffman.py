@@ -1,12 +1,16 @@
 """Prefix codes: explicit builder, and the weight-class aggregated block code."""
 
 import math
+import random
 
+import conftest
 import numpy as np
 import pytest
+from conftest import reference_aggregate_lengths
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from threshcast import huffman
 from threshcast.core import CapacityError, InputError
 from threshcast.huffman import (
     BernoulliBlockCode,
@@ -145,6 +149,51 @@ class TestAggregatedMatchesExplicit:
             for _ in range(cnt)
         )
         assert got == explicit_lengths
+
+
+class TestTwoQueueBuilder:
+    """The two-queue builder against the heap builder it replaced (in conftest)."""
+
+    def test_lengths_equal_on_fixed_marginals(self):
+        for L in list(range(1, 65)) + [100, 256]:
+            for p in (0.5, 0.25, 0.75, 0.01, 0.99):
+                assert build_block_code(p, L).class_lengths == reference_aggregate_lengths(p, L), (p, L)
+
+    def test_lengths_equal_on_seeded_random_marginals(self):
+        rng = np.random.default_rng(44)
+        cases = [(float(rng.uniform(0.001, 0.999)), L) for L in range(1, 129, 3)]
+        cases += [(p, L) for p in (1e-6, 0.5 - 2**-40, 0.5 + 2**-40, 1 - 1e-6) for L in (5, 33, 128)]
+        for p, L in cases:
+            assert build_block_code(p, L).class_lengths == reference_aggregate_lengths(p, L), (p, L)
+
+    def test_tie_paths_on_small_integer_weights(self, monkeypatch):
+        # Equal-value fronts in one queue with the larger count in front
+        # almost never arise from real class values; small integer weights
+        # make them common, and both builders see the same weights.
+        rng = random.Random(7)
+        for _ in range(1500):
+            L = rng.randint(1, 12)
+            vals = [rng.randint(1, 4) for _ in range(L + 1)]
+            monkeypatch.setattr(huffman, "_class_values", lambda p, L: list(vals))
+            monkeypatch.setattr(conftest, "_class_values", lambda p, L: list(vals))
+            assert huffman._aggregate_lengths(0.5, L) == reference_aggregate_lengths(0.5, L), vals
+
+    def test_kraft_and_class_count_checks_run_on_every_build(self, monkeypatch):
+        def short_by_one(p, L):
+            lengths = reference_aggregate_lengths(p, L)
+            lengths[0] = {d: c + 1 for d, c in lengths[0].items()}
+            return lengths
+
+        def one_length_shorter(p, L):
+            lengths = reference_aggregate_lengths(p, L)
+            (d, c), = lengths[0].items()
+            lengths[0] = {d - 1: c}
+            return lengths
+
+        for fake, pattern in ((short_by_one, "do not sum"), (one_length_shorter, "Kraft")):
+            monkeypatch.setattr(huffman, "_aggregate_lengths", fake)
+            with pytest.raises(AssertionError, match=pattern):
+                build_block_code.__wrapped__(0.7, 9)
 
 
 class TestBlockCode:

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from threshcast.core import InputError, Leaf, Node
+from threshcast import io as tio
+from threshcast.core import CapacityError, InputError, Leaf, Node, tree_extent
 from threshcast.io import (
     ingest_values,
     load_profile,
@@ -16,6 +17,7 @@ from threshcast.io import (
     tree_to_dot,
     tree_to_json,
 )
+from threshcast.policy import build_index_tree
 
 
 class TestIngestion:
@@ -142,3 +144,25 @@ class TestTreeSerialization:
     def test_json_is_sorted_and_stable(self):
         text = tree_to_json(self.tree())
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True)
+
+
+class TestRenderingCaps:
+    def test_extent_counts_the_expanded_tree(self):
+        for n in range(1, 9):
+            for theta in range(1, n + 1):
+                tree = build_index_tree(n, theta)
+                nodes = tree_to_dot(tree).count("shape=")
+                assert tree_extent(tree) == (nodes, n), (n, theta)
+
+    def test_caps_refuse_before_rendering(self, monkeypatch):
+        tree = build_index_tree(6, 3)
+        size, depth = tree_extent(tree)
+        monkeypatch.setattr(tio, "MAX_RENDER_NODES", size - 1)
+        for render in (tree_to_dict, tree_to_dot):
+            with pytest.raises(CapacityError, match=f"cap of {size - 1}"):
+                render(tree)
+        monkeypatch.setattr(tio, "MAX_RENDER_NODES", size)
+        monkeypatch.setattr(tio, "MAX_JSON_DEPTH", depth - 1)
+        with pytest.raises(CapacityError, match=f"cap of {depth - 1}"):
+            tree_to_dict(tree)
+        assert tree_to_dot(tree).count("shape=") == size
