@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,8 +32,8 @@ from .core import (
     tree_internal_states,
 )
 from .dp import DEFAULT_NODE_CAP, DEFAULT_TIE_TOL, CostTable, optimal_tree, strategy_cost
-from .io import IngestedProfile, load_profile, parse_probs_arg, tree_to_dict, tree_to_dot
-from .policy import annotate_reachable_states, build_index_tree, index_policy_cost
+from .io import IngestedProfile, load_profile, parse_probs_arg, render_json, tree_to_dict, tree_to_dot
+from .policy import StateAnnotation, annotate_reachable_states, build_index_tree, index_policy_cost
 from .sim import run_block_replications, simulate_tree
 from .verify import (
     DEFAULT_LEMMA_TOL,
@@ -163,16 +164,8 @@ def rank_labels(ingested: IngestedProfile, labels_arg: Optional[str]) -> Optiona
 # Rendering helpers
 
 
-def render_kv(pairs: list[tuple[str, str]]) -> str:
-    return "".join(f"{k}={v}\n" for k, v in pairs)
-
-
 def render_csv(rows: list[list[str]]) -> str:
     return "".join(",".join(row) + "\n" for row in rows)
-
-
-def render_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def text_value(v) -> str:
@@ -189,13 +182,14 @@ def json_value(v):
 def render_record(record: list[tuple[str, object]], out_format: str, **json_extra) -> str:
     """One flat record as key=value lines, a header-and-values csv, or json.
 
-    `json_extra` entries go into the json object only.
+    `json_extra` entries go into the json object only, as given: a strategy
+    there is rendered from its DAG (see `render_json`).
     """
     if out_format == "json":
         return render_json({**{k: json_value(v) for k, v in record}, **json_extra})
     pairs = [(k, text_value(v)) for k, v in record]
     if out_format == "table":
-        return render_kv(pairs)
+        return "".join(f"{k}={v}\n" for k, v in pairs)
     if out_format == "csv":
         return render_csv([[k for k, _ in pairs], [v for _, v in pairs]])
     raise InputError(f"unknown format {out_format!r}")
@@ -207,6 +201,27 @@ def profile_fields(ingested: IngestedProfile) -> list[tuple[str, str]]:
     if rmap is not None:
         pairs.append(("rank_map", ";".join(f"{r}:{pos}" for r, pos in rmap)))
     return pairs
+
+
+def annotation_rows(annotations: list[StateAnnotation], n: int) -> list[list[str]]:
+    """Csv header and rows of policy states, remaining ranks joined by "|".
+
+    A policy state's remaining set is [1, a] and [b, n] around the block
+    of b - a - 1 ranks already spoken, and its transmitter is a or b, so
+    the column is cut from one "1|2|...|n|" string in two slices.
+    """
+    joined = "".join(f"{r}|" for r in range(1, n + 1))
+    starts = list(accumulate((len(str(r)) + 1 for r in range(1, n + 1)), initial=0))  # rank r at starts[r - 1]
+    rows = [["remaining", "residual_theta", "transmitter", "reach_probability", "expected_remaining_cost"]]
+    for s in annotations:
+        rem, t = s.remaining, s.transmitter
+        spoken = n - len(rem)
+        # a ends the low run; the high run starts at b = a + spoken + 1
+        a = t if t <= len(rem) and rem[t - 1] == t else t - spoken - 1
+        remaining = (joined[: starts[a]] + joined[starts[a + spoken] :])[:-1]
+        rows.append([remaining, str(s.residual_theta), str(t),
+                     fmt(s.reach_probability), fmt(s.expected_remaining_cost)])
+    return rows
 
 
 def profile_json(ingested: IngestedProfile) -> dict:
@@ -240,31 +255,17 @@ def cmd_solve(args: argparse.Namespace, config: dict) -> str:
         first = ()
 
     out_format = resolve(args, config, "format", "table")
-    if out_format == "table":
-        pairs = [("n", str(profile.n)), ("theta", str(theta))]
-        pairs += profile_fields(ingested)
-        pairs.append(("optimal_cost", fmt(cost_f)))
-        pairs.append(("optimal_first_transmitters", ";".join(str(r) for r in first)))
-        pairs.append(("tree", json.dumps(tree_to_dict(tree), sort_keys=True)))
-        return render_kv(pairs)
-    if out_format == "json":
-        obj = profile_json(ingested)
-        obj.update(
-            {
-                "n": profile.n,
-                "theta": theta,
-                "optimal_cost": jround(cost_f),
-                "optimal_first_transmitters": list(first),
-                "tree": tree_to_dict(tree),
-            }
-        )
-        return render_json(obj)
-    if out_format == "csv":
-        record = [("n", profile.n), ("theta", theta), ("optimal_cost", cost_f)]
-        return render_record(record + [("optimal_first_transmitters", ";".join(str(r) for r in first))], "csv")
     if out_format == "dot":
         return tree_to_dot(tree, labels=rank_labels(ingested, resolve(args, config, "labels")))
-    raise InputError(f"unknown format {out_format!r}")
+    record = [("n", profile.n), ("theta", theta), ("optimal_cost", cost_f)]
+    if out_format == "json":
+        return render_record(record, "json", optimal_first_transmitters=list(first), tree=tree,
+                             **profile_json(ingested))
+    record.append(("optimal_first_transmitters", ";".join(str(r) for r in first)))
+    if out_format == "table":
+        record[2:2] = profile_fields(ingested)
+        record.append(("tree", json.dumps(tree_to_dict(tree), sort_keys=True)))
+    return render_record(record, out_format)
 
 
 def cmd_policy(args: argparse.Namespace, config: dict) -> str:
@@ -299,27 +300,18 @@ def cmd_policy(args: argparse.Namespace, config: dict) -> str:
     annotations = annotate_reachable_states(profile, theta) if args.annotate else None
     if out_format == "dot":
         return tree_to_dot(tree, labels=rank_labels(ingested, resolve(args, config, "labels")))
-    record = [("policy_cost", cost), *(check or {}).items()]
+    record = [("n", profile.n), ("theta", theta), ("policy_cost", cost), *(check or {}).items()]
     if out_format == "table":
-        pairs = [("n", str(profile.n)), ("theta", str(theta))] + profile_fields(ingested)
-        text = render_kv(pairs + [(k, text_value(v)) for k, v in record])
+        text = render_record(record[:2] + profile_fields(ingested) + record[2:], "table")
         if annotations is not None:
-            rows = [["remaining", "residual_theta", "transmitter", "reach_probability", "expected_remaining_cost"]]
-            for a in annotations:
-                rows.append(["|".join(str(r) for r in a.remaining), str(a.residual_theta), str(a.transmitter),
-                             fmt(a.reach_probability), fmt(a.expected_remaining_cost)])
-            text += render_csv(rows)
+            text += render_csv(annotation_rows(annotations, profile.n))
     elif out_format == "json":
-        obj = profile_json(ingested)
-        obj.update({"n": profile.n, "theta": theta, "tree": tree_to_dict(tree)})
-        obj.update({k: json_value(v) for k, v in record})
+        states = {}
         if annotations is not None:
-            obj["states"] = [{k: json_value(v) for k, v in vars(a).items()} for a in annotations]
-        text = render_json(obj)
-    elif out_format == "csv":
-        text = render_record([("n", profile.n), ("theta", theta), ("policy_cost", cost)], "csv")
+            states["states"] = [{k: json_value(v) for k, v in vars(a).items()} for a in annotations]
+        text = render_record(record, "json", tree=tree, **profile_json(ingested), **states)
     else:
-        raise InputError(f"unknown format {out_format!r}")
+        text = render_record(record[:3], out_format)
     if check_failed:
         raise VerificationFailure(text)
     return text
@@ -405,39 +397,16 @@ def cmd_verify(args: argparse.Namespace, config: dict) -> str:
         )
 
     passed = total_violations == 0 and exhaustive_failures == 0
-    if out_format == "csv" and explicit:
-        text = render_csv(lemma_report_rows(reports[0]))
-    elif out_format == "csv":
-        text = render_csv(summary_rows)
+    worst = [(name, max((r.worst.get(fam, 0.0) for r in reports), default=0.0)) for name, fam in _WORST_COLUMNS]
+    record = [("profiles", len(profiles)), ("tolerance", tolerance), ("violations", total_violations)]
+    exhaustive = [("exhaustive_checks", exhaustive_runs), ("exhaustive_failures", exhaustive_failures)]
+    if out_format == "csv":
+        text = render_csv(lemma_report_rows(reports[0]) if explicit else summary_rows)
     elif out_format == "json":
-        obj = {
-            "tolerance": jround(tolerance),
-            "profiles": len(profiles),
-            "violations": total_violations,
-            "exhaustive_checks": exhaustive_runs,
-            "exhaustive_failures": exhaustive_failures,
-            "passed": passed,
-            "worst": {
-                name: jround(max((r.worst.get(fam, 0.0) for r in reports), default=0.0))
-                for name, fam in _WORST_COLUMNS
-            },
-        }
-        text = render_json(obj)
-    elif out_format == "table":
-        pairs = [
-            ("profiles", str(len(profiles))),
-            ("tolerance", fmt(tolerance)),
-            ("violations", str(total_violations)),
-        ]
-        for name, fam in _WORST_COLUMNS:
-            pairs.append((name, fmt(max((r.worst.get(fam, 0.0) for r in reports), default=0.0))))
-        if args.exhaustive:
-            pairs.append(("exhaustive_checks", str(exhaustive_runs)))
-            pairs.append(("exhaustive_failures", str(exhaustive_failures)))
-        pairs.append(("verify", "passed" if passed else "failed"))
-        text = render_kv(pairs)
+        text = render_record(record + exhaustive + [("passed", passed)], "json", worst={k: jround(v) for k, v in worst})
     else:
-        raise InputError(f"unknown format {out_format!r}")
+        verdict = [("verify", "passed" if passed else "failed")]
+        text = render_record(record + worst + (exhaustive if args.exhaustive else []) + verdict, out_format)
 
     if not passed:
         raise VerificationFailure(text)

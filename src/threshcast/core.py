@@ -263,19 +263,34 @@ def tree_internal_states(
         stack.append((t.on_one, apply_transmission(state, t.transmitter, 1)))
 
 
-def tree_extent(tree: DecisionTree) -> tuple[int, int]:
-    """(node count, depth in edges) of the tree a DAG expands to, memoized per node."""
-    memo: dict[int, tuple[int, int]] = {}
+def dag_postorder(tree: DecisionTree) -> list[DecisionTree]:
+    """Every distinct node of a shared DAG once, each after its children."""
+    order: list[DecisionTree] = []
+    placed: set[int] = set()
     stack = [tree]
     while stack:
         t = stack[-1]
+        if id(t) in placed:
+            stack.pop()
+            continue
+        if isinstance(t, Node):
+            pending = [c for c in (t.on_zero, t.on_one) if id(c) not in placed]
+            if pending:
+                stack += pending
+                continue
+        stack.pop()
+        placed.add(id(t))
+        order.append(t)
+    return order
+
+
+def tree_extent(tree: DecisionTree) -> tuple[int, int]:
+    """(node count, depth in edges) of the tree a DAG expands to, memoized per node."""
+    memo: dict[int, tuple[int, int]] = {}
+    for t in dag_postorder(tree):
         if isinstance(t, Leaf):
             memo[id(t)] = (1, 0)
-        elif id(t.on_zero) in memo and id(t.on_one) in memo:
+        else:
             (zs, zd), (os_, od) = memo[id(t.on_zero)], memo[id(t.on_one)]
             memo[id(t)] = (1 + zs + os_, 1 + max(zd, od))
-        else:
-            stack += [c for c in (t.on_zero, t.on_one) if id(c) not in memo]
-            continue
-        stack.pop()
     return memo[id(tree)]

@@ -104,6 +104,96 @@ def _check_render_caps(tree: DecisionTree, max_depth: int | None = None) -> None
         raise CapacityError(f"the strategy is {depth} levels deep, over the JSON nesting cap of {max_depth}")
 
 
+def render_json(obj) -> str:
+    """`json.dumps(obj, sort_keys=True, indent=2) + "\\n"`, where a `Node` or
+    `Leaf` stands in for its `tree_to_dict` dict, under the same caps.
+
+    Object keys must be strings.  A strategy that is `obj` or one of its
+    values is checked against the caps before anything is rendered.
+    """
+    for value in (obj, *(obj.values() if isinstance(obj, dict) else ())):
+        if isinstance(value, (Node, Leaf)):
+            _check_render_caps(value, MAX_JSON_DEPTH)
+    out: list[str] = []
+    _emit_json(obj, 0, out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _emit_json(obj, level: int, out: list[str]) -> None:
+    """Append the text of `obj` opening at nesting `level` to `out`."""
+    if isinstance(obj, (Node, Leaf)):
+        _emit_tree(obj, level, out)
+        return
+    if isinstance(obj, dict) and obj:
+        for key in obj:
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be strings, got {key!r}")
+        items = [(f"{json.dumps(k)}: ", v) for k, v in sorted(obj.items())]
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple)) and obj:
+        items = [("", v) for v in obj]
+        brackets = "[]"
+    else:
+        # an int's text is json's own, without a json.dumps call per number
+        out.append(int.__repr__(obj) if type(obj) is int else json.dumps(obj))
+        return
+    inner = "\n" + "  " * (level + 1)
+    sep = brackets[0] + inner
+    for prefix, value in items:
+        out.append(sep + prefix)
+        _emit_json(value, level + 1, out)
+        sep = "," + inner
+    out.append("\n" + "  " * level + brackets[1])
+
+
+def _emit_tree(tree: DecisionTree, level: int, out: list[str]) -> None:
+    """Append the indented JSON of `tree_to_dict(tree)`, opening at nesting
+    `level`, to `out`.
+
+    The DAG is expanded depth first, but a (node, level) met again, whose
+    indentation is the same, is appended as the text of its first rendering.
+    So Python work is per (DAG node, level), and each byte of a repeated
+    subtree is joined once: building the text bottom-up instead would copy
+    every subtree's text into each ancestor's, depth times over.
+    """
+    _check_render_caps(tree, MAX_JSON_DEPTH)
+    # (id(node), level) -> the (start, end) span of its pieces in `out`, then their joined text
+    rendered: dict[tuple[int, int], tuple[int, int] | str] = {}
+    # a (node, level) to render, a piece of text, or (None, key, start) closing a span
+    stack: list = [(tree, level)]
+    while stack:
+        entry = stack.pop()
+        if isinstance(entry, str):
+            out.append(entry)
+            continue
+        if len(entry) == 3:
+            _, key, start = entry
+            rendered[key] = (start, len(out))
+            continue
+        t, lv = entry
+        key = (id(t), lv)
+        done = rendered.get(key)
+        if done is not None:
+            if isinstance(done, tuple):
+                done = rendered[key] = "".join(out[done[0] : done[1]])
+            out.append(done)
+            continue
+        inner, close = "\n" + "  " * (lv + 1), "\n" + "  " * lv + "}"
+        if isinstance(t, Leaf):
+            rendered[key] = text = f'{{{inner}"value": {json.dumps(t.value)}{close}'
+            out.append(text)
+            continue
+        stack += (
+            (None, key, len(out)),
+            f',{inner}"transmitter": {json.dumps(t.transmitter)}{close}',
+            (t.on_zero, lv + 1),
+            f',{inner}"on_zero": ',
+            (t.on_one, lv + 1),
+        )
+        out.append(f'{{{inner}"on_one": ')
+
+
 def tree_to_dict(tree: DecisionTree) -> dict:
     _check_render_caps(tree, MAX_JSON_DEPTH)
 

@@ -163,6 +163,7 @@ def annotate_reachable_states(profile: ProbabilityProfile, theta: int) -> list[S
         return []
     costs = {d: (low.tolist(), high.tolist()) for d, low, high in _cost_sweep(profile, theta)}
     probs = np.asarray(profile.probs)
+    ranks = tuple(range(1, n + 1))
     reach_low, reach_high = np.zeros(k + 2), np.zeros(k + 2)
     reach_low[0] = 1.0
     out: list[StateAnnotation] = []
@@ -177,10 +178,10 @@ def annotate_reachable_states(profile: ProbabilityProfile, theta: int) -> list[S
         for z, rank_low, rank_high in zip(range(a, b), low_ranks, high_ranks):
             t = theta - (d - z)
             if z >= 1 or d == 0:  # spoken block [rank_low + 1, rank_low + d]
-                rest = tuple(range(1, rank_low + 1)) + tuple(range(rank_low + d + 1, n + 1))
+                rest = ranks[:rank_low] + ranks[rank_low + d :]
                 out.append(StateAnnotation(rest, t, rank_low, here_low[z], cost_low[z]))
             if z < d:  # spoken block [rank_high - d, rank_high - 1]
-                rest = tuple(range(1, rank_high - d)) + tuple(range(rank_high, n + 1))
+                rest = ranks[: rank_high - d - 1] + ranks[rank_high - 1 :]
                 out.append(StateAnnotation(rest, t, rank_high, here_high[z], cost_high[z]))
         # A point has at most two parents, one per side, so its pooled reach
         # is one addition and does not depend on the order parents are met.

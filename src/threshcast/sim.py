@@ -28,6 +28,7 @@ from .core import (
     ThresholdSpec,
     apply_transmission,
     classify_state,
+    dag_postorder,
 )
 from .dp import strategy_cost
 from .huffman import build_block_code
@@ -39,6 +40,35 @@ def draw_measurements(
 ) -> np.ndarray:
     """Boolean (trials, n) matrix; row = one trial, column j ~ Bernoulli(p_{j+1})."""
     return rng.random((trials, profile.n)) < np.asarray(profile.probs)
+
+
+def walk_trials(tree: DecisionTree, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Computed value (int8) and bits broadcast (int64) for every row of `X`.
+
+    Rows are pooled per DAG node: nodes are visited in topological order,
+    each takes the index arrays arriving from all its parents at once, and
+    an internal node adds one bit to each of them before splitting them on
+    its transmitter's column.  Python work is per DAG node, numpy work is
+    O(rows * depth), and a branch no row takes is never entered.
+    """
+    trials = X.shape[0]
+    bits = np.zeros(trials, dtype=np.int64)
+    values = np.zeros(trials, dtype=np.int8)
+    arriving: dict[int, list[np.ndarray]] = {id(tree): [np.arange(trials)]}
+    for t in reversed(dag_postorder(tree)):  # parents before children
+        parts = arriving.pop(id(t), None)
+        if parts is None:
+            continue
+        idx = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        if isinstance(t, Leaf):
+            values[idx] = t.value
+            continue
+        bits[idx] += 1
+        ones = X[idx, t.transmitter - 1]
+        for child, rows in ((t.on_zero, idx[~ones]), (t.on_one, idx[ones])):
+            if rows.size:
+                arriving.setdefault(id(child), []).append(rows)
+    return values, bits
 
 
 @dataclass(frozen=True)
@@ -63,30 +93,15 @@ def simulate_tree(
 ) -> SimulationReport:
     """Run `trials` independent walks of `tree` and tally bits and errors.
 
-    Trials are partitioned down the tree as index arrays and a branch no
-    trial takes is never entered, so cost is O(trials * depth) regardless
-    of tree size.
+    The walks are `walk_trials` over one drawn measurement matrix, so
+    cost is O(trials * depth) in numpy plus O(DAG nodes) in Python.
     """
     if trials < 2:
         raise InputError("at least 2 trials are needed for a standard error")
     if rng is None:
         rng = np.random.default_rng(seed)
     X = draw_measurements(profile, trials, rng)
-    bits = np.zeros(trials, dtype=np.int64)
-    values = np.zeros(trials, dtype=np.int8)
-
-    stack: list[tuple[DecisionTree, np.ndarray, int]] = [(tree, np.arange(trials), 0)]
-    while stack:
-        t, idx, depth = stack.pop()
-        if idx.size == 0:
-            continue
-        if isinstance(t, Leaf):
-            values[idx] = t.value
-            bits[idx] = depth
-            continue
-        ones = X[idx, t.transmitter - 1]
-        stack.append((t.on_one, idx[ones], depth + 1))
-        stack.append((t.on_zero, idx[~ones], depth + 1))
+    values, bits = walk_trials(tree, X)
     truth = (X.sum(axis=1) >= theta).astype(np.int8)
     error_count = int((values != truth).sum())
     mean = float(bits.mean())
@@ -185,13 +200,16 @@ def run_block_strategy(
     rounds: list[RoundRecord] = []
     values = np.full(N, -1, dtype=np.int8)
 
-    def transmit(state: ComputationState, live: np.ndarray) -> None:
+    # depth first from explicit stacks, the zero branch popped before the one branch
+    stack: list[tuple[ComputationState, np.ndarray]] = [(spec.initial_state(), np.arange(N))]
+    while stack:
+        state, live = stack.pop()
         if live.size == 0:
-            return
+            continue
         det = classify_state(state)
         if det is not Determination.UNDETERMINED:
             values[live] = 1 if det is Determination.ONE else 0
-            return
+            continue
         rank = next_rank(state)
         block = X[live, rank - 1]
         code = build_block_code(profile.p(rank), int(live.size))
@@ -205,34 +223,28 @@ def run_block_strategy(
             )
         )
         stream_parts.append(cw)
-        transmit(apply_transmission(state, rank, 0), live[~block])
-        transmit(apply_transmission(state, rank, 1), live[block])
-
-    transmit(spec.initial_state(), np.arange(N))
+        stack.append((apply_transmission(state, rank, 1), live[block]))
+        stack.append((apply_transmission(state, rank, 0), live[~block]))
     stream = "".join(stream_parts)
 
     # decode replay: reconstruct every instance's value from the stream alone
     decoded = np.full(N, -1, dtype=np.int8)
     cursor = 0
-
-    def replay(state: ComputationState, live: list[int]) -> None:
-        nonlocal cursor
+    replay: list[tuple[ComputationState, list[int]]] = [(spec.initial_state(), list(range(N)))]
+    while replay:
+        state, live = replay.pop()
         if not live:
-            return
+            continue
         det = classify_state(state)
         if det is not Determination.UNDETERMINED:
             for i in live:
                 decoded[i] = 1 if det is Determination.ONE else 0
-            return
+            continue
         rank = next_rank(state)
         code = build_block_code(profile.p(rank), len(live))
         block, cursor = code.decode_block(stream, cursor)
-        zeros = [i for i, b in zip(live, block) if not b]
-        ones = [i for i, b in zip(live, block) if b]
-        replay(apply_transmission(state, rank, 0), zeros)
-        replay(apply_transmission(state, rank, 1), ones)
-
-    replay(spec.initial_state(), list(range(N)))
+        replay.append((apply_transmission(state, rank, 1), [i for i, b in zip(live, block) if b]))
+        replay.append((apply_transmission(state, rank, 0), [i for i, b in zip(live, block) if not b]))
     if cursor != len(stream):
         raise AssertionError("decoder did not consume the whole stream")
     truth = (X.sum(axis=1) >= theta).astype(np.int8)

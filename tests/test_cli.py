@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
-from threshcast.cli import SEED_ENV_VAR, main
+from threshcast.cli import SEED_ENV_VAR, annotation_rows, main
+from threshcast.core import ProbabilityProfile
+from threshcast.policy import annotate_reachable_states
 from threshcast.sim import SimulationReport
 
 
@@ -163,6 +165,17 @@ class TestPolicy:
         assert obj["states"][0]["reach_probability"] == 1.0
         assert obj["states"][0]["transmitter"] == 2
         assert obj["policy_cost"] == 2.25
+
+    def test_annotation_rows_join_the_remaining_ranks(self):
+        # the two-slice rendering must equal a plain join for every state,
+        # across the 9|10 digit boundary
+        for n in (1, 2, 5, 9, 10, 11, 13):
+            profile = ProbabilityProfile(tuple((i + 0.5) / n for i in range(n)))
+            for theta in range(n + 2):
+                states = annotate_reachable_states(profile, theta)
+                assert [row[0] for row in annotation_rows(states, n)[1:]] == [
+                    "|".join(map(str, s.remaining)) for s in states
+                ], (n, theta)
 
     def test_large_profile_without_check(self, capsys):
         probs = ",".join(str(round(0.02 + 0.019 * i, 6)) for i in range(50))

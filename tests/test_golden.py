@@ -26,6 +26,8 @@ P12 = probs_arg(12, 7, 29)
 P3 = probs_arg(3, 2, 7)
 P4 = probs_arg(4, 3, 11)
 P200 = probs_arg(200, 37, 211)
+P30 = probs_arg(30, 11, 31)
+P120 = probs_arg(120, 49, 127)
 
 GOLDEN = [
     (
@@ -73,6 +75,27 @@ GOLDEN = [
         ["block", "--probs", P4, "--theta", "2", "--N", "96", "--reps", "2", "--seed", "5",
          "--format", "json", "--transcript"],
         "2702e15c552fbece1f501ebc02a4754d00207991ea85a9a4ac4b1fe9374548b6",
+    ),
+    (
+        "solve-json-n8",
+        ["solve", "--probs", P8, "--theta", "3", "--format", "json"],
+        "83b09e211a1a8eead95e26da6e7d06983f84d5d0cd0b34b13da971123d3accab",
+    ),
+    (
+        "policy-json-n12",
+        ["policy", "--probs", P12, "--theta", "6", "--format", "json"],
+        "a3020d1d85c7fcc09d90d352536954429b3265262c69868a45c630326be339b8",
+    ),
+    (
+        # remaining sets cross the 9|10 and 99|100 digit boundaries
+        "policy-annotate-table-n120",
+        ["policy", "--probs", P120, "--theta", "57", "--annotate"],
+        "167487451bead12820e31800fc0573d875e4768141cf127fc35018cdd8251002",
+    ),
+    (
+        "simulate-n30-100k",
+        ["simulate", "--probs", P30, "--theta", "14", "--trials", "100000", "--seed", "2024"],
+        "972e5e223d782cdc5093d7bbf34daa9fb4690c4c799ca25a472db7a6fbdc9f29",
     ),
 ]
 

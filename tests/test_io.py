@@ -3,14 +3,18 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threshcast import io as tio
-from threshcast.core import CapacityError, InputError, Leaf, Node, tree_extent
+from threshcast.core import CapacityError, InputError, Leaf, Node, ProbabilityProfile, tree_extent
+from threshcast.dp import optimal_tree
 from threshcast.io import (
     ingest_values,
     load_profile,
     parse_probs_arg,
     parse_profile_text,
+    render_json,
     tree_from_dict,
     tree_from_json,
     tree_to_dict,
@@ -158,11 +162,76 @@ class TestRenderingCaps:
         tree = build_index_tree(6, 3)
         size, depth = tree_extent(tree)
         monkeypatch.setattr(tio, "MAX_RENDER_NODES", size - 1)
-        for render in (tree_to_dict, tree_to_dot):
+        for render in (tree_to_dict, tree_to_dot, render_json):
             with pytest.raises(CapacityError, match=f"cap of {size - 1}"):
                 render(tree)
         monkeypatch.setattr(tio, "MAX_RENDER_NODES", size)
         monkeypatch.setattr(tio, "MAX_JSON_DEPTH", depth - 1)
-        with pytest.raises(CapacityError, match=f"cap of {depth - 1}"):
-            tree_to_dict(tree)
+        for render in (tree_to_dict, lambda t: render_json({"tree": t})):
+            with pytest.raises(CapacityError, match=f"cap of {depth - 1}"):
+                render(tree)
         assert tree_to_dot(tree).count("shape=") == size
+
+
+def stdlib_json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([1e-300, 5e-324, -0.0, 1e300, float("nan")]),
+    st.text(max_size=6),
+    st.sampled_from(['"', '\\"quoted\\"', "caf\u00e9", "\u2203x", "tab\there", "\U0001f600"]),
+)
+RECORDS = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+class TestRenderJson:
+    """`render_json` is byte for byte `json.dumps(sort_keys=True, indent=2)` plus a newline."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(RECORDS)
+    def test_random_records(self, obj):
+        assert render_json(obj) == stdlib_json(obj)
+
+    def test_empty_and_nested_containers(self):
+        for obj in ({}, [], (), {"a": {}}, {"a": [[], {}, ()]}, [[[]]], {"b": 1, "a": {"d": [1, {"c": None}]}}):
+            assert render_json(obj) == stdlib_json(obj)
+
+    def test_non_string_keys_are_refused(self):
+        with pytest.raises(TypeError):
+            render_json({1: 2})
+
+    def assert_tree_renders(self, tree):
+        assert render_json({"tree": tree}) == stdlib_json({"tree": tree_to_dict(tree)})
+        assert render_json(tree) == stdlib_json(tree_to_dict(tree))
+
+    def test_policy_dags(self):
+        for n in range(1, 10):
+            for theta in range(n + 2):
+                self.assert_tree_renders(build_index_tree(n, theta))
+
+    def test_optimal_and_parsed_trees(self):
+        for probs, theta in (((0.2, 0.5, 0.7), 2), ((0.1, 0.3, 0.35, 0.6, 0.9), 3), ((0.4,), 1)):
+            tree = optimal_tree(ProbabilityProfile(probs), theta)
+            self.assert_tree_renders(tree)
+            self.assert_tree_renders(tree_from_dict(tree_to_dict(tree)))
+
+    def test_subtree_shared_at_two_levels(self):
+        shared = Node(3, Leaf(0), Leaf(1))
+        tree = Node(1, shared, Node(2, shared, Node(4, shared, shared)))
+        self.assert_tree_renders(tree)
+        obj = {"a": [tree, {"b": shared}], "c": shared, "n": 1}
+        expected = {"a": [tree_to_dict(tree), {"b": tree_to_dict(shared)}], "c": tree_to_dict(shared), "n": 1}
+        assert render_json(obj) == stdlib_json(expected)

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from threshcast.core import InputError, ProbabilityProfile, walk_tree
+from threshcast.core import InputError, Leaf, Node, ProbabilityProfile, walk_tree
 from threshcast.dp import optimal_tree, strategy_cost
 from threshcast.policy import build_index_tree, index_policy_cost
 from threshcast.sim import (
@@ -14,6 +14,7 @@ from threshcast.sim import (
     run_block_replications,
     run_block_strategy,
     simulate_tree,
+    walk_trials,
 )
 
 
@@ -77,18 +78,56 @@ class TestSimulateTree:
         assert report.expected_bits == pytest.approx(strategy_cost(tree, profile, 2), abs=1e-15)
 
     def test_shared_dag_at_sixty_nodes_within_budget(self):
-        # the policy DAG has ~1800 nodes but C(60, 30) root-to-leaf paths:
-        # validation and the walk must visit nodes, not paths
+        # the policy DAG has 1800 nodes but C(60, 30) root-to-leaf paths:
+        # validation and the walk must work per node, not per path or trial
         rng = np.random.default_rng(59)
         profile = ProbabilityProfile(tuple(np.sort(rng.uniform(0.05, 0.95, 60)).tolist()))
         start = time.perf_counter()
-        report = simulate_tree(build_index_tree(60, 30), profile, 30, 1000, seed=3)
-        assert time.perf_counter() - start < 20.0
+        report = simulate_tree(build_index_tree(60, 30), profile, 30, 100_000, seed=3)
+        assert time.perf_counter() - start < 5.0
         assert report.error_count == 0
         assert report.expected_bits == pytest.approx(index_policy_cost(profile, 30), abs=1e-9)
+        assert abs(report.mean_bits - report.expected_bits) < 5 * report.std_error
+
+
+class TestWalkTrials:
+    """The pooled walk gives every row the value and bit count of `walk_tree`."""
+
+    def assert_rows_match(self, tree, X):
+        values, bits = walk_trials(tree, X)
+        assert values.dtype == np.int8 and bits.dtype == np.int64
+        for row, value, count in zip(X, values, bits):
+            assert walk_tree(tree, row) == (value, count)
+
+    def test_subtree_shared_at_two_depths(self):
+        shared = Node(3, Node(4, Leaf(0), Leaf(1)), Leaf(1))
+        tree = Node(1, shared, Node(2, shared, Leaf(0)))
+        X = draw_measurements(ProbabilityProfile((0.3, 0.5, 0.6, 0.7)), 3000, np.random.default_rng(8))
+        self.assert_rows_match(tree, X)
+        # the same subtree on both branches of one node
+        self.assert_rows_match(Node(2, shared, shared), X)
+
+    def test_policy_dags_and_leaves(self):
+        profile = ProbabilityProfile((0.1, 0.2, 0.35, 0.5, 0.6, 0.8, 0.9))
+        X = draw_measurements(profile, 2000, np.random.default_rng(4))
+        for theta in range(9):
+            self.assert_rows_match(build_index_tree(7, theta), X)
 
 
 class TestBlockProtocol:
+    def test_rounds_deeper_than_the_recursion_limit(self):
+        # over 1,000 rounds on one branch: the schedule and its decode
+        # replay must not recurse once per round
+        n = 1100
+        probs = tuple(sorted(0.45 + 0.1 * (i * 389 % n + 0.5) / n for i in range(n)))
+        start = time.perf_counter()
+        report = run_block_strategy(ProbabilityProfile(probs), 550, 2, seed=1)
+        assert time.perf_counter() - start < 30.0
+        assert report.error_count == 0
+        # the two instances part after one round and each walks over 1,000 more
+        assert len(report.rounds) > 2000
+        assert report.total_bits == sum(r.code_bits for r in report.rounds)
+
     def test_single_instance_degenerates_to_tree_walk(self):
         profile = ProbabilityProfile((0.25, 0.5, 0.65))
         tree = build_index_tree(3, 2)
