@@ -38,14 +38,7 @@ from .dp import (
     optimal_tree,
     strategy_cost,
 )
-from .huffman import (
-    BernoulliBlockCode,
-    HuffmanCode,
-    bernoulli_entropy,
-    block_distribution,
-    build_block_code,
-    huffman_build,
-)
+from .huffman import BernoulliBlockCode, bernoulli_entropy, build_block_code
 from .io import (
     IngestedProfile,
     ingest_values,
@@ -99,7 +92,6 @@ __all__ = [
     "DecisionTree",
     "Determination",
     "ExhaustiveReport",
-    "HuffmanCode",
     "IngestedProfile",
     "InputError",
     "Leaf",
@@ -116,7 +108,6 @@ __all__ = [
     "annotate_reachable_states",
     "apply_transmission",
     "bernoulli_entropy",
-    "block_distribution",
     "build_block_code",
     "build_index_tree",
     "check_lemma_inequalities",
@@ -129,7 +120,6 @@ __all__ = [
     "enumerate_trees",
     "evaluate_function",
     "exhaustive_strategy_check",
-    "huffman_build",
     "index_policy_cost",
     "index_policy_next",
     "ingest_values",

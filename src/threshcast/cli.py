@@ -244,7 +244,7 @@ def cmd_solve(args: argparse.Namespace, config: dict) -> str:
     tol = float(resolve(args, config, "tol", DEFAULT_TIE_TOL))
     exact = bool(resolve(args, config, "exact", False))
 
-    table = CostTable(profile, node_cap=node_cap, exact=exact)
+    table = CostTable(profile, node_cap=node_cap, exact=exact, theta=theta)
     spec = ThresholdSpec(profile.n, theta)
     cost = table.cost(spec.initial_state())
     cost_f = float(cost)
@@ -282,7 +282,7 @@ def cmd_policy(args: argparse.Namespace, config: dict) -> str:
     if args.check:
         node_cap = int(resolve(args, config, "max_n", DEFAULT_NODE_CAP))
         tol = float(resolve(args, config, "tol", DEFAULT_TIE_TOL))
-        table = CostTable(profile, node_cap=node_cap)
+        table = CostTable(profile, node_cap=node_cap, theta=spec.theta)
         table_cost = table.cost(spec.initial_state())
         cost_ok = abs(table_cost - cost) <= tol
         bad_states = 0

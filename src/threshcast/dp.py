@@ -7,16 +7,19 @@ remaining set R and residual threshold t,
 
 with C = 0 at determined states.  Each subset reads only subsets one
 element smaller, so the table is filled one cardinality level at a time
-(Held & Karp's subset DP), each level a few whole-array operations, and
-one filled table answers every substate query for one profile.  Subset
-enumeration is exponential in n; the cap guards against accidental huge
-instances.
+(Held & Karp's subset DP): every l-subset has exactly l set bits, so a
+level takes l whole-array passes, the k-th over the k-th lowest bit of
+every subset at once.  A table without a theta answers every substate
+query for one profile; one built for a theta fills only the band of t
+that a walk from the full set can reach, one t per level at theta = 1
+or n.  Subset enumeration is exponential in n; the cap guards against
+accidental huge instances.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, inf
+from math import comb
 from typing import Optional
 
 import numpy as np
@@ -60,11 +63,17 @@ def set_of(mask: int) -> frozenset[int]:
 class CostTable:
     """Cost table for one probability profile, filled on the first query.
 
-    Level l holds every l-subset as one row of C(R, t) for t = 0..l+1,
-    rows in ascending mask order; the columns t = 0 and t = l+1 are the
-    determined states and stay 0.  With exact=True the same fill runs
-    over object arrays of rationals (probabilities taken at their exact
-    binary float values), so ties are ties, not artifacts of rounding.
+    Level l holds C(R, t) for every l-subset R as one (l+2, C(n, l))
+    array, t-major: row t, one column per subset in ascending mask order.
+    Rows t = 0 and t = l+1 are the determined states and stay 0.  With
+    theta=None every row is filled and the table answers every threshold.
+    With a theta, level l fills only the rows a walk from (all n nodes,
+    theta) can reach, t = max(1, theta-(n-l)) .. min(l, theta); the band
+    reads only the band one level down, so its entries equal the full
+    table's, and an undetermined query outside it raises InputError.
+    With exact=True the same fill runs over object arrays of rationals
+    (probabilities taken at their exact binary float values), so ties
+    are ties, not artifacts of rounding.
     """
 
     def __init__(
@@ -72,16 +81,26 @@ class CostTable:
         profile: ProbabilityProfile,
         node_cap: int = DEFAULT_NODE_CAP,
         exact: bool = False,
+        theta: Optional[int] = None,
     ) -> None:
+        n = profile.n
         cap = min(node_cap, MAX_TABLE_N)
-        if profile.n > cap:
+        if n > cap:
             raise CapacityError(
-                f"profile has {profile.n} nodes, above the cap of {cap} "
+                f"profile has {n} nodes, above the cap of {cap} "
                 f"(the table never exceeds {MAX_TABLE_N}); "
-                f"the table enumerates subsets and would need about 2**{profile.n} entries"
+                f"the table enumerates subsets and would need about 2**{n} entries"
             )
         self.profile = profile
         self.exact = exact
+        self.theta = theta
+        if theta is None:
+            self._lo = [1] * (n + 1)
+            self._hi = list(range(n + 1))
+        else:
+            ThresholdSpec(n, theta)
+            self._lo = [max(1, theta - (n - l)) for l in range(n + 1)]
+            self._hi = [min(l, theta) for l in range(n + 1)]
         if exact:
             self._probs: tuple = tuple(Fraction(p) for p in profile.probs)
             self._one = Fraction(1)
@@ -92,7 +111,7 @@ class CostTable:
         # per level, once filled: a memoryview of the float array (it reads
         # out Python floats), or the object array of Fractions itself
         self._levels: Optional[list] = None
-        self._row = None  # memoryview: mask -> row within its level
+        self._row = None  # memoryview: mask -> column within its level
 
     def _fill(self) -> None:
         n = self.profile.n
@@ -106,31 +125,44 @@ class CostTable:
         starts = np.cumsum([0] + sizes)
         row = np.empty(1 << n, dtype=np.int32)
         row[by_level] = np.arange(1 << n) - np.repeat(starts[:-1], sizes)
-        levels = [np.full((1, 2), zero, dtype=dtype)]
+        probs = np.array(self._probs, dtype=dtype)
+        levels = [np.full((2, 1), zero, dtype=dtype)]
         for l in range(1, n + 1):
+            lo, hi = self._lo[l], self._hi[l]
             masks = by_level[starts[l] : starts[l + 1]]
             prev = levels[l - 1]
-            cur = np.full((sizes[l], l + 2), zero, dtype=dtype)
-            cur[:, 1 : l + 1] = inf
-            for i in range(n):
-                rows = np.flatnonzero((masks >> i) & 1)
-                below = prev[row[masks[rows] ^ (1 << i)]]
-                p = self._probs[i]
+            cur = np.full((l + 2, sizes[l]), zero, dtype=dtype)
+            rest = masks
+            for k in range(l):
+                # every l-subset has a k-th lowest set bit: remove it from all at once
+                low = rest & -rest
+                rest = rest ^ low
+                below = prev[lo - 1 : hi + 1, row[masks ^ low]]
+                p = probs[popcount[low - 1]]
                 # the recurrence's operation order, so entries are bit-identical to it
-                c = one + p * below[:, :-1] + (one - p) * below[:, 1:]
-                cur[rows, 1 : l + 1] = np.minimum(cur[rows, 1 : l + 1], c)
+                c = one + p * below[:-1] + (one - p) * below[1:]
+                band = c if k == 0 else np.minimum(band, c, out=band)
+            cur[lo : hi + 1] = band
             levels.append(cur)
         self._row = memoryview(row)
         self._levels = levels if self.exact else [memoryview(a) for a in levels]
 
     def _entry(self, mask: int, t: int):
-        """C(mask, t) for any mask and t, by table lookup."""
+        """C(mask, t) for any mask, and any t in the band or determined, by table lookup."""
         level = mask.bit_count()
+        if self._lo[level] <= t <= self._hi[level]:
+            if self._levels is None:
+                self._fill()
+            return self._levels[level][t, self._row[mask]]
         if t <= 0 or t > level:
             return self._zero
-        if self._levels is None:
-            self._fill()
-        return self._levels[level][self._row[mask], t]
+        raise self._outside_band(level, t)
+
+    def _outside_band(self, level: int, t: int) -> InputError:
+        return InputError(
+            f"C(R, {t}) with |R| = {level} is outside this table's band for theta {self.theta} "
+            f"(t {self._lo[level]}..{self._hi[level]}); a table without a theta holds every t"
+        )
 
     def _check_state(self, state: ComputationState) -> tuple[int, int]:
         for rank in state.remaining:
@@ -145,8 +177,11 @@ class CostTable:
     def candidate_costs(self, state: ComputationState) -> dict[int, object]:
         """Expected cost of each legal first transmitter at an undetermined state."""
         mask, t = self._check_state(state)
-        if t <= 0 or t > mask.bit_count():
+        level = mask.bit_count()
+        if t <= 0 or t > level:
             raise InputError("candidate costs are defined only at undetermined states")
+        if not self._lo[level] <= t <= self._hi[level]:
+            raise self._outside_band(level, t)
         out: dict[int, object] = {}
         one = self._one
         mm = mask
@@ -177,7 +212,7 @@ def optimal_cost(
 ):
     spec = ThresholdSpec(profile.n, theta)
     if table is None:
-        table = CostTable(profile, node_cap=node_cap, exact=exact)
+        table = CostTable(profile, node_cap=node_cap, exact=exact, theta=spec.theta)
     return table.cost(spec.initial_state())
 
 
@@ -189,7 +224,7 @@ def optimal_first_transmitters(
 ) -> tuple[int, ...]:
     spec = ThresholdSpec(profile.n, theta)
     if table is None:
-        table = CostTable(profile)
+        table = CostTable(profile, theta=spec.theta)
     return table.minimizers(spec.initial_state(), tol=tol)
 
 
@@ -206,7 +241,7 @@ def optimal_tree(
     """
     spec = ThresholdSpec(profile.n, theta)
     if table is None:
-        table = CostTable(profile)
+        table = CostTable(profile, theta=spec.theta)
     memo: dict[tuple[int, int], DecisionTree] = {}
 
     def build(mask: int, t: int) -> DecisionTree:

@@ -91,17 +91,27 @@ def parse_probs_arg(arg: str) -> IngestedProfile:
 # being printed: 10**6 nodes admits every policy tree up to n = 20 (at
 # most 705 k nodes), and 900 levels of nesting is what the stdlib json
 # encoder handles at the default recursion limit, with room left for
-# its callers' frames.
+# its callers' frames.  Indented JSON grows two bytes per line and level,
+# so within those caps it can still reach gigabytes; 2**28 bytes admits
+# every policy tree up to n = 20 (at most 104 MB, at n = 20, theta = 11).
 MAX_RENDER_NODES = 1_000_000
 MAX_JSON_DEPTH = 900
+MAX_JSON_BYTES = 1 << 28
 
 
-def _check_render_caps(tree: DecisionTree, max_depth: int | None = None) -> None:
-    size, depth = tree_extent(tree)
+def _check_render_caps(tree: DecisionTree, json_level: int | None = None) -> None:
+    """Refuse a tree past the node cap, or, as indented JSON opening at
+    nesting `json_level`, past the nesting or the byte cap."""
+    size, depth, nbytes = tree_extent(tree)
     if size > MAX_RENDER_NODES:
         raise CapacityError(f"the strategy expands to {size} tree nodes, over the rendering cap of {MAX_RENDER_NODES}")
-    if max_depth is not None and depth > max_depth:
-        raise CapacityError(f"the strategy is {depth} levels deep, over the JSON nesting cap of {max_depth}")
+    if json_level is None:
+        return
+    if depth > MAX_JSON_DEPTH:
+        raise CapacityError(f"the strategy is {depth} levels deep, over the JSON nesting cap of {MAX_JSON_DEPTH}")
+    nbytes += 2 * json_level * (3 * size - 1)
+    if nbytes > MAX_JSON_BYTES:
+        raise CapacityError(f"the strategy's JSON is {nbytes} bytes, over the output cap of {MAX_JSON_BYTES} bytes")
 
 
 def render_json(obj) -> str:
@@ -111,9 +121,10 @@ def render_json(obj) -> str:
     Object keys must be strings.  A strategy that is `obj` or one of its
     values is checked against the caps before anything is rendered.
     """
-    for value in (obj, *(obj.values() if isinstance(obj, dict) else ())):
+    values = obj.values() if isinstance(obj, dict) else ()
+    for value, level in ((obj, 0), *((v, 1) for v in values)):
         if isinstance(value, (Node, Leaf)):
-            _check_render_caps(value, MAX_JSON_DEPTH)
+            _check_render_caps(value, level)
     out: list[str] = []
     _emit_json(obj, 0, out)
     out.append("\n")
@@ -157,7 +168,7 @@ def _emit_tree(tree: DecisionTree, level: int, out: list[str]) -> None:
     subtree is joined once: building the text bottom-up instead would copy
     every subtree's text into each ancestor's, depth times over.
     """
-    _check_render_caps(tree, MAX_JSON_DEPTH)
+    _check_render_caps(tree, level)
     # (id(node), level) -> the (start, end) span of its pieces in `out`, then their joined text
     rendered: dict[tuple[int, int], tuple[int, int] | str] = {}
     # a (node, level) to render, a piece of text, or (None, key, start) closing a span
@@ -195,7 +206,7 @@ def _emit_tree(tree: DecisionTree, level: int, out: list[str]) -> None:
 
 
 def tree_to_dict(tree: DecisionTree) -> dict:
-    _check_render_caps(tree, MAX_JSON_DEPTH)
+    _check_render_caps(tree, 0)
 
     def expand(t: DecisionTree) -> dict:
         if isinstance(t, Leaf):

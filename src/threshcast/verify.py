@@ -268,8 +268,6 @@ def exhaustive_strategy_check(
     beats the table's value, or if the closed-form policy fails to attain
     the enumerated minimum.
     """
-    if table is None:
-        table = CostTable(profile)
     trees = enumerate_trees(profile.n, theta, max_n=max_n)
     best_cost = float("inf")
     best_tree: Optional[DecisionTree] = None
@@ -279,6 +277,8 @@ def exhaustive_strategy_check(
             best_cost = c
             best_tree = tree
     spec = ThresholdSpec(profile.n, theta)
+    if table is None:
+        table = CostTable(profile, theta=spec.theta)
     table_cost = table.cost(spec.initial_state())
     policy_cost = index_policy_cost(profile, theta)
     witness: Optional[DecisionTree] = None

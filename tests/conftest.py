@@ -1,6 +1,6 @@
 """Shared test plumbing: the acceptance-criteria result board, the
-policy's state walker, the recursive subset-cost oracle and the heap
-block-code builder.
+policy's state walker, the recursive subset-cost oracle, the heap
+block-code builder and the explicit-alphabet Huffman code.
 
 Acceptance tests register one verdict per criterion before asserting, so
 the terminal summary always shows a pass/fail line per criterion even
@@ -9,11 +9,15 @@ when a criterion's assertion fires.
 
 import heapq
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Hashable, Iterable
 
 from threshcast.core import (
+    CapacityError,
     ComputationState,
     Determination,
+    InputError,
     ThresholdSpec,
     apply_transmission,
     classify_state,
@@ -157,3 +161,111 @@ def reference_aggregate_lengths(p: float, L: int) -> list[dict[int, int]]:
             for d, cnt in dm.items():
                 tgt[d + 1] = tgt.get(d + 1, 0) + cnt * per
     return [depth.get(w, {}) for w in range(L + 1)]
+
+
+# Explicit Huffman construction over a small alphabet: the oracle the
+# weight-class block code is checked against.
+
+PROB_SUM_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class HuffmanCode:
+    """Prefix code over an explicit alphabet.
+
+    A one-symbol alphabet gets the empty codeword; decoding then relies
+    on the caller's symbol count, which `decode` takes for that reason.
+    """
+
+    codewords: dict[Hashable, str]
+    expected_length: float
+
+    def length(self, symbol: Hashable) -> int:
+        return len(self.codewords[symbol])
+
+    def encode(self, symbols: Iterable[Hashable]) -> str:
+        return "".join(self.codewords[s] for s in symbols)
+
+    def decode(self, bits: str, count: int) -> list:
+        inverse = {cw: s for s, cw in self.codewords.items()}
+        out = []
+        pos = 0
+        for _ in range(count):
+            end = pos
+            while True:
+                sym = inverse.get(bits[pos:end])
+                if sym is not None or end > len(bits):
+                    break
+                end += 1
+            if sym is None:
+                raise InputError("bit stream ended inside a codeword")
+            out.append(sym)
+            pos = end
+        if pos != len(bits):
+            raise InputError(f"{len(bits) - pos} unread bits after {count} symbols")
+        return out
+
+    def kraft_sum(self) -> Fraction:
+        return sum((Fraction(1, 2 ** len(cw)) for cw in self.codewords.values()), Fraction(0))
+
+
+def huffman_build(dist: dict[Hashable, float]) -> HuffmanCode:
+    """Minimum-expected-length prefix code for an explicit distribution.
+
+    Ties in the merge heap break on (probability, smallest contained
+    symbol, subtree size), and of the two merged subtrees the one with
+    the lower key hangs off the '0' branch, so the code is a pure
+    function of the distribution.
+    """
+    if not dist:
+        raise InputError("empty distribution")
+    total = 0.0
+    for sym, p in dist.items():
+        if not p > 0.0:
+            raise InputError(f"probability of {sym!r} must be positive, got {p!r}")
+        total += p
+    if abs(total - 1.0) > PROB_SUM_TOL:
+        raise InputError(f"probabilities sum to {total!r}, not 1")
+    if len(dist) == 1:
+        (sym,) = dist
+        return HuffmanCode(codewords={sym: ""}, expected_length=0.0)
+
+    # entries: (prob, min contained symbol, subtree size, tree); internal
+    # tree nodes are 2-lists, which no hashable symbol can collide with
+    heap = [(p, sym, 1, sym) for sym, p in dist.items()]
+    heapq.heapify(heap)
+    while len(heap) > 1:
+        p0, m0, s0, t0 = heapq.heappop(heap)
+        p1, m1, s1, t1 = heapq.heappop(heap)
+        heapq.heappush(heap, (p0 + p1, min(m0, m1), s0 + s1, [t0, t1]))
+    (_, _, _, root) = heap[0]
+
+    codewords: dict[Hashable, str] = {}
+
+    def assign(tree, prefix: str) -> None:
+        if isinstance(tree, list):
+            assign(tree[0], prefix + "0")
+            assign(tree[1], prefix + "1")
+        else:
+            codewords[tree] = prefix
+
+    assign(root, "")
+    expected = sum(dist[s] * len(cw) for s, cw in codewords.items())
+    return HuffmanCode(codewords=codewords, expected_length=expected)
+
+
+def block_distribution(p: float, L: int) -> dict[int, float]:
+    """Distribution of an L-bit iid Bernoulli(p) block, keyed by integer value.
+
+    Bit 1 of the block is the most significant bit of the key, so integer
+    order equals lexicographic order of the bit strings.  Explicit, so
+    capped to small L; the aggregated builder has no such cap.
+    """
+    if not 0.0 < p < 1.0:
+        raise InputError(f"p must be in (0, 1), got {p!r}")
+    if L < 1:
+        raise InputError(f"block length must be positive, got {L}")
+    if L > 16:
+        raise CapacityError(f"explicit block distribution capped at L=16, got L={L}")
+    q = 1.0 - p
+    return {b: p ** b.bit_count() * q ** (L - b.bit_count()) for b in range(1 << L)}

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from threshcast import io as tio
 from threshcast.cli import SEED_ENV_VAR, annotation_rows, main
 from threshcast.core import ProbabilityProfile
 from threshcast.policy import annotate_reachable_states
@@ -232,6 +233,29 @@ class TestTreeRenderingCaps:
         )
         assert code == 3 and out == ""
         assert "cap of 1000000" in err
+
+    def test_json_past_the_byte_cap_exits_3(self, capsys):
+        # 640,799 nodes and 800 levels pass the node and depth caps; the text would be 2.08 GB
+        code, out, err = run_cli(
+            capsys, "policy", "--probs", scrambled_probs(800), "--theta", "799", "--format", "json"
+        )
+        assert code == 3 and out == ""
+        assert "2076496258 bytes" in err and f"cap of {1 << 28} bytes" in err
+
+    def test_json_at_the_byte_cap_renders(self, capsys, monkeypatch):
+        argv = ("policy", "--probs", scrambled_probs(8), "--theta", "3", "--format", "json")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        # the tree's text opens at nesting 1: two more spaces after each line break
+        tree_text = json.dumps(json.loads(out)["tree"], indent=2, sort_keys=True).replace("\n", "\n  ")
+        assert f'"tree": {tree_text}' in out
+        nbytes = len(tree_text)
+        monkeypatch.setattr(tio, "MAX_JSON_BYTES", nbytes)
+        assert run_cli(capsys, *argv) == (code, out, "")
+        monkeypatch.setattr(tio, "MAX_JSON_BYTES", nbytes - 1)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == ""
+        assert f"cap of {nbytes - 1} bytes" in err
 
     def test_mid_theta_dot_at_n24_exits_3(self, capsys):
         code, out, err = run_cli(

@@ -1,5 +1,7 @@
 """Domain type behavior: profiles, specs, states, trees."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from threshcast.core import (
     validate_tree,
     walk_tree,
 )
+from threshcast.io import tree_to_dict
 from threshcast.policy import build_index_tree
 
 
@@ -173,11 +176,14 @@ class TestTrees:
             validate_tree(tree, ThresholdSpec(2, 1))
 
     def test_size_helpers(self):
+        def json_bytes(tree):
+            return len(json.dumps(tree_to_dict(tree), indent=2, sort_keys=True))
+
         tree = self.or2_tree()
-        assert tree_extent(tree) == (5, 2)
-        assert tree_extent(Leaf(1)) == (1, 0)
+        assert tree_extent(tree) == (5, 2, json_bytes(tree))
+        assert tree_extent(Leaf(1)) == (1, 0, 16)
         shared = Node(1, Leaf(0), Leaf(1))
-        assert tree_extent(Node(2, shared, shared)) == (7, 2)
+        assert tree_extent(Node(2, shared, shared)) == (7, 2, json_bytes(Node(2, shared, shared)))
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,6 +2,7 @@
 
 import tracemalloc
 from fractions import Fraction
+from math import comb
 from time import perf_counter
 
 import numpy as np
@@ -28,6 +29,7 @@ from threshcast.dp import (
     set_of,
     strategy_cost,
 )
+from threshcast.io import tree_to_dict
 
 
 def oracle_cost(probs: tuple, remaining: frozenset, t: int) -> float:
@@ -185,6 +187,86 @@ class TestLevelFill:
         cost = table.cost(ThresholdSpec(18, 9).initial_state())
         assert perf_counter() - start < 30.0
         assert 9.0 <= cost <= 18.0
+
+
+def band_of(n: int, theta: int, level: int) -> range:
+    """The t a walk from (all n nodes, theta) can reach with `level` nodes left."""
+    return range(max(1, theta - (n - level)), min(level, theta) + 1)
+
+
+class TestThresholdBand:
+    """A table built for one theta against the full table and the recursion."""
+
+    def assert_band_matches(self, probs: tuple, exact: bool) -> None:
+        n = len(probs)
+        profile = ProbabilityProfile(probs)
+        want = reference_cost_table(probs, exact=exact)
+        kind = Fraction if exact else float
+        for theta in range(0, n + 2):
+            table = CostTable(profile, exact=exact, theta=theta)
+            for remaining, mask, t in all_entries(n):
+                state = ComputationState(remaining, t)
+                if 1 <= t <= len(remaining) and t not in band_of(n, theta, len(remaining)):
+                    with pytest.raises(InputError, match="band"):
+                        table.cost(state)
+                    continue
+                got = table.cost(state)
+                assert type(got) is kind
+                assert got == want(mask, t), (probs, theta, mask, t)
+
+    def test_float_band_equals_the_recursion(self):
+        rng = np.random.default_rng(29)
+        for n in range(1, 11):
+            self.assert_band_matches(tuple(sorted(float(p) for p in rng.uniform(0.01, 0.99, n))), exact=False)
+        self.assert_band_matches((0.5,) * 6, exact=False)
+
+    def test_exact_band_equals_the_rational_recursion(self):
+        rng = np.random.default_rng(31)
+        for n in range(1, 8):
+            self.assert_band_matches(tuple(sorted(float(p) for p in rng.uniform(0.01, 0.99, n))), exact=True)
+
+    def test_out_of_band_candidates_and_minimizers_refuse(self):
+        table = CostTable(ProbabilityProfile((0.2, 0.4, 0.7)), theta=1)
+        state = ComputationState(frozenset({1, 2}), 2)
+        for query in (table.cost, table.candidate_costs, table.minimizers):
+            with pytest.raises(InputError, match="band"):
+                query(state)
+        # the refusal comes before the fill, whose entries nothing asked for
+        assert table._levels is None
+
+    def test_band_tree_equals_the_full_table_tree(self):
+        rng = np.random.default_rng(37)
+        for n in range(1, 9):
+            probs = tuple(sorted(float(p) for p in rng.uniform(0.05, 0.95, n)))
+            profile = ProbabilityProfile(probs)
+            for exact in (False, True):
+                full = CostTable(profile, exact=exact)
+                for theta in range(0, n + 2):
+                    band = CostTable(profile, exact=exact, theta=theta)
+                    assert tree_to_dict(optimal_tree(profile, theta, table=band)) == tree_to_dict(
+                        optimal_tree(profile, theta, table=full)
+                    )
+                    assert band.cost(ThresholdSpec(n, theta).initial_state()) == full.cost(
+                        ThresholdSpec(n, theta).initial_state()
+                    )
+
+    def test_extreme_theta_fills_one_row_per_level(self):
+        probs = tuple((i + 0.5) / 9 for i in range(9))
+        for exact in (False, True):
+            for theta in (1, 9):
+                table = CostTable(ProbabilityProfile(probs), exact=exact, theta=theta)
+                table.cost(ThresholdSpec(9, theta).initial_state())
+                for level in range(1, 10):
+                    stored = np.asarray(table._levels[level])
+                    assert stored.shape == (level + 2, comb(9, level))
+                    filled = [t for t in range(level + 2) if any(stored[t] != 0)]
+                    assert filled == list(band_of(9, theta, level)) == [1 if theta == 1 else level]
+
+    def test_theta_is_validated(self):
+        with pytest.raises(InputError):
+            CostTable(ProbabilityProfile((0.3, 0.6)), theta=4)
+        with pytest.raises(CapacityError):
+            CostTable(ProbabilityProfile(tuple((i + 1) / 30.0 for i in range(25))), theta=99)
 
 
 class TestCapacity:

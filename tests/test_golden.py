@@ -97,6 +97,27 @@ GOLDEN = [
         ["simulate", "--probs", P30, "--theta", "14", "--trials", "100000", "--seed", "2024"],
         "972e5e223d782cdc5093d7bbf34daa9fb4690c4c799ca25a472db7a6fbdc9f29",
     ),
+    (
+        "solve-exact-n8",
+        ["solve", "--probs", P8, "--theta", "3", "--exact"],
+        "12b18650838345e7dba83e655d8a3e765e57aed1b394642d3ffc3ac27d8bed0d",
+    ),
+    (
+        # theta 0 and n + 1 are constant functions: no table entry is undetermined
+        "solve-theta0-n8",
+        ["solve", "--probs", P8, "--theta", "0"],
+        "81eb1127631c4adf8e6bc1d4ea43dcd2255d073cf5e8483a5ac03c4dcbf85ead",
+    ),
+    (
+        "solve-theta9-n8",
+        ["solve", "--probs", P8, "--theta", "9"],
+        "ba8e2803ab0dc60336842218032f2f4b3f3b8217a4a7e225dac28a5ceec40e54",
+    ),
+    (
+        "policy-check-csv-n12-theta1",
+        ["policy", "--probs", P12, "--theta", "1", "--check", "--format", "csv"],
+        "0a7701551a537f141208d442e04a1b24645a0152f59cb03f9f26c47ae02b69f8",
+    ),
 ]
 
 

@@ -6,20 +6,13 @@ import random
 import conftest
 import numpy as np
 import pytest
-from conftest import reference_aggregate_lengths
+from conftest import HuffmanCode, block_distribution, huffman_build, reference_aggregate_lengths
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threshcast import huffman
 from threshcast.core import CapacityError, InputError
-from threshcast.huffman import (
-    BernoulliBlockCode,
-    HuffmanCode,
-    bernoulli_entropy,
-    block_distribution,
-    build_block_code,
-    huffman_build,
-)
+from threshcast.huffman import BernoulliBlockCode, bernoulli_entropy, build_block_code
 
 
 class TestEntropy:

@@ -156,11 +156,11 @@ class TestRenderingCaps:
             for theta in range(1, n + 1):
                 tree = build_index_tree(n, theta)
                 nodes = tree_to_dot(tree).count("shape=")
-                assert tree_extent(tree) == (nodes, n), (n, theta)
+                assert tree_extent(tree) == (nodes, n, len(tree_to_json(tree))), (n, theta)
 
     def test_caps_refuse_before_rendering(self, monkeypatch):
         tree = build_index_tree(6, 3)
-        size, depth = tree_extent(tree)
+        size, depth, _ = tree_extent(tree)
         monkeypatch.setattr(tio, "MAX_RENDER_NODES", size - 1)
         for render in (tree_to_dict, tree_to_dot, render_json):
             with pytest.raises(CapacityError, match=f"cap of {size - 1}"):
@@ -171,6 +171,23 @@ class TestRenderingCaps:
             with pytest.raises(CapacityError, match=f"cap of {depth - 1}"):
                 render(tree)
         assert tree_to_dot(tree).count("shape=") == size
+
+    def test_byte_cap_one_byte_either_side(self, monkeypatch):
+        tree = build_index_tree(7, 3)
+        # the tree's own text, opening at nesting 0 and at nesting 1
+        cases = (
+            (tree_to_dict, len(tree_to_json(tree))),
+            (render_json, len(render_json(tree)) - 1),
+            (lambda t: render_json({"tree": t}), len(render_json({"tree": tree})) - len('{\n  "tree": \n}\n')),
+        )
+        for render, nbytes in cases:
+            monkeypatch.setattr(tio, "MAX_JSON_BYTES", nbytes)
+            render(tree)
+            monkeypatch.setattr(tio, "MAX_JSON_BYTES", nbytes - 1)
+            with pytest.raises(CapacityError, match=f"JSON is {nbytes} bytes, over the output cap of {nbytes - 1} bytes"):
+                render(tree)
+        # the byte cap is for JSON only
+        tree_to_dot(tree)
 
 
 def stdlib_json(obj) -> str:

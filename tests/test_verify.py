@@ -33,7 +33,7 @@ def bump_entry(table: CostTable, state: ComputationState, by: float) -> None:
     """Corrupt one stored table entry in place (test-only access to the storage)."""
     before = table.cost(state)  # fills the table
     mask = mask_of(state.remaining)
-    table._levels[mask.bit_count()][table._row[mask], state.residual_theta] += by
+    table._levels[mask.bit_count()][state.residual_theta, table._row[mask]] += by
     assert table.cost(state) == before + by
 
 
