@@ -34,7 +34,6 @@ from .core import (
 from .dp import (
     CostTable,
     optimal_cost,
-    optimal_first_transmitters,
     optimal_tree,
     strategy_cost,
 )
@@ -45,10 +44,8 @@ from .io import (
     load_profile,
     parse_profile_text,
     tree_from_dict,
-    tree_from_json,
     tree_to_dict,
     tree_to_dot,
-    tree_to_json,
 )
 from .policy import (
     annotate_reachable_states,
@@ -72,12 +69,9 @@ from .verify import (
     LemmaReport,
     LemmaViolation,
     check_lemma_inequalities,
-    compute_S1,
-    compute_S2,
-    compute_T,
     enumerate_trees,
     exhaustive_strategy_check,
-    lemma_report_rows,
+    lemma_record,
 )
 
 __version__ = "0.1.0"
@@ -112,9 +106,6 @@ __all__ = [
     "build_index_tree",
     "check_lemma_inequalities",
     "classify_state",
-    "compute_S1",
-    "compute_S2",
-    "compute_T",
     "draw_measurements",
     "eliminate_deterministic",
     "enumerate_trees",
@@ -123,10 +114,9 @@ __all__ = [
     "index_policy_cost",
     "index_policy_next",
     "ingest_values",
-    "lemma_report_rows",
+    "lemma_record",
     "load_profile",
     "optimal_cost",
-    "optimal_first_transmitters",
     "optimal_tree",
     "parse_profile_text",
     "run_block_replications",
@@ -134,11 +124,9 @@ __all__ = [
     "simulate_tree",
     "strategy_cost",
     "tree_from_dict",
-    "tree_from_json",
     "tree_internal_states",
     "tree_to_dict",
     "tree_to_dot",
-    "tree_to_json",
     "validate_tree",
     "walk_tree",
 ]

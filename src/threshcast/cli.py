@@ -31,6 +31,7 @@ from .core import (
     ThresholdSpec,
     tree_internal_states,
 )
+# strategy_cost is not called here: perfbench/tracing.py wraps it under this module's name
 from .dp import DEFAULT_NODE_CAP, DEFAULT_TIE_TOL, CostTable, optimal_tree, strategy_cost
 from .io import IngestedProfile, load_profile, parse_probs_arg, render_json, tree_to_dict, tree_to_dot
 from .policy import StateAnnotation, annotate_reachable_states, build_index_tree, index_policy_cost
@@ -40,7 +41,6 @@ from .verify import (
     EXHAUSTIVE_MAX_N,
     check_lemma_inequalities,
     exhaustive_strategy_check,
-    lemma_report_rows,
 )
 
 EXIT_OK = 0
@@ -59,14 +59,6 @@ def fmt(x: float) -> str:
 def jround(x: float) -> float:
     """Round to the printed precision so JSON numbers match text output."""
     return float(fmt(x))
-
-
-def exit_code_for(exc: Exception) -> int:
-    if isinstance(exc, CapacityError):
-        return EXIT_CAPACITY
-    if isinstance(exc, InputError):
-        return EXIT_INPUT
-    raise exc
 
 
 class VerificationFailure(Exception):
@@ -311,7 +303,7 @@ def cmd_policy(args: argparse.Namespace, config: dict) -> str:
             states["states"] = [{k: json_value(v) for k, v in vars(a).items()} for a in annotations]
         text = render_record(record, "json", tree=tree, **profile_json(ingested), **states)
     else:
-        text = render_record(record[:3], out_format)
+        text = render_record(record, out_format)
     if check_failed:
         raise VerificationFailure(text)
     return text
@@ -400,8 +392,11 @@ def cmd_verify(args: argparse.Namespace, config: dict) -> str:
     worst = [(name, max((r.worst.get(fam, 0.0) for r in reports), default=0.0)) for name, fam in _WORST_COLUMNS]
     record = [("profiles", len(profiles)), ("tolerance", tolerance), ("violations", total_violations)]
     exhaustive = [("exhaustive_checks", exhaustive_runs), ("exhaustive_failures", exhaustive_failures)]
-    if out_format == "csv":
-        text = render_csv(lemma_report_rows(reports[0]) if explicit else summary_rows)
+    if out_format == "csv" and explicit:
+        lemma_rows = [[text_value(v) for v in vars(rec).values()] for rec in reports[0].records]
+        text = render_csv([["k", "i", "T", "S1", "S2"]] + lemma_rows)
+    elif out_format == "csv":
+        text = render_csv(summary_rows)
     elif out_format == "json":
         text = render_record(record + exhaustive + [("passed", passed)], "json", worst={k: jround(v) for k, v in worst})
     else:
@@ -570,7 +565,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code = EXIT_SIM
     except (InputError, CapacityError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return exit_code_for(e)
+        return EXIT_CAPACITY if isinstance(e, CapacityError) else EXIT_INPUT
 
     out_path = getattr(args, "out", None)
     if out_path:

@@ -200,23 +200,37 @@ def walk_tree(tree: DecisionTree, x: Sequence[int]) -> tuple[int, int]:
     return cur.value, bits
 
 
+def _tree_states(tree: DecisionTree, spec: ThresholdSpec) -> Iterator[tuple[DecisionTree, ComputationState]]:
+    """Yield every (node, state) pair a strategy reaches once, preorder, one-branch first.
+
+    A shared subtree reached again at the same state is skipped, so a DAG
+    costs its (node, state) pairs, not its root-to-leaf paths.  A node's
+    children are expanded only when the consumer resumes after it, so a
+    consumer that raises at a node never moves past it.
+    """
+    seen: set[tuple[int, frozenset[int], int]] = set()
+    stack: list[tuple[DecisionTree, ComputationState]] = [(tree, spec.initial_state())]
+    while stack:
+        t, state = stack.pop()
+        key = (id(t), state.remaining, state.residual_theta)
+        if key in seen:
+            continue
+        seen.add(key)
+        yield t, state
+        if isinstance(t, Node):
+            stack.append((t.on_zero, apply_transmission(state, t.transmitter, 0)))
+            stack.append((t.on_one, apply_transmission(state, t.transmitter, 1)))
+
+
 def validate_tree(tree: DecisionTree, spec: ThresholdSpec) -> None:
     """Check all structural invariants, raising TreeInvalidError on the first break.
 
     Internal nodes must query a remaining node of an undetermined state;
     leaves must sit exactly at determined states and carry the determined
     value.  No-repeat along paths follows from querying remaining nodes.
-    A shared subtree is checked once per state it is reached at, so a DAG
-    costs its (node, state) pairs, not its root-to-leaf paths.
+    A shared subtree is checked once per state it is reached at.
     """
-    checked: set[tuple[int, frozenset[int], int]] = set()
-    stack: list[tuple[DecisionTree, ComputationState]] = [(tree, spec.initial_state())]
-    while stack:
-        t, state = stack.pop()
-        key = (id(t), state.remaining, state.residual_theta)
-        if key in checked:
-            continue
-        checked.add(key)
+    for t, state in _tree_states(tree, spec):
         det = classify_state(state)
         if isinstance(t, Leaf):
             if det is Determination.UNDETERMINED:
@@ -236,31 +250,14 @@ def validate_tree(tree: DecisionTree, spec: ThresholdSpec) -> None:
             raise TreeInvalidError(
                 f"transmitter {t.transmitter} not in remaining set {sorted(state.remaining)}"
             )
-        stack.append((t.on_zero, apply_transmission(state, t.transmitter, 0)))
-        stack.append((t.on_one, apply_transmission(state, t.transmitter, 1)))
 
 
 def tree_internal_states(
     tree: DecisionTree, spec: ThresholdSpec
 ) -> Iterator[tuple[ComputationState, int]]:
-    """Yield (state, transmitter) for every internal node, preorder, one-branch first.
-
-    A shared subtree reached again at the same state is skipped, so a DAG
-    yields each (node, state) pair once, at its first visit.
-    """
-    seen: set[tuple[int, frozenset[int], int]] = set()
-    stack: list[tuple[DecisionTree, ComputationState]] = [(tree, spec.initial_state())]
-    while stack:
-        t, state = stack.pop()
-        if isinstance(t, Leaf):
-            continue
-        key = (id(t), state.remaining, state.residual_theta)
-        if key in seen:
-            continue
-        seen.add(key)
-        yield state, t.transmitter
-        stack.append((t.on_zero, apply_transmission(state, t.transmitter, 0)))
-        stack.append((t.on_one, apply_transmission(state, t.transmitter, 1)))
+    """Yield (state, transmitter) for every internal node, preorder, one-branch first,
+    each (node, state) pair of a DAG once, at its first visit."""
+    return ((state, t.transmitter) for t, state in _tree_states(tree, spec) if isinstance(t, Node))
 
 
 def dag_postorder(tree: DecisionTree) -> list[DecisionTree]:

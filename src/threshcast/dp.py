@@ -216,18 +216,6 @@ def optimal_cost(
     return table.cost(spec.initial_state())
 
 
-def optimal_first_transmitters(
-    profile: ProbabilityProfile,
-    theta: int,
-    tol: float = DEFAULT_TIE_TOL,
-    table: Optional[CostTable] = None,
-) -> tuple[int, ...]:
-    spec = ThresholdSpec(profile.n, theta)
-    if table is None:
-        table = CostTable(profile, theta=spec.theta)
-    return table.minimizers(spec.initial_state(), tol=tol)
-
-
 def optimal_tree(
     profile: ProbabilityProfile,
     theta: int,

@@ -29,7 +29,6 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -55,8 +54,7 @@ def _class_values(p: float, L: int) -> list[int]:
     the final truncating shift; E leaves 64 guard bits above the
     smallest class value.
     """
-    frac = Fraction(p)
-    A, D = frac.numerator, frac.denominator
+    A, D = p.as_integer_ratio()
     a = D.bit_length() - 1
     B = D - A
     E = math.ceil(L * math.log2(1.0 / min(p, 1.0 - p))) + 64
@@ -224,7 +222,6 @@ class BernoulliBlockCode:
     L: int
     class_lengths: list[dict[int, int]]
     expected_length: float
-    max_length: int
     # per class: (length, first in-class rank, count, canonical offset), by length
     _class_buckets: list[list[tuple[int, int, int, int]]] = field(repr=False)
     _first_code: dict[int, int] = field(repr=False)
@@ -232,9 +229,6 @@ class BernoulliBlockCode:
     # per length: parallel arrays for decoding, sorted by offset
     _len_offsets: dict[int, list[int]] = field(repr=False)
     _len_entries: dict[int, list[tuple[int, int]]] = field(repr=False)  # (w, first rank)
-
-    def codeword_length(self, bits: Sequence[int]) -> int:
-        return len(self.encode_block(bits))
 
     def encode_block(self, bits: Sequence[int]) -> str:
         w, r = self._locate(bits)
@@ -326,15 +320,14 @@ def build_block_code(p: float, L: int) -> BernoulliBlockCode:
             + w * math.log(p)
             + (L - w) * math.log(q)
         )
-        avg_len = Fraction(sum(d * cnt for d, cnt in dm.items()), math.comb(L, w))
-        expected += math.exp(log_pmf) * float(avg_len)
+        avg_len = sum(d * cnt for d, cnt in dm.items()) / math.comb(L, w)
+        expected += math.exp(log_pmf) * avg_len
 
     return BernoulliBlockCode(
         p=p,
         L=L,
         class_lengths=class_lengths,
         expected_length=expected,
-        max_length=max_length,
         _class_buckets=class_buckets,
         _first_code=first_code,
         _count_at_length=count_at_length,

@@ -235,18 +235,6 @@ def tree_from_dict(data: object) -> DecisionTree:
     return Node(transmitter, tree_from_dict(data["on_zero"]), tree_from_dict(data["on_one"]))
 
 
-def tree_to_json(tree: DecisionTree, indent: int | None = 2) -> str:
-    return json.dumps(tree_to_dict(tree), indent=indent, sort_keys=True)
-
-
-def tree_from_json(text: str) -> DecisionTree:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise InputError(f"invalid tree JSON: {e}") from e
-    return tree_from_dict(data)
-
-
 def tree_to_dot(tree: DecisionTree, labels: Sequence[str] | None = None) -> str:
     """Render a strategy as Graphviz DOT with deterministic preorder node ids.
 

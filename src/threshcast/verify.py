@@ -18,9 +18,10 @@ the fixed order.  The supporting inequalities are S1 <= 0 (i >= k+2),
 S2 <= 0 (i <= k), T <= S1, T <= S2, and T identically 0 at i = k+1;
 the last one holds in exact float arithmetic, not just to tolerance.
 
-This module evaluates all of them against the subset cost table and
-reports every violation, which also makes it a sharp detector for a
-corrupted or miscomputed table.
+`lemma_record` evaluates T, S1 and S2 at one (k, i) pair against the
+subset cost table, and `check_lemma_inequalities` sweeps it over every
+pair and reports every violation, which also makes it a sharp detector
+for a corrupted or miscomputed table.
 """
 
 from __future__ import annotations
@@ -47,73 +48,6 @@ EXHAUSTIVE_MAX_N = 4
 FAMILIES = ("T<=0", "S1<=0", "S2<=0", "T<=S1", "T<=S2", "T=0@i=k+1")
 
 
-def _check_k_i(m: int, k: int, i: int) -> None:
-    if not 0 <= k <= m - 1:
-        raise InputError(f"k {k} outside 0..{m - 1}")
-    if not 1 <= i <= m:
-        raise InputError(f"i {i} outside 1..{m}")
-
-
-def _shifted(table: CostTable, remaining: frozenset[int], t: int) -> float:
-    return table.cost(ComputationState(remaining, t)) - 1.0
-
-
-def _first_transmission_term(table: CostTable, j: int, t: int, full: frozenset[int]) -> float:
-    p = table.profile.p(j)
-    rest = full - {j}
-    return p * _shifted(table, rest, t - 1) + (1.0 - p) * _shifted(table, rest, t)
-
-
-def compute_T(table: CostTable, k: int, i: int) -> float:
-    """First-transmitter cost gap: node k+1 first minus node i first.
-
-    Both halves are evaluated by the identical operation sequence, so at
-    i = k+1 they are the same float and the gap is exactly 0.0, not just
-    0 up to rounding.
-    """
-    m = table.profile.n
-    _check_k_i(m, k, i)
-    t = m - k
-    full = frozenset(range(1, m + 1))
-    return _first_transmission_term(table, k + 1, t, full) - _first_transmission_term(
-        table, i, t, full
-    )
-
-
-def compute_S1(table: CostTable, k: int, i: int) -> float:
-    m = table.profile.n
-    _check_k_i(m, k, i)
-    if i < k + 2:
-        raise InputError(f"S1 is defined for i >= k+2, got k={k}, i={i}")
-    t = m - k
-    full = frozenset(range(1, m + 1))
-    p_k1 = table.profile.p(k + 1)
-    p_i = table.profile.p(i)
-    both = full - {k + 1, i}
-    return (
-        (p_k1 - p_i) * table.cost(ComputationState(both, t - 1))
-        + (1.0 - p_k1) * _shifted(table, full - {k + 1}, t)
-        - (1.0 - p_i) * _shifted(table, full - {i}, t)
-    )
-
-
-def compute_S2(table: CostTable, k: int, i: int) -> float:
-    m = table.profile.n
-    _check_k_i(m, k, i)
-    if i > k:
-        raise InputError(f"S2 is defined for i <= k, got k={k}, i={i}")
-    t = m - k
-    full = frozenset(range(1, m + 1))
-    p_k1 = table.profile.p(k + 1)
-    p_i = table.profile.p(i)
-    both = full - {k + 1, i}
-    return (
-        (p_i - p_k1) * table.cost(ComputationState(both, t - 1))
-        + p_k1 * _shifted(table, full - {k + 1}, t - 1)
-        - p_i * _shifted(table, full - {i}, t - 1)
-    )
-
-
 @dataclass(frozen=True)
 class LemmaRecord:
     """All quantities evaluated at one (k, i) pair (None where undefined)."""
@@ -123,6 +57,41 @@ class LemmaRecord:
     T: float
     S1: Optional[float]
     S2: Optional[float]
+
+
+def lemma_record(table: CostTable, k: int, i: int) -> LemmaRecord:
+    """T, S1 and S2 at one (k, i) pair, S1 and S2 None outside their domains.
+
+    Each of the five costs is looked up once.  T's two halves are evaluated
+    by the identical operation sequence, so at i = k+1 they are the same
+    float and T is exactly 0.0, not just 0 up to rounding.
+    """
+    profile = table.profile
+    m = profile.n
+    if not 0 <= k <= m - 1:
+        raise InputError(f"k {k} outside 0..{m - 1}")
+    if not 1 <= i <= m:
+        raise InputError(f"i {i} outside 1..{m}")
+    t = m - k
+    full = frozenset(range(1, m + 1))
+
+    def shifted(j: int) -> tuple[float, float]:
+        """Ct(rest(j), t-1) and Ct(rest(j), t)."""
+        rest = full - {j}
+        return (table.cost(ComputationState(rest, t - 1)) - 1.0,
+                table.cost(ComputationState(rest, t)) - 1.0)
+
+    p_k1, p_i = profile.p(k + 1), profile.p(i)
+    (k1_one, k1_zero), (i_one, i_zero) = shifted(k + 1), shifted(i)
+    T = (p_k1 * k1_one + (1.0 - p_k1) * k1_zero) - (p_i * i_one + (1.0 - p_i) * i_zero)
+    S1 = S2 = None
+    if i != k + 1:
+        both = table.cost(ComputationState(full - {k + 1, i}, t - 1))
+        if i > k + 1:
+            S1 = (p_k1 - p_i) * both + (1.0 - p_k1) * k1_zero - (1.0 - p_i) * i_zero
+        else:
+            S2 = (p_i - p_k1) * both + p_k1 * k1_one - p_i * i_one
+    return LemmaRecord(k=k, i=i, T=T, S1=S1, S2=S2)
 
 
 @dataclass(frozen=True)
@@ -173,10 +142,9 @@ def check_lemma_inequalities(
 
     for k in range(m):
         for i in range(1, m + 1):
-            T = compute_T(table, k, i)
-            S1 = compute_S1(table, k, i) if i >= k + 2 else None
-            S2 = compute_S2(table, k, i) if i <= k else None
-            report.records.append(LemmaRecord(k=k, i=i, T=T, S1=S1, S2=S2))
+            rec = lemma_record(table, k, i)
+            report.records.append(rec)
+            T, S1, S2 = rec.T, rec.S1, rec.S2
             if i == k + 1:
                 consider("T=0@i=k+1", k, i, abs(T), T != 0.0)
             else:
@@ -190,18 +158,6 @@ def check_lemma_inequalities(
 
     report.worst = worst
     return report
-
-
-def lemma_report_rows(report: LemmaReport) -> list[list[str]]:
-    """Flatten a report into CSV rows (header first, floats at 12 digits)."""
-
-    def fmt(v: Optional[float]) -> str:
-        return "" if v is None else "%.12g" % v
-
-    rows = [["k", "i", "T", "S1", "S2"]]
-    for rec in report.records:
-        rows.append([str(rec.k), str(rec.i), fmt(rec.T), fmt(rec.S1), fmt(rec.S2)])
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +238,7 @@ def exhaustive_strategy_check(
     table_cost = table.cost(spec.initial_state())
     policy_cost = index_policy_cost(profile, theta)
     witness: Optional[DecisionTree] = None
-    if best_cost < table_cost - tolerance:
-        witness = best_tree
-    elif abs(table_cost - best_cost) > tolerance or abs(policy_cost - best_cost) > tolerance:
+    if abs(table_cost - best_cost) > tolerance or abs(policy_cost - best_cost) > tolerance:
         witness = best_tree
     return ExhaustiveReport(
         n=profile.n,

@@ -1,0 +1,66 @@
+"""Names that code and docs outside `src/` rely on still resolve.
+
+`perfbench/tracing.py` wraps threshcast functions at the module attribute
+its callers read, and the oracles in `perfbench/workloads.py` call package
+names; README's quick start documents the public API.  Deleting any of
+those names must fail here rather than at a traced bench run or for a
+reader of the docs.
+"""
+
+import ast
+import importlib
+import importlib.util
+import re
+from pathlib import Path
+
+import pytest
+
+import threshcast
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# the package names the oracles in perfbench/workloads.py call
+ORACLE_NAMES = ("tree_from_dict", "strategy_cost", "index_policy_cost", "annotate_reachable_states", "ProbabilityProfile")
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_names_resolve():
+    tracing = load_tracing()
+    assert tracing.FUNCTIONS and tracing.METHODS
+    for mod, attr, _ in tracing.FUNCTIONS:
+        assert callable(getattr(importlib.import_module(f"threshcast.{mod}"), attr)), (mod, attr)
+    for mod, cls, meth, _ in tracing.METHODS:
+        assert callable(getattr(getattr(importlib.import_module(f"threshcast.{mod}"), cls), meth)), (mod, cls, meth)
+
+
+def test_oracle_names_resolve():
+    workloads = (ROOT / "perfbench" / "workloads.py").read_text(encoding="utf-8")
+    for name in ORACLE_NAMES:
+        assert f"tc.{name}(" in workloads, name
+        assert name in threshcast.__all__ and callable(getattr(threshcast, name)), name
+
+
+def test_readme_quick_start():
+    """Run the quick start and compare each commented result with the value it shows."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    namespace: dict = {}
+    shown = []
+    for stmt in ast.parse(block).body:
+        source = ast.get_source_segment(block, stmt)
+        if not isinstance(stmt, ast.Expr):
+            exec(source, namespace)
+            continue
+        # "expr   # 1.4  (comment)": the value is the literal right after the '#'
+        want = re.match(r"\s*#\s*(\([^)]*\)|[-\d.]+)", lines[stmt.end_lineno - 1][stmt.end_col_offset :])
+        got = eval(source, namespace)
+        shown.append(want.group(1))
+        assert got == pytest.approx(ast.literal_eval(want.group(1)), abs=1e-12), source
+    assert shown == ["1.4", "1.4", "(1, 1)"]

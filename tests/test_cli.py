@@ -10,6 +10,7 @@ import pytest
 from threshcast import io as tio
 from threshcast.cli import SEED_ENV_VAR, annotation_rows, main
 from threshcast.core import ProbabilityProfile
+from threshcast.dp import CostTable
 from threshcast.policy import annotate_reachable_states
 from threshcast.sim import SimulationReport
 
@@ -143,6 +144,28 @@ class TestPolicy:
         assert fields["cost_matches_table"] == "true"
         assert fields["states_off_policy"] == "0"
         assert fields["check"] == "passed"
+
+    def test_check_csv_has_the_check_fields(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "policy", "--probs", "0.3,0.6", "--theta", "1", "--check", "--format", "csv"
+        )
+        assert code == 0
+        assert out == (
+            "n,theta,policy_cost,table_cost,cost_matches_table,states_off_policy,check\n"
+            "2,1,1.4,1.4,true,0,passed\n"
+        )
+
+    def test_failed_check_shows_in_csv(self, capsys, monkeypatch):
+        monkeypatch.setattr(CostTable, "minimizers", lambda self, state, tol=0.0: ())
+        code, out, _ = run_cli(
+            capsys, "policy", "--probs", "0.2,0.5,0.7", "--theta", "2", "--check", "--format", "csv"
+        )
+        assert code == 4
+        header, values = (line.split(",") for line in out.splitlines())
+        row = dict(zip(header, values))
+        assert row["check"] == "failed"
+        assert row["cost_matches_table"] == "true"
+        assert int(row["states_off_policy"]) > 0
 
     def test_annotate_table(self, capsys):
         code, out, _ = run_cli(

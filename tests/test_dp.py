@@ -24,7 +24,6 @@ from threshcast.dp import (
     CostTable,
     mask_of,
     optimal_cost,
-    optimal_first_transmitters,
     optimal_tree,
     set_of,
     strategy_cost,
@@ -99,15 +98,20 @@ class TestAgainstOracle:
         )
 
 
+def first_transmitters(profile: ProbabilityProfile, theta: int) -> tuple[int, ...]:
+    table = CostTable(profile, theta=theta)
+    return table.minimizers(ThresholdSpec(profile.n, theta).initial_state())
+
+
 class TestMinimizersAndTies:
     def test_minimizers_hand_cases(self):
         p = ProbabilityProfile((0.3, 0.6))
-        assert optimal_first_transmitters(p, 1) == (2,)
-        assert optimal_first_transmitters(p, 2) == (1,)
+        assert first_transmitters(p, 1) == (2,)
+        assert first_transmitters(p, 2) == (1,)
 
     def test_equal_probabilities_tie(self):
         p = ProbabilityProfile((0.5, 0.5))
-        assert optimal_first_transmitters(p, 1) == (1, 2)
+        assert first_transmitters(p, 1) == (1, 2)
 
     def test_exact_mode_uses_rationals(self):
         p = ProbabilityProfile((0.25, 0.5))

@@ -53,7 +53,7 @@ GOLDEN = [
     (
         "policy-check-csv-n8",
         ["policy", "--probs", P8, "--theta", "6", "--check", "--format", "csv"],
-        "34d553b464c2d95d51cb63ccd25524444d99290e9902f7f6d5dfb9cbcd89d37d",
+        "3d970937589b2fd0e0c0069930834be4fe7996865ccc5ce15533443c46fa2e46",
     ),
     (
         "policy-table-n200",
@@ -116,7 +116,7 @@ GOLDEN = [
     (
         "policy-check-csv-n12-theta1",
         ["policy", "--probs", P12, "--theta", "1", "--check", "--format", "csv"],
-        "0a7701551a537f141208d442e04a1b24645a0152f59cb03f9f26c47ae02b69f8",
+        "9b15c00380ca69ec6c6a0e126ae9039308564e25b9d3a58a6664fd867f7d725c",
     ),
 ]
 

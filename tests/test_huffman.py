@@ -196,7 +196,7 @@ class TestBlockCode:
         for v in range(64):
             bits = [int(b) for b in format(v, "06b")]
             cw = code.encode_block(bits)
-            assert len(cw) == code.codeword_length(bits)
+            assert len(cw) == len(code.encode_block(bits))
             decoded, pos = code.decode_block(cw)
             assert decoded == bits and pos == len(cw)
             words[v] = cw
@@ -234,7 +234,7 @@ class TestBlockCode:
             for v in range(256):
                 bits = [int(b) for b in format(v, "08b")]
                 if sum(bits) == w:
-                    lengths.append(code.codeword_length(bits))
+                    lengths.append(len(code.encode_block(bits)))
             # enumeration order of equal-weight blocks is lexicographic
             assert lengths == sorted(lengths), w
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from threshcast.cli import main
 from threshcast.core import (
     CapacityError,
     ComputationState,
@@ -16,12 +17,9 @@ from threshcast.verify import (
     FAMILIES,
     LemmaViolation,
     check_lemma_inequalities,
-    compute_S1,
-    compute_S2,
-    compute_T,
     enumerate_trees,
     exhaustive_strategy_check,
-    lemma_report_rows,
+    lemma_record,
 )
 
 
@@ -46,8 +44,8 @@ class TestGapQuantities:
     """
 
     def test_T_frozen_value(self):
-        assert compute_T(table_for((0.3, 0.6)), 0, 2) == pytest.approx(-0.3, abs=1e-15)
-        assert compute_T(table_for((0.3, 0.6)), 1, 1) == pytest.approx(-0.3, abs=1e-15)
+        assert lemma_record(table_for((0.3, 0.6)), 0, 2).T == pytest.approx(-0.3, abs=1e-15)
+        assert lemma_record(table_for((0.3, 0.6)), 1, 1).T == pytest.approx(-0.3, abs=1e-15)
 
     def test_T_is_exactly_zero_at_reference_node(self):
         rng = np.random.default_rng(41)
@@ -56,26 +54,28 @@ class TestGapQuantities:
             probs = tuple(sorted(float(p) for p in rng.uniform(0.02, 0.98, m)))
             table = table_for(probs)
             for k in range(m):
-                assert compute_T(table, k, k + 1) == 0.0  # exact, not approx
+                assert lemma_record(table, k, k + 1).T == 0.0  # exact, not approx
 
     def test_S1_frozen_value(self):
-        assert compute_S1(table_for((0.3, 0.6)), 0, 2) == pytest.approx(-0.3, abs=1e-15)
+        assert lemma_record(table_for((0.3, 0.6)), 0, 2).S1 == pytest.approx(-0.3, abs=1e-15)
 
     def test_S2_frozen_value(self):
-        assert compute_S2(table_for((0.3, 0.6)), 1, 1) == pytest.approx(-0.3, abs=1e-15)
+        assert lemma_record(table_for((0.3, 0.6)), 1, 1).S2 == pytest.approx(-0.3, abs=1e-15)
 
     def test_domain_validation(self):
         table = table_for((0.3, 0.5, 0.6))
         with pytest.raises(InputError):
-            compute_T(table, 3, 1)  # k must stay below m
+            lemma_record(table, 3, 1)  # k must stay below m
         with pytest.raises(InputError):
-            compute_T(table, -1, 1)
+            lemma_record(table, -1, 1)
         with pytest.raises(InputError):
-            compute_T(table, 0, 4)  # i above m
-        with pytest.raises(InputError):
-            compute_S1(table, 1, 2)  # S1 needs i >= k+2
-        with pytest.raises(InputError):
-            compute_S2(table, 1, 2)  # S2 needs i <= k
+            lemma_record(table, 0, 4)  # i above m
+        for k in range(3):
+            for i in range(1, 4):
+                rec = lemma_record(table, k, i)
+                assert (rec.k, rec.i) == (k, i)
+                assert (rec.S1 is None) == (i < k + 2)  # S1 needs i >= k+2
+                assert (rec.S2 is None) == (i > k)  # S2 needs i <= k
 
 
 class TestLemmaReport:
@@ -103,14 +103,16 @@ class TestLemmaReport:
     def test_equal_probabilities_pass(self):
         assert check_lemma_inequalities(ProbabilityProfile((0.5,) * 6)).passed
 
-    def test_csv_rows(self):
-        report = check_lemma_inequalities(ProbabilityProfile((0.3, 0.6)))
-        rows = lemma_report_rows(report)
+    def test_csv_rows(self, capsys):
+        assert main(["verify", "--probs", "0.6,0.3", "--format", "csv"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
         assert rows[0] == ["k", "i", "T", "S1", "S2"]
-        assert len(rows) == 1 + 4
+        report = check_lemma_inequalities(ProbabilityProfile((0.3, 0.6)))
+        assert [(r[0], r[1]) for r in rows[1:]] == [(str(rec.k), str(rec.i)) for rec in report.records]
         by_ki = {(r[0], r[1]): r for r in rows[1:]}
-        assert by_ki[("0", "2")][2] == "-0.3"
-        assert by_ki[("0", "1")][3] == ""  # S1 undefined at i = k+1
+        assert by_ki[("0", "1")] == ["0", "1", "0", "", ""]  # S1, S2 undefined at i = k+1
+        assert by_ki[("0", "2")] == ["0", "2", "-0.3", "-0.3", ""]
+        assert by_ki[("1", "1")] == ["1", "1", "-0.3", "", "-0.3"]
 
     def test_detects_corrupted_cost_table(self):
         # bump one interior entry; every inequality that routes through the
