@@ -51,7 +51,6 @@ from .policy import (
     annotate_reachable_states,
     build_index_tree,
     index_policy_cost,
-    index_policy_next,
 )
 from .sim import (
     BlockExperimentReport,
@@ -112,7 +111,6 @@ __all__ = [
     "evaluate_function",
     "exhaustive_strategy_check",
     "index_policy_cost",
-    "index_policy_next",
     "ingest_values",
     "lemma_record",
     "load_profile",

@@ -20,7 +20,7 @@ import json
 import os
 import sys
 from itertools import accumulate
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -94,33 +94,53 @@ def load_config(path: Optional[str]) -> dict:
     return data
 
 
-def resolve(args: argparse.Namespace, config: dict, key: str, default=None):
+def _parse_order(v) -> Union[str, tuple[int, ...]]:
+    """'conjectured', or a rank permutation given as comma separated integers."""
+    return "conjectured" if v == "conjectured" else tuple(int(s) for s in str(v).split(","))
+
+
+def _flag(v) -> bool:
+    """A boolean option's value: only a JSON true or false, never a string such as "false"."""
+    if not isinstance(v, bool):
+        raise ValueError("expected true or false")
+    return v
+
+
+def _convert(name: str, v, kind, low=None):
+    """`kind(v)`, at least `low`; otherwise an InputError naming the option."""
+    try:
+        v = kind(v)
+    except (TypeError, ValueError) as e:
+        raise InputError(f"bad {name} value {v!r}: {e}") from e
+    if low is not None and v < low:
+        raise InputError(f"{name} must be at least {low}, got {v!r}")
+    return v
+
+
+def resolve(args: argparse.Namespace, config: dict, key: str, default=None, kind=None, low=None):
+    """Option `key` from the command line, else the config file, else `default`
+    (a JSON null counts as unset), converted by `kind` when given and not None."""
     v = getattr(args, key, None)
-    if v is not None:
-        return v
-    if key in config:
-        return config[key]
-    return default
+    if v is None:
+        v = config.get(key)
+    if v is None:
+        v = default
+    return v if kind is None or v is None else _convert(f"--{key.replace('_', '-')}", v, kind, low)
 
 
 def require_theta(args: argparse.Namespace, config: dict) -> int:
-    v = resolve(args, config, "theta")
+    v = resolve(args, config, "theta", kind=int)
     if v is None:
         raise InputError("--theta is required")
-    return int(v)
+    return v
 
 
 def resolve_seed(args: argparse.Namespace, config: dict) -> Optional[int]:
-    v = resolve(args, config, "seed")
-    if v is not None:
-        return int(v)
+    v = resolve(args, config, "seed", kind=int, low=0)
     env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as e:
-            raise InputError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from e
-    return None
+    if v is None and env is not None:
+        v = _convert(SEED_ENV_VAR, env, int, low=0)
+    return v
 
 
 def resolve_profile(args: argparse.Namespace, config: dict) -> IngestedProfile:
@@ -232,9 +252,9 @@ def cmd_solve(args: argparse.Namespace, config: dict) -> str:
     ingested = resolve_profile(args, config)
     profile = ingested.profile
     theta = require_theta(args, config)
-    node_cap = int(resolve(args, config, "max_n", DEFAULT_NODE_CAP))
-    tol = float(resolve(args, config, "tol", DEFAULT_TIE_TOL))
-    exact = bool(resolve(args, config, "exact", False))
+    node_cap = resolve(args, config, "max_n", DEFAULT_NODE_CAP, int)
+    tol = resolve(args, config, "tol", DEFAULT_TIE_TOL, float)
+    exact = resolve(args, config, "exact", False, _flag)
 
     table = CostTable(profile, node_cap=node_cap, exact=exact, theta=theta)
     spec = ThresholdSpec(profile.n, theta)
@@ -267,13 +287,14 @@ def cmd_policy(args: argparse.Namespace, config: dict) -> str:
     spec = ThresholdSpec(profile.n, theta)
     cost = index_policy_cost(profile, theta)
     out_format = resolve(args, config, "format", "table")
-    tree = build_index_tree(profile.n, theta) if args.check or out_format in ("json", "dot") else None
+    checked = resolve(args, config, "check", False, _flag)
+    tree = build_index_tree(profile.n, theta) if checked or out_format in ("json", "dot") else None
 
     check: Optional[dict] = None
     check_failed = False
-    if args.check:
-        node_cap = int(resolve(args, config, "max_n", DEFAULT_NODE_CAP))
-        tol = float(resolve(args, config, "tol", DEFAULT_TIE_TOL))
+    if checked:
+        node_cap = resolve(args, config, "max_n", DEFAULT_NODE_CAP, int)
+        tol = resolve(args, config, "tol", DEFAULT_TIE_TOL, float)
         table = CostTable(profile, node_cap=node_cap, theta=spec.theta)
         table_cost = table.cost(spec.initial_state())
         cost_ok = abs(table_cost - cost) <= tol
@@ -289,7 +310,8 @@ def cmd_policy(args: argparse.Namespace, config: dict) -> str:
             "check": "failed" if check_failed else "passed",
         }
 
-    annotations = annotate_reachable_states(profile, theta) if args.annotate else None
+    annotate = resolve(args, config, "annotate", False, _flag)
+    annotations = annotate_reachable_states(profile, theta) if annotate else None
     if out_format == "dot":
         return tree_to_dot(tree, labels=rank_labels(ingested, resolve(args, config, "labels")))
     record = [("n", profile.n), ("theta", theta), ("policy_cost", cost), *(check or {}).items()]
@@ -329,7 +351,8 @@ _WORST_COLUMNS = [
 
 
 def cmd_verify(args: argparse.Namespace, config: dict) -> str:
-    tolerance = float(resolve(args, config, "tolerance", DEFAULT_LEMMA_TOL))
+    tolerance = resolve(args, config, "tolerance", DEFAULT_LEMMA_TOL, float)
+    exhaustive = resolve(args, config, "exhaustive", False, _flag)
     explicit = (
         getattr(args, "probs", None) is not None
         or getattr(args, "probs_file", None) is not None
@@ -341,8 +364,8 @@ def cmd_verify(args: argparse.Namespace, config: dict) -> str:
         ingested = resolve_profile(args, config)
         profiles = [ingested.profile]
     else:
-        sweeps = int(resolve(args, config, "sweeps", 100))
-        max_n = int(resolve(args, config, "max_n", 8))
+        sweeps = resolve(args, config, "sweeps", 100, int)
+        max_n = resolve(args, config, "max_n", 8, int, low=2)
         seed = resolve_seed(args, config)
         if seed is None:
             raise InputError("sweep mode needs --seed (or the seed env var) for reproducibility")
@@ -364,7 +387,7 @@ def cmd_verify(args: argparse.Namespace, config: dict) -> str:
         total_violations += len(report.violations)
         ex_trees = ""
         ex_ok = ""
-        if args.exhaustive:
+        if exhaustive:
             if profile.n > EXHAUSTIVE_MAX_N and explicit:
                 raise CapacityError(
                     f"--exhaustive enumerates every strategy tree and is capped at "
@@ -391,17 +414,17 @@ def cmd_verify(args: argparse.Namespace, config: dict) -> str:
     passed = total_violations == 0 and exhaustive_failures == 0
     worst = [(name, max((r.worst.get(fam, 0.0) for r in reports), default=0.0)) for name, fam in _WORST_COLUMNS]
     record = [("profiles", len(profiles)), ("tolerance", tolerance), ("violations", total_violations)]
-    exhaustive = [("exhaustive_checks", exhaustive_runs), ("exhaustive_failures", exhaustive_failures)]
+    exhaustive_fields = [("exhaustive_checks", exhaustive_runs), ("exhaustive_failures", exhaustive_failures)]
     if out_format == "csv" and explicit:
         lemma_rows = [[text_value(v) for v in vars(rec).values()] for rec in reports[0].records]
         text = render_csv([["k", "i", "T", "S1", "S2"]] + lemma_rows)
     elif out_format == "csv":
         text = render_csv(summary_rows)
     elif out_format == "json":
-        text = render_record(record + exhaustive + [("passed", passed)], "json", worst={k: jround(v) for k, v in worst})
+        text = render_record(record + exhaustive_fields + [("passed", passed)], "json", worst={k: jround(v) for k, v in worst})
     else:
         verdict = [("verify", "passed" if passed else "failed")]
-        text = render_record(record + worst + (exhaustive if args.exhaustive else []) + verdict, out_format)
+        text = render_record(record + worst + (exhaustive_fields if exhaustive else []) + verdict, out_format)
 
     if not passed:
         raise VerificationFailure(text)
@@ -412,7 +435,7 @@ def cmd_simulate(args: argparse.Namespace, config: dict) -> str:
     ingested = resolve_profile(args, config)
     profile = ingested.profile
     theta = require_theta(args, config)
-    trials = int(resolve(args, config, "trials", 10000))
+    trials = resolve(args, config, "trials", 10000, int)
     seed = resolve_seed(args, config)
     tree = build_index_tree(profile.n, theta)
     report = simulate_tree(tree, profile, theta, trials, seed=seed)
@@ -439,14 +462,10 @@ def cmd_block(args: argparse.Namespace, config: dict) -> str:
     ingested = resolve_profile(args, config)
     profile = ingested.profile
     theta = require_theta(args, config)
-    N = int(resolve(args, config, "N", 1024))
-    reps = int(resolve(args, config, "reps", 10))
+    N = resolve(args, config, "N", 1024, int)
+    reps = resolve(args, config, "reps", 10, int)
     seed = resolve_seed(args, config)
-    order_arg = resolve(args, config, "order", "conjectured")
-    if order_arg != "conjectured":
-        order = tuple(int(s) for s in str(order_arg).split(","))
-    else:
-        order = "conjectured"
+    order = resolve(args, config, "order", "conjectured", _parse_order)
 
     reports, summary = run_block_replications(profile, theta, N, reps, seed=seed, order=order)
     single = index_policy_cost(profile, theta)
@@ -466,7 +485,7 @@ def cmd_block(args: argparse.Namespace, config: dict) -> str:
         ("error_count", summary.error_count),
     ]
     transcript = {}
-    if args.transcript:
+    if resolve(args, config, "transcript", False, _flag):
         transcript["replications"] = [
             {
                 "total_bits": r.total_bits,
@@ -513,8 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_policy = sub.add_parser("policy", help="closed-form transmission order and its cost")
     add_common(p_policy)
     p_policy.add_argument("--format", choices=["table", "json", "csv", "dot"])
-    p_policy.add_argument("--check", action="store_true", help="verify the order against the exact table")
-    p_policy.add_argument("--annotate", action="store_true", help="list reachable states with reach probability and onward cost")
+    p_policy.add_argument("--check", action="store_true", default=None, help="verify the order against the exact table")
+    p_policy.add_argument("--annotate", action="store_true", default=None, help="list reachable states with reach probability and onward cost")
     p_policy.add_argument("--max-n", dest="max_n", type=int)
     p_policy.add_argument("--tol", type=float)
     p_policy.add_argument("--labels", help="comma separated node names, in input order (dot output)")
@@ -527,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-n", dest="max_n", type=int, help="largest random profile size")
     p_verify.add_argument("--seed", type=int, help="sweep RNG seed")
     p_verify.add_argument("--tolerance", type=float, help="inequality slack treated as rounding")
-    p_verify.add_argument("--exhaustive", action="store_true", help="also enumerate all trees (n <= 4)")
+    p_verify.add_argument("--exhaustive", action="store_true", default=None, help="also enumerate all trees (n <= 4)")
     p_verify.set_defaults(func=cmd_verify)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo walks of the policy strategy")
@@ -544,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_block.add_argument("--reps", type=int)
     p_block.add_argument("--seed", type=int)
     p_block.add_argument("--order", help="'conjectured' or an explicit rank permutation like 2,1")
-    p_block.add_argument("--transcript", action="store_true", help="include per-round records (json)")
+    p_block.add_argument("--transcript", action="store_true", default=None, help="include per-round records (json)")
     p_block.set_defaults(func=cmd_block)
 
     return parser

@@ -18,6 +18,12 @@ decides the function.  The points are the root (0, 0), (z, o, low) for
 z >= 1 and (z, o, high) for o >= 1, with z <= k and o <= theta - 1:
 (k + 1) * theta + k * (theta - 1) in all.  One sweep over the
 anti-diagonals d = z + o, deepest first, yields costs and the tree.
+
+The policy has no per-state picker here: its consumers (the Monte Carlo
+walk, the block protocol, `policy --check`) take it as the DAG that
+`build_index_tree` returns, one node per lattice point.  A picker over
+explicit remaining sets lives in the tests, as the oracle the lattice is
+checked against.
 """
 
 from __future__ import annotations
@@ -27,26 +33,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .core import (
-    ComputationState,
-    ContractViolation,
-    DecisionTree,
-    Determination,
-    Leaf,
-    Node,
-    ProbabilityProfile,
-    ThresholdSpec,
-    classify_state,
-)
-
-
-def index_policy_next(state: ComputationState) -> int:
-    """Rank the policy transmits next from an undetermined state."""
-    if classify_state(state) is not Determination.UNDETERMINED:
-        raise ContractViolation("policy queried at a determined state")
-    m = len(state.remaining)
-    t = state.residual_theta
-    return sorted(state.remaining)[m - t]
+from .core import DecisionTree, Leaf, Node, ProbabilityProfile, ThresholdSpec
 
 
 # ---------------------------------------------------------------------------

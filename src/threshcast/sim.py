@@ -17,22 +17,10 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import (
-    ComputationState,
-    Determination,
-    InputError,
-    Leaf,
-    Node,
-    DecisionTree,
-    ProbabilityProfile,
-    ThresholdSpec,
-    apply_transmission,
-    classify_state,
-    dag_postorder,
-)
+from .core import DecisionTree, InputError, Leaf, Node, ProbabilityProfile, ThresholdSpec, dag_postorder
 from .dp import strategy_cost
 from .huffman import build_block_code
-from .policy import index_policy_next
+from .policy import build_index_tree
 
 
 def draw_measurements(
@@ -125,22 +113,49 @@ def simulate_tree(
 OrderSpec = Union[str, Sequence[int]]
 
 
-def _next_transmitter_fn(order: OrderSpec, n: int) -> Callable[[ComputationState], int]:
+def _strategy_dag(order: OrderSpec, n: int, theta: int) -> DecisionTree:
+    """The strategy DAG an order names: the rank policy's, or a fixed permutation's.
+
+    A permutation's DAG has one node per (ranks spoken j, residual
+    threshold t): it asks order[j], and a 0 leads to (j + 1, t), a 1 to
+    (j + 1, t - 1).  It is built bottom up, one row of t per j.
+    """
+    ThresholdSpec(n, theta)
     if order == "conjectured":
-        return index_policy_next
+        return build_index_tree(n, theta)
     if isinstance(order, str):
         raise InputError(f"order must be 'conjectured' or a permutation, got {order!r}")
     perm = tuple(int(r) for r in order)
     if sorted(perm) != list(range(1, n + 1)):
         raise InputError(f"order {perm!r} is not a permutation of 1..{n}")
+    zero, one = Leaf(0), Leaf(1)
+    row: list[DecisionTree] = [one] + [zero] * theta  # all n spoken
+    for j in range(n - 1, -1, -1):
+        row = [one] + [Node(perm[j], row[t], row[t - 1]) if t <= n - j else zero for t in range(1, theta + 1)]
+    return row[theta]
 
-    def fixed(state: ComputationState) -> int:
-        for rank in perm:
-            if rank in state.remaining:
-                return rank
-        raise AssertionError("undetermined state with empty remaining set")
 
-    return fixed
+def _block_walk(tree: DecisionTree, N: int, send: Callable[[int, np.ndarray], np.ndarray]) -> np.ndarray:
+    """Walk N instances through `tree` in lockstep; return each one's value (int8).
+
+    Depth first from an explicit stack, the zero branch popped before the
+    one branch.  At each node with live instances, `send(rank, live)`
+    transmits one block for the live instance indices and returns their
+    bits as a bool array; a node no instance reaches sends nothing.
+    """
+    values = np.full(N, -1, dtype=np.int8)
+    stack: list[tuple[DecisionTree, np.ndarray]] = [(tree, np.arange(N))]
+    while stack:
+        t, live = stack.pop()
+        if live.size == 0:
+            continue
+        if isinstance(t, Leaf):
+            values[live] = t.value
+            continue
+        ones = send(t.transmitter, live)
+        stack.append((t.on_one, live[ones]))
+        stack.append((t.on_zero, live[~ones]))
+    return values
 
 
 @dataclass(frozen=True)
@@ -178,73 +193,49 @@ def run_block_strategy(
 ) -> BlockExperimentReport:
     """Run N instances in lockstep, one Huffman-coded block per scheduled node.
 
-    The schedule walks the strategy's state tree depth first, zero branch
-    before one branch.  At each undetermined state the due node encodes
-    its bits for exactly the instances still live there, as one iid block
-    under its own marginal; states with no live instances transmit
-    nothing.  Afterwards the whole run is decoded back from the bit
+    The schedule walks the strategy DAG depth first, zero branch before
+    one branch.  At each node the transmitter encodes its bits for
+    exactly the instances still live there, as one iid block under its
+    own marginal; nodes with no live instances transmit nothing.
+    Afterwards the same walk decodes the whole run back from the bit
     stream alone and every instance's value is checked against the
     function, so the protocol is validated end to end, not just costed.
     At N = 1 every block is a single bit and the protocol degenerates to
     the plain single-instance strategy.
     """
-    spec = ThresholdSpec(profile.n, theta)
+    return _run_on_dag(_strategy_dag(order, profile.n, theta), profile, theta, N, seed, rng, order)
+
+
+def _run_on_dag(
+    tree: DecisionTree, profile: ProbabilityProfile, theta: int, N: int,
+    seed: Optional[int], rng: Optional[np.random.Generator], order: OrderSpec,
+) -> BlockExperimentReport:
     if N < 1:
         raise InputError(f"N must be positive, got {N}")
     if rng is None:
         rng = np.random.default_rng(seed)
     X = draw_measurements(profile, N, rng)
-    next_rank = _next_transmitter_fn(order, profile.n)
-
     stream_parts: list[str] = []
     rounds: list[RoundRecord] = []
-    values = np.full(N, -1, dtype=np.int8)
 
-    # depth first from explicit stacks, the zero branch popped before the one branch
-    stack: list[tuple[ComputationState, np.ndarray]] = [(spec.initial_state(), np.arange(N))]
-    while stack:
-        state, live = stack.pop()
-        if live.size == 0:
-            continue
-        det = classify_state(state)
-        if det is not Determination.UNDETERMINED:
-            values[live] = 1 if det is Determination.ONE else 0
-            continue
-        rank = next_rank(state)
+    def encode(rank: int, live: np.ndarray) -> np.ndarray:
         block = X[live, rank - 1]
-        code = build_block_code(profile.p(rank), int(live.size))
-        cw = code.encode_block(block.astype(int).tolist())
-        rounds.append(
-            RoundRecord(
-                index=len(rounds),
-                transmitter=rank,
-                live_count=int(live.size),
-                code_bits=len(cw),
-            )
-        )
+        cw = build_block_code(profile.p(rank), int(live.size)).encode_block(block.astype(int).tolist())
+        rounds.append(RoundRecord(len(rounds), rank, int(live.size), len(cw)))
         stream_parts.append(cw)
-        stack.append((apply_transmission(state, rank, 1), live[block]))
-        stack.append((apply_transmission(state, rank, 0), live[~block]))
+        return block
+
+    values = _block_walk(tree, N, encode)
     stream = "".join(stream_parts)
+    cursor = 0
+
+    def decode(rank: int, live: np.ndarray) -> np.ndarray:
+        nonlocal cursor
+        block, cursor = build_block_code(profile.p(rank), int(live.size)).decode_block(stream, cursor)
+        return np.array(block, dtype=bool)
 
     # decode replay: reconstruct every instance's value from the stream alone
-    decoded = np.full(N, -1, dtype=np.int8)
-    cursor = 0
-    replay: list[tuple[ComputationState, list[int]]] = [(spec.initial_state(), list(range(N)))]
-    while replay:
-        state, live = replay.pop()
-        if not live:
-            continue
-        det = classify_state(state)
-        if det is not Determination.UNDETERMINED:
-            for i in live:
-                decoded[i] = 1 if det is Determination.ONE else 0
-            continue
-        rank = next_rank(state)
-        code = build_block_code(profile.p(rank), len(live))
-        block, cursor = code.decode_block(stream, cursor)
-        replay.append((apply_transmission(state, rank, 1), [i for i, b in zip(live, block) if b]))
-        replay.append((apply_transmission(state, rank, 0), [i for i, b in zip(live, block) if not b]))
+    decoded = _block_walk(tree, N, decode)
     if cursor != len(stream):
         raise AssertionError("decoder did not consume the whole stream")
     truth = (X.sum(axis=1) >= theta).astype(np.int8)
@@ -294,9 +285,10 @@ def run_block_replications(
     """Independent repetitions of the lockstep protocol with spawned substreams."""
     if reps < 2:
         raise InputError("at least 2 replications are needed for a standard error")
+    tree = _strategy_dag(order, profile.n, theta)
     children = np.random.SeedSequence(seed).spawn(reps)
     reports = [
-        run_block_strategy(profile, theta, N, rng=np.random.default_rng(child), order=order)
+        _run_on_dag(tree, profile, theta, N, None, np.random.default_rng(child), order)
         for child in children
     ]
     per_inst = np.array([r.bits_per_instance for r in reports])

@@ -1,6 +1,7 @@
 """Shared test plumbing: the acceptance-criteria result board, the
-policy's state walker, the recursive subset-cost oracle, the heap
-block-code builder and the explicit-alphabet Huffman code.
+policy's per-state picker and state walker, the state-walking block
+protocol encoder, the recursive subset-cost oracle, the heap block-code
+builder and the explicit-alphabet Huffman code.
 
 Acceptance tests register one verdict per criterion before asserting, so
 the terminal summary always shows a pass/fail line per criterion even
@@ -11,19 +12,23 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, Optional
+
+import numpy as np
 
 from threshcast.core import (
     CapacityError,
     ComputationState,
+    ContractViolation,
     Determination,
     InputError,
+    ProbabilityProfile,
     ThresholdSpec,
     apply_transmission,
     classify_state,
 )
-from threshcast.huffman import _class_values
-from threshcast.policy import index_policy_next
+from threshcast.huffman import _class_values, build_block_code
+from threshcast.sim import RoundRecord, draw_measurements
 
 ACCEPTANCE_RESULTS: dict[int, tuple[bool, str]] = {}
 
@@ -40,6 +45,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         passed, detail = ACCEPTANCE_RESULTS[num]
         status = "PASS" if passed else "FAIL"
         terminalreporter.write_line(f"[criterion {num}] {status} - {detail}")
+
+
+def index_policy_next(state: ComputationState) -> int:
+    """Rank the policy transmits next from an undetermined state: the node at
+    sorted position m - t + 1 of the m remaining, with residual threshold t."""
+    if classify_state(state) is not Determination.UNDETERMINED:
+        raise ContractViolation("policy queried at a determined state")
+    m = len(state.remaining)
+    t = state.residual_theta
+    return sorted(state.remaining)[m - t]
 
 
 def reachable_decision_states(n: int, theta: int) -> list[ComputationState]:
@@ -68,6 +83,45 @@ def reachable_decision_states(n: int, theta: int) -> list[ComputationState]:
                 seen.add(key)
                 stack.append(child)
     return out
+
+
+def reference_block_rounds(
+    profile: ProbabilityProfile, theta: int, N: int, seed: int, order: Optional[tuple[int, ...]] = None
+) -> tuple[tuple[RoundRecord, ...], tuple[int, ...], int]:
+    """(rounds, values, total bits) of the lockstep block protocol, an oracle
+    for the DAG walk in the package.
+
+    Walks explicit `ComputationState`s depth first, zero branch first; the
+    next transmitter is `index_policy_next`, or with `order` the first rank
+    of the permutation still remaining.  Values are the determined values
+    the walk reaches, per instance.
+    """
+
+    def next_rank(state: ComputationState) -> int:
+        if order is None:
+            return index_policy_next(state)
+        return next(r for r in order if r in state.remaining)
+
+    X = draw_measurements(profile, N, np.random.default_rng(seed))
+    rounds: list[RoundRecord] = []
+    values = [-1] * N
+    stack = [(ThresholdSpec(profile.n, theta).initial_state(), np.arange(N))]
+    while stack:
+        state, live = stack.pop()
+        if live.size == 0:
+            continue
+        det = classify_state(state)
+        if det is not Determination.UNDETERMINED:
+            for i in live:
+                values[i] = 1 if det is Determination.ONE else 0
+            continue
+        rank = next_rank(state)
+        block = X[live, rank - 1]
+        cw = build_block_code(profile.p(rank), int(live.size)).encode_block(block.astype(int).tolist())
+        rounds.append(RoundRecord(len(rounds), rank, int(live.size), len(cw)))
+        stack.append((apply_transmission(state, rank, 1), live[block]))
+        stack.append((apply_transmission(state, rank, 0), live[~block]))
+    return tuple(rounds), tuple(values), sum(r.code_bits for r in rounds)
 
 
 def reference_cost_table(probs: tuple, exact: bool = False):

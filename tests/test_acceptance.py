@@ -10,13 +10,13 @@ import json
 
 import numpy as np
 
-from conftest import ACCEPTANCE_RESULTS, reachable_decision_states, record_criterion
+from conftest import ACCEPTANCE_RESULTS, index_policy_next, reachable_decision_states, record_criterion
 from threshcast.cli import main
 from threshcast.core import ProbabilityProfile, ThresholdSpec, walk_tree
 from threshcast.dp import CostTable, optimal_cost, optimal_tree, strategy_cost
 from threshcast.huffman import bernoulli_entropy, build_block_code
 from threshcast.io import tree_to_dict
-from threshcast.policy import build_index_tree, index_policy_cost, index_policy_next
+from threshcast.policy import build_index_tree, index_policy_cost
 from threshcast.sim import (
     draw_measurements,
     run_block_replications,

@@ -480,7 +480,94 @@ class TestBlock:
         assert code == 2
 
 
+    @pytest.mark.parametrize("order", ["x,y", "", "1,,2"])
+    def test_malformed_order_exits_2(self, capsys, order):
+        code, out, err = run_cli(
+            capsys,
+            "block", "--probs", "0.3,0.6", "--theta", "1",
+            "--N", "8", "--reps", "2", "--seed", "5", "--order", order,
+        )
+        assert code == 2 and out == ""
+        assert "--order" in err
+
+
+class TestMalformedValues:
+    """Values that parse as the wrong thing exit 2 with the option's name, not a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--probs", "0.3,0.6", "--theta", "1", "--seed", "-1"],
+        ["block", "--probs", "0.3,0.6", "--theta", "1", "--N", "8", "--reps", "2", "--seed", "-1"],
+        ["verify", "--sweeps", "3", "--seed", "-2"],
+    ])
+    def test_negative_seed(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "--seed" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "block"])
+    def test_negative_seed_from_env(self, capsys, monkeypatch, command):
+        monkeypatch.setenv(SEED_ENV_VAR, "-1")
+        code, out, err = run_cli(capsys, command, "--probs", "0.3,0.6", "--theta", "1")
+        assert code == 2 and out == ""
+        assert SEED_ENV_VAR in err
+
+    def test_sweep_max_n_below_two(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--sweeps", "3", "--max-n", "1", "--seed", "1")
+        assert code == 2 and out == ""
+        assert "--max-n" in err
+
+    @pytest.mark.parametrize("command,key", [
+        ("solve", "theta"),
+        ("solve", "tol"),
+        ("policy", "max_n"),
+        ("simulate", "trials"),
+        ("block", "N"),
+        ("block", "seed"),
+        ("verify", "tolerance"),
+    ])
+    def test_config_value_not_a_number(self, capsys, tmp_path, command, key):
+        cfg = tmp_path / "cfg.json"
+        settings = {"probs": "0.3,0.6", "theta": 1, "seed": 1, "check": True, key: "abc"}
+        cfg.write_text(json.dumps(settings))
+        code, out, err = run_cli(capsys, command, "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert f"bad --{key.replace('_', '-')} value 'abc'" in err
+
+
 class TestConfigAndOutput:
+    @pytest.mark.parametrize("command,flag,shows", [
+        ("policy", "check", "check=passed\n"),
+        ("policy", "annotate", "remaining,residual_theta,transmitter"),
+        ("verify", "exhaustive", "exhaustive_checks=2\n"),
+    ])
+    def test_config_sets_flags(self, capsys, tmp_path, command, flag, shows):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"probs": "0.3,0.6", "theta": 1, flag: True}))
+        code, out, _ = run_cli(capsys, command, "--config", str(cfg))
+        assert code == 0
+        assert shows in out
+        cfg.write_text(json.dumps({"probs": "0.3,0.6", "theta": 1, flag: False}))
+        code, out, _ = run_cli(capsys, command, "--config", str(cfg))
+        assert code == 0
+        assert shows not in out
+
+    @pytest.mark.parametrize("command,flag", [("policy", "check"), ("solve", "exact"), ("block", "transcript")])
+    def test_config_flag_must_be_boolean(self, capsys, tmp_path, command, flag):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"probs": "0.3,0.6", "theta": 1, "seed": 1, flag: "false"}))
+        code, out, err = run_cli(capsys, command, "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert f"bad --{flag} value 'false'" in err
+
+    def test_config_sets_transcript(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"probs": "0.3,0.6", "theta": 1, "N": 8, "reps": 2, "seed": 5,
+                                   "format": "json", "transcript": True}))
+        code, out, _ = run_cli(capsys, "block", "--config", str(cfg))
+        assert code == 0
+        assert len(json.loads(out)["replications"]) == 2
+
+
     def test_config_supplies_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"probs": "0.3,0.6", "theta": 1, "format": "json"}))

@@ -118,6 +118,13 @@ GOLDEN = [
         ["policy", "--probs", P12, "--theta", "1", "--check", "--format", "csv"],
         "9b15c00380ca69ec6c6a0e126ae9039308564e25b9d3a58a6664fd867f7d725c",
     ),
+    (
+        # a fixed order runs its own strategy DAG, not the policy's
+        "block-json-transcript-order-n4",
+        ["block", "--probs", P4, "--theta", "2", "--N", "64", "--reps", "2", "--seed", "3",
+         "--order", "3,1,4,2", "--format", "json", "--transcript"],
+        "a3b7b5180f5c5191b0629db6f59fac58135cc4ab8f3840cb3bd4210af2421292",
+    ),
 ]
 
 

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import reachable_decision_states
+from conftest import index_policy_next, reachable_decision_states
 from threshcast.core import (
     ComputationState,
     ContractViolation,
@@ -32,7 +32,6 @@ from threshcast.policy import (
     annotate_reachable_states,
     build_index_tree,
     index_policy_cost,
-    index_policy_next,
 )
 
 

@@ -5,7 +5,9 @@ import time
 import numpy as np
 import pytest
 
+from conftest import reference_block_rounds
 from threshcast.core import InputError, Leaf, Node, ProbabilityProfile, walk_tree
+from threshcast.huffman import BernoulliBlockCode
 from threshcast.dp import optimal_tree, strategy_cost
 from threshcast.policy import build_index_tree, index_policy_cost
 from threshcast.sim import (
@@ -206,6 +208,66 @@ class TestBlockProtocol:
             theta = int(rng.integers(1, n + 1))
             report = run_block_strategy(profile, theta, 64, seed=int(rng.integers(1 << 20)))
             assert report.error_count == 0
+
+
+class TestBlockWalkAgainstStateWalk:
+    """The DAG walk sends the rounds, and reaches the values, of the state walk it replaced."""
+
+    def test_matches_reference_encoder(self):
+        rng = np.random.default_rng(67)
+        cases = 0
+        for _ in range(160):
+            n = int(rng.integers(1, 7))
+            profile = ProbabilityProfile(tuple(sorted(float(p) for p in rng.uniform(0.03, 0.97, n))))
+            N = int(rng.integers(1, 70))
+            seed = int(rng.integers(1 << 20))
+            fixed = tuple(int(r) + 1 for r in rng.permutation(n))
+            for theta in {0, int(rng.integers(1, n + 1)), n + 1}:
+                for order in (None, fixed):
+                    report = run_block_strategy(profile, theta, N, seed=seed, order=order or "conjectured")
+                    rounds, values, total_bits = reference_block_rounds(profile, theta, N, seed, order)
+                    assert report.rounds == rounds, (profile.probs, theta, N, seed, order)
+                    assert report.values == values
+                    assert report.total_bits == total_bits
+                    assert report.error_count == 0
+                    cases += 1
+        assert cases >= 300
+
+    def test_a_flipped_decoded_bit_is_caught(self, monkeypatch):
+        # the replay shares the encoder's walk but reads its bits from the
+        # stream: one wrong decoded bit must show, as decoded values that
+        # differ from the function, as a stream not read to its end, or as
+        # a codeword cut off by the stream's end
+        decode = BernoulliBlockCode.decode_block
+        calls = {"made": 0, "flip_at": 0}
+
+        def decode_one_wrong(self, stream, pos=0):
+            block, end = decode(self, stream, pos)
+            calls["made"] += 1
+            if calls["made"] == calls["flip_at"]:
+                block = [1 - block[0]] + list(block[1:])
+            return block, end
+
+        monkeypatch.setattr(BernoulliBlockCode, "decode_block", decode_one_wrong)
+        profile = ProbabilityProfile((0.2, 0.45, 0.6, 0.8))
+        seen = set()
+        for order in ("conjectured", (3, 1, 4, 2)):
+            for theta in (1, 2, 3):
+                for flip_at in (1, 2, 3):
+                    calls.update(made=0, flip_at=flip_at)
+                    try:
+                        report = run_block_strategy(profile, theta, 48, seed=theta, order=order)
+                    except AssertionError as e:
+                        assert "whole stream" in str(e)
+                        seen.add("cursor")
+                    except InputError as e:
+                        assert "stream ended" in str(e)
+                        seen.add("cut off")
+                    else:
+                        assert report.error_count > 0, (order, theta, flip_at)
+                        seen.add("errors")
+                    assert calls["made"] >= flip_at
+        assert {"errors", "cursor"} <= seen
 
 
 class TestReplications:
