@@ -106,6 +106,13 @@ def _flag(v) -> bool:
     return v
 
 
+def _text(v) -> str:
+    """A string option's value: a JSON number or list is refused, not coerced."""
+    if not isinstance(v, str):
+        raise ValueError("expected a string")
+    return v
+
+
 def _convert(name: str, v, kind, low=None):
     """`kind(v)`, at least `low`; otherwise an InputError naming the option."""
     try:
@@ -268,7 +275,7 @@ def cmd_solve(args: argparse.Namespace, config: dict) -> str:
 
     out_format = resolve(args, config, "format", "table")
     if out_format == "dot":
-        return tree_to_dot(tree, labels=rank_labels(ingested, resolve(args, config, "labels")))
+        return tree_to_dot(tree, labels=rank_labels(ingested, resolve(args, config, "labels", kind=_text)))
     record = [("n", profile.n), ("theta", theta), ("optimal_cost", cost_f)]
     if out_format == "json":
         return render_record(record, "json", optimal_first_transmitters=list(first), tree=tree,
@@ -313,7 +320,7 @@ def cmd_policy(args: argparse.Namespace, config: dict) -> str:
     annotate = resolve(args, config, "annotate", False, _flag)
     annotations = annotate_reachable_states(profile, theta) if annotate else None
     if out_format == "dot":
-        return tree_to_dot(tree, labels=rank_labels(ingested, resolve(args, config, "labels")))
+        return tree_to_dot(tree, labels=rank_labels(ingested, resolve(args, config, "labels", kind=_text)))
     record = [("n", profile.n), ("theta", theta), ("policy_cost", cost), *(check or {}).items()]
     if out_format == "table":
         text = render_record(record[:2] + profile_fields(ingested) + record[2:], "table")

@@ -9,11 +9,13 @@ with C = 0 at determined states.  Each subset reads only subsets one
 element smaller, so the table is filled one cardinality level at a time
 (Held & Karp's subset DP): every l-subset has exactly l set bits, so a
 level takes l whole-array passes, the k-th over the k-th lowest bit of
-every subset at once.  A table without a theta answers every substate
-query for one profile; one built for a theta fills only the band of t
-that a walk from the full set can reach, one t per level at theta = 1
-or n.  Subset enumeration is exponential in n; the cap guards against
-accidental huge instances.
+every subset at once.  A pass is two contiguous gathers: the band rows
+one level down, taken column-wise at the subsets without that bit, and
+the bit's probability, looked up by the one-bit mask itself.  A table
+without a theta answers every substate query for one profile; one built
+for a theta fills only the band of t that a walk from the full set can
+reach, one t per level at theta = 1 or n.  Subset enumeration is
+exponential in n; the cap guards against accidental huge instances.
 """
 
 from __future__ import annotations
@@ -71,6 +73,10 @@ class CostTable:
     theta) can reach, t = max(1, theta-(n-l)) .. min(l, theta); the band
     reads only the band one level down, so its entries equal the full
     table's, and an undetermined query outside it raises InputError.
+    Level l's pass over the k-th lowest set bit `low` of every subset is
+    `np.take(band_rows, np.take(row, masks ^ low), axis=1)` on the band
+    rows of level l-1, sliced once per level, and `np.take(p_of_bit, low)`
+    on a 2**n array holding p_i at the one-bit mask 1 << (i-1).
     With exact=True the same fill runs over object arrays of rationals
     (probabilities taken at their exact binary float values), so ties
     are ties, not artifacts of rounding.
@@ -125,20 +131,22 @@ class CostTable:
         starts = np.cumsum([0] + sizes)
         row = np.empty(1 << n, dtype=np.int32)
         row[by_level] = np.arange(1 << n) - np.repeat(starts[:-1], sizes)
-        probs = np.array(self._probs, dtype=dtype)
+        # indexed by the one-bit mask itself: p_of_bit[1 << (rank - 1)] = p_rank
+        p_of_bit = np.full(1 << n, zero, dtype=dtype)
+        p_of_bit[1 << np.arange(n)] = np.array(self._probs, dtype=dtype)
         levels = [np.full((2, 1), zero, dtype=dtype)]
         for l in range(1, n + 1):
             lo, hi = self._lo[l], self._hi[l]
             masks = by_level[starts[l] : starts[l + 1]]
-            prev = levels[l - 1]
+            band_rows = levels[l - 1][lo - 1 : hi + 1]
             cur = np.full((l + 2, sizes[l]), zero, dtype=dtype)
             rest = masks
             for k in range(l):
                 # every l-subset has a k-th lowest set bit: remove it from all at once
                 low = rest & -rest
                 rest = rest ^ low
-                below = prev[lo - 1 : hi + 1, row[masks ^ low]]
-                p = probs[popcount[low - 1]]
+                below = np.take(band_rows, np.take(row, masks ^ low), axis=1)
+                p = np.take(p_of_bit, low)
                 # the recurrence's operation order, so entries are bit-identical to it
                 c = one + p * below[:-1] + (one - p) * below[1:]
                 band = c if k == 0 else np.minimum(band, c, out=band)
@@ -165,9 +173,10 @@ class CostTable:
         )
 
     def _check_state(self, state: ComputationState) -> tuple[int, int]:
+        n = self.profile.n
         for rank in state.remaining:
-            if not 1 <= rank <= self.profile.n:
-                raise InputError(f"rank {rank} outside this profile's 1..{self.profile.n}")
+            if not 1 <= rank <= n:
+                raise InputError(f"rank {rank} outside this profile's 1..{n}")
         return mask_of(state.remaining), state.residual_theta
 
     def cost(self, state: ComputationState):

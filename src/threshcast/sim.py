@@ -231,7 +231,12 @@ def _run_on_dag(
 
     def decode(rank: int, live: np.ndarray) -> np.ndarray:
         nonlocal cursor
-        block, cursor = build_block_code(profile.p(rank), int(live.size)).decode_block(stream, cursor)
+        code = build_block_code(profile.p(rank), int(live.size))
+        try:
+            block, cursor = code.decode_block(stream, cursor)
+        except InputError as e:
+            # the stream is the encoder's own, so a misread is the protocol's failure
+            raise AssertionError(f"decode replay failed: {e}") from e
         return np.array(block, dtype=bool)
 
     # decode replay: reconstruct every instance's value from the stream alone

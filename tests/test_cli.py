@@ -533,6 +533,15 @@ class TestMalformedValues:
         assert code == 2 and out == ""
         assert f"bad --{key.replace('_', '-')} value 'abc'" in err
 
+    @pytest.mark.parametrize("command", ["solve", "policy"])
+    @pytest.mark.parametrize("labels", [5, ["a", "b"]])
+    def test_config_labels_not_a_string(self, capsys, tmp_path, command, labels):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"labels": labels, "format": "dot"}))
+        code, out, err = run_cli(capsys, command, "--probs", "0.3,0.6", "--theta", "1", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert "bad --labels value" in err
+
 
 class TestConfigAndOutput:
     @pytest.mark.parametrize("command,flag,shows", [

@@ -28,6 +28,9 @@ P4 = probs_arg(4, 3, 11)
 P200 = probs_arg(200, 37, 211)
 P30 = probs_arg(30, 11, 31)
 P120 = probs_arg(120, 49, 127)
+P13 = probs_arg(13, 5, 17)
+P15 = probs_arg(15, 4, 19)
+P16 = probs_arg(16, 7, 17)
 
 GOLDEN = [
     (
@@ -124,6 +127,27 @@ GOLDEN = [
         ["block", "--probs", P4, "--theta", "2", "--N", "64", "--reps", "2", "--seed", "3",
          "--order", "3,1,4,2", "--format", "json", "--transcript"],
         "a3b7b5180f5c5191b0629db6f59fac58135cc4ab8f3840cb3bd4210af2421292",
+    ),
+    (
+        # the subset-table fill at the sizes the benchmark's solve and --check ops reach
+        "solve-n16-theta1",
+        ["solve", "--probs", P16, "--theta", "1"],
+        "7da2f0966c1ec250fe27dbc05621a47e1d59f7261e8b7ab2b23d071605e6f54b",
+    ),
+    (
+        "solve-n16-theta16",
+        ["solve", "--probs", P16, "--theta", "16"],
+        "e7f8ef4e882beccaa40697b932ce52b32f0152471b18de6b4a647cfa1170b358",
+    ),
+    (
+        "solve-n13-theta7",
+        ["solve", "--probs", P13, "--theta", "7"],
+        "701fc6646a648210daa51ba8226fea6c2e59b3ff23197e2c8b80e183a8ec06c4",
+    ),
+    (
+        "policy-check-n15-theta1",
+        ["policy", "--probs", P15, "--theta", "1", "--check"],
+        "cef234e264154fd42b938723eac2e7ed54455278b0f4f2cdd866d1a4361d121c",
     ),
 ]
 
