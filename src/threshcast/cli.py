@@ -33,6 +33,7 @@ from .core import (
 )
 # strategy_cost is not called here: perfbench/tracing.py wraps it under this module's name
 from .dp import DEFAULT_NODE_CAP, DEFAULT_TIE_TOL, CostTable, optimal_tree, strategy_cost
+# nor is tree_to_dict, for the same reason
 from .io import IngestedProfile, load_profile, parse_probs_arg, render_json, tree_to_dict, tree_to_dot
 from .policy import StateAnnotation, annotate_reachable_states, build_index_tree, index_policy_cost
 from .sim import run_block_replications, simulate_tree
@@ -283,7 +284,7 @@ def cmd_solve(args: argparse.Namespace, config: dict) -> str:
     record.append(("optimal_first_transmitters", ";".join(str(r) for r in first)))
     if out_format == "table":
         record[2:2] = profile_fields(ingested)
-        record.append(("tree", json.dumps(tree_to_dict(tree), sort_keys=True)))
+        record.append(("tree", render_json(tree, compact=True)))
     return render_record(record, out_format)
 
 
@@ -371,7 +372,7 @@ def cmd_verify(args: argparse.Namespace, config: dict) -> str:
         ingested = resolve_profile(args, config)
         profiles = [ingested.profile]
     else:
-        sweeps = resolve(args, config, "sweeps", 100, int)
+        sweeps = resolve(args, config, "sweeps", 100, int, low=1)
         max_n = resolve(args, config, "max_n", 8, int, low=2)
         seed = resolve_seed(args, config)
         if seed is None:

@@ -280,25 +280,3 @@ def dag_postorder(tree: DecisionTree) -> list[DecisionTree]:
         order.append(t)
     return order
 
-
-def tree_extent(tree: DecisionTree) -> tuple[int, int, int]:
-    """(node count, depth in edges, JSON bytes) of the tree a DAG expands to,
-    memoized per node.
-
-    JSON bytes are those of `io.render_json(tree)` without its final
-    newline: indent 2, keys sorted.  That text has 3 * nodes - 1 line
-    breaks, so opening at nesting level lv it is 2 * lv * (3 * nodes - 1)
-    bytes longer.
-    """
-    memo: dict[int, tuple[int, int, int]] = {}
-    for t in dag_postorder(tree):
-        if isinstance(t, Leaf):
-            memo[id(t)] = (1, 0, 16)  # '{\n  "value": 1\n}'
-        else:
-            (zs, zd, zb), (os_, od, ob) = memo[id(t.on_zero)], memo[id(t.on_one)]
-            below = zs + os_
-            # 50 bytes of braces, keys, breaks and indentation, the transmitter, and
-            # both children one level in: 2 more bytes on each of their 3 * below - 2 breaks
-            nbytes = 46 + len(str(t.transmitter)) + zb + ob + 6 * below
-            memo[id(t)] = (1 + below, 1 + max(zd, od), nbytes)
-    return memo[id(tree)]

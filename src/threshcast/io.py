@@ -1,4 +1,6 @@
-"""Ingestion of probability profiles and (de)serialization of decision trees.
+"""Ingestion of probability profiles, tree (de)serialization, and
+rendering: the one JSON emitter for records and strategies, DOT export,
+and their caps.
 
 Profiles arrive as a JSON array or a single-column CSV in arbitrary
 order.  Solvers require ascending order, so ingestion sorts with a stable
@@ -14,7 +16,7 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import CapacityError, DecisionTree, InputError, Leaf, Node, ProbabilityProfile, tree_extent
+from .core import CapacityError, DecisionTree, InputError, Leaf, Node, ProbabilityProfile, dag_postorder
 
 
 @dataclass(frozen=True)
@@ -89,14 +91,39 @@ def parse_probs_arg(arg: str) -> IngestedProfile:
 # Strategies are shared DAGs, and rendering expands them into trees.  A
 # tree past these caps is refused with CapacityError (exit 3) instead of
 # being printed: 10**6 nodes admits every policy tree up to n = 20 (at
-# most 705 k nodes), and 900 levels of nesting is what the stdlib json
-# encoder handles at the default recursion limit, with room left for
-# its callers' frames.  Indented JSON grows two bytes per line and level,
-# so within those caps it can still reach gigabytes; 2**28 bytes admits
-# every policy tree up to n = 20 (at most 104 MB, at n = 20, theta = 11).
+# most 705 k nodes).  Rendering is iterative at any depth, but
+# `tree_to_dict` expands a tree recursively, and a reader's `json.loads`
+# recurses once per level: at the default recursion limit it parses 990
+# nested arrays and raises RecursionError at 1,000, so 900 levels leave
+# room for its callers' frames.  Indented JSON grows two bytes per line
+# and level, so within those caps it can still reach gigabytes; 2**28
+# bytes admits every policy tree up to n = 20 (at most 104 MB, at n = 20,
+# theta = 11).
 MAX_RENDER_NODES = 1_000_000
 MAX_JSON_DEPTH = 900
 MAX_JSON_BYTES = 1 << 28
+
+
+def tree_extent(tree: DecisionTree) -> tuple[int, int, int]:
+    """(node count, depth in edges, JSON bytes) of the tree a DAG expands to,
+    memoized per node.
+
+    JSON bytes are those of `render_json(tree)` without its final newline:
+    indent 2, keys sorted.  That text has 3 * nodes - 1 line breaks, so
+    opening at nesting level lv it is 2 * lv * (3 * nodes - 1) bytes longer.
+    """
+    memo: dict[int, tuple[int, int, int]] = {}
+    for t in dag_postorder(tree):
+        if isinstance(t, Leaf):
+            memo[id(t)] = (1, 0, 16)  # '{\n  "value": 1\n}'
+        else:
+            (zs, zd, zb), (os_, od, ob) = memo[id(t.on_zero)], memo[id(t.on_one)]
+            below = zs + os_
+            # 50 bytes of braces, keys, breaks and indentation, the transmitter, and
+            # both children one level in: 2 more bytes on each of their 3 * below - 2 breaks
+            nbytes = 46 + len(str(t.transmitter)) + zb + ob + 6 * below
+            memo[id(t)] = (1 + below, 1 + max(zd, od), nbytes)
+    return memo[id(tree)]
 
 
 def _check_render_caps(tree: DecisionTree, json_level: int | None = None) -> None:
@@ -114,65 +141,29 @@ def _check_render_caps(tree: DecisionTree, json_level: int | None = None) -> Non
         raise CapacityError(f"the strategy's JSON is {nbytes} bytes, over the output cap of {MAX_JSON_BYTES} bytes")
 
 
-def render_json(obj) -> str:
-    """`json.dumps(obj, sort_keys=True, indent=2) + "\\n"`, where a `Node` or
-    `Leaf` stands in for its `tree_to_dict` dict, under the same caps.
+def render_json(obj, compact: bool = False) -> str:
+    """`json.dumps(obj, sort_keys=True, indent=2) + "\\n"`, or with `compact`
+    `json.dumps(obj, sort_keys=True)`, where a `Node` or `Leaf` stands in
+    for its `tree_to_dict` dict, under the same caps.
 
-    Object keys must be strings.  A strategy that is `obj` or one of its
-    values is checked against the caps before anything is rendered.
+    Object keys must be strings.  A strategy is checked against the caps
+    before its container's items are rendered, as indented JSON opening at
+    its own nesting level, or, compact, at level 0 as `tree_to_dict` does.
+
+    The work is depth first from an explicit stack.  A strategy node met
+    again at a nesting level where its text is the same is appended as the
+    text of its first rendering: Python work is per (DAG node, level), and
+    each byte of a repeated subtree is joined once.  Building the text
+    bottom-up instead would copy every subtree's text into each
+    ancestor's, depth times over.
     """
-    values = obj.values() if isinstance(obj, dict) else ()
-    for value, level in ((obj, 0), *((v, 1) for v in values)):
-        if isinstance(value, (Node, Leaf)):
-            _check_render_caps(value, level)
-    out: list[str] = []
-    _emit_json(obj, 0, out)
-    out.append("\n")
-    return "".join(out)
-
-
-def _emit_json(obj, level: int, out: list[str]) -> None:
-    """Append the text of `obj` opening at nesting `level` to `out`."""
     if isinstance(obj, (Node, Leaf)):
-        _emit_tree(obj, level, out)
-        return
-    if isinstance(obj, dict) and obj:
-        for key in obj:
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be strings, got {key!r}")
-        items = [(f"{json.dumps(k)}: ", v) for k, v in sorted(obj.items())]
-        brackets = "{}"
-    elif isinstance(obj, (list, tuple)) and obj:
-        items = [("", v) for v in obj]
-        brackets = "[]"
-    else:
-        # an int's text is json's own, without a json.dumps call per number
-        out.append(int.__repr__(obj) if type(obj) is int else json.dumps(obj))
-        return
-    inner = "\n" + "  " * (level + 1)
-    sep = brackets[0] + inner
-    for prefix, value in items:
-        out.append(sep + prefix)
-        _emit_json(value, level + 1, out)
-        sep = "," + inner
-    out.append("\n" + "  " * level + brackets[1])
-
-
-def _emit_tree(tree: DecisionTree, level: int, out: list[str]) -> None:
-    """Append the indented JSON of `tree_to_dict(tree)`, opening at nesting
-    `level`, to `out`.
-
-    The DAG is expanded depth first, but a (node, level) met again, whose
-    indentation is the same, is appended as the text of its first rendering.
-    So Python work is per (DAG node, level), and each byte of a repeated
-    subtree is joined once: building the text bottom-up instead would copy
-    every subtree's text into each ancestor's, depth times over.
-    """
-    _check_render_caps(tree, level)
+        _check_render_caps(obj, 0)
+    out: list[str] = []
     # (id(node), level) -> the (start, end) span of its pieces in `out`, then their joined text
     rendered: dict[tuple[int, int], tuple[int, int] | str] = {}
-    # a (node, level) to render, a piece of text, or (None, key, start) closing a span
-    stack: list = [(tree, level)]
+    # a piece of text, a (value, level) to render, or (None, key, start) closing a node's span
+    stack: list = [(obj, 0)]
     while stack:
         entry = stack.pop()
         if isinstance(entry, str):
@@ -182,27 +173,44 @@ def _emit_tree(tree: DecisionTree, level: int, out: list[str]) -> None:
             _, key, start = entry
             rendered[key] = (start, len(out))
             continue
-        t, lv = entry
-        key = (id(t), lv)
-        done = rendered.get(key)
-        if done is not None:
-            if isinstance(done, tuple):
-                done = rendered[key] = "".join(out[done[0] : done[1]])
-            out.append(done)
-            continue
-        inner, close = "\n" + "  " * (lv + 1), "\n" + "  " * lv + "}"
-        if isinstance(t, Leaf):
-            rendered[key] = text = f'{{{inner}"value": {json.dumps(t.value)}{close}'
-            out.append(text)
-            continue
-        stack += (
-            (None, key, len(out)),
-            f',{inner}"transmitter": {json.dumps(t.transmitter)}{close}',
-            (t.on_zero, lv + 1),
-            f',{inner}"on_zero": ',
-            (t.on_one, lv + 1),
-        )
-        out.append(f'{{{inner}"on_one": ')
+        value, level = entry
+        if isinstance(value, (Node, Leaf)):
+            key = (id(value), 0 if compact else level)  # compact text is the same at every level
+            done = rendered.get(key)
+            if done is not None:
+                if isinstance(done, tuple):
+                    done = rendered[key] = "".join(out[done[0] : done[1]])
+                out.append(done)
+                continue
+            stack.append((None, key, len(out)))
+            items = [('"value": ', value.value)] if isinstance(value, Leaf) else [
+                ('"on_one": ', value.on_one), ('"on_zero": ', value.on_zero), ('"transmitter": ', value.transmitter)]
+            brackets = "{}"
+        else:
+            if isinstance(value, dict) and value:
+                if not all(isinstance(k, str) for k in value):
+                    raise TypeError("JSON object keys must be strings")
+                items = [(f"{json.dumps(k)}: ", v) for k, v in sorted(value.items())]
+                brackets = "{}"
+            elif isinstance(value, (list, tuple)) and value:
+                items = [("", v) for v in value]
+                brackets = "[]"
+            else:
+                # an int's text is json's own, without a json.dumps call per number
+                out.append(int.__repr__(value) if type(value) is int else json.dumps(value))
+                continue
+            for _, v in items:
+                if isinstance(v, (Node, Leaf)):
+                    _check_render_caps(v, 0 if compact else level + 1)
+        inner = "" if compact else "\n" + "  " * (level + 1)
+        pieces: list = []
+        for i, (prefix, v) in enumerate(items):
+            pieces += (("," + (inner or " ") if i else brackets[0] + inner) + prefix, (v, level + 1))
+        pieces.append(inner[:-2] + brackets[1])
+        stack += reversed(pieces)
+    if not compact:
+        out.append("\n")
+    return "".join(out)
 
 
 def tree_to_dict(tree: DecisionTree) -> dict:

@@ -11,6 +11,7 @@ from threshcast import io as tio
 from threshcast.cli import SEED_ENV_VAR, annotation_rows, main
 from threshcast.core import ProbabilityProfile
 from threshcast.dp import CostTable
+from threshcast.huffman import BernoulliBlockCode
 from threshcast.policy import annotate_reachable_states
 from threshcast.sim import SimulationReport
 
@@ -280,6 +281,20 @@ class TestTreeRenderingCaps:
         assert code == 3 and out == ""
         assert f"cap of {nbytes - 1} bytes" in err
 
+    def test_solve_table_tree_line_at_the_byte_cap(self, capsys, monkeypatch):
+        # the compact tree line is refused where the tree's indented text would be
+        argv = ("solve", "--probs", scrambled_probs(7), "--theta", "3")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        tree = json.loads(kv(out)["tree"])
+        nbytes = len(json.dumps(tree, indent=2, sort_keys=True))
+        monkeypatch.setattr(tio, "MAX_JSON_BYTES", nbytes)
+        assert run_cli(capsys, *argv) == (code, out, "")
+        monkeypatch.setattr(tio, "MAX_JSON_BYTES", nbytes - 1)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == ""
+        assert f"JSON is {nbytes} bytes, over the output cap of {nbytes - 1} bytes" in err
+
     def test_mid_theta_dot_at_n24_exits_3(self, capsys):
         code, out, err = run_cli(
             capsys, "policy", "--probs", scrambled_probs(24), "--theta", "12", "--format", "dot"
@@ -480,6 +495,22 @@ class TestBlock:
         assert code == 2
 
 
+    def test_failed_decode_replay_exits_5(self, capsys, monkeypatch):
+        decode = BernoulliBlockCode.decode_block
+
+        def flip_first_bit(self, stream, pos=0):
+            block, end = decode(self, stream, pos)
+            return [1 - block[0]] + list(block[1:]), end
+
+        monkeypatch.setattr(BernoulliBlockCode, "decode_block", flip_first_bit)
+        code, out, err = run_cli(
+            capsys,
+            "block", "--probs", "0.2,0.45,0.6,0.8", "--theta", "1",
+            "--N", "48", "--reps", "2", "--seed", "1", "--order", "3,1,4,2",
+        )
+        assert code == 5 and err == ""
+        assert int(kv(out)["error_count"]) > 0
+
     @pytest.mark.parametrize("order", ["x,y", "", "1,,2"])
     def test_malformed_order_exits_2(self, capsys, order):
         code, out, err = run_cli(
@@ -510,6 +541,17 @@ class TestMalformedValues:
         code, out, err = run_cli(capsys, command, "--probs", "0.3,0.6", "--theta", "1")
         assert code == 2 and out == ""
         assert SEED_ENV_VAR in err
+
+    @pytest.mark.parametrize("sweeps", ["0", "-3"])
+    def test_sweeps_below_one(self, capsys, tmp_path, sweeps):
+        code, out, err = run_cli(capsys, "verify", "--sweeps", sweeps, "--seed", "1")
+        assert code == 2 and out == ""
+        assert "--sweeps must be at least 1" in err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sweeps": int(sweeps), "seed": 1}))
+        code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert "--sweeps must be at least 1" in err
 
     def test_sweep_max_n_below_two(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--sweeps", "3", "--max-n", "1", "--seed", "1")

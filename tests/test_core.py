@@ -20,11 +20,10 @@ from threshcast.core import (
     classify_state,
     eliminate_deterministic,
     evaluate_function,
-    tree_extent,
     validate_tree,
     walk_tree,
 )
-from threshcast.io import tree_to_dict
+from threshcast.io import tree_extent, tree_to_dict
 from threshcast.policy import build_index_tree
 
 

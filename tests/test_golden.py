@@ -31,6 +31,8 @@ P120 = probs_arg(120, 49, 127)
 P13 = probs_arg(13, 5, 17)
 P15 = probs_arg(15, 4, 19)
 P16 = probs_arg(16, 7, 17)
+P18 = probs_arg(18, 5, 19)
+P10_11 = probs_arg(10, 3, 11)
 
 GOLDEN = [
     (
@@ -148,6 +150,23 @@ GOLDEN = [
         "policy-check-n15-theta1",
         ["policy", "--probs", P15, "--theta", "1", "--check"],
         "cef234e264154fd42b938723eac2e7ed54455278b0f4f2cdd866d1a4361d121c",
+    ),
+    (
+        # a 5.1 MB compact tree line
+        "solve-n18-theta9",
+        ["solve", "--probs", P18, "--theta", "9"],
+        "e23174d219a28b99a4cdff3997e1a7bc025f407e2cd50d99c676eb3fe6d2d5c1",
+    ),
+    (
+        # tied marginals: ties are broken toward the lowest rank
+        "solve-tied-n10",
+        ["solve", "--probs", "0.4,0.4,0.4,0.7,0.7,0.2,0.2,0.9,0.4,0.7", "--theta", "5"],
+        "a53f6bee97d539cef93dbbde82e897ff881271c0c280e2116478eb177c98423d",
+    ),
+    (
+        "solve-exact-n10",
+        ["solve", "--probs", P10_11, "--theta", "5", "--exact"],
+        "6edcea13ab80e48343226f4f2e0219c9fe89ef59d7dcb7857b7c1bdf7f6f1267",
     ),
 ]
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threshcast import io as tio
-from threshcast.core import CapacityError, InputError, Leaf, Node, ProbabilityProfile, tree_extent
+from threshcast.core import CapacityError, InputError, Leaf, Node, ProbabilityProfile
 from threshcast.dp import optimal_tree
 from threshcast.io import (
     ingest_values,
@@ -15,6 +15,7 @@ from threshcast.io import (
     parse_probs_arg,
     parse_profile_text,
     render_json,
+    tree_extent,
     tree_from_dict,
     tree_to_dict,
     tree_to_dot,
@@ -156,21 +157,25 @@ class TestRenderingCaps:
         tree = build_index_tree(6, 3)
         size, depth, _ = tree_extent(tree)
         monkeypatch.setattr(tio, "MAX_RENDER_NODES", size - 1)
-        for render in (tree_to_dict, tree_to_dot, render_json):
+        for render in (tree_to_dict, tree_to_dot, render_json, lambda t: render_json(t, compact=True)):
             with pytest.raises(CapacityError, match=f"cap of {size - 1}"):
                 render(tree)
         monkeypatch.setattr(tio, "MAX_RENDER_NODES", size)
         monkeypatch.setattr(tio, "MAX_JSON_DEPTH", depth - 1)
-        for render in (tree_to_dict, lambda t: render_json({"tree": t})):
+        for render in (tree_to_dict, lambda t: render_json({"tree": t}), lambda t: render_json([t], compact=True)):
             with pytest.raises(CapacityError, match=f"cap of {depth - 1}"):
                 render(tree)
         assert tree_to_dot(tree).count("shape=") == size
 
     def test_byte_cap_one_byte_either_side(self, monkeypatch):
         tree = build_index_tree(7, 3)
-        # the tree's own text, opening at nesting 0 and at nesting 1
+        # the tree's own text, opening at nesting 0 and at nesting 1; compact
+        # text is refused where tree_to_dict refuses, at the nesting-0 size
+        at_level_0 = len(stdlib_json(tree_to_dict(tree))) - 1
         cases = (
-            (tree_to_dict, len(stdlib_json(tree_to_dict(tree))) - 1),
+            (tree_to_dict, at_level_0),
+            (lambda t: render_json(t, compact=True), at_level_0),
+            (lambda t: render_json({"tree": [t]}, compact=True), at_level_0),
             (render_json, len(render_json(tree)) - 1),
             (lambda t: render_json({"tree": t}), len(render_json({"tree": tree})) - len('{\n  "tree": \n}\n')),
         )
@@ -209,24 +214,30 @@ RECORDS = st.recursive(
 
 
 class TestRenderJson:
-    """`render_json` is byte for byte `json.dumps(sort_keys=True, indent=2)` plus a newline."""
+    """`render_json` is byte for byte `json.dumps(sort_keys=True, indent=2)` plus a
+    newline, and compact, `json.dumps(sort_keys=True)`."""
 
     @settings(max_examples=200, deadline=None)
     @given(RECORDS)
     def test_random_records(self, obj):
         assert render_json(obj) == stdlib_json(obj)
+        assert render_json(obj, compact=True) == json.dumps(obj, sort_keys=True)
 
     def test_empty_and_nested_containers(self):
         for obj in ({}, [], (), {"a": {}}, {"a": [[], {}, ()]}, [[[]]], {"b": 1, "a": {"d": [1, {"c": None}]}}):
             assert render_json(obj) == stdlib_json(obj)
+            assert render_json(obj, compact=True) == json.dumps(obj, sort_keys=True)
 
     def test_non_string_keys_are_refused(self):
-        with pytest.raises(TypeError):
-            render_json({1: 2})
+        for compact in (False, True):
+            with pytest.raises(TypeError):
+                render_json({1: 2}, compact=compact)
 
     def assert_tree_renders(self, tree):
         assert render_json({"tree": tree}) == stdlib_json({"tree": tree_to_dict(tree)})
         assert render_json(tree) == stdlib_json(tree_to_dict(tree))
+        assert render_json({"tree": tree}, compact=True) == json.dumps({"tree": tree_to_dict(tree)}, sort_keys=True)
+        assert render_json(tree, compact=True) == json.dumps(tree_to_dict(tree), sort_keys=True)
 
     def test_policy_dags(self):
         for n in range(1, 10):
@@ -246,3 +257,4 @@ class TestRenderJson:
         obj = {"a": [tree, {"b": shared}], "c": shared, "n": 1}
         expected = {"a": [tree_to_dict(tree), {"b": tree_to_dict(shared)}], "c": tree_to_dict(shared), "n": 1}
         assert render_json(obj) == stdlib_json(expected)
+        assert render_json(obj, compact=True) == json.dumps(expected, sort_keys=True)

@@ -236,8 +236,9 @@ class TestBlockWalkAgainstStateWalk:
     def test_a_flipped_decoded_bit_is_caught(self, monkeypatch):
         # the replay shares the encoder's walk but reads its bits from the
         # stream: one wrong decoded bit must show, as decoded values that
-        # differ from the function, or as an AssertionError for a stream not
-        # read to its end or a codeword cut off by the stream's end
+        # differ from the function, or as a failed replay (a stream not read
+        # to its end, or a codeword cut off by its end) that counts every
+        # instance as an error
         decode = BernoulliBlockCode.decode_block
         calls = {"made": 0, "flip_at": 0}
 
@@ -255,19 +256,15 @@ class TestBlockWalkAgainstStateWalk:
             for theta in (1, 2, 3):
                 for flip_at in (1, 2, 3):
                     calls.update(made=0, flip_at=flip_at)
-                    try:
-                        report = run_block_strategy(profile, theta, 48, seed=theta, order=order)
-                    except AssertionError as e:
-                        if "stream ended" in str(e):
-                            seen.add("cut off")
-                        else:
-                            assert "whole stream" in str(e)
-                            seen.add("cursor")
+                    report = run_block_strategy(profile, theta, 48, seed=theta, order=order)
+                    assert report.error_count > 0, (order, theta, flip_at)
+                    if report.error_count == 48:
+                        assert report.values == (-1,) * 48
+                        seen.add("failed replay")
                     else:
-                        assert report.error_count > 0, (order, theta, flip_at)
-                        seen.add("errors")
+                        seen.add("value mismatch")
                     assert calls["made"] >= flip_at
-        assert seen == {"errors", "cursor", "cut off"}
+        assert seen == {"value mismatch", "failed replay"}
 
 
 class TestReplications:
