@@ -13,21 +13,16 @@ below one bit per transmission round.
 
 from .core import (
     CapacityError,
-    ComputationState,
-    ContractViolation,
     DecisionTree,
-    Determination,
     InputError,
     Leaf,
     Node,
     ProbabilityProfile,
     ThresholdSpec,
     TreeInvalidError,
-    apply_transmission,
-    classify_state,
     eliminate_deterministic,
     evaluate_function,
-    tree_internal_states,
+    tree_states,
     validate_tree,
     walk_tree,
 )
@@ -79,11 +74,8 @@ __all__ = [
     "BernoulliBlockCode",
     "BlockExperimentReport",
     "CapacityError",
-    "ComputationState",
-    "ContractViolation",
     "CostTable",
     "DecisionTree",
-    "Determination",
     "ExhaustiveReport",
     "IngestedProfile",
     "InputError",
@@ -99,12 +91,10 @@ __all__ = [
     "ThresholdSpec",
     "TreeInvalidError",
     "annotate_reachable_states",
-    "apply_transmission",
     "bernoulli_entropy",
     "build_block_code",
     "build_index_tree",
     "check_lemma_inequalities",
-    "classify_state",
     "draw_measurements",
     "eliminate_deterministic",
     "enumerate_trees",
@@ -122,7 +112,7 @@ __all__ = [
     "simulate_tree",
     "strategy_cost",
     "tree_from_dict",
-    "tree_internal_states",
+    "tree_states",
     "tree_to_dict",
     "tree_to_dot",
     "validate_tree",

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from itertools import accumulate
@@ -27,9 +28,10 @@ import numpy as np
 from .core import (
     CapacityError,
     InputError,
+    Leaf,
     ProbabilityProfile,
     ThresholdSpec,
-    tree_internal_states,
+    tree_states,
 )
 # strategy_cost is not called here: perfbench/tracing.py wraps it under this module's name
 from .dp import DEFAULT_NODE_CAP, DEFAULT_TIE_TOL, CostTable, optimal_tree, strategy_cost
@@ -115,11 +117,13 @@ def _text(v) -> str:
 
 
 def _convert(name: str, v, kind, low=None):
-    """`kind(v)`, at least `low`; otherwise an InputError naming the option."""
+    """`kind(v)`, at least `low` and finite; otherwise an InputError naming the option."""
     try:
         v = kind(v)
     except (TypeError, ValueError) as e:
         raise InputError(f"bad {name} value {v!r}: {e}") from e
+    if isinstance(v, float) and not math.isfinite(v):
+        raise InputError(f"{name} must be a finite number, got {v!r}")
     if low is not None and v < low:
         raise InputError(f"{name} must be at least {low}, got {v!r}")
     return v
@@ -261,16 +265,16 @@ def cmd_solve(args: argparse.Namespace, config: dict) -> str:
     profile = ingested.profile
     theta = require_theta(args, config)
     node_cap = resolve(args, config, "max_n", DEFAULT_NODE_CAP, int)
-    tol = resolve(args, config, "tol", DEFAULT_TIE_TOL, float)
+    tol = resolve(args, config, "tol", DEFAULT_TIE_TOL, float, low=0)
     exact = resolve(args, config, "exact", False, _flag)
 
     table = CostTable(profile, node_cap=node_cap, exact=exact, theta=theta)
-    spec = ThresholdSpec(profile.n, theta)
-    cost = table.cost(spec.initial_state())
+    full = (1 << profile.n) - 1
+    cost = table.cost(full, theta)
     cost_f = float(cost)
     tree = optimal_tree(profile, theta, table=table, tol=tol)
     if 1 <= theta <= profile.n:
-        first = table.minimizers(spec.initial_state(), tol=tol)
+        first = table.minimizers(full, theta, tol=tol)
     else:
         first = ()
 
@@ -302,13 +306,13 @@ def cmd_policy(args: argparse.Namespace, config: dict) -> str:
     check_failed = False
     if checked:
         node_cap = resolve(args, config, "max_n", DEFAULT_NODE_CAP, int)
-        tol = resolve(args, config, "tol", DEFAULT_TIE_TOL, float)
+        tol = resolve(args, config, "tol", DEFAULT_TIE_TOL, float, low=0)
         table = CostTable(profile, node_cap=node_cap, theta=spec.theta)
-        table_cost = table.cost(spec.initial_state())
+        table_cost = table.cost((1 << profile.n) - 1, theta)
         cost_ok = abs(table_cost - cost) <= tol
         bad_states = 0
-        for state, rank in tree_internal_states(tree, spec):
-            if rank not in table.minimizers(state, tol=tol):
+        for node, mask, t in tree_states(tree, spec):
+            if not isinstance(node, Leaf) and node.transmitter not in table.minimizers(mask, t, tol=tol):
                 bad_states += 1
         check_failed = not cost_ok or bad_states > 0
         check = {

@@ -5,11 +5,15 @@ ascending, together with an integer threshold theta: the target function
 is 1 iff at least theta of the n node bits equal 1.  Node identifiers are
 1-based ranks in the sorted profile; every module speaks rank space and
 conversion back to user labels happens at the ingestion boundary.
+
+A state of the decision problem is a pair (mask, t): the nodes that have
+not yet spoken, rank r at bit r - 1, and the residual threshold t.  It is
+determined once t <= 0 (value 1) or t > popcount(mask) (value 0);
+`tree_states` walks a strategy through these pairs.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
@@ -22,20 +26,8 @@ class CapacityError(RuntimeError):
     """Instance size exceeds a configured solver cap."""
 
 
-class ContractViolation(RuntimeError):
-    """Operation invoked on a state its contract forbids."""
-
-
 class TreeInvalidError(InputError):
     """A decision tree violates a structural invariant."""
-
-
-class Determination(enum.Enum):
-    """Whether a partial transcript already fixes the function value."""
-
-    ONE = "one"
-    ZERO = "zero"
-    UNDETERMINED = "undetermined"
 
 
 @dataclass(frozen=True)
@@ -94,40 +86,6 @@ class ThresholdSpec:
     def k(self) -> int:
         """Rank offset n - theta used by the transmission policy."""
         return self.n - self.theta
-
-    def initial_state(self) -> "ComputationState":
-        return ComputationState(frozenset(range(1, self.n + 1)), self.theta)
-
-
-@dataclass(frozen=True)
-class ComputationState:
-    """Untransmitted node set plus the threshold still to be met."""
-
-    remaining: frozenset[int]
-    residual_theta: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "remaining", frozenset(self.remaining))
-
-
-def classify_state(state: ComputationState) -> Determination:
-    """Determination status of a partial transcript."""
-    if state.residual_theta <= 0:
-        return Determination.ONE
-    if state.residual_theta > len(state.remaining):
-        return Determination.ZERO
-    return Determination.UNDETERMINED
-
-
-def apply_transmission(state: ComputationState, node: int, bit: int) -> ComputationState:
-    """State after `node` broadcasts `bit`: remove it, lower the threshold by the bit."""
-    if classify_state(state) is not Determination.UNDETERMINED:
-        raise ContractViolation("transmission applied to a determined state")
-    if node not in state.remaining:
-        raise InputError(f"node {node} is not in the remaining set")
-    if bit not in (0, 1):
-        raise InputError(f"bit must be 0 or 1, got {bit!r}")
-    return ComputationState(state.remaining - {node}, state.residual_theta - bit)
 
 
 def evaluate_function(spec: ThresholdSpec, x: Sequence[int]) -> int:
@@ -200,26 +158,31 @@ def walk_tree(tree: DecisionTree, x: Sequence[int]) -> tuple[int, int]:
     return cur.value, bits
 
 
-def _tree_states(tree: DecisionTree, spec: ThresholdSpec) -> Iterator[tuple[DecisionTree, ComputationState]]:
-    """Yield every (node, state) pair a strategy reaches once, preorder, one-branch first.
+def tree_states(tree: DecisionTree, spec: ThresholdSpec) -> Iterator[tuple[DecisionTree, int, int]]:
+    """Yield (node, mask, t) once per (node, state) pair a strategy reaches, preorder, one branch first.
 
     A shared subtree reached again at the same state is skipped, so a DAG
     costs its (node, state) pairs, not its root-to-leaf paths.  A node's
     children are expanded only when the consumer resumes after it, so a
     consumer that raises at a node never moves past it.
     """
-    seen: set[tuple[int, frozenset[int], int]] = set()
-    stack: list[tuple[DecisionTree, ComputationState]] = [(tree, spec.initial_state())]
+    seen: set[tuple[int, int, int]] = set()
+    stack: list[tuple[DecisionTree, int, int]] = [(tree, (1 << spec.n) - 1, spec.theta)]
     while stack:
-        t, state = stack.pop()
-        key = (id(t), state.remaining, state.residual_theta)
+        node, mask, t = stack.pop()
+        key = (id(node), mask, t)
         if key in seen:
             continue
         seen.add(key)
-        yield t, state
-        if isinstance(t, Node):
-            stack.append((t.on_zero, apply_transmission(state, t.transmitter, 0)))
-            stack.append((t.on_one, apply_transmission(state, t.transmitter, 1)))
+        yield node, mask, t
+        if isinstance(node, Node):
+            rest = mask & ~(1 << (node.transmitter - 1))
+            stack.append((node.on_zero, rest, t))
+            stack.append((node.on_one, rest, t - 1))
+
+
+def _ranks(mask: int) -> list[int]:
+    return [r + 1 for r in range(mask.bit_length()) if mask >> r & 1]
 
 
 def validate_tree(tree: DecisionTree, spec: ThresholdSpec) -> None:
@@ -230,34 +193,27 @@ def validate_tree(tree: DecisionTree, spec: ThresholdSpec) -> None:
     value.  No-repeat along paths follows from querying remaining nodes.
     A shared subtree is checked once per state it is reached at.
     """
-    for t, state in _tree_states(tree, spec):
-        det = classify_state(state)
-        if isinstance(t, Leaf):
-            if det is Determination.UNDETERMINED:
+    for node, mask, t in tree_states(tree, spec):
+        undetermined = 0 < t <= mask.bit_count()
+        if isinstance(node, Leaf):
+            if undetermined:
                 raise TreeInvalidError(
-                    f"leaf at undetermined state (remaining={sorted(state.remaining)}, "
-                    f"residual_theta={state.residual_theta}): tree stops before determination"
+                    f"leaf at undetermined state (remaining={_ranks(mask)}, "
+                    f"residual_theta={t}): tree stops before determination"
                 )
-            want = 1 if det is Determination.ONE else 0
-            if t.value != want:
-                raise TreeInvalidError(f"leaf value {t.value} contradicts determined value {want}")
+            want = 1 if t <= 0 else 0
+            if node.value != want:
+                raise TreeInvalidError(f"leaf value {node.value} contradicts determined value {want}")
             continue
-        if det is not Determination.UNDETERMINED:
+        if not undetermined:
             raise TreeInvalidError(
-                f"internal node {t.transmitter} at a determined state: tree queries after determination"
+                f"internal node {node.transmitter} at a determined state: tree queries after determination"
             )
-        if t.transmitter not in state.remaining:
+        # the range check comes first: a rank below 1 is no shift count
+        if not 1 <= node.transmitter <= spec.n or not mask >> (node.transmitter - 1) & 1:
             raise TreeInvalidError(
-                f"transmitter {t.transmitter} not in remaining set {sorted(state.remaining)}"
+                f"transmitter {node.transmitter} not in remaining set {_ranks(mask)}"
             )
-
-
-def tree_internal_states(
-    tree: DecisionTree, spec: ThresholdSpec
-) -> Iterator[tuple[ComputationState, int]]:
-    """Yield (state, transmitter) for every internal node, preorder, one-branch first,
-    each (node, state) pair of a DAG once, at its first visit."""
-    return ((state, t.transmitter) for t, state in _tree_states(tree, spec) if isinstance(t, Node))
 
 
 def dag_postorder(tree: DecisionTree) -> list[DecisionTree]:

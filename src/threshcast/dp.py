@@ -5,17 +5,19 @@ remaining set R and residual threshold t,
 
     C(R, t) = min_{i in R} [ 1 + p_i * C(R - {i}, t - 1) + (1 - p_i) * C(R - {i}, t) ]
 
-with C = 0 at determined states.  Each subset reads only subsets one
-element smaller, so the table is filled one cardinality level at a time
-(Held & Karp's subset DP): every l-subset has exactly l set bits, so a
-level takes l whole-array passes, the k-th over the k-th lowest bit of
-every subset at once.  A pass is two contiguous gathers: the band rows
-one level down, taken column-wise at the subsets without that bit, and
-the bit's probability, looked up by the one-bit mask itself.  A table
-without a theta answers every substate query for one profile; one built
-for a theta fills only the band of t that a walk from the full set can
-reach, one t per level at theta = 1 or n.  Subset enumeration is
-exponential in n; the cap guards against accidental huge instances.
+with C = 0 at determined states.  Queries name a state as (mask, t),
+the set R as a bitmask with rank r at bit r - 1.  Each subset reads only
+subsets one element smaller, so the table is filled one cardinality
+level at a time (Held & Karp's subset DP): every l-subset has exactly l
+set bits, so a level takes l whole-array passes, the k-th over the k-th
+lowest bit of every subset at once.  A pass is two contiguous gathers:
+the band rows one level down, taken column-wise at the subsets without
+that bit, and the bit's probability, looked up by the one-bit mask
+itself.  A table without a theta answers every substate query for one
+profile; one built for a theta fills only the band of t that a walk from
+the full set can reach, one t per level at theta = 1 or n.  Subset
+enumeration is exponential in n; the cap guards against accidental huge
+instances.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import numpy as np
 
 from .core import (
     CapacityError,
-    ComputationState,
     DecisionTree,
     InputError,
     Leaf,
@@ -42,24 +43,6 @@ DEFAULT_NODE_CAP = 20
 DEFAULT_TIE_TOL = 1e-12
 # masks index an int32 row map, so no cap can lift n above this
 MAX_TABLE_N = 30
-
-
-def mask_of(remaining: frozenset[int]) -> int:
-    mask = 0
-    for rank in remaining:
-        mask |= 1 << (rank - 1)
-    return mask
-
-
-def set_of(mask: int) -> frozenset[int]:
-    out = []
-    rank = 1
-    while mask:
-        if mask & 1:
-            out.append(rank)
-        mask >>= 1
-        rank += 1
-    return frozenset(out)
 
 
 class CostTable:
@@ -172,20 +155,21 @@ class CostTable:
             f"(t {self._lo[level]}..{self._hi[level]}); a table without a theta holds every t"
         )
 
-    def _check_state(self, state: ComputationState) -> tuple[int, int]:
+    def _check_mask(self, mask: int) -> None:
+        if mask < 0:
+            raise InputError(f"state mask {mask} is negative")
         n = self.profile.n
-        for rank in state.remaining:
-            if not 1 <= rank <= n:
-                raise InputError(f"rank {rank} outside this profile's 1..{n}")
-        return mask_of(state.remaining), state.residual_theta
+        if mask >> n:
+            raise InputError(f"rank {mask.bit_length()} outside this profile's 1..{n}")
 
-    def cost(self, state: ComputationState):
-        """Optimal expected bits from `state` (0 when already determined)."""
-        return self._entry(*self._check_state(state))
+    def cost(self, mask: int, t: int):
+        """Optimal expected bits from state (mask, t) (0 when already determined)."""
+        self._check_mask(mask)
+        return self._entry(mask, t)
 
-    def candidate_costs(self, state: ComputationState) -> dict[int, object]:
+    def candidate_costs(self, mask: int, t: int) -> dict[int, object]:
         """Expected cost of each legal first transmitter at an undetermined state."""
-        mask, t = self._check_state(state)
+        self._check_mask(mask)
         level = mask.bit_count()
         if t <= 0 or t > level:
             raise InputError("candidate costs are defined only at undetermined states")
@@ -203,9 +187,11 @@ class CostTable:
             out[rank] = one + p * self._entry(sub, t - 1) + (one - p) * self._entry(sub, t)
         return out
 
-    def minimizers(self, state: ComputationState, tol: float = DEFAULT_TIE_TOL) -> tuple[int, ...]:
+    def minimizers(self, mask: int, t: int, tol: float = DEFAULT_TIE_TOL) -> tuple[int, ...]:
         """Sorted ranks whose first-transmission cost is minimal (within tol)."""
-        cand = self.candidate_costs(state)
+        if not tol >= 0:
+            raise InputError(f"tie tolerance must be at least 0, got {tol!r}")
+        cand = self.candidate_costs(mask, t)
         best = min(cand.values())
         if self.exact:
             return tuple(sorted(r for r, c in cand.items() if c == best))
@@ -222,7 +208,7 @@ def optimal_cost(
     spec = ThresholdSpec(profile.n, theta)
     if table is None:
         table = CostTable(profile, node_cap=node_cap, exact=exact, theta=spec.theta)
-    return table.cost(spec.initial_state())
+    return table.cost((1 << spec.n) - 1, spec.theta)
 
 
 def optimal_tree(
@@ -250,8 +236,7 @@ def optimal_tree(
         node = memo.get(key)
         if node is not None:
             return node
-        state = ComputationState(set_of(mask), t)
-        rank = table.minimizers(state, tol=tol)[0]
+        rank = table.minimizers(mask, t, tol=tol)[0]
         sub = mask ^ (1 << (rank - 1))
         node = Node(rank, build(sub, t), build(sub, t - 1))
         memo[key] = node

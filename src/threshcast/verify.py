@@ -31,7 +31,6 @@ from typing import Optional
 
 from .core import (
     CapacityError,
-    ComputationState,
     DecisionTree,
     InputError,
     Leaf,
@@ -73,20 +72,19 @@ def lemma_record(table: CostTable, k: int, i: int) -> LemmaRecord:
     if not 1 <= i <= m:
         raise InputError(f"i {i} outside 1..{m}")
     t = m - k
-    full = frozenset(range(1, m + 1))
+    full = (1 << m) - 1
 
     def shifted(j: int) -> tuple[float, float]:
         """Ct(rest(j), t-1) and Ct(rest(j), t)."""
-        rest = full - {j}
-        return (table.cost(ComputationState(rest, t - 1)) - 1.0,
-                table.cost(ComputationState(rest, t)) - 1.0)
+        rest = full ^ (1 << (j - 1))
+        return table.cost(rest, t - 1) - 1.0, table.cost(rest, t) - 1.0
 
     p_k1, p_i = profile.p(k + 1), profile.p(i)
     (k1_one, k1_zero), (i_one, i_zero) = shifted(k + 1), shifted(i)
     T = (p_k1 * k1_one + (1.0 - p_k1) * k1_zero) - (p_i * i_one + (1.0 - p_i) * i_zero)
     S1 = S2 = None
     if i != k + 1:
-        both = table.cost(ComputationState(full - {k + 1, i}, t - 1))
+        both = table.cost(full ^ (1 << k) ^ (1 << (i - 1)), t - 1)
         if i > k + 1:
             S1 = (p_k1 - p_i) * both + (1.0 - p_k1) * k1_zero - (1.0 - p_i) * i_zero
         else:
@@ -173,26 +171,29 @@ def enumerate_trees(n: int, theta: int, max_n: int = EXHAUSTIVE_MAX_N) -> list[D
     spec = ThresholdSpec(n, theta)
     if n > max_n:
         raise CapacityError(f"tree enumeration capped at n={max_n}, got n={n}")
-    memo: dict[tuple[frozenset[int], int], list[DecisionTree]] = {}
+    memo: dict[tuple[int, int], list[DecisionTree]] = {}
 
-    def build(remaining: frozenset[int], t: int) -> list[DecisionTree]:
+    def build(mask: int, t: int) -> list[DecisionTree]:
         if t <= 0:
             return [Leaf(1)]
-        if t > len(remaining):
+        if t > mask.bit_count():
             return [Leaf(0)]
-        key = (remaining, t)
+        key = (mask, t)
         got = memo.get(key)
         if got is None:
             got = []
-            for rank in sorted(remaining):
-                rest = remaining - {rank}
+            mm = mask
+            while mm:  # candidates in ascending rank, lowest bit first
+                low = mm & -mm
+                mm ^= low
+                rank, rest = low.bit_length(), mask ^ low
                 for on_zero in build(rest, t):
                     for on_one in build(rest, t - 1):
                         got.append(Node(rank, on_zero, on_one))
             memo[key] = got
         return got
 
-    return build(frozenset(range(1, n + 1)), spec.theta)
+    return build((1 << n) - 1, spec.theta)
 
 
 @dataclass(frozen=True)
@@ -235,7 +236,7 @@ def exhaustive_strategy_check(
     spec = ThresholdSpec(profile.n, theta)
     if table is None:
         table = CostTable(profile, theta=spec.theta)
-    table_cost = table.cost(spec.initial_state())
+    table_cost = table.cost((1 << spec.n) - 1, spec.theta)
     policy_cost = index_policy_cost(profile, theta)
     witness: Optional[DecisionTree] = None
     if abs(table_cost - best_cost) > tolerance or abs(policy_cost - best_cost) > tolerance:

@@ -1,7 +1,8 @@
 """Shared test plumbing: the acceptance-criteria result board, the
-policy's per-state picker and state walker, the state-walking block
-protocol encoder, the recursive subset-cost oracle, the heap block-code
-builder and the explicit-alphabet Huffman code.
+policy's per-state picker and state walker over explicit remaining sets,
+the state-walking block protocol encoder, the recursive subset-cost
+oracle, the heap block-code builder and the explicit-alphabet Huffman
+code.
 
 Acceptance tests register one verdict per criterion before asserting, so
 the terminal summary always shows a pass/fail line per criterion even
@@ -16,17 +17,7 @@ from typing import Hashable, Iterable, Optional
 
 import numpy as np
 
-from threshcast.core import (
-    CapacityError,
-    ComputationState,
-    ContractViolation,
-    Determination,
-    InputError,
-    ProbabilityProfile,
-    ThresholdSpec,
-    apply_transmission,
-    classify_state,
-)
+from threshcast.core import CapacityError, InputError, ProbabilityProfile
 from threshcast.huffman import _class_values, build_block_code
 from threshcast.sim import RoundRecord, draw_measurements
 
@@ -47,40 +38,65 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(f"[criterion {num}] {status} - {detail}")
 
 
-def index_policy_next(state: ComputationState) -> int:
+# The oracles below walk explicit states: a (remaining rank set, residual
+# threshold) pair, stepped by their own two lines, sharing no code with the
+# package's (mask, t) coding.
+State = tuple[frozenset[int], int]
+
+
+class DeterminedStateError(Exception):
+    """An oracle was asked to choose at a state whose value is already fixed."""
+
+
+def undetermined(state: State) -> bool:
+    remaining, t = state
+    return 0 < t <= len(remaining)
+
+
+def step(state: State, rank: int, bit: int) -> State:
+    """State after `rank` broadcasts `bit`."""
+    remaining, t = state
+    return remaining - {rank}, t - bit
+
+
+def initial(n: int, theta: int) -> State:
+    return frozenset(range(1, n + 1)), theta
+
+
+def to_mask(remaining) -> int:
+    """The package's coding of a remaining set: rank r at bit r - 1."""
+    return sum(1 << (r - 1) for r in remaining)
+
+
+def index_policy_next(state: State) -> int:
     """Rank the policy transmits next from an undetermined state: the node at
     sorted position m - t + 1 of the m remaining, with residual threshold t."""
-    if classify_state(state) is not Determination.UNDETERMINED:
-        raise ContractViolation("policy queried at a determined state")
-    m = len(state.remaining)
-    t = state.residual_theta
-    return sorted(state.remaining)[m - t]
+    if not undetermined(state):
+        raise DeterminedStateError(f"policy queried at a determined state {state}")
+    remaining, t = state
+    return sorted(remaining)[len(remaining) - t]
 
 
-def reachable_decision_states(n: int, theta: int) -> list[ComputationState]:
+def reachable_decision_states(n: int, theta: int) -> list[State]:
     """Every state where the rank policy makes a choice, each visited once.
 
     An oracle independent of the policy's lattice engine: it applies only
-    `index_policy_next` and `apply_transmission` from the initial state.
+    `index_policy_next` and `step` from the initial state.
     """
-    spec = ThresholdSpec(n, theta)
-    initial = spec.initial_state()
-    if classify_state(initial) is not Determination.UNDETERMINED:
+    start = initial(n, theta)
+    if not undetermined(start):
         return []
-    seen = {(initial.remaining, initial.residual_theta)}
-    stack = [initial]
+    seen = {start}
+    stack = [start]
     out = []
     while stack:
         state = stack.pop()
         out.append(state)
         rank = index_policy_next(state)
         for bit in (0, 1):
-            child = apply_transmission(state, rank, bit)
-            if classify_state(child) is not Determination.UNDETERMINED:
-                continue
-            key = (child.remaining, child.residual_theta)
-            if key not in seen:
-                seen.add(key)
+            child = step(state, rank, bit)
+            if undetermined(child) and child not in seen:
+                seen.add(child)
                 stack.append(child)
     return out
 
@@ -91,36 +107,35 @@ def reference_block_rounds(
     """(rounds, values, total bits) of the lockstep block protocol, an oracle
     for the DAG walk in the package.
 
-    Walks explicit `ComputationState`s depth first, zero branch first; the
+    Walks explicit states depth first, zero branch first; the
     next transmitter is `index_policy_next`, or with `order` the first rank
     of the permutation still remaining.  Values are the determined values
     the walk reaches, per instance.
     """
 
-    def next_rank(state: ComputationState) -> int:
+    def next_rank(state: State) -> int:
         if order is None:
             return index_policy_next(state)
-        return next(r for r in order if r in state.remaining)
+        return next(r for r in order if r in state[0])
 
     X = draw_measurements(profile, N, np.random.default_rng(seed))
     rounds: list[RoundRecord] = []
     values = [-1] * N
-    stack = [(ThresholdSpec(profile.n, theta).initial_state(), np.arange(N))]
+    stack = [(initial(profile.n, theta), np.arange(N))]
     while stack:
         state, live = stack.pop()
         if live.size == 0:
             continue
-        det = classify_state(state)
-        if det is not Determination.UNDETERMINED:
+        if not undetermined(state):
             for i in live:
-                values[i] = 1 if det is Determination.ONE else 0
+                values[i] = 1 if state[1] <= 0 else 0
             continue
         rank = next_rank(state)
         block = X[live, rank - 1]
         cw = build_block_code(profile.p(rank), int(live.size)).encode_block(block.astype(int).tolist())
         rounds.append(RoundRecord(len(rounds), rank, int(live.size), len(cw)))
-        stack.append((apply_transmission(state, rank, 1), live[block]))
-        stack.append((apply_transmission(state, rank, 0), live[~block]))
+        stack.append((step(state, rank, 1), live[block]))
+        stack.append((step(state, rank, 0), live[~block]))
     return tuple(rounds), tuple(values), sum(r.code_bits for r in rounds)
 
 

@@ -10,9 +10,15 @@ import json
 
 import numpy as np
 
-from conftest import ACCEPTANCE_RESULTS, index_policy_next, reachable_decision_states, record_criterion
+from conftest import (
+    ACCEPTANCE_RESULTS,
+    index_policy_next,
+    reachable_decision_states,
+    record_criterion,
+    to_mask,
+)
 from threshcast.cli import main
-from threshcast.core import ProbabilityProfile, ThresholdSpec, walk_tree
+from threshcast.core import ProbabilityProfile, walk_tree
 from threshcast.dp import CostTable, optimal_cost, optimal_tree, strategy_cost
 from threshcast.huffman import bernoulli_entropy, build_block_code
 from threshcast.io import tree_to_dict
@@ -67,15 +73,13 @@ def test_criterion_1_policy_attains_exact_optimum_everywhere():
             profile = ProbabilityProfile(probs)
             table = CostTable(profile)
             for theta in range(1, n + 1):
-                gap = abs(
-                    index_policy_cost(profile, theta)
-                    - table.cost(ThresholdSpec(n, theta).initial_state())
-                )
+                gap = abs(index_policy_cost(profile, theta) - table.cost((1 << n) - 1, theta))
                 worst_gap = max(worst_gap, gap)
                 pair_checks += 1
-                for state in reachable_decision_states(n, theta):
+                for remaining, t in reachable_decision_states(n, theta):
                     state_checks += 1
-                    if index_policy_next(state) not in table.minimizers(state, tol=COST_TOL):
+                    pick = index_policy_next((remaining, t))
+                    if pick not in table.minimizers(to_mask(remaining), t, tol=COST_TOL):
                         membership_failures += 1
     passed = worst_gap <= COST_TOL and membership_failures == 0
     finish(

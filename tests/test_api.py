@@ -2,9 +2,9 @@
 
 `perfbench/tracing.py` wraps threshcast functions at the module attribute
 its callers read, and the oracles in `perfbench/workloads.py` call package
-names; README's quick start documents the public API.  Deleting any of
-those names must fail here rather than at a traced bench run or for a
-reader of the docs.
+names; README's quick start documents the public API, and `__all__`
+lists it.  Deleting any of those names must fail here rather than at a
+traced bench run, a star import or for a reader of the docs.
 """
 
 import ast
@@ -37,6 +37,13 @@ def test_traced_names_resolve():
         assert callable(getattr(importlib.import_module(f"threshcast.{mod}"), attr)), (mod, attr)
     for mod, cls, meth, _ in tracing.METHODS:
         assert callable(getattr(getattr(importlib.import_module(f"threshcast.{mod}"), cls), meth)), (mod, cls, meth)
+
+
+def test_public_names_resolve():
+    """`from threshcast import *` fails on a name left in `__all__` after its deletion."""
+    missing = [name for name in threshcast.__all__ if not hasattr(threshcast, name)]
+    assert not missing
+    assert len(set(threshcast.__all__)) == len(threshcast.__all__)
 
 
 def test_oracle_names_resolve():

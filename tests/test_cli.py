@@ -157,7 +157,7 @@ class TestPolicy:
         )
 
     def test_failed_check_shows_in_csv(self, capsys, monkeypatch):
-        monkeypatch.setattr(CostTable, "minimizers", lambda self, state, tol=0.0: ())
+        monkeypatch.setattr(CostTable, "minimizers", lambda self, mask, t, tol=0.0: ())
         code, out, _ = run_cli(
             capsys, "policy", "--probs", "0.2,0.5,0.7", "--theta", "2", "--check", "--format", "csv"
         )
@@ -574,6 +574,36 @@ class TestMalformedValues:
         code, out, err = run_cli(capsys, command, "--config", str(cfg))
         assert code == 2 and out == ""
         assert f"bad --{key.replace('_', '-')} value 'abc'" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--probs", "0.3,0.6", "--theta", "1", "--tol=-1"],
+        ["policy", "--probs", "0.3,0.6", "--theta", "1", "--check", "--tol=-1"],
+    ])
+    def test_negative_tie_tolerance(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "--tol must be at least 0" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--probs", "0.3,0.6", "--theta", "1", "--tol"],
+        ["policy", "--probs", "0.3,0.6", "--theta", "1", "--check", "--tol"],
+        ["verify", "--probs", "0.3,0.6", "--tolerance"],
+        ["verify", "--probs", "0.3,0.6", "--exhaustive", "--tolerance"],
+    ])
+    def test_non_finite_tolerance(self, capsys, argv, value):
+        # a NaN tolerance would pass every check, since no comparison with it holds
+        code, out, err = run_cli(capsys, *argv[:-1], f"{argv[-1]}={value}")
+        assert code == 2 and out == ""
+        assert f"{argv[-1]} must be a finite number" in err
+
+    @pytest.mark.parametrize("command,key", [("solve", "tol"), ("policy", "tol"), ("verify", "tolerance")])
+    def test_config_tolerance_not_finite(self, capsys, tmp_path, command, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"probs": "0.3,0.6", "theta": 1, "check": True, key: float("nan")}))
+        code, out, err = run_cli(capsys, command, "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert f"--{key} must be a finite number" in err
 
     @pytest.mark.parametrize("command", ["solve", "policy"])
     @pytest.mark.parametrize("labels", [5, ["a", "b"]])

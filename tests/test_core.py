@@ -1,4 +1,4 @@
-"""Domain type behavior: profiles, specs, states, trees."""
+"""Domain type behavior: profiles, specs, (mask, t) states, trees."""
 
 import json
 
@@ -7,19 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threshcast.core import (
-    ComputationState,
-    ContractViolation,
-    Determination,
     InputError,
     Leaf,
     Node,
     ProbabilityProfile,
     ThresholdSpec,
     TreeInvalidError,
-    apply_transmission,
-    classify_state,
     eliminate_deterministic,
     evaluate_function,
+    tree_states,
     validate_tree,
     walk_tree,
 )
@@ -74,40 +70,50 @@ class TestThresholdSpec:
         assert ThresholdSpec(5, 1).k == 4
 
     def test_initial_state(self):
-        s = ThresholdSpec(3, 2).initial_state()
-        assert s.remaining == frozenset({1, 2, 3})
-        assert s.residual_theta == 2
+        # the walk starts at (every rank remaining, theta): rank r at bit r - 1
+        tree = Node(2, Node(1, Leaf(0), Leaf(1)), Node(1, Leaf(1), Leaf(1)))
+        assert next(tree_states(tree, ThresholdSpec(3, 2)))[1:] == (0b111, 2)
+        assert next(tree_states(Leaf(0), ThresholdSpec(1, 2)))[1:] == (0b1, 2)
 
 
 class TestStateClassification:
+    """A state (mask, t) is determined at t <= 0 (value 1) or t > popcount(mask) (value 0).
+
+    Validation places leaves exactly there, so it is the classification's
+    observable form.
+    """
+
     def test_one_when_threshold_met(self):
-        assert classify_state(ComputationState(frozenset({1, 2}), 0)) is Determination.ONE
-        assert classify_state(ComputationState(frozenset(), -1)) is Determination.ONE
+        validate_tree(Leaf(1), ThresholdSpec(2, 0))
+        validate_tree(Node(1, Node(2, Leaf(0), Leaf(1)), Leaf(1)), ThresholdSpec(2, 1))
+        with pytest.raises(TreeInvalidError, match="contradicts determined value 1"):
+            validate_tree(Leaf(0), ThresholdSpec(2, 0))
 
     def test_zero_when_threshold_unreachable(self):
-        assert classify_state(ComputationState(frozenset({1}), 2)) is Determination.ZERO
-        assert classify_state(ComputationState(frozenset(), 1)) is Determination.ZERO
+        validate_tree(Leaf(0), ThresholdSpec(1, 2))
+        validate_tree(Node(1, Leaf(0), Node(2, Leaf(0), Leaf(1))), ThresholdSpec(2, 2))
+        with pytest.raises(TreeInvalidError, match="contradicts determined value 0"):
+            validate_tree(Leaf(1), ThresholdSpec(1, 2))
 
     def test_undetermined_between(self):
-        assert classify_state(ComputationState(frozenset({1, 2}), 1)) is Determination.UNDETERMINED
-        assert classify_state(ComputationState(frozenset({1, 2}), 2)) is Determination.UNDETERMINED
+        for theta in (1, 2):
+            with pytest.raises(TreeInvalidError, match=rf"remaining=\[1, 2\], residual_theta={theta}"):
+                validate_tree(Leaf(1), ThresholdSpec(2, theta))
 
     def test_apply_transmission(self):
-        s = ComputationState(frozenset({1, 2, 3}), 2)
-        after1 = apply_transmission(s, 2, 1)
-        assert after1 == ComputationState(frozenset({1, 3}), 1)
-        after0 = apply_transmission(s, 2, 0)
-        assert after0 == ComputationState(frozenset({1, 3}), 2)
+        # a transmission clears the speaker's bit and lowers t by the bit sent
+        on_zero, on_one = Node(1, Leaf(0), Leaf(1)), Node(1, Leaf(1), Leaf(1))
+        tree = Node(2, on_zero, on_one)
+        states = list(tree_states(tree, ThresholdSpec(3, 2)))
+        assert states[:3] == [(tree, 0b111, 2), (on_one, 0b101, 1), (on_one.on_one, 0b100, 0)]
+        assert (on_zero, 0b101, 2) in states
 
     def test_apply_transmission_contract(self):
-        determined = ComputationState(frozenset({1}), 0)
-        with pytest.raises(ContractViolation):
-            apply_transmission(determined, 1, 0)
-        s = ComputationState(frozenset({1, 2}), 1)
-        with pytest.raises(InputError):
-            apply_transmission(s, 3, 0)
-        with pytest.raises(InputError):
-            apply_transmission(s, 1, 2)
+        # no transmission at a determined state, nor of a node that is not remaining
+        with pytest.raises(TreeInvalidError, match="determined state"):
+            validate_tree(Node(1, Leaf(1), Leaf(1)), ThresholdSpec(1, 0))
+        with pytest.raises(TreeInvalidError, match=r"transmitter 2 not in remaining set \[1\]"):
+            validate_tree(Node(2, Node(2, Leaf(0), Leaf(1)), Leaf(1)), ThresholdSpec(2, 1))
 
 
 class TestEvaluateFunction:
@@ -168,6 +174,11 @@ class TestTrees:
         tree = Node(2, Node(2, Leaf(0), Leaf(1)), Leaf(1))
         with pytest.raises(TreeInvalidError):
             validate_tree(tree, ThresholdSpec(2, 1))
+        # ranks outside 1..n: refused before one becomes a shift count, which must not be negative
+        for rank in (0, -1, 3):
+            for tree in (Node(rank, Leaf(0), Leaf(1)), Node(2, Node(rank, Leaf(0), Leaf(1)), Leaf(1))):
+                with pytest.raises(TreeInvalidError, match=f"transmitter {rank} not in remaining set"):
+                    validate_tree(tree, ThresholdSpec(2, 1))
 
     def test_validate_rejects_query_after_determination(self):
         tree = Node(2, Node(1, Leaf(0), Leaf(1)), Node(1, Leaf(1), Leaf(1)))

@@ -11,7 +11,6 @@ from conftest import reference_cost_table
 
 from threshcast.core import (
     CapacityError,
-    ComputationState,
     InputError,
     Leaf,
     Node,
@@ -22,10 +21,8 @@ from threshcast.core import (
 from threshcast.dp import (
     MAX_TABLE_N,
     CostTable,
-    mask_of,
     optimal_cost,
     optimal_tree,
-    set_of,
     strategy_cost,
 )
 from threshcast.io import tree_to_dict
@@ -85,22 +82,21 @@ class TestAgainstOracle:
             table = CostTable(profile)
             full = frozenset(range(1, n + 1))
             for theta in range(0, n + 2):
-                got = table.cost(ComputationState(full, theta))
+                got = table.cost((1 << n) - 1, theta)
                 want = oracle_cost(probs, full, theta)
                 assert got == pytest.approx(want, abs=1e-12), (probs, theta)
 
     def test_substate_queries(self):
         profile = ProbabilityProfile((0.1, 0.4, 0.8))
         table = CostTable(profile)
-        state = ComputationState(frozenset({1, 3}), 1)
-        assert table.cost(state) == pytest.approx(
+        assert table.cost(0b101, 1) == pytest.approx(
             oracle_cost(profile.probs, frozenset({1, 3}), 1), abs=1e-14
         )
 
 
 def first_transmitters(profile: ProbabilityProfile, theta: int) -> tuple[int, ...]:
     table = CostTable(profile, theta=theta)
-    return table.minimizers(ThresholdSpec(profile.n, theta).initial_state())
+    return table.minimizers((1 << profile.n) - 1, theta)
 
 
 class TestMinimizersAndTies:
@@ -116,32 +112,44 @@ class TestMinimizersAndTies:
     def test_exact_mode_uses_rationals(self):
         p = ProbabilityProfile((0.25, 0.5))
         table = CostTable(p, exact=True)
-        cost = table.cost(ThresholdSpec(2, 1).initial_state())
+        cost = table.cost(0b11, 1)
         assert isinstance(cost, Fraction)
         assert cost == Fraction(3, 2)
 
     def test_exact_mode_tie_is_exact(self):
         p = ProbabilityProfile((0.5, 0.5, 0.5))
         table = CostTable(p, exact=True)
-        assert table.minimizers(ThresholdSpec(3, 2).initial_state()) == (1, 2, 3)
+        assert table.minimizers(0b111, 2) == (1, 2, 3)
+
+    def test_tie_tolerance_must_be_non_negative(self):
+        # no rank is within a negative or NaN tolerance of the best, so the tree's pick would not exist
+        profile = ProbabilityProfile((0.3, 0.6))
+        for tol in (-1.0, float("nan")):
+            with pytest.raises(InputError, match="tie tolerance"):
+                CostTable(profile).minimizers(0b11, 1, tol=tol)
+            with pytest.raises(InputError, match="tie tolerance"):
+                optimal_tree(profile, 1, tol=tol)
 
     def test_candidate_costs_rejects_determined(self):
         table = CostTable(ProbabilityProfile((0.3, 0.6)))
         with pytest.raises(InputError):
-            table.candidate_costs(ComputationState(frozenset({1}), 0))
+            table.candidate_costs(0b1, 0)
 
     def test_state_rank_validation(self):
+        # a negative mask would otherwise index the row map from its end
         table = CostTable(ProbabilityProfile((0.3, 0.6)))
-        with pytest.raises(InputError):
-            table.cost(ComputationState(frozenset({1, 5}), 1))
+        cases = ((0b10001, "rank 5 outside"), (0b100, "rank 3 outside"), (-1, "negative"), (-0b11, "negative"))
+        for mask, message in cases:
+            for query in (table.cost, table.candidate_costs, table.minimizers):
+                with pytest.raises(InputError, match=message):
+                    query(mask, 1)
 
 
 def all_entries(n: int):
-    """Every (remaining set, mask, t) the table holds, determined columns included."""
+    """Every (mask, t) the table holds, determined columns included."""
     for mask in range(1 << n):
-        remaining = set_of(mask)
-        for t in range(0, len(remaining) + 2):
-            yield remaining, mask, t
+        for t in range(0, mask.bit_count() + 2):
+            yield mask, t
 
 
 class TestLevelFill:
@@ -156,8 +164,8 @@ class TestLevelFill:
             ):
                 table = CostTable(ProbabilityProfile(probs))
                 want = reference_cost_table(probs)
-                for remaining, mask, t in all_entries(n):
-                    got = table.cost(ComputationState(remaining, t))
+                for mask, t in all_entries(n):
+                    got = table.cost(mask, t)
                     assert type(got) is float
                     assert got == want(mask, t), (probs, mask, t)
 
@@ -167,28 +175,27 @@ class TestLevelFill:
             probs = tuple(sorted(float(p) for p in rng.uniform(0.01, 0.99, n)))
             table = CostTable(ProbabilityProfile(probs), exact=True)
             want = reference_cost_table(probs, exact=True)
-            for remaining, mask, t in all_entries(n):
-                got = table.cost(ComputationState(remaining, t))
+            for mask, t in all_entries(n):
+                got = table.cost(mask, t)
                 assert type(got) is Fraction
                 assert got == want(mask, t), (probs, mask, t)
 
     def test_candidate_costs_are_the_recurrence_terms(self):
         probs = (0.15, 0.3, 0.3, 0.55, 0.8, 0.9)
         table = CostTable(ProbabilityProfile(probs))
-        state = ComputationState(frozenset({1, 2, 4, 6}), 2)
-        cand = table.candidate_costs(state)
-        assert min(cand.values()) == table.cost(state)
+        mask = 0b101011  # ranks 1, 2, 4, 6
+        cand = table.candidate_costs(mask, 2)
+        assert min(cand.values()) == table.cost(mask, 2)
         for rank, c in cand.items():
-            rest = ComputationState(state.remaining - {rank}, 2)
-            down = ComputationState(state.remaining - {rank}, 1)
+            rest = mask ^ (1 << (rank - 1))
             p = probs[rank - 1]
-            assert c == 1.0 + p * table.cost(down) + (1.0 - p) * table.cost(rest)
+            assert c == 1.0 + p * table.cost(rest, 1) + (1.0 - p) * table.cost(rest, 2)
 
     def test_n18_fill_within_budget(self):
         probs = tuple((i + 0.5) / 18 for i in range(18))
         table = CostTable(ProbabilityProfile(probs))
         start = perf_counter()
-        cost = table.cost(ThresholdSpec(18, 9).initial_state())
+        cost = table.cost((1 << 18) - 1, 9)
         assert perf_counter() - start < 30.0
         assert 9.0 <= cost <= 18.0
 
@@ -208,13 +215,13 @@ class TestThresholdBand:
         kind = Fraction if exact else float
         for theta in range(0, n + 2):
             table = CostTable(profile, exact=exact, theta=theta)
-            for remaining, mask, t in all_entries(n):
-                state = ComputationState(remaining, t)
-                if 1 <= t <= len(remaining) and t not in band_of(n, theta, len(remaining)):
+            for mask, t in all_entries(n):
+                level = mask.bit_count()
+                if 1 <= t <= level and t not in band_of(n, theta, level):
                     with pytest.raises(InputError, match="band"):
-                        table.cost(state)
+                        table.cost(mask, t)
                     continue
-                got = table.cost(state)
+                got = table.cost(mask, t)
                 assert type(got) is kind
                 assert got == want(mask, t), (probs, theta, mask, t)
 
@@ -231,10 +238,9 @@ class TestThresholdBand:
 
     def test_out_of_band_candidates_and_minimizers_refuse(self):
         table = CostTable(ProbabilityProfile((0.2, 0.4, 0.7)), theta=1)
-        state = ComputationState(frozenset({1, 2}), 2)
         for query in (table.cost, table.candidate_costs, table.minimizers):
             with pytest.raises(InputError, match="band"):
-                query(state)
+                query(0b11, 2)
         # the refusal comes before the fill, whose entries nothing asked for
         assert table._levels is None
 
@@ -250,16 +256,14 @@ class TestThresholdBand:
                     assert tree_to_dict(optimal_tree(profile, theta, table=band)) == tree_to_dict(
                         optimal_tree(profile, theta, table=full)
                     )
-                    assert band.cost(ThresholdSpec(n, theta).initial_state()) == full.cost(
-                        ThresholdSpec(n, theta).initial_state()
-                    )
+                    assert band.cost((1 << n) - 1, theta) == full.cost((1 << n) - 1, theta)
 
     def test_extreme_theta_fills_one_row_per_level(self):
         probs = tuple((i + 0.5) / 9 for i in range(9))
         for exact in (False, True):
             for theta in (1, 9):
                 table = CostTable(ProbabilityProfile(probs), exact=exact, theta=theta)
-                table.cost(ThresholdSpec(9, theta).initial_state())
+                table.cost((1 << 9) - 1, theta)
                 for level in range(1, 10):
                     stored = np.asarray(table._levels[level])
                     assert stored.shape == (level + 2, comb(9, level))
@@ -352,9 +356,3 @@ class TestStrategyCost:
             tree = random_tree(frozenset(range(1, n + 1)), theta)
             assert strategy_cost(tree, profile, theta) >= best - 1e-12
 
-
-def test_mask_round_trip():
-    s = frozenset({1, 3, 4})
-    assert set_of(mask_of(s)) == s
-    assert mask_of(frozenset()) == 0
-    assert set_of(0) == frozenset()

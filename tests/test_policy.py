@@ -2,7 +2,8 @@
 
 The lattice engine is checked against oracles that do not share its
 coordinates: the state walker in conftest (only `index_policy_next` and
-`apply_transmission`), a plain recursion over walked states, the exact
+its own step on explicit remaining sets), a plain recursion over walked
+states, the exact
 subset table, DAG costing of the tree, and enumeration of every outcome.
 """
 
@@ -12,18 +13,21 @@ import time
 import numpy as np
 import pytest
 
-from conftest import index_policy_next, reachable_decision_states
+from conftest import (
+    DeterminedStateError,
+    index_policy_next,
+    initial,
+    reachable_decision_states,
+    step,
+    to_mask,
+    undetermined,
+)
 from threshcast.core import (
-    ComputationState,
-    ContractViolation,
-    Determination,
     Leaf,
     Node,
     ProbabilityProfile,
     ThresholdSpec,
-    apply_transmission,
-    classify_state,
-    tree_internal_states,
+    tree_states,
     validate_tree,
 )
 from threshcast.dp import CostTable, optimal_cost, strategy_cost
@@ -39,20 +43,19 @@ def random_profile(rng: np.random.Generator, n: int) -> ProbabilityProfile:
     return ProbabilityProfile(tuple(sorted(float(p) for p in rng.uniform(0.02, 0.98, n))))
 
 
-def walked_cost(profile: ProbabilityProfile, state: ComputationState, memo: dict) -> float:
+def walked_cost(profile: ProbabilityProfile, state: tuple, memo: dict) -> float:
     """Policy cost from `state` by plain recursion over explicit states."""
-    if classify_state(state) is not Determination.UNDETERMINED:
+    if not undetermined(state):
         return 0.0
-    key = (state.remaining, state.residual_theta)
-    if key not in memo:
+    if state not in memo:
         rank = index_policy_next(state)
         p = profile.p(rank)
-        memo[key] = (
+        memo[state] = (
             1.0
-            + p * walked_cost(profile, apply_transmission(state, rank, 1), memo)
-            + (1.0 - p) * walked_cost(profile, apply_transmission(state, rank, 0), memo)
+            + p * walked_cost(profile, step(state, rank, 1), memo)
+            + (1.0 - p) * walked_cost(profile, step(state, rank, 0), memo)
         )
-    return memo[key]
+    return memo[state]
 
 
 def lattice_size(n: int, theta: int) -> int:
@@ -62,29 +65,27 @@ def lattice_size(n: int, theta: int) -> int:
 
 class TestNextTransmitter:
     def test_disjunction_starts_at_top_rank(self):
-        state = ComputationState(frozenset({1, 2, 3}), 1)
-        assert index_policy_next(state) == 3
+        assert index_policy_next((frozenset({1, 2, 3}), 1)) == 3
 
     def test_conjunction_starts_at_bottom_rank(self):
-        state = ComputationState(frozenset({1, 2, 3}), 3)
-        assert index_policy_next(state) == 1
+        assert index_policy_next((frozenset({1, 2, 3}), 3)) == 1
 
     def test_initial_pick_is_k_plus_one(self):
         for n in range(1, 9):
             for theta in range(1, n + 1):
                 spec = ThresholdSpec(n, theta)
-                assert index_policy_next(spec.initial_state()) == spec.k + 1
+                assert index_policy_next(initial(n, theta)) == spec.k + 1
 
     def test_pick_uses_local_order_not_global_ranks(self):
         # two nodes left, one more 1 needed: pick the higher of the two
-        assert index_policy_next(ComputationState(frozenset({2, 5}), 1)) == 5
-        assert index_policy_next(ComputationState(frozenset({2, 5}), 2)) == 2
+        assert index_policy_next((frozenset({2, 5}), 1)) == 5
+        assert index_policy_next((frozenset({2, 5}), 2)) == 2
 
     def test_rejects_determined_states(self):
-        with pytest.raises(ContractViolation):
-            index_policy_next(ComputationState(frozenset({1, 2}), 0))
-        with pytest.raises(ContractViolation):
-            index_policy_next(ComputationState(frozenset({1}), 2))
+        with pytest.raises(DeterminedStateError):
+            index_policy_next((frozenset({1, 2}), 0))
+        with pytest.raises(DeterminedStateError):
+            index_policy_next((frozenset({1}), 2))
 
 
 class TestIndexTree:
@@ -133,7 +134,7 @@ class TestCostAgreement:
             profile = random_profile(rng, n)
             for theta in range(0, n + 2):
                 via_lattice = index_policy_cost(profile, theta)
-                via_states = walked_cost(profile, ThresholdSpec(n, theta).initial_state(), {})
+                via_states = walked_cost(profile, initial(n, theta), {})
                 via_tree = strategy_cost(build_index_tree(n, theta), profile, theta)
                 assert via_lattice == pytest.approx(via_states, abs=1e-12)
                 assert via_lattice == pytest.approx(via_tree, abs=1e-12)
@@ -143,7 +144,7 @@ class TestCostAgreement:
         rng = np.random.default_rng(23)
         profile = ProbabilityProfile(tuple(sorted(float(p) for p in rng.uniform(0.05, 0.95, 40))))
         a = index_policy_cost(profile, 17)
-        b = walked_cost(profile, ThresholdSpec(40, 17).initial_state(), {})
+        b = walked_cost(profile, initial(40, 17), {})
         c = strategy_cost(build_index_tree(40, 17), profile, 17)
         assert a == pytest.approx(b, abs=1e-9)
         assert a == pytest.approx(c, abs=1e-9)
@@ -242,22 +243,23 @@ class TestIntervalCoverage:
                 anns = annotate_reachable_states(profile, theta)
                 keys = [(frozenset(a.remaining), a.residual_theta) for a in anns]
                 assert len(set(keys)) == len(keys)
-                assert set(keys) == {(s.remaining, s.residual_theta) for s in walked}, (n, theta)
-                for a in anns:
-                    state = ComputationState(frozenset(a.remaining), a.residual_theta)
-                    assert a.transmitter == index_policy_next(state)
+                assert set(keys) == set(walked), (n, theta)
+                for a, key in zip(anns, keys):
+                    assert a.transmitter == index_policy_next(key)
                 if n <= 8:
-                    tree_states = {
-                        (s.remaining, s.residual_theta)
-                        for s, _ in tree_internal_states(build_index_tree(n, theta), ThresholdSpec(n, theta))
+                    tree_keys = {
+                        (mask, t)
+                        for node, mask, t in tree_states(build_index_tree(n, theta), ThresholdSpec(n, theta))
+                        if isinstance(node, Node)
                     }
-                    assert tree_states == set(keys)
+                    assert tree_keys == {(to_mask(remaining), t) for remaining, t in walked}
 
     def test_tree_states_are_yielded_once(self):
         # the DAG at (15, 7) has 11,439 root-to-leaf path states but 111 decision states
         n, theta = 15, 7
         tree = build_index_tree(n, theta)
-        keys = [(s.remaining, s.residual_theta) for s, _ in tree_internal_states(tree, ThresholdSpec(n, theta))]
+        states = tree_states(tree, ThresholdSpec(n, theta))
+        keys = [(mask, t) for node, mask, t in states if isinstance(node, Node)]
         assert len(keys) == len(set(keys)) == len(reachable_decision_states(n, theta)) == 111
 
     def test_tree_cost_matches_sweep(self):
@@ -274,7 +276,7 @@ class TestIntervalCoverage:
             for theta in range(1, n + 1):
                 k = n - theta
                 for state in reachable_decision_states(n, theta):
-                    spoken = set(range(1, n + 1)) - state.remaining
+                    spoken = set(range(1, n + 1)) - state[0]
                     block = spoken | {index_policy_next(state)}
                     assert block == set(range(min(block), max(block) + 1))
                     assert k + 1 in block
@@ -334,17 +336,17 @@ class TestAnnotations:
                 reach: dict = {}
                 for x in itertools.product((0, 1), repeat=n):
                     weight = float(np.prod([p if b else 1.0 - p for p, b in zip(profile.probs, x)]))
-                    state = ThresholdSpec(n, theta).initial_state()
-                    while classify_state(state) is Determination.UNDETERMINED:
-                        key = (tuple(sorted(state.remaining)), state.residual_theta)
+                    state = initial(n, theta)
+                    while undetermined(state):
+                        key = (tuple(sorted(state[0])), state[1])
                         reach[key] = reach.get(key, 0.0) + weight
                         rank = index_policy_next(state)
-                        state = apply_transmission(state, rank, x[rank - 1])
+                        state = step(state, rank, x[rank - 1])
                 anns = annotate_reachable_states(profile, theta)
                 assert len(anns) == len(reach)
                 for a in anns:
                     assert a.reach_probability == pytest.approx(
                         reach[(a.remaining, a.residual_theta)], abs=1e-12
                     )
-                    state = ComputationState(frozenset(a.remaining), a.residual_theta)
-                    assert a.expected_remaining_cost == pytest.approx(table.cost(state), abs=1e-12)
+                    cost = table.cost(to_mask(a.remaining), a.residual_theta)
+                    assert a.expected_remaining_cost == pytest.approx(cost, abs=1e-12)

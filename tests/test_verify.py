@@ -6,13 +6,12 @@ import pytest
 from threshcast.cli import main
 from threshcast.core import (
     CapacityError,
-    ComputationState,
     InputError,
     ProbabilityProfile,
     ThresholdSpec,
     validate_tree,
 )
-from threshcast.dp import CostTable, mask_of
+from threshcast.dp import CostTable
 from threshcast.verify import (
     FAMILIES,
     LemmaViolation,
@@ -27,12 +26,11 @@ def table_for(probs):
     return CostTable(ProbabilityProfile(probs))
 
 
-def bump_entry(table: CostTable, state: ComputationState, by: float) -> None:
+def bump_entry(table: CostTable, mask: int, t: int, by: float) -> None:
     """Corrupt one stored table entry in place (test-only access to the storage)."""
-    before = table.cost(state)  # fills the table
-    mask = mask_of(state.remaining)
-    table._levels[mask.bit_count()][state.residual_theta, table._row[mask]] += by
-    assert table.cost(state) == before + by
+    before = table.cost(mask, t)  # fills the table
+    table._levels[mask.bit_count()][t, table._row[mask]] += by
+    assert table.cost(mask, t) == before + by
 
 
 class TestGapQuantities:
@@ -119,8 +117,7 @@ class TestLemmaReport:
         # state must move, while the exact-zero family is structurally immune
         profile = ProbabilityProfile((0.4, 0.4, 0.4))
         table = CostTable(profile)
-        state = ComputationState(frozenset({1, 3}), 2)
-        bump_entry(table, state, 1.0)
+        bump_entry(table, 0b101, 2, 1.0)  # ranks 1 and 3, t = 2
         report = check_lemma_inequalities(profile, table=table)
         assert not report.passed
         families = {v.family for v in report.violations}
@@ -179,8 +176,7 @@ class TestExhaustiveCheck:
     def test_catches_overstated_table(self):
         profile = ProbabilityProfile((0.3, 0.5, 0.6))
         table = CostTable(profile)
-        spec = ThresholdSpec(3, 2)
-        bump_entry(table, spec.initial_state(), 1.0)
+        bump_entry(table, 0b111, 2, 1.0)
         report = exhaustive_strategy_check(profile, 2, table=table)
         assert not report.passed
         assert report.witness is not None
