@@ -21,7 +21,7 @@ import math
 import os
 import sys
 from itertools import accumulate
-from typing import Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -64,22 +64,8 @@ def jround(x: float) -> float:
     return float(fmt(x))
 
 
-class VerificationFailure(Exception):
-    """A requested check did not hold; carries the already-rendered output."""
-
-    def __init__(self, text: str):
-        super().__init__("verification failed")
-        self.text = text
-
-
-class SimulationFailure(Exception):
-    def __init__(self, text: str):
-        super().__init__("simulation disagreed with the function")
-        self.text = text
-
-
 # ---------------------------------------------------------------------------
-# Configuration resolution: command line > config file > environment > default
+# Options: command line > config file > THRESHCAST_SEED (for --seed) > default
 
 
 def load_config(path: Optional[str]) -> dict:
@@ -117,8 +103,16 @@ def _text(v) -> str:
 
 
 def _convert(name: str, v, kind, low=None):
-    """`kind(v)`, at least `low` and finite; otherwise an InputError naming the option."""
+    """`kind(v)`, at least `low` and finite; otherwise an InputError naming the option.
+
+    A number option refuses a JSON true or false, and an integer option a
+    number with a fractional part, where `kind(v)` would truncate them.
+    """
     try:
+        if kind in (int, float) and isinstance(v, bool):
+            raise ValueError("expected a number, not true or false")
+        if kind is int and isinstance(v, float) and not v.is_integer():
+            raise ValueError("expected an integer")
         v = kind(v)
     except (TypeError, ValueError) as e:
         raise InputError(f"bad {name} value {v!r}: {e}") from e
@@ -129,40 +123,67 @@ def _convert(name: str, v, kind, low=None):
     return v
 
 
-def resolve(args: argparse.Namespace, config: dict, key: str, default=None, kind=None, low=None):
-    """Option `key` from the command line, else the config file, else `default`
-    (a JSON null counts as unset), converted by `kind` when given and not None."""
-    v = getattr(args, key, None)
-    if v is None:
-        v = config.get(key)
-    if v is None:
-        v = default
-    return v if kind is None or v is None else _convert(f"--{key.replace('_', '-')}", v, kind, low)
+# The default of an option that has none
+REQUIRED = object()
+
+# option: (kind, lower bound, help).  The config key is the option name with
+# "_" for "-"; `int` and `float` are also the command line's argparse types,
+# and `_flag` options are store_true flags.
+OPTIONS = {
+    "format": (_text, None, "output format"),
+    "theta": (int, None, "threshold: function is 1 iff at least theta ones"),
+    "max_n": (int, None, "solve, policy: node-count cap for the subset table; verify: largest random profile size"),
+    "tol": (float, 0, "tie tolerance for co-optimal transmitters and --check"),
+    "exact": (_flag, None, "rational arithmetic (exact ties)"),
+    "check": (_flag, None, "verify the order against the exact table"),
+    "annotate": (_flag, None, "list reachable states with reach probability and onward cost"),
+    "labels": (_text, None, "comma separated node names, in input order (dot output)"),
+    "sweeps": (int, 1, "number of random profiles (when no --probs)"),
+    "seed": (int, 0, f"RNG seed (else the {SEED_ENV_VAR} environment variable)"),
+    "tolerance": (float, None, "inequality slack treated as rounding"),
+    "exhaustive": (_flag, None, f"also enumerate all trees (n <= {EXHAUSTIVE_MAX_N})"),
+    "trials": (int, None, "Monte Carlo walks"),
+    "N": (int, None, "instances per replication"),
+    "reps": (int, None, "replications"),
+    "order": (_parse_order, None, "'conjectured' or an explicit rank permutation like 2,1"),
+    "transcript": (_flag, None, "include per-round records (json)"),
+}
 
 
-def require_theta(args: argparse.Namespace, config: dict) -> int:
-    v = resolve(args, config, "theta", kind=int)
-    if v is None:
-        raise InputError("--theta is required")
-    return v
+def resolve(args: argparse.Namespace, config: dict, command: Command) -> argparse.Namespace:
+    """The profile and every option of `command`, converted and checked.
+
+    Each option comes from the command line, else the config file (a JSON
+    null counts as unset), else SEED_ENV_VAR for `seed`, else the command's
+    default; an option whose default is REQUIRED must be given.
+    """
+    values = {"profile": resolve_profile(args, config, command.needs_probs)}
+    for key, default in {"format": "table", **command.options}.items():
+        kind, low, _ = OPTIONS[key]
+        name = f"--{key.replace('_', '-')}"
+        v = getattr(args, key)
+        if v is None:
+            v = config.get(key)
+        if v is None and key == "seed" and SEED_ENV_VAR in os.environ:
+            name, v = SEED_ENV_VAR, os.environ[SEED_ENV_VAR]
+        if v is None:
+            v = default
+        if v is REQUIRED:
+            raise InputError(f"{name} is required")
+        values[key] = None if v is None else _convert(name, v, kind, low)
+    return argparse.Namespace(**values)
 
 
-def resolve_seed(args: argparse.Namespace, config: dict) -> Optional[int]:
-    v = resolve(args, config, "seed", kind=int, low=0)
-    env = os.environ.get(SEED_ENV_VAR)
-    if v is None and env is not None:
-        v = _convert(SEED_ENV_VAR, env, int, low=0)
-    return v
-
-
-def resolve_profile(args: argparse.Namespace, config: dict) -> IngestedProfile:
-    if getattr(args, "probs", None) is not None:
+def resolve_profile(args: argparse.Namespace, config: dict, required: bool) -> Optional[IngestedProfile]:
+    if args.probs is not None:
         return parse_probs_arg(args.probs)
-    if getattr(args, "probs_file", None) is not None:
+    if args.probs_file is not None:
         return load_profile(args.probs_file)
     if "probs" in config:
         return parse_probs_arg(str(config["probs"]))
-    raise InputError("no probabilities given: pass --probs or --probs-file")
+    if required:
+        raise InputError("no probabilities given: pass --probs or --probs-file")
+    return None
 
 
 def rank_map_items(ingested: IngestedProfile) -> Optional[list[tuple[int, int]]]:
@@ -257,90 +278,76 @@ def profile_json(ingested: IngestedProfile) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each takes the resolved options and returns (output, exit code)
 
 
-def cmd_solve(args: argparse.Namespace, config: dict) -> str:
-    ingested = resolve_profile(args, config)
+def cmd_solve(opts: argparse.Namespace) -> tuple[str, int]:
+    ingested, theta = opts.profile, opts.theta
     profile = ingested.profile
-    theta = require_theta(args, config)
-    node_cap = resolve(args, config, "max_n", DEFAULT_NODE_CAP, int)
-    tol = resolve(args, config, "tol", DEFAULT_TIE_TOL, float, low=0)
-    exact = resolve(args, config, "exact", False, _flag)
-
-    table = CostTable(profile, node_cap=node_cap, exact=exact, theta=theta)
+    table = CostTable(profile, node_cap=opts.max_n, exact=opts.exact, theta=theta)
     full = (1 << profile.n) - 1
     cost = table.cost(full, theta)
     cost_f = float(cost)
-    tree = optimal_tree(profile, theta, table=table, tol=tol)
+    tree = optimal_tree(profile, theta, table=table, tol=opts.tol)
     if 1 <= theta <= profile.n:
-        first = table.minimizers(full, theta, tol=tol)
+        first = table.minimizers(full, theta, tol=opts.tol)
     else:
         first = ()
 
-    out_format = resolve(args, config, "format", "table")
-    if out_format == "dot":
-        return tree_to_dot(tree, labels=rank_labels(ingested, resolve(args, config, "labels", kind=_text)))
+    if opts.format == "dot":
+        return tree_to_dot(tree, labels=rank_labels(ingested, opts.labels)), EXIT_OK
     record = [("n", profile.n), ("theta", theta), ("optimal_cost", cost_f)]
-    if out_format == "json":
+    if opts.format == "json":
         return render_record(record, "json", optimal_first_transmitters=list(first), tree=tree,
-                             **profile_json(ingested))
+                             **profile_json(ingested)), EXIT_OK
     record.append(("optimal_first_transmitters", ";".join(str(r) for r in first)))
-    if out_format == "table":
+    if opts.format == "table":
         record[2:2] = profile_fields(ingested)
         record.append(("tree", render_json(tree, compact=True)))
-    return render_record(record, out_format)
+    return render_record(record, opts.format), EXIT_OK
 
 
-def cmd_policy(args: argparse.Namespace, config: dict) -> str:
-    ingested = resolve_profile(args, config)
+def cmd_policy(opts: argparse.Namespace) -> tuple[str, int]:
+    ingested, theta, out_format = opts.profile, opts.theta, opts.format
     profile = ingested.profile
-    theta = require_theta(args, config)
     spec = ThresholdSpec(profile.n, theta)
     cost = index_policy_cost(profile, theta)
-    out_format = resolve(args, config, "format", "table")
-    checked = resolve(args, config, "check", False, _flag)
-    tree = build_index_tree(profile.n, theta) if checked or out_format in ("json", "dot") else None
+    tree = build_index_tree(profile.n, theta) if opts.check or out_format in ("json", "dot") else None
 
-    check: Optional[dict] = None
-    check_failed = False
-    if checked:
-        node_cap = resolve(args, config, "max_n", DEFAULT_NODE_CAP, int)
-        tol = resolve(args, config, "tol", DEFAULT_TIE_TOL, float, low=0)
-        table = CostTable(profile, node_cap=node_cap, theta=spec.theta)
+    check, code = {}, EXIT_OK
+    if opts.check:
+        table = CostTable(profile, node_cap=opts.max_n, theta=spec.theta)
         table_cost = table.cost((1 << profile.n) - 1, theta)
-        cost_ok = abs(table_cost - cost) <= tol
+        cost_ok = abs(table_cost - cost) <= opts.tol
         bad_states = 0
         for node, mask, t in tree_states(tree, spec):
-            if not isinstance(node, Leaf) and node.transmitter not in table.minimizers(mask, t, tol=tol):
+            if not isinstance(node, Leaf) and node.transmitter not in table.minimizers(mask, t, tol=opts.tol):
                 bad_states += 1
-        check_failed = not cost_ok or bad_states > 0
+        passed = cost_ok and bad_states == 0
         check = {
             "table_cost": table_cost,
             "cost_matches_table": cost_ok,
             "states_off_policy": bad_states,
-            "check": "failed" if check_failed else "passed",
+            "check": "passed" if passed else "failed",
         }
+        code = EXIT_OK if passed else EXIT_VERIFY
 
-    annotate = resolve(args, config, "annotate", False, _flag)
-    annotations = annotate_reachable_states(profile, theta) if annotate else None
     if out_format == "dot":
-        return tree_to_dot(tree, labels=rank_labels(ingested, resolve(args, config, "labels", kind=_text)))
-    record = [("n", profile.n), ("theta", theta), ("policy_cost", cost), *(check or {}).items()]
+        return tree_to_dot(tree, labels=rank_labels(ingested, opts.labels)), code
+    record = [("n", profile.n), ("theta", theta), ("policy_cost", cost), *check.items()]
     if out_format == "table":
         text = render_record(record[:2] + profile_fields(ingested) + record[2:], "table")
-        if annotations is not None:
-            text += render_csv(annotation_rows(annotations, profile.n))
+        if opts.annotate:
+            text += render_csv(annotation_rows(annotate_reachable_states(profile, theta), profile.n))
     elif out_format == "json":
         states = {}
-        if annotations is not None:
-            states["states"] = [{k: json_value(v) for k, v in vars(a).items()} for a in annotations]
+        if opts.annotate:
+            states["states"] = [{k: json_value(v) for k, v in vars(a).items()}
+                                for a in annotate_reachable_states(profile, theta)]
         text = render_record(record, "json", tree=tree, **profile_json(ingested), **states)
     else:
         text = render_record(record, out_format)
-    if check_failed:
-        raise VerificationFailure(text)
-    return text
+    return text, code
 
 
 def _sweep_profiles(rng: np.random.Generator, sweeps: int, max_n: int) -> list[ProbabilityProfile]:
@@ -362,26 +369,17 @@ _WORST_COLUMNS = [
 ]
 
 
-def cmd_verify(args: argparse.Namespace, config: dict) -> str:
-    tolerance = resolve(args, config, "tolerance", DEFAULT_LEMMA_TOL, float)
-    exhaustive = resolve(args, config, "exhaustive", False, _flag)
-    explicit = (
-        getattr(args, "probs", None) is not None
-        or getattr(args, "probs_file", None) is not None
-        or "probs" in config
-    )
-    out_format = resolve(args, config, "format", "table")
-
+def cmd_verify(opts: argparse.Namespace) -> tuple[str, int]:
+    tolerance, exhaustive, out_format = opts.tolerance, opts.exhaustive, opts.format
+    explicit = opts.profile is not None
     if explicit:
-        ingested = resolve_profile(args, config)
-        profiles = [ingested.profile]
+        profiles = [opts.profile.profile]
     else:
-        sweeps = resolve(args, config, "sweeps", 100, int, low=1)
-        max_n = resolve(args, config, "max_n", 8, int, low=2)
-        seed = resolve_seed(args, config)
-        if seed is None:
+        # a random profile has at least 2 nodes
+        max_n = _convert("--max-n", opts.max_n, int, low=2)
+        if opts.seed is None:
             raise InputError("sweep mode needs --seed (or the seed env var) for reproducibility")
-        profiles = _sweep_profiles(np.random.default_rng(seed), sweeps, max_n)
+        profiles = _sweep_profiles(np.random.default_rng(opts.seed), opts.sweeps, max_n)
 
     total_violations = 0
     exhaustive_failures = 0
@@ -437,20 +435,13 @@ def cmd_verify(args: argparse.Namespace, config: dict) -> str:
     else:
         verdict = [("verify", "passed" if passed else "failed")]
         text = render_record(record + worst + (exhaustive_fields if exhaustive else []) + verdict, out_format)
-
-    if not passed:
-        raise VerificationFailure(text)
-    return text
+    return text, EXIT_OK if passed else EXIT_VERIFY
 
 
-def cmd_simulate(args: argparse.Namespace, config: dict) -> str:
-    ingested = resolve_profile(args, config)
-    profile = ingested.profile
-    theta = require_theta(args, config)
-    trials = resolve(args, config, "trials", 10000, int)
-    seed = resolve_seed(args, config)
+def cmd_simulate(opts: argparse.Namespace) -> tuple[str, int]:
+    profile, theta, seed = opts.profile.profile, opts.theta, opts.seed
     tree = build_index_tree(profile.n, theta)
-    report = simulate_tree(tree, profile, theta, trials, seed=seed)
+    report = simulate_tree(tree, profile, theta, opts.trials, seed=seed)
     z = (report.mean_bits - report.expected_bits) / report.std_error if report.std_error else 0.0
 
     record = [
@@ -464,22 +455,12 @@ def cmd_simulate(args: argparse.Namespace, config: dict) -> str:
         ("z", z),
         ("error_count", report.error_count),
     ]
-    text = render_record(record, resolve(args, config, "format", "table"))
-    if report.error_count > 0:
-        raise SimulationFailure(text)
-    return text
+    return render_record(record, opts.format), EXIT_SIM if report.error_count > 0 else EXIT_OK
 
 
-def cmd_block(args: argparse.Namespace, config: dict) -> str:
-    ingested = resolve_profile(args, config)
-    profile = ingested.profile
-    theta = require_theta(args, config)
-    N = resolve(args, config, "N", 1024, int)
-    reps = resolve(args, config, "reps", 10, int)
-    seed = resolve_seed(args, config)
-    order = resolve(args, config, "order", "conjectured", _parse_order)
-
-    reports, summary = run_block_replications(profile, theta, N, reps, seed=seed, order=order)
+def cmd_block(opts: argparse.Namespace) -> tuple[str, int]:
+    profile, theta, seed = opts.profile.profile, opts.theta, opts.seed
+    reports, summary = run_block_replications(profile, theta, opts.N, opts.reps, seed=seed, order=opts.order)
     single = index_policy_cost(profile, theta)
 
     record = [
@@ -497,7 +478,7 @@ def cmd_block(args: argparse.Namespace, config: dict) -> str:
         ("error_count", summary.error_count),
     ]
     transcript = {}
-    if resolve(args, config, "transcript", False, _flag):
+    if opts.transcript:
         transcript["replications"] = [
             {
                 "total_bits": r.total_bits,
@@ -507,14 +488,38 @@ def cmd_block(args: argparse.Namespace, config: dict) -> str:
             }
             for r in reports
         ]
-    text = render_record(record, resolve(args, config, "format", "table"), **transcript)
-    if summary.error_count > 0:
-        raise SimulationFailure(text)
-    return text
+    text = render_record(record, opts.format, **transcript)
+    return text, EXIT_SIM if summary.error_count > 0 else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # Parser
+
+
+class Command(NamedTuple):
+    handler: Callable[[argparse.Namespace], tuple[str, int]]
+    help: str
+    formats: tuple[str, ...]
+    options: dict  # option -> default, in OPTIONS
+    needs_probs: bool = True
+
+
+FORMATS = ("table", "json", "csv")
+
+COMMANDS = {
+    "solve": Command(cmd_solve, "exact optimal cost and one optimal strategy tree", FORMATS + ("dot",), {
+        "theta": REQUIRED, "max_n": DEFAULT_NODE_CAP, "tol": DEFAULT_TIE_TOL, "exact": False, "labels": None}),
+    "policy": Command(cmd_policy, "closed-form transmission order and its cost", FORMATS + ("dot",), {
+        "theta": REQUIRED, "check": False, "annotate": False, "max_n": DEFAULT_NODE_CAP, "tol": DEFAULT_TIE_TOL,
+        "labels": None}),
+    "verify": Command(cmd_verify, "inequality sweeps; optionally brute-force tree enumeration", FORMATS, {
+        "sweeps": 100, "max_n": 8, "seed": None, "tolerance": DEFAULT_LEMMA_TOL, "exhaustive": False},
+        needs_probs=False),
+    "simulate": Command(cmd_simulate, "Monte Carlo walks of the policy strategy", FORMATS, {
+        "theta": REQUIRED, "trials": 10000, "seed": None}),
+    "block": Command(cmd_block, "lockstep multi-instance runs with coded blocks", FORMATS, {
+        "theta": REQUIRED, "N": 1024, "reps": 10, "seed": None, "order": "conjectured", "transcript": False}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -523,84 +528,34 @@ def build_parser() -> argparse.ArgumentParser:
         description="Minimum-expected-bits threshold computation over a broadcast channel",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, theta: bool = True) -> None:
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--probs", help="comma separated marginals, e.g. 0.3,0.6")
         p.add_argument("--probs-file", help="JSON array or one-column CSV of marginals")
         p.add_argument("--config", help="JSON file with default option values")
         p.add_argument("--out", help="write output to this file instead of stdout")
-        if theta:
-            p.add_argument("--theta", type=int, help="threshold: function is 1 iff at least theta ones")
-
-    p_solve = sub.add_parser("solve", help="exact optimal cost and one optimal strategy tree")
-    add_common(p_solve)
-    p_solve.add_argument("--format", choices=["table", "json", "csv", "dot"])
-    p_solve.add_argument("--max-n", dest="max_n", type=int, help="node-count cap for the subset table")
-    p_solve.add_argument("--tol", type=float, help="tie tolerance for reporting co-optimal transmitters")
-    p_solve.add_argument("--exact", action="store_true", default=None, help="rational arithmetic (exact ties)")
-    p_solve.add_argument("--labels", help="comma separated node names, in input order (dot output)")
-    p_solve.set_defaults(func=cmd_solve)
-
-    p_policy = sub.add_parser("policy", help="closed-form transmission order and its cost")
-    add_common(p_policy)
-    p_policy.add_argument("--format", choices=["table", "json", "csv", "dot"])
-    p_policy.add_argument("--check", action="store_true", default=None, help="verify the order against the exact table")
-    p_policy.add_argument("--annotate", action="store_true", default=None, help="list reachable states with reach probability and onward cost")
-    p_policy.add_argument("--max-n", dest="max_n", type=int)
-    p_policy.add_argument("--tol", type=float)
-    p_policy.add_argument("--labels", help="comma separated node names, in input order (dot output)")
-    p_policy.set_defaults(func=cmd_policy)
-
-    p_verify = sub.add_parser("verify", help="inequality sweeps; optionally brute-force tree enumeration")
-    add_common(p_verify, theta=False)
-    p_verify.add_argument("--format", choices=["table", "json", "csv"])
-    p_verify.add_argument("--sweeps", type=int, help="number of random profiles (when no --probs)")
-    p_verify.add_argument("--max-n", dest="max_n", type=int, help="largest random profile size")
-    p_verify.add_argument("--seed", type=int, help="sweep RNG seed")
-    p_verify.add_argument("--tolerance", type=float, help="inequality slack treated as rounding")
-    p_verify.add_argument("--exhaustive", action="store_true", default=None, help="also enumerate all trees (n <= 4)")
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_sim = sub.add_parser("simulate", help="Monte Carlo walks of the policy strategy")
-    add_common(p_sim)
-    p_sim.add_argument("--format", choices=["table", "json", "csv"])
-    p_sim.add_argument("--trials", type=int)
-    p_sim.add_argument("--seed", type=int)
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_block = sub.add_parser("block", help="lockstep multi-instance runs with coded blocks")
-    add_common(p_block)
-    p_block.add_argument("--format", choices=["table", "json", "csv"])
-    p_block.add_argument("--N", type=int, help="instances per replication")
-    p_block.add_argument("--reps", type=int)
-    p_block.add_argument("--seed", type=int)
-    p_block.add_argument("--order", help="'conjectured' or an explicit rank permutation like 2,1")
-    p_block.add_argument("--transcript", action="store_true", default=None, help="include per-round records (json)")
-    p_block.set_defaults(func=cmd_block)
-
+        p.add_argument("--format", choices=command.formats, help=OPTIONS["format"][2])
+        for key in command.options:
+            kind, _, help_text = OPTIONS[key]
+            flag = f"--{key.replace('_', '-')}"
+            if kind is _flag:
+                p.add_argument(flag, action="store_true", default=None, help=help_text)
+            else:
+                p.add_argument(flag, type=kind if kind in (int, float) else None, help=help_text)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
     try:
-        config = load_config(getattr(args, "config", None))
-        text = args.func(args, config)
-        code = EXIT_OK
-    except VerificationFailure as e:
-        text = e.text
-        code = EXIT_VERIFY
-    except SimulationFailure as e:
-        text = e.text
-        code = EXIT_SIM
+        text, code = command.handler(resolve(args, load_config(args.config), command))
     except (InputError, CapacityError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CAPACITY if isinstance(e, CapacityError) else EXIT_INPUT
 
-    out_path = getattr(args, "out", None)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as f:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as f:
             f.write(text)
     else:
         sys.stdout.write(text)

@@ -2,11 +2,12 @@
 
 `perfbench/tracing.py` wraps threshcast functions at the module attribute
 its callers read, and the oracles in `perfbench/workloads.py` call package
-names; README's quick start documents the public API, and `__all__`
-lists it.  Deleting any of those names must fail here rather than at a
+names; README's quick start documents the public API, its CLI section
+every option, and `__all__` lists it.  Deleting any of those names must fail here rather than at a
 traced bench run, a star import or for a reader of the docs.
 """
 
+import argparse
 import ast
 import importlib
 import importlib.util
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import threshcast
+from threshcast.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -71,3 +73,20 @@ def test_readme_quick_start():
         shown.append(want.group(1))
         assert got == pytest.approx(ast.literal_eval(want.group(1)), abs=1e-12), source
     assert shown == ["1.4", "1.4", "(1, 1)"]
+
+
+def test_readme_lists_every_cli_option():
+    """README's options table names each option with the subcommands that take it."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## CLI", 1)[1].split("\n## ", 1)[0]
+    documented = {}
+    for row in re.findall(r"^\| `(--[\w-]+)` \| ([^|]*) \|", section, re.M):
+        documented[row[0]] = set(row[1].split(", "))
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    declared: dict = {}
+    for command, parser in subparsers.choices.items():
+        for action in parser._actions:
+            for option in action.option_strings:
+                if action.dest != "help":
+                    declared.setdefault(option, set()).add(command)
+    assert documented == declared

@@ -156,14 +156,26 @@ class TestPolicy:
             "2,1,1.4,1.4,true,0,passed\n"
         )
 
-    def test_failed_check_shows_in_csv(self, capsys, monkeypatch):
-        monkeypatch.setattr(CostTable, "minimizers", lambda self, mask, t, tol=0.0: ())
+    @pytest.mark.parametrize("out_format", ["table", "json", "csv", "dot"])
+    def test_failed_check_exits_4(self, capsys, monkeypatch, out_format):
+        monkeypatch.setattr(CostTable, "minimizers", lambda self, mask, t, tol=0.0: (99,))
         code, out, _ = run_cli(
-            capsys, "policy", "--probs", "0.2,0.5,0.7", "--theta", "2", "--check", "--format", "csv"
+            capsys, "policy", "--probs", "0.2,0.5,0.7", "--theta", "2", "--check", "--format", out_format
         )
         assert code == 4
-        header, values = (line.split(",") for line in out.splitlines())
-        row = dict(zip(header, values))
+        if out_format == "dot":
+            assert out.startswith("digraph")
+            return
+        if out_format == "json":
+            row = json.loads(out)
+            assert row["check"] == "failed" and row["cost_matches_table"] is True
+            assert row["states_off_policy"] > 0
+            return
+        if out_format == "csv":
+            header, values = (line.split(",") for line in out.splitlines())
+            row = dict(zip(header, values))
+        else:
+            row = kv(out)
         assert row["check"] == "failed"
         assert row["cost_matches_table"] == "true"
         assert int(row["states_off_policy"]) > 0
@@ -558,22 +570,44 @@ class TestMalformedValues:
         assert code == 2 and out == ""
         assert "--max-n" in err
 
-    @pytest.mark.parametrize("command,key", [
-        ("solve", "theta"),
-        ("solve", "tol"),
-        ("policy", "max_n"),
-        ("simulate", "trials"),
-        ("block", "N"),
-        ("block", "seed"),
-        ("verify", "tolerance"),
+    INT_KEYS = [("solve", "theta"), ("policy", "max_n"), ("simulate", "trials"), ("block", "N"), ("block", "seed")]
+    FLOAT_KEYS = [("solve", "tol"), ("verify", "tolerance")]
+
+    # a config number is refused, not truncated: true is no number, and 1.5 no integer
+    @pytest.mark.parametrize("command,key,value", [
+        *(pytest.param(c, k, "abc", id=f"{c}-{k}") for c, k in INT_KEYS + FLOAT_KEYS),
+        *(pytest.param(c, k, True, id=f"{c}-{k}-true") for c, k in INT_KEYS + FLOAT_KEYS),
+        *(pytest.param(c, k, 1.5, id=f"{c}-{k}-1.5") for c, k in INT_KEYS),
     ])
-    def test_config_value_not_a_number(self, capsys, tmp_path, command, key):
+    def test_config_value_not_a_number(self, capsys, tmp_path, command, key, value):
         cfg = tmp_path / "cfg.json"
-        settings = {"probs": "0.3,0.6", "theta": 1, "seed": 1, "check": True, key: "abc"}
+        settings = {"probs": "0.3,0.6", "theta": 1, "seed": 1, "check": True, key: value}
         cfg.write_text(json.dumps(settings))
         code, out, err = run_cli(capsys, command, "--config", str(cfg))
         assert code == 2 and out == ""
-        assert f"bad --{key.replace('_', '-')} value 'abc'" in err
+        assert f"bad --{key.replace('_', '-')} value {value!r}" in err
+
+    def test_config_integer_valued_float_is_an_integer(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"probs": "0.3,0.6", "theta": 2.0}))
+        code, out, _ = run_cli(capsys, "solve", "--config", str(cfg))
+        assert code == 0
+        assert kv(out)["theta"] == "2" and kv(out)["optimal_cost"] == "1.3"
+
+    @pytest.mark.parametrize("argv,config,option", [
+        (["policy", "--probs", "0.3,0.6", "--theta", "1", "--tol=-1"], None, "--tol"),
+        (["verify", "--probs", "0.3,0.6", "--seed", "-1"], None, "--seed"),
+        (["solve", "--probs", "0.3,0.6", "--theta", "1"], {"labels": 5}, "--labels"),
+    ], ids=["policy-tol-without-check", "verify-seed-with-probs", "solve-labels-with-table"])
+    def test_unused_option_is_still_checked(self, capsys, tmp_path, argv, config, option):
+        # every option of the subcommand is resolved before it runs, used or not
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv = argv + ["--config", str(cfg)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert option in err
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--probs", "0.3,0.6", "--theta", "1", "--tol=-1"],
