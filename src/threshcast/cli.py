@@ -16,6 +16,7 @@ simulation disagreed with the function.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -36,7 +37,8 @@ from .core import (
 # strategy_cost is not called here: perfbench/tracing.py wraps it under this module's name
 from .dp import DEFAULT_NODE_CAP, DEFAULT_TIE_TOL, CostTable, optimal_tree, strategy_cost
 # nor is tree_to_dict, for the same reason
-from .io import IngestedProfile, load_profile, parse_probs_arg, render_json, tree_to_dict, tree_to_dot
+from .io import (IngestedProfile, check_strategy_size, load_profile, parse_probs_arg, read_text_file, render_json,
+                 tree_to_dict, tree_to_dot)
 from .policy import StateAnnotation, annotate_reachable_states, build_index_tree, index_policy_cost
 from .sim import run_block_replications, simulate_tree
 from .verify import (
@@ -71,11 +73,9 @@ def jround(x: float) -> float:
 def load_config(path: Optional[str]) -> dict:
     if path is None:
         return {}
+    text = read_text_file(path, "config file")
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            data = json.load(f)
-    except OSError as e:
-        raise InputError(f"cannot read config file: {e}") from e
+        data = json.loads(text)
     except json.JSONDecodeError as e:
         raise InputError(f"config file is not valid JSON: {e}") from e
     if not isinstance(data, dict):
@@ -284,7 +284,12 @@ def profile_json(ingested: IngestedProfile) -> dict:
 def cmd_solve(opts: argparse.Namespace) -> tuple[str, int]:
     ingested, theta = opts.profile, opts.theta
     profile = ingested.profile
+    # the table's n-cap, then the labels, then the size of the tree that
+    # table, json and dot print, all before the table is filled
     table = CostTable(profile, node_cap=opts.max_n, exact=opts.exact, theta=theta)
+    labels = rank_labels(ingested, opts.labels) if opts.format == "dot" else None
+    if opts.format in ("table", "json", "dot"):
+        check_strategy_size(profile.n, theta)
     full = (1 << profile.n) - 1
     cost = table.cost(full, theta)
     cost_f = float(cost)
@@ -295,7 +300,7 @@ def cmd_solve(opts: argparse.Namespace) -> tuple[str, int]:
         first = ()
 
     if opts.format == "dot":
-        return tree_to_dot(tree, labels=rank_labels(ingested, opts.labels)), EXIT_OK
+        return tree_to_dot(tree, labels=labels), EXIT_OK
     record = [("n", profile.n), ("theta", theta), ("optimal_cost", cost_f)]
     if opts.format == "json":
         return render_record(record, "json", optimal_first_transmitters=list(first), tree=tree,
@@ -312,11 +317,15 @@ def cmd_policy(opts: argparse.Namespace) -> tuple[str, int]:
     profile = ingested.profile
     spec = ThresholdSpec(profile.n, theta)
     cost = index_policy_cost(profile, theta)
+    # the table's n-cap, then the labels, then the tree's size, before the tree is built
+    table = CostTable(profile, node_cap=opts.max_n, theta=spec.theta) if opts.check else None
+    labels = rank_labels(ingested, opts.labels) if out_format == "dot" else None
+    if out_format in ("json", "dot"):
+        check_strategy_size(profile.n, theta)
     tree = build_index_tree(profile.n, theta) if opts.check or out_format in ("json", "dot") else None
 
     check, code = {}, EXIT_OK
     if opts.check:
-        table = CostTable(profile, node_cap=opts.max_n, theta=spec.theta)
         table_cost = table.cost((1 << profile.n) - 1, theta)
         cost_ok = abs(table_cost - cost) <= opts.tol
         bad_states = 0
@@ -333,7 +342,7 @@ def cmd_policy(opts: argparse.Namespace) -> tuple[str, int]:
         code = EXIT_OK if passed else EXIT_VERIFY
 
     if out_format == "dot":
-        return tree_to_dot(tree, labels=rank_labels(ingested, opts.labels)), code
+        return tree_to_dot(tree, labels=labels), code
     record = [("n", profile.n), ("theta", theta), ("policy_cost", cost), *check.items()]
     if out_format == "table":
         text = render_record(record[:2] + profile_fields(ingested) + record[2:], "table")
@@ -522,7 +531,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process and shared by every
+    `main` call; parsing never changes it, and nothing else may."""
     parser = argparse.ArgumentParser(
         prog="threshcast",
         description="Minimum-expected-bits threshold computation over a broadcast channel",
@@ -545,20 +557,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def write_out(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+    except OSError as e:
+        raise InputError(f"cannot write --out file: {e}") from e
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     command = COMMANDS[args.command]
     try:
         text, code = command.handler(resolve(args, load_config(args.config), command))
+        if args.out:
+            write_out(args.out, text)
+        else:
+            sys.stdout.write(text)
     except (InputError, CapacityError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CAPACITY if isinstance(e, CapacityError) else EXIT_INPUT
-
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
     return code
 
 

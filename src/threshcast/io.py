@@ -14,6 +14,7 @@ import csv
 import io as _io
 import json
 from dataclasses import dataclass
+from math import comb
 from typing import Sequence
 
 from .core import CapacityError, DecisionTree, InputError, Leaf, Node, ProbabilityProfile, dag_postorder
@@ -68,9 +69,20 @@ def parse_profile_text(text: str) -> IngestedProfile:
     return ingest_values(values)
 
 
+def read_text_file(path: str, what: str) -> str:
+    """The file's UTF-8 text; an InputError naming `what` and the file if it
+    cannot be opened, read or decoded."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return f.read()
+    except OSError as e:
+        raise InputError(f"cannot read {what}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise InputError(f"cannot read {what}: {path!r} is not UTF-8 text ({e})") from e
+
+
 def load_profile(path: str) -> IngestedProfile:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_profile_text(f.read())
+    return parse_profile_text(read_text_file(path, "probabilities file"))
 
 
 def parse_probs_arg(arg: str) -> IngestedProfile:
@@ -126,12 +138,30 @@ def tree_extent(tree: DecisionTree) -> tuple[int, int, int]:
     return memo[id(tree)]
 
 
+def _check_node_cap(size: int) -> None:
+    if size > MAX_RENDER_NODES:
+        # past about 4,300 digits Python refuses to print an int in decimal
+        shown = size if size.bit_length() < 10_000 else f"more than 2**{size.bit_length() - 1}"
+        raise CapacityError(f"the strategy expands to {shown} tree nodes, over the rendering cap of {MAX_RENDER_NODES}")
+
+
+def check_strategy_size(n: int, theta: int) -> None:
+    """Refuse every valid strategy for (n, theta) past the node cap, before one is built.
+
+    Whatever it asks, a valid strategy stops when theta ones or
+    n - theta + 1 zeros have been heard, so its leaves are the 0/1 answer
+    sequences that stop there: C(n + 1, theta) of them, by the
+    hockey-stick identity, and one node fewer inside.  The count is
+    `tree_extent`'s, so the message is `_check_render_caps`'s.
+    """
+    _check_node_cap(2 * comb(n + 1, theta) - 1)
+
+
 def _check_render_caps(tree: DecisionTree, json_level: int | None = None) -> None:
     """Refuse a tree past the node cap, or, as indented JSON opening at
     nesting `json_level`, past the nesting or the byte cap."""
     size, depth, nbytes = tree_extent(tree)
-    if size > MAX_RENDER_NODES:
-        raise CapacityError(f"the strategy expands to {size} tree nodes, over the rendering cap of {MAX_RENDER_NODES}")
+    _check_node_cap(size)
     if json_level is None:
         return
     if depth > MAX_JSON_DEPTH:

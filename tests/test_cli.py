@@ -1,14 +1,20 @@
 """Command line behavior: formats, precedence, exit codes, determinism."""
 
+import argparse
 import json
+import os
 import shutil
 import subprocess
 import sys
+import time
+from math import comb
+from pathlib import Path
 
 import pytest
 
+import threshcast
 from threshcast import io as tio
-from threshcast.cli import SEED_ENV_VAR, annotation_rows, main
+from threshcast.cli import COMMANDS, SEED_ENV_VAR, annotation_rows, build_parser, main
 from threshcast.core import ProbabilityProfile
 from threshcast.dp import CostTable
 from threshcast.huffman import BernoulliBlockCode
@@ -313,6 +319,37 @@ class TestTreeRenderingCaps:
         )
         assert code == 3 and out == ""
         assert "10400599 tree nodes" in err and "cap of 1000000" in err
+
+    @pytest.mark.parametrize("out_format", ["json", "dot"])
+    def test_oversized_policy_tree_is_refused_before_it_is_built(self, capsys, out_format):
+        argv = ("policy", "--probs", scrambled_probs(800), "--theta", "400", "--format", out_format)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert err == (f"error: the strategy expands to {2 * comb(801, 400) - 1} tree nodes, "
+                       "over the rendering cap of 1000000\n")
+
+    @pytest.mark.parametrize("argv, code, message", [
+        # the table's n-cap is checked first under solve and policy --check
+        (("solve", "--theta", "12", "--format", "json"), 3, "above the cap of 20"),
+        (("policy", "--theta", "12", "--format", "json", "--check"), 3, "above the cap of 20"),
+        # a wrong label count is reported before the tree's size
+        (("solve", "--theta", "12", "--format", "dot", "--max-n", "24", "--labels", "a"), 2, "--labels has 1 names"),
+        (("policy", "--theta", "12", "--format", "dot", "--labels", "a"), 2, "--labels has 1 names"),
+        # csv prints no tree and table no policy tree, so neither is refused
+        (("policy", "--theta", "12", "--format", "table"), 0, ""),
+        (("policy", "--theta", "12", "--format", "csv"), 0, ""),
+    ], ids=["solve-n-cap", "check-n-cap", "solve-labels", "policy-labels", "policy-table", "policy-csv"])
+    def test_earlier_errors_still_win_over_the_size_refusal(self, capsys, argv, code, message):
+        got, _, err = run_cli(capsys, *argv[:1], "--probs", scrambled_probs(24), *argv[1:])
+        assert got == code and message in err
+
+    def test_solve_past_the_node_cap_is_refused_before_the_fill(self, capsys, monkeypatch):
+        monkeypatch.setattr(CostTable, "_fill", lambda self: pytest.fail("the table was filled"))
+        code, out, err = run_cli(capsys, "solve", "--probs", scrambled_probs(21), "--theta", "10", "--max-n", "21")
+        assert code == 3 and out == ""
+        assert f"expands to {2 * comb(22, 10) - 1} tree nodes" in err
 
 
 class TestVerify:
@@ -707,6 +744,33 @@ class TestConfigAndOutput:
         code, _, err = run_cli(capsys, "solve", "--config", "/nonexistent/cfg.json", "--theta", "1")
         assert code == 2
 
+    @staticmethod
+    def unreadable(tmp_path, kind: str) -> Path:
+        path = tmp_path / f"{kind}.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(b"[0.3, \xff0.6]")
+        return path
+
+    @pytest.mark.parametrize("option", ["--probs-file", "--config"])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_unreadable_input_file_exits_2(self, capsys, tmp_path, option, kind):
+        path = self.unreadable(tmp_path, kind)
+        probs = () if option == "--probs-file" else ("--probs", "0.3,0.6")
+        code, out, err = run_cli(capsys, "solve", *probs, "--theta", "1", option, str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot read ") and err.count("\n") == 1
+        assert repr(str(path)) in err
+
+    @pytest.mark.parametrize("kind", ["missing-directory", "directory"])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, kind):
+        target = tmp_path / "no" / "x" if kind == "missing-directory" else tmp_path
+        code, out, err = run_cli(capsys, "solve", "--probs", "0.3,0.6", "--theta", "1", "--out", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write --out file: ") and err.count("\n") == 1
+        assert repr(str(target)) in err
+
     def test_out_writes_file(self, capsys, tmp_path):
         target = tmp_path / "result.txt"
         code, out, _ = run_cli(
@@ -751,6 +815,69 @@ class TestDeterminism:
         assert code_a == code_b == 0
         assert out_a == out_b
         assert out_a
+
+
+class TestSharedParser:
+    """`main` parses every command line with one parser per process."""
+
+    def test_one_parser_for_many_calls(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for _ in range(3):
+            for argv in TestDeterminism.CASES:
+                assert run_cli(capsys, *argv)[0] == 0
+        # the top-level parser and one per subcommand
+        assert len(built) == 1 + len(COMMANDS)
+        assert build_parser() is build_parser()
+
+    def command_lines(self, tmp_path) -> list[tuple[str, ...]]:
+        config = tmp_path / "config.json"
+        config.write_text('{"theta": 2, "exact": true, "format": "json"}')
+        # ranks 1 and 2 tie within the float tolerance but not exactly, so --exact changes the output
+        near_tie = "0.3,0.30000000000001,0.6"
+        return [
+            ("solve", "--probs", near_tie, "--theta", "2", "--exact"),
+            ("solve", "--probs", near_tie, "--theta", "2"),
+            ("policy", "--probs", "0.2,0.5,0.7", "--theta", "2", "--check", "--format", "csv"),
+            ("policy", "--probs", "0.2,0.5,0.7", "--theta", "2", "--format", "csv"),
+            ("solve", "--probs", "0.3,0.6,0.9", "--config", str(config)),
+            ("solve", "--probs", "0.3,0.6,0.9", "--theta", "1"),
+            ("policy", "--probs", "0.3,0.6", "--theta", "1", "--no-such-option"),
+            ("verify", "--probs", "0.3,0.6,0.9", "--format", "json"),
+            ("simulate", "--help"),
+            ("simulate", "--probs", "0.3,0.6", "--theta", "1", "--trials", "200", "--seed", "4"),
+            ("block", "--probs", "0.3,0.6", "--theta", "1", "--N", "8", "--reps", "2", "--seed", "5"),
+            ("solve", "--probs", "0.3,0.6", "--theta", "7"),
+        ]
+
+    def test_interleaved_calls_match_fresh_processes(self, capsys, monkeypatch, tmp_path):
+        # help text wraps at the terminal width, which COLUMNS fixes for both sides
+        monkeypatch.setenv("COLUMNS", "80")
+        src = str(Path(threshcast.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        lines = self.command_lines(tmp_path)
+        fresh = {}
+        for argv in lines:
+            proc = subprocess.run([sys.executable, "-m", "threshcast.cli", *argv],
+                                  capture_output=True, text=True, env=env)
+            fresh[argv] = (proc.returncode, proc.stdout, proc.stderr)
+        assert {code for code, _, _ in fresh.values()} == {0, 2}
+
+        for order in (lines, lines[::-1]):
+            for argv in order:
+                try:
+                    code = main(list(argv))
+                except SystemExit as e:  # argparse's --help and usage errors
+                    code = e.code
+                captured = capsys.readouterr()
+                assert (code, captured.out, captured.err) == fresh[argv], argv
 
 
 def installed_entry_point():

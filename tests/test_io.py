@@ -1,6 +1,7 @@
 """Profile ingestion and tree serialization."""
 
 import json
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from threshcast import io as tio
 from threshcast.core import CapacityError, InputError, Leaf, Node, ProbabilityProfile
 from threshcast.dp import optimal_tree
 from threshcast.io import (
+    check_strategy_size,
     ingest_values,
     load_profile,
     parse_probs_arg,
@@ -21,6 +23,7 @@ from threshcast.io import (
     tree_to_dot,
 )
 from threshcast.policy import build_index_tree
+from threshcast.verify import enumerate_trees
 
 
 class TestIngestion:
@@ -152,6 +155,36 @@ class TestRenderingCaps:
                 tree = build_index_tree(n, theta)
                 nodes = tree_to_dot(tree).count("shape=")
                 assert tree_extent(tree) == (nodes, n, len(stdlib_json(tree_to_dict(tree))) - 1), (n, theta)
+
+    def test_every_valid_strategy_expands_to_the_closed_form(self):
+        for n in range(1, 14):
+            for theta in range(n + 2):
+                assert tree_extent(build_index_tree(n, theta))[0] == 2 * comb(n + 1, theta) - 1, (n, theta)
+        for n in range(1, 11):
+            profile = ProbabilityProfile(tuple((i + 0.5) / n for i in range(n)))
+            for theta in range(n + 2):
+                assert tree_extent(optimal_tree(profile, theta))[0] == 2 * comb(n + 1, theta) - 1, (n, theta)
+        for theta in range(6):
+            trees = enumerate_trees(4, theta)
+            assert {tree_extent(t)[0] for t in trees} == {2 * comb(5, theta) - 1}, theta
+
+    def test_size_check_refuses_where_the_render_check_does(self, monkeypatch):
+        tree = build_index_tree(9, 4)
+        size = tree_extent(tree)[0]
+        monkeypatch.setattr(tio, "MAX_RENDER_NODES", size)
+        check_strategy_size(9, 4)
+        monkeypatch.setattr(tio, "MAX_RENDER_NODES", size - 1)
+        with pytest.raises(CapacityError) as from_size:
+            check_strategy_size(9, 4)
+        with pytest.raises(CapacityError) as from_tree:
+            tio._check_render_caps(tree)
+        assert str(from_size.value) == str(from_tree.value) == (
+            f"the strategy expands to {size} tree nodes, over the rendering cap of {size - 1}")
+
+    def test_size_past_the_decimal_digit_limit_is_bounded(self):
+        # C(20001, 10000) has about 6,000 digits, past what Python prints by default
+        with pytest.raises(CapacityError, match=r"expands to more than 2\*\*19994 tree nodes, over the rendering cap"):
+            check_strategy_size(20_000, 10_000)
 
     def test_caps_refuse_before_rendering(self, monkeypatch):
         tree = build_index_tree(6, 3)
