@@ -56,6 +56,7 @@ from .sim import (
     run_block_replications,
     run_block_strategy,
     simulate_tree,
+    strategy_dag,
 )
 from .verify import (
     ExhaustiveReport,
@@ -110,6 +111,7 @@ __all__ = [
     "run_block_replications",
     "run_block_strategy",
     "simulate_tree",
+    "strategy_dag",
     "strategy_cost",
     "tree_from_dict",
     "tree_states",

@@ -180,7 +180,7 @@ def resolve_profile(args: argparse.Namespace, config: dict, required: bool) -> O
     if args.probs_file is not None:
         return load_profile(args.probs_file)
     if "probs" in config:
-        return parse_probs_arg(str(config["probs"]))
+        return parse_probs_arg(_convert("--probs", config["probs"], _text))
     if required:
         raise InputError("no probabilities given: pass --probs or --probs-file")
     return None

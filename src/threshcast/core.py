@@ -217,22 +217,25 @@ def validate_tree(tree: DecisionTree, spec: ThresholdSpec) -> None:
 
 
 def dag_postorder(tree: DecisionTree) -> list[DecisionTree]:
-    """Every distinct node of a shared DAG once, each after its children."""
+    """Every distinct node of a shared DAG once, each after its children.
+
+    A node is entered once: it goes back on the stack under a None
+    marker, above which its children are pushed, so by the time the
+    marker pops both children are placed (a DAG has no path back up to
+    the node) and the node follows them.
+    """
     order: list[DecisionTree] = []
-    placed: set[int] = set()
-    stack = [tree]
+    entered: set[int] = set()
+    stack: list = [tree]
     while stack:
-        t = stack[-1]
-        if id(t) in placed:
-            stack.pop()
-            continue
-        if isinstance(t, Node):
-            pending = [c for c in (t.on_zero, t.on_one) if id(c) not in placed]
-            if pending:
-                stack += pending
-                continue
-        stack.pop()
-        placed.add(id(t))
-        order.append(t)
+        t = stack.pop()
+        if t is None:
+            order.append(stack.pop())
+        elif id(t) not in entered:
+            entered.add(id(t))
+            if isinstance(t, Node):
+                stack += (t, None, t.on_zero, t.on_one)
+            else:
+                order.append(t)
     return order
 

@@ -261,14 +261,14 @@ def tree_from_dict(data: object) -> DecisionTree:
         if set(data) != {"value"}:
             raise InputError(f"leaf object has extra keys: {sorted(set(data) - {'value'})}")
         value = data["value"]
-        if value not in (0, 1):
+        if type(value) is not int or value not in (0, 1):  # refuses true, false and 1.0
             raise InputError(f"leaf value must be 0 or 1, got {value!r}")
         return Leaf(value)
     want = {"transmitter", "on_zero", "on_one"}
     if set(data) != want:
         raise InputError(f"internal node keys must be {sorted(want)}, got {sorted(data)}")
     transmitter = data["transmitter"]
-    if not isinstance(transmitter, int) or transmitter < 1:
+    if type(transmitter) is not int or transmitter < 1:
         raise InputError(f"transmitter must be a positive integer, got {transmitter!r}")
     return Node(transmitter, tree_from_dict(data["on_zero"]), tree_from_dict(data["on_one"]))
 
@@ -278,7 +278,8 @@ def tree_to_dot(tree: DecisionTree, labels: Sequence[str] | None = None) -> str:
 
     A node's two edges follow its whole subtree.  `labels[r-1]` overrides
     the display name of rank r, which lets callers show original input
-    labels on a rank-space tree.
+    labels on a rank-space tree; its backslashes and double quotes are
+    escaped.
     """
     _check_render_caps(tree)
     lines = ["digraph strategy {"]
@@ -301,7 +302,7 @@ def tree_to_dot(tree: DecisionTree, labels: Sequence[str] | None = None) -> str:
             continue
         name = f"x{t.transmitter}"
         if labels is not None and 1 <= t.transmitter <= len(labels):
-            name = str(labels[t.transmitter - 1])
+            name = str(labels[t.transmitter - 1]).replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  n{nid} [label="{name}", shape=ellipse];')
         stack += ((t.on_one, nid), (t.on_zero, -1))
     lines.append("}")

@@ -77,7 +77,6 @@ def simulate_tree(
     theta: int,
     trials: int,
     seed: Optional[int] = None,
-    rng: Optional[np.random.Generator] = None,
 ) -> SimulationReport:
     """Run `trials` independent walks of `tree` and tally bits and errors.
 
@@ -86,9 +85,7 @@ def simulate_tree(
     """
     if trials < 2:
         raise InputError("at least 2 trials are needed for a standard error")
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    X = draw_measurements(profile, trials, rng)
+    X = draw_measurements(profile, trials, np.random.default_rng(seed))
     values, bits = walk_trials(tree, X)
     truth = (X.sum(axis=1) >= theta).astype(np.int8)
     error_count = int((values != truth).sum())
@@ -113,7 +110,7 @@ def simulate_tree(
 OrderSpec = Union[str, Sequence[int]]
 
 
-def _strategy_dag(order: OrderSpec, n: int, theta: int) -> DecisionTree:
+def strategy_dag(order: OrderSpec, n: int, theta: int) -> DecisionTree:
     """The strategy DAG an order names: the rank policy's, or a fixed permutation's.
 
     A permutation's DAG has one node per (ranks spoken j, residual
@@ -173,8 +170,6 @@ class BlockExperimentReport:
     n: int
     theta: int
     N: int
-    order: str
-    seed: Optional[int]
     total_bits: int
     bits_per_instance: float
     first_round_bits: int
@@ -185,45 +180,34 @@ class BlockExperimentReport:
 
 
 def run_block_strategy(
-    profile: ProbabilityProfile,
-    theta: int,
-    N: int,
-    seed: Optional[int] = None,
-    rng: Optional[np.random.Generator] = None,
-    order: OrderSpec = "conjectured",
+    tree: DecisionTree, profile: ProbabilityProfile, theta: int, N: int, seed=None
 ) -> BlockExperimentReport:
-    """Run N instances in lockstep, one Huffman-coded block per scheduled node.
+    """Run N instances of strategy `tree` in lockstep, one Huffman-coded block per scheduled node.
 
-    The schedule walks the strategy DAG depth first, zero branch before
-    one branch.  At each node the transmitter encodes its bits for
-    exactly the instances still live there, as one iid block under its
-    own marginal; nodes with no live instances transmit nothing.
-    Afterwards the same walk decodes the whole run back from the bit
-    stream alone and every instance's value is checked against the
-    function, so the protocol is validated end to end, not just costed:
-    a replay that misreads the stream or leaves some of it unread counts
-    all N instances as errors.
-    At N = 1 every block is a single bit and the protocol degenerates to
-    the plain single-instance strategy.
+    `seed` is anything `np.random.default_rng` takes.  The schedule walks
+    the strategy DAG depth first, zero branch before one branch.  At each
+    node the transmitter encodes its bits for exactly the instances still
+    live there, as one iid block under its own marginal; nodes with no
+    live instances transmit nothing.  Afterwards the same walk decodes the
+    whole run back from the bit stream alone.  The tree is not validated
+    first: an instance counts as an error when the value the strategy
+    reaches, or the value the replay decodes, disagrees with the
+    function, and a replay that misreads the stream or leaves some of it
+    unread decodes no instance.  A transmitter outside 1..n raises
+    InputError.  At N = 1 every block is a single bit and the protocol
+    degenerates to the plain single-instance strategy.
     """
-    return _run_on_dag(_strategy_dag(order, profile.n, theta), profile, theta, N, seed, rng, order)
-
-
-def _run_on_dag(
-    tree: DecisionTree, profile: ProbabilityProfile, theta: int, N: int,
-    seed: Optional[int], rng: Optional[np.random.Generator], order: OrderSpec,
-) -> BlockExperimentReport:
     if N < 1:
         raise InputError(f"N must be positive, got {N}")
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    X = draw_measurements(profile, N, rng)
+    X = draw_measurements(profile, N, np.random.default_rng(seed))
     stream_parts: list[str] = []
     rounds: list[RoundRecord] = []
 
     def encode(rank: int, live: np.ndarray) -> np.ndarray:
+        # p(rank) refuses a rank outside 1..n with InputError before X is read (n + 1 is an IndexError there)
+        code = build_block_code(profile.p(rank), int(live.size))
         block = X[live, rank - 1]
-        cw = build_block_code(profile.p(rank), int(live.size)).encode_block(block.astype(int).tolist())
+        cw = code.encode_block(block.astype(int).tolist())
         rounds.append(RoundRecord(len(rounds), rank, int(live.size), len(cw)))
         stream_parts.append(cw)
         return block
@@ -237,31 +221,23 @@ def _run_on_dag(
         block, cursor = build_block_code(profile.p(rank), int(live.size)).decode_block(stream, cursor)
         return np.array(block, dtype=bool)
 
-    # decode replay: reconstruct every instance's value from the stream alone
     try:
         decoded = _block_walk(tree, N, decode)
         if cursor != len(stream):
             raise InputError("decoder did not consume the whole stream")
     except InputError:
-        # a replay that misreads the encoder's own stream decodes no instance
         decoded = np.full(N, -1, dtype=np.int8)
     truth = (X.sum(axis=1) >= theta).astype(np.int8)
-    if int((values != truth).sum()) != 0:
-        raise AssertionError("encoder-side values disagree with the function")
-    error_count = int((decoded != truth).sum())
-
     total_bits = len(stream)
     return BlockExperimentReport(
         n=profile.n,
         theta=theta,
         N=N,
-        order="conjectured" if order == "conjectured" else str(tuple(order)),
-        seed=seed,
         total_bits=total_bits,
         bits_per_instance=total_bits / N,
         first_round_bits=rounds[0].code_bits if rounds else 0,
         rounds=tuple(rounds),
-        error_count=error_count,
+        error_count=int(((values != truth) | (decoded != truth)).sum()),
         values=tuple(int(v) for v in decoded),
     )
 
@@ -289,22 +265,21 @@ def run_block_replications(
     seed: Optional[int] = None,
     order: OrderSpec = "conjectured",
 ) -> tuple[list[BlockExperimentReport], ReplicationSummary]:
-    """Independent repetitions of the lockstep protocol with spawned substreams."""
+    """Independent repetitions of the lockstep protocol: `order`'s DAG is
+    built once, and each replication is `run_block_strategy` on it, seeded
+    with one spawned child of `SeedSequence(seed)`."""
     if reps < 2:
         raise InputError("at least 2 replications are needed for a standard error")
-    tree = _strategy_dag(order, profile.n, theta)
+    tree = strategy_dag(order, profile.n, theta)
     children = np.random.SeedSequence(seed).spawn(reps)
-    reports = [
-        _run_on_dag(tree, profile, theta, N, None, np.random.default_rng(child), order)
-        for child in children
-    ]
+    reports = [run_block_strategy(tree, profile, theta, N, seed=child) for child in children]
     per_inst = np.array([r.bits_per_instance for r in reports])
     first = np.array([r.first_round_bits / N for r in reports])
     summary = ReplicationSummary(
         n=profile.n,
         theta=theta,
         N=N,
-        order=reports[0].order,
+        order="conjectured" if order == "conjectured" else str(tuple(order)),
         reps=reps,
         seed=seed,
         mean_bits_per_instance=float(per_inst.mean()),

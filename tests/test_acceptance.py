@@ -257,7 +257,7 @@ def test_criterion_6_block_coding_amortizes_below_one_instance():
     tree = build_index_tree(2, theta)
     degenerate_mismatches = 0
     for s in range(200):
-        report = run_block_strategy(profile, theta, 1, seed=s)
+        report = run_block_strategy(tree, profile, theta, 1, seed=s)
         X = draw_measurements(profile, 1, np.random.default_rng(s))
         value, bits = walk_tree(tree, X[0])
         if report.total_bits != bits or report.values != (value,):

@@ -481,7 +481,7 @@ class TestSimulate:
         assert 5.0 <= float(fields["expected_bits"]) <= n
 
     def test_disagreement_exits_5(self, capsys, monkeypatch):
-        def broken(tree, profile, theta, trials, seed=None, rng=None):
+        def broken(tree, profile, theta, trials, seed=None):
             return SimulationReport(
                 n=profile.n, theta=theta, trials=trials, seed=seed,
                 expected_bits=1.4, mean_bits=1.4, std_error=0.01, error_count=3,
@@ -684,6 +684,16 @@ class TestMalformedValues:
         code, out, err = run_cli(capsys, command, "--probs", "0.3,0.6", "--theta", "1", "--config", str(cfg))
         assert code == 2 and out == ""
         assert "bad --labels value" in err
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    @pytest.mark.parametrize("probs", [[0.3, 0.6], 0.5])
+    def test_config_probs_not_a_string(self, capsys, tmp_path, command, probs):
+        # a list is not parsed from its text, and a number is no one-node profile
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"probs": probs, "theta": 1}))
+        code, out, err = run_cli(capsys, command, "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert "bad --probs value" in err
 
 
 class TestConfigAndOutput:

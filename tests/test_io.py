@@ -120,6 +120,11 @@ class TestTreeSerialization:
             {"transmitter": "a", "on_zero": {"value": 0}, "on_one": {"value": 1}},
             [],
             "leaf",
+            # JSON true and false are not the integers 1 and 0
+            {"value": True},
+            {"value": False},
+            {"value": 1.0},
+            {"transmitter": True, "on_zero": {"value": 0}, "on_one": {"value": 1}},
         ],
     )
     def test_rejects_malformed(self, bad):
@@ -139,6 +144,11 @@ class TestTreeSerialization:
         assert 'label="hi", shape=ellipse' in dot
         assert 'label="lo", shape=ellipse' in dot
         assert "x1" not in dot and "x2" not in dot
+
+    def test_dot_labels_are_escaped(self):
+        dot = tree_to_dot(self.tree(), labels=['a"b', "c\\d"])
+        assert 'label="a\\"b", shape=ellipse' in dot
+        assert 'label="c\\\\d", shape=ellipse' in dot
 
     def test_dot_deterministic(self):
         assert tree_to_dot(self.tree()) == tree_to_dot(self.tree())

@@ -16,8 +16,15 @@ from threshcast.sim import (
     run_block_replications,
     run_block_strategy,
     simulate_tree,
+    strategy_dag,
     walk_trials,
 )
+from threshcast.verify import enumerate_trees
+
+
+def run_order(profile, theta, N, seed, order="conjectured"):
+    """The block protocol on the strategy DAG `order` names."""
+    return run_block_strategy(strategy_dag(order, profile.n, theta), profile, theta, N, seed=seed)
 
 
 class TestDrawMeasurements:
@@ -123,7 +130,7 @@ class TestBlockProtocol:
         n = 1100
         probs = tuple(sorted(0.45 + 0.1 * (i * 389 % n + 0.5) / n for i in range(n)))
         start = time.perf_counter()
-        report = run_block_strategy(ProbabilityProfile(probs), 550, 2, seed=1)
+        report = run_order(ProbabilityProfile(probs), 550, 2, seed=1)
         assert time.perf_counter() - start < 30.0
         assert report.error_count == 0
         # the two instances part after one round and each walks over 1,000 more
@@ -134,7 +141,7 @@ class TestBlockProtocol:
         profile = ProbabilityProfile((0.25, 0.5, 0.65))
         tree = build_index_tree(3, 2)
         for seed in range(50):
-            report = run_block_strategy(profile, 2, 1, seed=seed)
+            report = run_block_strategy(tree, profile, 2, 1, seed=seed)
             X = draw_measurements(profile, 1, np.random.default_rng(seed))
             value, bits = walk_tree(tree, X[0])
             assert report.total_bits == bits
@@ -146,7 +153,7 @@ class TestBlockProtocol:
         # seed 2: all four instances read 1 at the top node, nobody visits
         # the zero branch, so only one block is ever sent
         profile = ProbabilityProfile((0.1, 0.9))
-        report = run_block_strategy(profile, 1, 4, seed=2)
+        report = run_order(profile, 1, 4, 2)
         assert len(report.rounds) == 1
         assert report.rounds[0].live_count == 4
         assert report.error_count == 0
@@ -154,50 +161,51 @@ class TestBlockProtocol:
 
     def test_shrinking_live_sets(self):
         profile = ProbabilityProfile((0.1, 0.9))
-        report = run_block_strategy(profile, 1, 4, seed=0)
+        report = run_order(profile, 1, 4, 0)
         assert [r.live_count for r in report.rounds] == [4, 1]
         assert report.total_bits == sum(r.code_bits for r in report.rounds)
         assert report.first_round_bits == report.rounds[0].code_bits
 
     def test_batching_beats_single_instance_cost(self):
         profile = ProbabilityProfile((0.3, 0.6))
-        report = run_block_strategy(profile, 1, 256, seed=3)
+        report = run_order(profile, 1, 256, 3)
         assert report.error_count == 0
         assert report.bits_per_instance < 1.4  # single-instance optimum
 
     def test_deterministic_per_seed(self):
         profile = ProbabilityProfile((0.2, 0.5, 0.7))
-        a = run_block_strategy(profile, 2, 32, seed=9)
-        b = run_block_strategy(profile, 2, 32, seed=9)
+        a = run_order(profile, 2, 32, 9)
+        b = run_order(profile, 2, 32, 9)
         assert a == b
         assert isinstance(a, BlockExperimentReport)
 
     def test_fixed_transmission_order(self):
         profile = ProbabilityProfile((0.3, 0.6))
-        report = run_block_strategy(profile, 1, 16, seed=4, order=(1, 2))
+        assert strategy_dag((1, 2), 2, 1) == Node(1, Node(2, Leaf(0), Leaf(1)), Leaf(1))
+        report = run_order(profile, 1, 16, 4, (1, 2))
         assert report.rounds[0].transmitter == 1
-        assert report.order == "(1, 2)"
         assert report.error_count == 0
+        _, summary = run_block_replications(profile, 1, 16, reps=2, seed=4, order=(1, 2))
+        assert summary.order == "(1, 2)"
 
     def test_order_validation(self):
-        profile = ProbabilityProfile((0.3, 0.6))
         with pytest.raises(InputError):
-            run_block_strategy(profile, 1, 4, seed=0, order=(1, 1))
+            strategy_dag((1, 1), 2, 1)
         with pytest.raises(InputError):
-            run_block_strategy(profile, 1, 4, seed=0, order=(2, 3))
+            strategy_dag((2, 3), 2, 1)
         with pytest.raises(InputError):
-            run_block_strategy(profile, 1, 4, seed=0, order="sideways")
+            strategy_dag("sideways", 2, 1)
 
     def test_constant_thresholds_send_nothing(self):
         profile = ProbabilityProfile((0.3, 0.6))
-        low = run_block_strategy(profile, 0, 8, seed=1)
+        low = run_order(profile, 0, 8, 1)
         assert low.rounds == () and low.total_bits == 0 and low.values == (1,) * 8
-        high = run_block_strategy(profile, 3, 8, seed=1)
+        high = run_order(profile, 3, 8, 1)
         assert high.rounds == () and high.total_bits == 0 and high.values == (0,) * 8
 
     def test_instance_count_floor(self):
         with pytest.raises(InputError):
-            run_block_strategy(ProbabilityProfile((0.3, 0.6)), 1, 0, seed=0)
+            run_order(ProbabilityProfile((0.3, 0.6)), 1, 0, 0)
 
     def test_decoded_values_match_function_everywhere(self):
         rng = np.random.default_rng(21)
@@ -206,8 +214,36 @@ class TestBlockProtocol:
             probs = tuple(sorted(float(p) for p in rng.uniform(0.1, 0.9, n)))
             profile = ProbabilityProfile(probs)
             theta = int(rng.integers(1, n + 1))
-            report = run_block_strategy(profile, theta, 64, seed=int(rng.integers(1 << 20)))
+            report = run_order(profile, theta, 64, int(rng.integers(1 << 20)))
             assert report.error_count == 0
+
+
+class TestAnyStrategy:
+    """`run_block_strategy` runs whatever DAG it is given, and checks it only by its values."""
+
+    def test_every_valid_tree_runs_without_error(self):
+        profile = ProbabilityProfile((0.5171, 0.5276, 0.9291, 0.9476))
+        trees = enumerate_trees(4, 3)
+        assert len(trees) == 288
+        for i, tree in enumerate(trees):
+            report = run_block_strategy(tree, profile, 3, 16, seed=i)
+            assert report.error_count == 0, i
+            assert report.total_bits == sum(r.code_bits for r in report.rounds)
+
+    def test_a_flipped_leaf_counts_errors(self):
+        # the zero leaf answers 1: every instance that reads two zeros is wrong
+        profile = ProbabilityProfile((0.3, 0.6))
+        tree = Node(2, Node(1, Leaf(1), Leaf(1)), Leaf(1))
+        report = run_block_strategy(tree, profile, 1, 64, seed=5)
+        X = draw_measurements(profile, 64, np.random.default_rng(5))
+        assert report.error_count == int((~X.any(axis=1)).sum()) > 0
+        assert report.values == (1,) * 64
+
+    def test_transmitter_outside_the_profile_is_refused(self):
+        profile = ProbabilityProfile((0.3, 0.6))
+        for rank in (0, 3):
+            with pytest.raises(InputError):
+                run_block_strategy(Node(rank, Leaf(0), Leaf(1)), profile, 1, 8, seed=0)
 
 
 class TestBlockWalkAgainstStateWalk:
@@ -224,7 +260,7 @@ class TestBlockWalkAgainstStateWalk:
             fixed = tuple(int(r) + 1 for r in rng.permutation(n))
             for theta in {0, int(rng.integers(1, n + 1)), n + 1}:
                 for order in (None, fixed):
-                    report = run_block_strategy(profile, theta, N, seed=seed, order=order or "conjectured")
+                    report = run_order(profile, theta, N, seed, order or "conjectured")
                     rounds, values, total_bits = reference_block_rounds(profile, theta, N, seed, order)
                     assert report.rounds == rounds, (profile.probs, theta, N, seed, order)
                     assert report.values == values
@@ -256,7 +292,7 @@ class TestBlockWalkAgainstStateWalk:
             for theta in (1, 2, 3):
                 for flip_at in (1, 2, 3):
                     calls.update(made=0, flip_at=flip_at)
-                    report = run_block_strategy(profile, theta, 48, seed=theta, order=order)
+                    report = run_order(profile, theta, 48, theta, order)
                     assert report.error_count > 0, (order, theta, flip_at)
                     if report.error_count == 48:
                         assert report.values == (-1,) * 48
@@ -287,6 +323,14 @@ class TestReplications:
         _, a = run_block_replications(profile, 2, 16, reps=3, seed=8)
         _, b = run_block_replications(profile, 2, 16, reps=3, seed=8)
         assert a == b
+
+    def test_each_report_is_one_strategy_run(self):
+        profile = ProbabilityProfile((0.2, 0.45, 0.6, 0.8))
+        for order in ("conjectured", (3, 1, 4, 2)):
+            reports, _ = run_block_replications(profile, 2, 24, reps=4, seed=13, order=order)
+            tree = strategy_dag(order, 4, 2)
+            children = np.random.SeedSequence(13).spawn(4)
+            assert reports == [run_block_strategy(tree, profile, 2, 24, seed=child) for child in children]
 
     def test_replication_floor(self):
         with pytest.raises(InputError):
