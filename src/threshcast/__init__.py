@@ -20,8 +20,6 @@ from .core import (
     ProbabilityProfile,
     ThresholdSpec,
     TreeInvalidError,
-    eliminate_deterministic,
-    evaluate_function,
     tree_states,
     validate_tree,
     walk_tree,
@@ -97,9 +95,7 @@ __all__ = [
     "build_index_tree",
     "check_lemma_inequalities",
     "draw_measurements",
-    "eliminate_deterministic",
     "enumerate_trees",
-    "evaluate_function",
     "exhaustive_strategy_check",
     "index_policy_cost",
     "ingest_values",

@@ -16,6 +16,7 @@ simulation disagreed with the function.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
@@ -179,7 +180,7 @@ def resolve_profile(args: argparse.Namespace, config: dict, required: bool) -> O
         return parse_probs_arg(args.probs)
     if args.probs_file is not None:
         return load_profile(args.probs_file)
-    if "probs" in config:
+    if config.get("probs") is not None:
         return parse_probs_arg(_convert("--probs", config["probs"], _text))
     if required:
         raise InputError("no probabilities given: pass --probs or --probs-file")
@@ -557,6 +558,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def check_out(path: str) -> None:
+    """Raise the error `write_out` would meet opening `path`, without creating the file."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        err = errno.EISDIR
+    elif not os.path.isdir(parent):
+        err = errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        err = errno.EACCES
+    else:
+        return
+    raise InputError(f"cannot write --out file: {OSError(err, os.strerror(err), path)}")
+
+
 def write_out(path: str, text: str) -> None:
     try:
         with open(path, "w", encoding="utf-8") as f:
@@ -569,7 +584,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     command = COMMANDS[args.command]
     try:
-        text, code = command.handler(resolve(args, load_config(args.config), command))
+        opts = resolve(args, load_config(args.config), command)
+        if args.out:
+            check_out(args.out)
+        text, code = command.handler(opts)
         if args.out:
             write_out(args.out, text)
         else:

@@ -36,8 +36,8 @@ class ProbabilityProfile:
 
     Entries must lie strictly inside (0, 1): a deterministic bit is known
     to everyone in advance, so charging it a transmission would make the
-    cost accounting ambiguous.  Use :func:`eliminate_deterministic` to
-    strip such nodes before construction if needed.
+    cost accounting ambiguous.  A caller strips such nodes before
+    construction and lowers theta by one for each p = 1 node it strips.
     """
 
     probs: tuple[float, ...]
@@ -86,39 +86,6 @@ class ThresholdSpec:
     def k(self) -> int:
         """Rank offset n - theta used by the transmission policy."""
         return self.n - self.theta
-
-
-def evaluate_function(spec: ThresholdSpec, x: Sequence[int]) -> int:
-    """Evaluate the threshold function on a full measurement vector."""
-    if len(x) != spec.n:
-        raise InputError(f"measurement vector has length {len(x)}, expected {spec.n}")
-    total = 0
-    for v in x:
-        if v not in (0, 1):
-            raise InputError(f"measurement entries must be bits, got {v!r}")
-        total += v
-    return 1 if total >= spec.theta else 0
-
-
-def eliminate_deterministic(values: Sequence[float], theta: int) -> tuple[list[float], int, list[int]]:
-    """Strip probability-0 and probability-1 entries from raw input values.
-
-    Each stripped 1-node lowers theta by one (its bit is already counted);
-    0-nodes are simply dropped.  Returns (kept values, adjusted theta,
-    0-based indices of the removed positions).  Off by default: loaders do
-    not call this, callers opt in.
-    """
-    kept: list[float] = []
-    removed: list[int] = []
-    for idx, v in enumerate(values):
-        if v == 0.0:
-            removed.append(idx)
-        elif v == 1.0:
-            removed.append(idx)
-            theta -= 1
-        else:
-            kept.append(float(v))
-    return kept, theta, removed
 
 
 # ---------------------------------------------------------------------------
@@ -216,26 +183,29 @@ def validate_tree(tree: DecisionTree, spec: ThresholdSpec) -> None:
             )
 
 
-def dag_postorder(tree: DecisionTree) -> list[DecisionTree]:
-    """Every distinct node of a shared DAG once, each after its children.
+def dag_postorder(*roots: DecisionTree) -> list[DecisionTree]:
+    """Every distinct node reachable from any root once, each after its children.
 
     A node is entered once: it goes back on the stack under a None
     marker, above which its children are pushed, so by the time the
     marker pops both children are placed (a DAG has no path back up to
-    the node) and the node follows them.
+    the node) and the node follows them.  A root is walked only after
+    every root above it on the stack is placed, so nodes it shares with
+    them are already in the order.
     """
     order: list[DecisionTree] = []
     entered: set[int] = set()
-    stack: list = [tree]
+    stack: list = list(roots)
+    pop, place = stack.pop, order.append
     while stack:
-        t = stack.pop()
+        t = pop()
         if t is None:
-            order.append(stack.pop())
+            place(pop())
         elif id(t) not in entered:
             entered.add(id(t))
             if isinstance(t, Node):
                 stack += (t, None, t.on_zero, t.on_one)
             else:
-                order.append(t)
+                place(t)
     return order
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .core import (
     Node,
     ProbabilityProfile,
     ThresholdSpec,
+    dag_postorder,
     validate_tree,
 )
 
@@ -245,34 +246,30 @@ def optimal_tree(
     return build((1 << profile.n) - 1, spec.theta)
 
 
+def strategy_costs(trees: Sequence[DecisionTree], profile: ProbabilityProfile) -> list[float]:
+    """Expected bits transmitted by each strategy under the profile, unvalidated.
+
+    One memo serves every tree: a subtree's expected remaining cost
+    depends only on the subtree, not on how a walk reached it, so a node
+    shared within or across trees is costed once.
+    """
+    memo: dict[int, float] = {}
+    for t in dag_postorder(*trees):
+        if isinstance(t, Leaf):
+            memo[id(t)] = 0.0
+        else:
+            p = profile.p(t.transmitter)
+            memo[id(t)] = 1.0 + p * memo[id(t.on_one)] + (1.0 - p) * memo[id(t.on_zero)]
+    return [memo[id(t)] for t in trees]
+
+
 def strategy_cost(
     tree: DecisionTree,
     profile: ProbabilityProfile,
     theta: int,
     validate: bool = True,
 ) -> float:
-    """Expected bits transmitted by a given strategy under the profile.
-
-    Shared subtrees are costed once: a subtree's expected remaining cost
-    depends only on the subtree, not on how the walk reached it.
-    """
+    """Expected bits transmitted by a given strategy under the profile."""
     if validate:
         validate_tree(tree, ThresholdSpec(profile.n, theta))
-    if isinstance(tree, Leaf):
-        return 0.0
-    memo: dict[int, float] = {}
-    stack = [tree]
-    while stack:
-        t = stack[-1]
-        c1 = 0.0 if isinstance(t.on_one, Leaf) else memo.get(id(t.on_one))
-        c0 = 0.0 if isinstance(t.on_zero, Leaf) else memo.get(id(t.on_zero))
-        if c1 is None or c0 is None:
-            if c1 is None:
-                stack.append(t.on_one)
-            if c0 is None:
-                stack.append(t.on_zero)
-            continue
-        stack.pop()
-        p = profile.p(t.transmitter)
-        memo[id(t)] = 1.0 + p * c1 + (1.0 - p) * c0
-    return memo[id(tree)]
+    return strategy_costs([tree], profile)[0]

@@ -38,7 +38,8 @@ from .core import (
     ProbabilityProfile,
     ThresholdSpec,
 )
-from .dp import CostTable, strategy_cost
+# strategy_cost is not called here: perfbench/tracing.py wraps it under this module's name
+from .dp import CostTable, strategy_cost, strategy_costs
 from .policy import index_policy_cost
 
 DEFAULT_LEMMA_TOL = 1e-9
@@ -228,8 +229,7 @@ def exhaustive_strategy_check(
     trees = enumerate_trees(profile.n, theta, max_n=max_n)
     best_cost = float("inf")
     best_tree: Optional[DecisionTree] = None
-    for tree in trees:
-        c = strategy_cost(tree, profile, theta, validate=False)
+    for tree, c in zip(trees, strategy_costs(trees, profile)):
         if c < best_cost:
             best_cost = c
             best_tree = tree

@@ -63,6 +63,11 @@ def initial(n: int, theta: int) -> State:
     return frozenset(range(1, n + 1)), theta
 
 
+def threshold_value(theta: int, x) -> int:
+    """The target function on a full measurement vector: 1 iff at least theta ones."""
+    return int(sum(x) >= theta)
+
+
 def to_mask(remaining) -> int:
     """The package's coding of a remaining set: rank r at bit r - 1."""
     return sum(1 << (r - 1) for r in remaining)

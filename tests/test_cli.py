@@ -697,6 +697,16 @@ class TestMalformedValues:
 
 
 class TestConfigAndOutput:
+    def test_config_null_probs_counts_as_unset(self, capsys, tmp_path):
+        # verify then sweeps random profiles, as with no probs key at all
+        settings = {"sweeps": 2, "max_n": 4, "seed": 3}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(settings))
+        unset = run_cli(capsys, "verify", "--config", str(cfg))
+        cfg.write_text(json.dumps({**settings, "probs": None}))
+        assert run_cli(capsys, "verify", "--config", str(cfg)) == unset
+        assert unset[0] == 0 and kv(unset[1])["profiles"] == "2"
+
     @pytest.mark.parametrize("command,flag,shows", [
         ("policy", "check", "check=passed\n"),
         ("policy", "annotate", "remaining,residual_theta,transmitter"),
@@ -780,6 +790,31 @@ class TestConfigAndOutput:
         assert code == 2 and out == ""
         assert err.startswith("error: cannot write --out file: ") and err.count("\n") == 1
         assert repr(str(target)) in err
+
+    def test_unwritable_out_is_refused_before_the_command_runs(self, capsys, tmp_path, monkeypatch):
+        entered = []
+        monkeypatch.setitem(COMMANDS, "policy", COMMANDS["policy"]._replace(handler=entered.append))
+        target = tmp_path / "no" / "x"
+        code, out, err = run_cli(
+            capsys, "policy", "--probs", ",".join(["0.5"] * 20), "--theta", "10", "--check", "--format", "csv",
+            "--out", str(target),
+        )
+        assert code == 2 and out == "" and entered == []
+        assert err == f"error: cannot write --out file: [Errno 2] No such file or directory: {str(target)!r}\n"
+
+    @pytest.mark.parametrize("argv,code", [
+        (["solve", "--probs", "0.3,0.6", "--theta", "5"], 2),
+        (["policy", "--probs", ",".join(["0.5"] * 30), "--theta", "15", "--format", "json"], 3),
+        (["verify", "--probs", "0.3,0.6", "--tolerance", "-1"], 4),
+    ])
+    def test_out_is_written_only_with_output(self, capsys, tmp_path, argv, code):
+        # checking --out up front creates no file: a failed command leaves none behind
+        target = tmp_path / "result.txt"
+        assert run_cli(capsys, *argv, "--out", str(target))[:2] == (code, "")
+        if code == 4:
+            assert target.read_text() == run_cli(capsys, *argv)[1] != ""
+        else:
+            assert not target.exists()
 
     def test_out_writes_file(self, capsys, tmp_path):
         target = tmp_path / "result.txt"

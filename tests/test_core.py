@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from conftest import threshold_value
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,8 +14,7 @@ from threshcast.core import (
     ProbabilityProfile,
     ThresholdSpec,
     TreeInvalidError,
-    eliminate_deterministic,
-    evaluate_function,
+    dag_postorder,
     tree_states,
     validate_tree,
     walk_tree,
@@ -116,32 +116,17 @@ class TestStateClassification:
             validate_tree(Node(2, Node(2, Leaf(0), Leaf(1)), Leaf(1)), ThresholdSpec(2, 1))
 
 
-class TestEvaluateFunction:
+class TestThresholdValue:
+    """The test oracle for the target function, pinned on hand values."""
+
     def test_threshold_values(self):
-        spec = ThresholdSpec(3, 2)
-        assert evaluate_function(spec, [1, 0, 1]) == 1
-        assert evaluate_function(spec, [1, 0, 0]) == 0
-        assert evaluate_function(spec, [1, 1, 1]) == 1
+        assert threshold_value(2, [1, 0, 1]) == 1
+        assert threshold_value(2, [1, 0, 0]) == 0
+        assert threshold_value(2, [1, 1, 1]) == 1
 
     def test_constant_functions(self):
-        assert evaluate_function(ThresholdSpec(2, 0), [0, 0]) == 1
-        assert evaluate_function(ThresholdSpec(2, 3), [1, 1]) == 0
-
-    def test_input_validation(self):
-        spec = ThresholdSpec(2, 1)
-        with pytest.raises(InputError):
-            evaluate_function(spec, [1])
-        with pytest.raises(InputError):
-            evaluate_function(spec, [1, 2])
-
-
-def test_eliminate_deterministic():
-    kept, theta, removed = eliminate_deterministic([0.0, 0.3, 1.0, 0.5], 2)
-    assert kept == [0.3, 0.5]
-    assert theta == 1
-    assert removed == [0, 2]
-    kept, theta, removed = eliminate_deterministic([0.3, 0.5], 2)
-    assert (kept, theta, removed) == ([0.3, 0.5], 2, [])
+        assert threshold_value(0, [0, 0]) == 1
+        assert threshold_value(3, [1, 1]) == 0
 
 
 class TestTrees:
@@ -185,6 +170,28 @@ class TestTrees:
         with pytest.raises(TreeInvalidError):
             validate_tree(tree, ThresholdSpec(2, 1))
 
+    def test_postorder_over_shared_roots(self):
+        def reachable(*roots):
+            seen, stack = set(), list(roots)
+            while stack:
+                t = stack.pop()
+                seen.add(id(t))
+                if isinstance(t, Node):
+                    stack += (t.on_zero, t.on_one)
+            return seen
+
+        shared = Node(1, Leaf(0), Leaf(1))
+        a = Node(2, shared, Leaf(1))
+        b = Node(3, Node(2, Leaf(0), shared), a)
+        for roots in ((a, b), (b, a), (b,), (a, a)):
+            order = dag_postorder(*roots)
+            place = {id(t): i for i, t in enumerate(order)}
+            assert len(place) == len(order) and set(place) == reachable(*roots)  # each node once
+            for t in order:
+                if isinstance(t, Node):
+                    assert place[id(t.on_zero)] < place[id(t)] and place[id(t.on_one)] < place[id(t)]
+        assert dag_postorder() == []
+
     def test_size_helpers(self):
         def json_bytes(tree):
             return len(json.dumps(tree_to_dict(tree), indent=2, sort_keys=True))
@@ -207,5 +214,5 @@ def test_index_tree_computes_the_function(n, data):
     for x in range(1 << n):
         vec = [(x >> j) & 1 for j in range(n)]
         value, bits = walk_tree(tree, vec)
-        assert value == evaluate_function(spec, vec)
+        assert value == threshold_value(theta, vec)
         assert 0 <= bits <= n

@@ -24,8 +24,11 @@ from threshcast.dp import (
     optimal_cost,
     optimal_tree,
     strategy_cost,
+    strategy_costs,
 )
 from threshcast.io import tree_to_dict
+from threshcast.policy import build_index_tree
+from threshcast.verify import enumerate_trees
 
 
 def oracle_cost(probs: tuple, remaining: frozenset, t: int) -> float:
@@ -356,3 +359,30 @@ class TestStrategyCost:
             tree = random_tree(frozenset(range(1, n + 1)), theta)
             assert strategy_cost(tree, profile, theta) >= best - 1e-12
 
+    @pytest.mark.parametrize("theta", [1, 2, 3, 4])
+    def test_one_pass_equals_per_tree_costs(self, theta):
+        """One memo over all trees (they share subtrees) changes no cost by a bit."""
+        profile = ProbabilityProfile((0.1234, 0.3817, 0.6021, 0.8899))
+
+        def reference(t):  # the recurrence, written out without a memo
+            if isinstance(t, Leaf):
+                return 0.0
+            p = profile.p(t.transmitter)
+            return 1.0 + p * reference(t.on_one) + (1.0 - p) * reference(t.on_zero)
+
+        trees = enumerate_trees(4, theta)
+        costs = strategy_costs(trees, profile)
+        assert costs == [strategy_cost(t, profile, theta, validate=False) for t in trees]
+        assert costs == [reference(t) for t in trees]
+
+    @pytest.mark.parametrize("n,theta,root,on_zero", [
+        (200, 100, 158.816512414301, 158.9070370514328),
+        (1100, 550, 962.1092428364958, 961.3430730869638),
+    ])
+    def test_one_pass_on_policy_dags(self, n, theta, root, on_zero):
+        # root and on_zero are pinned from the per-tree stack walk this fold replaced
+        profile = ProbabilityProfile(tuple(sorted(((i * 7919) % 997 + 1) / 999 for i in range(1, n + 1))))
+        tree = build_index_tree(n, theta)
+        costs = strategy_costs([tree, tree.on_zero, tree.on_one], profile)
+        assert costs[:2] == [root, on_zero]
+        assert strategy_cost(tree, profile, theta, validate=False) == root

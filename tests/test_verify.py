@@ -181,3 +181,31 @@ class TestExhaustiveCheck:
         assert not report.passed
         assert report.witness is not None
         assert report.best_cost < report.table_cost - 0.5
+
+    # best and table costs as the per-tree cost scan gave them before the
+    # one-pass fold; the fold must reproduce every one to the bit
+    @pytest.mark.parametrize("probs,theta,best", [
+        ((0.3, 0.6), 1, 1.4),
+        ((0.1, 0.1, 0.6), 2, 2.13),
+        ((0.2, 0.5, 0.7, 0.9), 3, 2.735),
+        ((0.05, 0.45, 0.55, 0.95), 3, 2.5151250000000003),
+        ((0.1234, 0.3817, 0.6021, 0.8899), 1, 1.180995764857),
+        ((0.1234, 0.3817, 0.6021, 0.8899), 2, 2.552259942024),
+        ((0.1234, 0.3817, 0.6021, 0.8899), 3, 2.5479825313810003),
+        ((0.1234, 0.3817, 0.6021, 0.8899), 4, 1.198861761738),
+        ((0.17, 0.29, 0.29, 0.83), 2, 2.915003),
+    ])
+    def test_costs_are_bit_stable(self, probs, theta, best):
+        report = exhaustive_strategy_check(ProbabilityProfile(probs), theta)
+        assert report.witness is None
+        assert report.best_cost == best and report.table_cost == best
+
+    @pytest.mark.parametrize("probs,theta,first_best", [((0.17, 0.29, 0.29, 0.83), 2, 107), ((0.5, 0.5, 0.5), 2, 0)])
+    def test_witness_is_the_first_cheapest_tree(self, probs, theta, first_best):
+        # ties among the cheapest trees go to the first in enumeration order
+        profile = ProbabilityProfile(probs)
+        n = len(probs)
+        table = CostTable(profile)
+        bump_entry(table, (1 << n) - 1, theta, 1.0)
+        report = exhaustive_strategy_check(profile, theta, table=table)
+        assert report.witness == enumerate_trees(n, theta)[first_best]
