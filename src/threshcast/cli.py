@@ -172,6 +172,8 @@ def resolve(args: argparse.Namespace, config: dict, command: Command) -> argpars
         if v is REQUIRED:
             raise InputError(f"{name} is required")
         values[key] = None if v is None else _convert(name, v, kind, low)
+    if values["format"] not in command.formats:
+        raise InputError(f"--format must be one of {', '.join(command.formats)}, got {values['format']!r}")
     return argparse.Namespace(**values)
 
 
@@ -236,9 +238,7 @@ def render_record(record: list[tuple[str, object]], out_format: str, **json_extr
     pairs = [(k, text_value(v)) for k, v in record]
     if out_format == "table":
         return "".join(f"{k}={v}\n" for k, v in pairs)
-    if out_format == "csv":
-        return render_csv([[k for k, _ in pairs], [v for _, v in pairs]])
-    raise InputError(f"unknown format {out_format!r}")
+    return render_csv([[k for k, _ in pairs], [v for _, v in pairs]])
 
 
 def profile_fields(ingested: IngestedProfile) -> list[tuple[str, str]]:
@@ -384,6 +384,11 @@ def cmd_verify(opts: argparse.Namespace) -> tuple[str, int]:
     explicit = opts.profile is not None
     if explicit:
         profiles = [opts.profile.profile]
+        if exhaustive and profiles[0].n > EXHAUSTIVE_MAX_N:
+            raise CapacityError(
+                f"--exhaustive enumerates every strategy tree and is capped at "
+                f"n={EXHAUSTIVE_MAX_N}, got n={profiles[0].n}"
+            )
     else:
         # a random profile has at least 2 nodes
         max_n = _convert("--max-n", opts.max_n, int, low=2)
@@ -407,24 +412,18 @@ def cmd_verify(opts: argparse.Namespace) -> tuple[str, int]:
         total_violations += len(report.violations)
         ex_trees = ""
         ex_ok = ""
-        if exhaustive:
-            if profile.n > EXHAUSTIVE_MAX_N and explicit:
-                raise CapacityError(
-                    f"--exhaustive enumerates every strategy tree and is capped at "
-                    f"n={EXHAUSTIVE_MAX_N}, got n={profile.n}"
-                )
-            if profile.n <= EXHAUSTIVE_MAX_N:
-                trees = 0
-                ok = True
-                for theta in range(1, profile.n + 1):
-                    ex = exhaustive_strategy_check(profile, theta, tolerance=tolerance, table=table)
-                    trees += ex.tree_count
-                    ok = ok and ex.passed
-                    exhaustive_runs += 1
-                    if not ex.passed:
-                        exhaustive_failures += 1
-                ex_trees = str(trees)
-                ex_ok = str(ok).lower()
+        if exhaustive and profile.n <= EXHAUSTIVE_MAX_N:
+            trees = 0
+            ok = True
+            for theta in range(1, profile.n + 1):
+                ex = exhaustive_strategy_check(profile, theta, tolerance=tolerance, table=table)
+                trees += ex.tree_count
+                ok = ok and ex.passed
+                exhaustive_runs += 1
+                if not ex.passed:
+                    exhaustive_failures += 1
+            ex_trees = str(trees)
+            ex_ok = str(ok).lower()
         summary_rows.append(
             [str(report.m), ";".join(fmt(p) for p in report.probs), str(len(report.violations))]
             + [fmt(report.worst.get(fam, 0.0)) for _, fam in _WORST_COLUMNS]

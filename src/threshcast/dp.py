@@ -263,13 +263,7 @@ def strategy_costs(trees: Sequence[DecisionTree], profile: ProbabilityProfile) -
     return [memo[id(t)] for t in trees]
 
 
-def strategy_cost(
-    tree: DecisionTree,
-    profile: ProbabilityProfile,
-    theta: int,
-    validate: bool = True,
-) -> float:
+def strategy_cost(tree: DecisionTree, profile: ProbabilityProfile, theta: int) -> float:
     """Expected bits transmitted by a given strategy under the profile."""
-    if validate:
-        validate_tree(tree, ThresholdSpec(profile.n, theta))
+    validate_tree(tree, ThresholdSpec(profile.n, theta))
     return strategy_costs([tree], profile)[0]

@@ -18,9 +18,12 @@ choice of scale, so merge decisions can deviate from exact-value
 decisions only between families equal to within relative 2**-63; that
 cannot move the expected length at any tolerance used in this project.
 The resulting length multiset satisfies the Kraft equality exactly
-(checked in big integers) and codewords are assigned canonically, so
-encoding and decoding work by ranking an outcome within its weight
-class rather than by table lookup.
+(checked in big integers) and codewords are assigned canonically, so a
+(length, weight) run of codewords is one range of consecutive codes.
+Encoding ranks an outcome within its weight class and finds the class's
+run of that rank; decoding reads the longest length's worth of bits and
+finds its run with one bisect over the runs' first codes, left-aligned
+to that length (Moffat and Turpin, IEEE Trans. Commun. 45(10), 1997).
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import itemgetter
 from typing import Sequence
 
 from .core import InputError
@@ -222,38 +226,34 @@ class BernoulliBlockCode:
     L: int
     class_lengths: list[dict[int, int]]
     expected_length: float
-    # per class: (length, first in-class rank, count, canonical offset), by length
-    _class_buckets: list[list[tuple[int, int, int, int]]] = field(repr=False)
-    _first_code: dict[int, int] = field(repr=False)
-    _count_at_length: dict[int, int] = field(repr=False)
-    # per length: parallel arrays for decoding, sorted by offset
-    _len_offsets: dict[int, list[int]] = field(repr=False)
-    _len_entries: dict[int, list[tuple[int, int]]] = field(repr=False)  # (w, first rank)
+    # per class, by length: (rank end, length, first code - first rank)
+    _class_runs: list[list[tuple[int, int, int]]] = field(repr=False)
+    # every run in canonical order: (first code left-aligned to the longest length, length, w, first rank)
+    _runs: list[tuple[int, int, int, int]] = field(repr=False)
 
     def encode_block(self, bits: Sequence[int]) -> str:
         w, r = self._locate(bits)
-        for length, rank_start, count, offset in self._class_buckets[w]:
-            if r < rank_start + count:
-                value = self._first_code[length] + offset + (r - rank_start)
-                return format(value, "b").zfill(length)
+        for rank_end, length, base in self._class_runs[w]:
+            if r < rank_end:
+                return format(base + r, "b").zfill(length)
         raise AssertionError("rank outside class range")
 
     def decode_block(self, stream: str, pos: int = 0) -> tuple[list[int], int]:
-        """Read one codeword from `stream` at `pos`; return (block bits, new pos)."""
-        value = 0
-        first = self._first_code
-        totals = self._count_at_length
-        for length, i in enumerate(range(pos, len(stream)), 1):
-            value = (value << 1) | (stream[i] == "1")
-            start = first.get(length)
-            if start is not None and 0 <= value - start < totals[length]:
-                idx = value - start
-                offsets = self._len_offsets[length]
-                slot = bisect_right(offsets, idx) - 1
-                w, rank_start = self._len_entries[length][slot]
-                r = rank_start + (idx - offsets[slot])
-                return _unrank_in_class(r, self.L, w), pos + length
-        raise InputError("bit stream ended inside a block codeword")
+        """Read one codeword from `stream` at `pos`; return (block bits, new pos).
+
+        Bits past the stream's end read as 0, and a codeword needing them is refused.
+        """
+        runs = self._runs
+        width = runs[-1][1]
+        window = stream[pos : pos + width]
+        rest = window.lstrip("01")
+        if rest:
+            raise InputError(f"bit stream has {rest[0]!r} at position {pos + len(window) - len(rest)}, not 0 or 1")
+        value = int(window.ljust(width, "0"), 2)
+        start, length, w, rank_start = runs[bisect_right(runs, value, key=itemgetter(0)) - 1]
+        if pos + length > len(stream):
+            raise InputError("bit stream ended inside a block codeword")
+        return _unrank_in_class(rank_start + ((value - start) >> (width - length)), self.L, w), pos + length
 
     def _locate(self, bits: Sequence[int]) -> tuple[int, int]:
         if len(bits) != self.L:
@@ -271,43 +271,26 @@ def build_block_code(p: float, L: int) -> BernoulliBlockCode:
         raise InputError(f"block length must be positive, got {L}")
     class_lengths = _aggregate_lengths(p, L)
 
-    for w, dm in enumerate(class_lengths):
-        if sum(dm.values()) != math.comb(L, w):
-            raise AssertionError(f"class {w} length counts do not sum to C({L},{w})")
-    max_length = max(d for dm in class_lengths for d in dm)
-    kraft = sum(cnt << (max_length - d) for dm in class_lengths for d, cnt in dm.items())
-    if kraft != 1 << max_length:
-        raise AssertionError("length multiset misses Kraft equality")
-
-    count_at_length: dict[int, int] = {}
-    for dm in class_lengths:
-        for d, cnt in dm.items():
-            count_at_length[d] = count_at_length.get(d, 0) + cnt
-    first_code: dict[int, int] = {}
-    code = 0
-    prev = None
-    for d in sorted(count_at_length):
-        if prev is not None:
-            code = (code + count_at_length[prev]) << (d - prev)
-        first_code[d] = code
+    # canonical order: by length, then weight, then in-class rank
+    by_length = sorted((d, w, cnt) for w, dm in enumerate(class_lengths) for d, cnt in dm.items())
+    width = by_length[-1][0]
+    class_runs: list[list[tuple[int, int, int]]] = [[] for _ in class_lengths]
+    runs: list[tuple[int, int, int, int]] = []
+    rank_end = [0] * (L + 1)
+    code = prev = 0
+    for d, w, cnt in by_length:
+        code <<= d - prev
         prev = d
-
-    class_buckets: list[list[tuple[int, int, int, int]]] = []
-    offset_cursor: dict[int, int] = {d: 0 for d in count_at_length}
-    len_offsets: dict[int, list[int]] = {d: [] for d in count_at_length}
-    len_entries: dict[int, list[tuple[int, int]]] = {d: [] for d in count_at_length}
-    for w, dm in enumerate(class_lengths):
-        buckets = []
-        rank_start = 0
-        for d in sorted(dm):
-            cnt = dm[d]
-            off = offset_cursor[d]
-            buckets.append((d, rank_start, cnt, off))
-            len_offsets[d].append(off)
-            len_entries[d].append((w, rank_start))
-            offset_cursor[d] = off + cnt
-            rank_start += cnt
-        class_buckets.append(buckets)
+        rank_start = rank_end[w]
+        rank_end[w] += cnt
+        class_runs[w].append((rank_end[w], d, code - rank_start))
+        runs.append((code << (width - d), d, w, rank_start))
+        code += cnt
+    for w, total in enumerate(rank_end):
+        if total != math.comb(L, w):
+            raise AssertionError(f"class {w} length counts do not sum to C({L},{w})")
+    if code != 1 << width:
+        raise AssertionError("length multiset misses Kraft equality")
 
     q = 1.0 - p
     expected = 0.0
@@ -328,9 +311,6 @@ def build_block_code(p: float, L: int) -> BernoulliBlockCode:
         L=L,
         class_lengths=class_lengths,
         expected_length=expected,
-        _class_buckets=class_buckets,
-        _first_code=first_code,
-        _count_at_length=count_at_length,
-        _len_offsets=len_offsets,
-        _len_entries=len_entries,
+        _class_runs=class_runs,
+        _runs=runs,
     )

@@ -27,6 +27,7 @@ for a corrupted or miscomputed table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 from .core import (
@@ -163,8 +164,9 @@ def check_lemma_inequalities(
 # Brute-force optimality oracle
 
 
-def enumerate_trees(n: int, theta: int, max_n: int = EXHAUSTIVE_MAX_N) -> list[DecisionTree]:
-    """Every structurally valid strategy tree for (n, theta).
+@lru_cache(maxsize=64)
+def enumerate_trees(n: int, theta: int, max_n: int = EXHAUSTIVE_MAX_N) -> tuple[DecisionTree, ...]:
+    """Every structurally valid strategy tree for (n, theta), built once per process.
 
     The count is a product over both branches at every choice, so it
     explodes fast; the cap keeps this an oracle for small cases only.
@@ -194,7 +196,7 @@ def enumerate_trees(n: int, theta: int, max_n: int = EXHAUSTIVE_MAX_N) -> list[D
             memo[key] = got
         return got
 
-    return build((1 << n) - 1, spec.theta)
+    return tuple(build((1 << n) - 1, spec.theta))
 
 
 @dataclass(frozen=True)

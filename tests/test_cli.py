@@ -406,6 +406,12 @@ class TestVerify:
         assert code == 3
         assert "exhaustive" in err
 
+    def test_exhaustive_explicit_too_large_is_refused_before_the_sweep(self, capsys, monkeypatch):
+        monkeypatch.setattr("threshcast.cli.CostTable", lambda *a, **k: pytest.fail("the table was filled"))
+        code, out, err = run_cli(capsys, "verify", "--probs", scrambled_probs(18), "--exhaustive")
+        assert code == 3 and out == ""
+        assert err == "error: --exhaustive enumerates every strategy tree and is capped at n=4, got n=18\n"
+
     def test_exhaustive_sweep_restricts_size(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -753,6 +759,20 @@ class TestConfigAndOutput:
         code, out, _ = run_cli(capsys, "solve", "--config", str(cfg), "--theta", "2")
         assert code == 0
         assert kv(out)["optimal_cost"] == "1.3"
+
+    @pytest.mark.parametrize("argv,fmt,allowed", [
+        (["block", "--N", "512", "--reps", "3"], "dot", "table, json, csv"),
+        (["solve"], "yaml", "table, json, csv, dot"),
+    ])
+    def test_config_format_is_checked_before_the_command_runs(self, capsys, tmp_path, monkeypatch, argv, fmt,
+                                                              allowed):
+        for name in ("run_block_replications", "CostTable"):
+            monkeypatch.setattr(f"threshcast.cli.{name}", lambda *a, **k: pytest.fail("the command ran"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"format": fmt}))
+        code, out, err = run_cli(capsys, *argv, "--probs", "0.3,0.6", "--theta", "1", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err == f"error: --format must be one of {allowed}, got {fmt!r}\n"
 
     def test_config_must_be_object(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

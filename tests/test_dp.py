@@ -336,7 +336,7 @@ class TestStrategyCost:
         profile = ProbabilityProfile((0.3, 0.6))
         with pytest.raises(InputError):
             strategy_cost(Leaf(1), profile, 1)
-        assert strategy_cost(Leaf(1), profile, 0, validate=False) == 0.0
+        assert strategy_costs([Leaf(1)], profile)[0] == 0.0  # the fold itself does not validate
 
     def test_optimum_never_beaten_by_random_strategies(self):
         rng = np.random.default_rng(3)
@@ -372,7 +372,7 @@ class TestStrategyCost:
 
         trees = enumerate_trees(4, theta)
         costs = strategy_costs(trees, profile)
-        assert costs == [strategy_cost(t, profile, theta, validate=False) for t in trees]
+        assert costs == [strategy_costs([t], profile)[0] for t in trees]
         assert costs == [reference(t) for t in trees]
 
     @pytest.mark.parametrize("n,theta,root,on_zero", [
@@ -385,4 +385,4 @@ class TestStrategyCost:
         tree = build_index_tree(n, theta)
         costs = strategy_costs([tree, tree.on_zero, tree.on_one], profile)
         assert costs[:2] == [root, on_zero]
-        assert strategy_cost(tree, profile, theta, validate=False) == root
+        assert strategy_costs([tree], profile)[0] == root

@@ -168,6 +168,27 @@ GOLDEN = [
         ["solve", "--probs", P10_11, "--theta", "5", "--exact"],
         "6edcea13ab80e48343226f4f2e0219c9fe89ef59d7dcb7857b7c1bdf7f6f1267",
     ),
+    (
+        "verify-exhaustive-sweep-table",
+        ["verify", "--sweeps", "6", "--max-n", "4", "--seed", "3", "--exhaustive"],
+        "8141c5c00d65a9c4d36cf98fffd6d6f766486cde78d15f88c3c873e6d7eb196a",
+    ),
+    (
+        "verify-exhaustive-sweep-json",
+        ["verify", "--sweeps", "6", "--max-n", "4", "--seed", "3", "--exhaustive", "--format", "json"],
+        "9be45eacd844054e6ea6edf53cc0b2f43c88c6fa9dc291bb117a79aff2e669c3",
+    ),
+    (
+        "verify-exhaustive-sweep-csv",
+        ["verify", "--sweeps", "6", "--max-n", "4", "--seed", "3", "--exhaustive", "--format", "csv"],
+        "fd787d76ea09512057a16ca058972309eff2f982e64cde2e5c6a9d4b647607b4",
+    ),
+    (
+        # every (k, i) lemma record of one explicit profile
+        "verify-csv-n8",
+        ["verify", "--probs", P8, "--format", "csv"],
+        "888c4d6e3140cc431e10c649d2839e7b28c18a82410f3c78aeabce4491955a93",
+    ),
 ]
 
 

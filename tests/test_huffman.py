@@ -1,5 +1,6 @@
 """Prefix codes: explicit builder, and the weight-class aggregated block code."""
 
+import hashlib
 import math
 import random
 
@@ -219,6 +220,46 @@ class TestBlockCode:
             out.append(block)
         assert out == blocks
         assert pos == len(stream)
+
+    def test_codewords_are_pinned(self):
+        # sha256 of every codeword, in block order, captured from the
+        # per-length canonical tables this run list replaced
+        digest = hashlib.sha256()
+        for p, L in ((0.7, 10), (0.3, 12), (0.5, 9), (0.01, 11), (0.9, 8)):
+            code = build_block_code(p, L)
+            for v in range(1 << L):
+                bits = [(v >> (L - 1 - j)) & 1 for j in range(L)]
+                cw = code.encode_block(bits)
+                assert code.decode_block(cw) == (bits, len(cw))
+                digest.update(cw.encode() + b"\n")
+        assert digest.hexdigest() == "949b74d9994997970a709f5731be2e9045ee46d2a1a0277b81a600c5d022836a"
+
+    @pytest.mark.parametrize("p,L", [(0.6, 8), (0.9, 12)])
+    def test_stream_cut_anywhere(self, p, L):
+        code = build_block_code(p, L)
+        rng = np.random.default_rng(21)
+        blocks = [[int(b) for b in (rng.random(L) < p)] for _ in range(6)]
+        stream = "".join(code.encode_block(b) for b in blocks)
+        for cut in range(len(stream) + 1):
+            pos = 0
+            for block in blocks:
+                end = pos + len(code.encode_block(block))
+                if end > cut:
+                    with pytest.raises(InputError, match="ended inside"):
+                        code.decode_block(stream[:cut], pos)
+                    break
+                assert code.decode_block(stream[:cut], pos) == (block, end)
+                pos = end
+            else:
+                assert cut == len(stream)
+
+    @pytest.mark.parametrize("char", ["x", "_", " "])
+    def test_non_bit_characters_are_refused(self, char):
+        code = build_block_code(0.6, 4)
+        cw = code.encode_block([1, 0, 1, 0])
+        for j in range(len(cw)):
+            with pytest.raises(InputError, match="not 0 or 1"):
+                code.decode_block("1" + cw[:j] + char + cw[j + 1:], 1)
 
     def test_decode_position_is_exact(self):
         code = build_block_code(0.6, 4)

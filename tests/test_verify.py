@@ -157,6 +157,16 @@ class TestEnumeration:
         with pytest.raises(CapacityError):
             enumerate_trees(5, 2)
 
+    def test_each_n_theta_is_enumerated_once(self):
+        # a sweep's profiles share one immutable tuple of trees per (n, theta)
+        trees = enumerate_trees(4, 2)
+        assert isinstance(trees, tuple)
+        assert enumerate_trees(4, 2) is trees
+        profiles = [ProbabilityProfile((0.1, 0.4, 0.6, 0.9)), ProbabilityProfile((0.2, 0.3, 0.5, 0.7))]
+        shared = [exhaustive_strategy_check(p, 2) for p in profiles]
+        enumerate_trees.cache_clear()
+        assert [exhaustive_strategy_check(p, 2) for p in profiles] == shared
+
 
 class TestExhaustiveCheck:
     def test_small_profiles_pass(self):
