@@ -41,7 +41,7 @@ from .dp import DEFAULT_NODE_CAP, DEFAULT_TIE_TOL, CostTable, optimal_tree, stra
 from .io import (IngestedProfile, check_strategy_size, load_profile, parse_probs_arg, read_text_file, render_json,
                  tree_to_dict, tree_to_dot)
 from .policy import StateAnnotation, annotate_reachable_states, build_index_tree, index_policy_cost
-from .sim import run_block_replications, simulate_tree
+from .sim import BLOCK_MAX_N, run_block_replications, simulate_tree
 from .verify import (
     DEFAULT_LEMMA_TOL,
     EXHAUSTIVE_MAX_N,
@@ -144,7 +144,7 @@ OPTIONS = {
     "tolerance": (float, None, "inequality slack treated as rounding"),
     "exhaustive": (_flag, None, f"also enumerate all trees (n <= {EXHAUSTIVE_MAX_N})"),
     "trials": (int, None, "Monte Carlo walks"),
-    "N": (int, None, "instances per replication"),
+    "N": (int, None, f"instances per replication (at most {BLOCK_MAX_N})"),
     "reps": (int, None, "replications"),
     "order": (_parse_order, None, "'conjectured' or an explicit rank permutation like 2,1"),
     "transcript": (_flag, None, "include per-round records (json)"),

@@ -7,9 +7,16 @@ family of identical subtrees with one value and a count, and one merge
 event pairs up as many of a family's trees as it can.  Merged values
 never decrease, so two FIFO queues replace a heap: van Leeuwen's
 two-queue method (ICALP 1976) in the run-length form of Moffat and
-Turpin (IEEE Trans. IT 44(4), 1998).  There are still about 1.4 L**2
-merge events, in line with their bound of r log(n / r) for r = L + 1
-runs over n = 2**L symbols.
+Turpin (IEEE Trans. IT 44(4), 1998).  While the smallest live value is
+V, every entry a merge makes is at least 2V, so the entries below 2V
+are taken off both queues as one batch, merged by value with one stable
+sort and walked in order.  Pairing an entry's trees with each other
+makes no family: the entry rejoins the family queue with its value
+doubled and its count halved.  About 1.4 L**2 entries are walked, in
+line with Moffat and Turpin's bound of r log(n / r) for r = L + 1 runs
+over n = 2**L symbols, in about L log2(1 / min(p, 1 - p)) batches; only
+about half of them, 0.7 L**2, make a family for the reverse pass that
+hands depths down to the classes.
 
 Family values are exact big integers at a fixed binary scale with 64
 guard bits.  A truncated family value of c outcomes is below the exact
@@ -30,7 +37,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import itemgetter
@@ -78,67 +85,82 @@ def _class_values(p: float, L: int) -> list[int]:
 def _aggregate_lengths(p: float, L: int) -> list[dict[int, int]]:
     """Codeword-length multiset per weight class: {length: count} for each w.
 
-    Queue entries are [value, count, id]: the classes (ids 0..L) sorted
-    by (value, w), then the families (ids L+1..) in creation order.
-    Fronts compare by (value, id), so a class goes first on equal values.
-    The smallest entry pairs its trees with the next smallest's (take =
-    the smaller count) when their values are equal or it holds one tree,
-    else with each other; an odd leftover stays at its queue's front.
+    Queue entries are (value, count, key): `count` trees of `value`, each
+    a perfect subtree over 2**j level-0 trees of node key >> S, at level
+    j = key & (2**S - 1).  Nodes are the classes (0..L) and the families
+    (L+1..) in creation order; the class queue is sorted by (value, w),
+    the family queue is in creation order, and on equal values a class
+    goes first.  The smallest entry pairs its trees with the next
+    smallest's (take = the smaller count) when their values are equal or
+    it holds one tree, which makes a family; else it pairs them with each
+    other, and the entry rejoins the family queue one level up, with its
+    value doubled and its count halved, its odd tree left behind.
+
+    Every entry made while the smallest live value is V is at least 2V,
+    or v + V while a leftover tree of value v < V waits to pair with the
+    next entry, so each batch below that bound is sliced off both queues,
+    merged by one stable sort on value and walked in order.
     """
     values = _class_values(p, L)
-    # above every family value: ends both queues and is never taken
-    end = [1 << (max(values).bit_length() + L + 1), 1, -1]
-    lq = sorted(([values[w], math.comb(L, w), w] for w in range(L + 1)), key=lambda e: (e[0], e[2]))
-    lq.append(end)
-    mq = [end]
-    # children of family L + 1 + k; a self-pair has both equal
+    S = L.bit_length()
+    first = itemgetter(0)
+    lq = sorted(((values[w], math.comb(L, w), w << S) for w in range(L + 1)), key=first)
+    # above every family value: ends the class queue and is never taken
+    end = 1 << (max(values).bit_length() + L + 1)
+    lq.append((end, 0, -1))
+    mq = []
+    # children of family L + 1 + i, as keys
     ca, cb = array("q"), array("q")
     put_a, put_b, put_m = ca.append, cb.append, mq.append
     li = mi = 0
-    nid = L + 1
+    step = 1 << S
+    nk = (L + 1) << S
+    # the front entry being walked: value, trees left, key
+    v = c = k = 0
     while True:
-        x, y = lq[li], mq[mi]
-        if x[0] <= y[0]:
-            e1, e2 = x, lq[li + 1]
-            if y[0] < e2[0]:
-                e2 = y
-        else:
-            e1, e2 = y, mq[mi + 1]
-            if x[0] <= e2[0]:
-                e2 = x
-        v1, c1, g1 = e1
-        if c1 > 1 and e2[0] != v1:
-            e1[1] = c1 & 1
-            take, g2, val = c1 >> 1, g1, v1 + v1
-        elif e2 is end:
+        top = lq[li][0]
+        if mi < len(mq) and mq[mi][0] < top:
+            top = mq[mi][0]
+        if c and top == end:
             break
-        else:
-            v2, c2, g2 = e2
-            take = c1 if c1 < c2 else c2
-            e1[1], e2[1], val = c1 - take, c2 - take, v1 + v2
-            # e2 used up right behind e1 in the same queue: e1 moves up
-            if c1 > c2 and e1 is x and e2 is lq[li + 1]:
-                lq[li + 1] = e1
-                li += 1
-            elif c1 > c2 and e1 is y and e2 is mq[mi + 1]:
-                mq[mi + 1] = e1
-                mi += 1
-        put_a(g1)
-        put_b(g2)
-        mq[-1] = [val, take, nid]
-        put_m(end)
-        nid += 1
-        while not lq[li][1]:
-            li += 1
-        while not mq[mi][1]:
-            mi += 1
+        bound = (v if c else top) + top
+        lj = bisect_left(lq, bound, li, key=first)
+        mj = bisect_left(mq, bound, mi, key=first)
+        batch = lq[li:lj]
+        if mj > mi:
+            batch += mq[mi:mj]
+            if li < lj:
+                batch.sort(key=first)
+        li, mi = lj, mj
+        for v2, c2, k2 in batch:
+            if c > 1 and v2 != v:
+                put_m((v + v, c >> 1, k + 1))
+                c &= 1
+            if c:
+                take = c if c < c2 else c2
+                put_a(k)
+                put_b(k2)
+                put_m((v + v2, take, nk))
+                nk += step
+                c -= take
+                if c:
+                    continue
+                c2 -= take
+            v, c, k = v2, c2, k2
+        # every entry left is at or above the bound, so none equals v
+        if c > 1:
+            put_m((v + v, c >> 1, k + 1))
+            c &= 1
         if mi > 4096:
             del mq[:mi]
             mi = 0
 
-    # Reverse pass from the root, the last family made.  Node g's trees
-    # sit at depth dep[g] (cnt[g] of them; 0 = none yet) and, rarely, at
-    # the further depths in more[g] = [depth, count, ...].
+    # Reverse pass from the root, the last family made (level j of it).
+    # Node g's level-0 trees sit at depth dep[g] (cnt[g] of them; 0 =
+    # none yet) and, rarely, at the further depths in more[g] = [depth,
+    # count, ...].  A child at level j of a tree at depth d - 1 holds
+    # 2**j level-0 trees at depth d + j.
+    nid, mask = nk >> S, step - 1
     dep, cnt, more = [0] * nid, [0] * nid, [None] * nid
 
     def push(g: int, d: int, c: int) -> None:
@@ -152,27 +174,27 @@ def _aggregate_lengths(p: float, L: int) -> list[dict[int, int]]:
                 return
         tr += (d, c)
 
-    cnt[-1] = 1
-    for f in range(nid - 1, L, -1):
-        a, b = ca[f - L - 1], cb[f - L - 1]
+    j = k & mask
+    dep[-1], cnt[-1] = j, 1 << j
+    for f, a, b in zip(range(nid - 1, L, -1), reversed(ca), reversed(cb)):
+        kids = a, b
         d, c = dep[f] + 1, cnt[f]
         cnt[f] = 0
-        if dep[a] == d:
-            cnt[a] += c
-        elif dep[a]:
-            push(a, d, c)
-        else:
-            dep[a], cnt[a] = d, c
-        if dep[b] == d:
-            cnt[b] += c
-        elif dep[b]:
-            push(b, d, c)
-        else:
-            dep[b], cnt[b] = d, c
+        for x in kids:
+            g, j = x >> S, x & mask
+            dj = d + j
+            if dep[g] == dj:
+                cnt[g] += c << j
+            elif dep[g]:
+                push(g, dj, c << j)
+            else:
+                dep[g], cnt[g] = dj, c << j
         tr = more[f]
-        for j in range(0, len(tr) if tr else 0, 2):
-            push(a, tr[j] + 1, tr[j + 1])
-            push(b, tr[j] + 1, tr[j + 1])
+        if tr:
+            for i in range(0, len(tr), 2):
+                for x in kids:
+                    j = x & mask
+                    push(x >> S, tr[i] + 1 + j, tr[i + 1] << j)
     out = []
     for w in range(L + 1):
         tr = [dep[w], cnt[w]] + (more[w] or [])
@@ -181,31 +203,40 @@ def _aggregate_lengths(p: float, L: int) -> list[dict[int, int]]:
 
 
 def _rank_in_class(bits: Sequence[int], w: int) -> int:
-    """Lexicographic rank of a bit string among equal-weight strings."""
-    L = len(bits)
-    r = 0
-    left = w
-    for j, b in enumerate(bits):
+    """Lexicographic rank of a bit string among equal-weight strings.
+
+    Of the C(m, k) strings left, u = C(m, k) (m - k) / m put a 0 next and
+    C(m, k) - u = C(m - 1, k - 1) a 1.
+    """
+    m, k, r = len(bits), w, 0
+    t = math.comb(m, k)  # C(m, k) for the m bits left, k of them ones
+    for b in bits:
+        u = t * (m - k) // m
         if b:
-            r += math.comb(L - 1 - j, left)
-            left -= 1
+            r += u
+            t -= u
+            k -= 1
+        else:
+            t = u
+        m -= 1
     return r
 
 
 def _unrank_in_class(r: int, L: int, w: int) -> list[int]:
     bits = []
-    left = w
-    for j in range(L):
-        if left == 0:
-            bits.append(0)
-            continue
-        t = math.comb(L - 1 - j, left)
-        if r >= t:
+    m, k = L, w
+    t = math.comb(m, k)
+    for _ in range(L):
+        u = t * (m - k) // m
+        if r >= u:
             bits.append(1)
-            r -= t
-            left -= 1
+            r -= u
+            t -= u
+            k -= 1
         else:
             bits.append(0)
+            t = u
+        m -= 1
     return bits
 
 
@@ -217,9 +248,11 @@ class BernoulliBlockCode:
     codewords go to lexicographically smaller outcomes; across the whole
     alphabet, codewords are assigned canonically by (length, weight,
     in-class rank).  Everything is computed from class-level counts: the
-    lengths come from about 1.4 L**2 two-queue merge events on big
-    integers, which makes L in the hundreds cheap and L = 1024 take
-    seconds, so `build_block_code` caches codes per (p, L).
+    lengths come from octave batches of about 1.4 L**2 queue entries on
+    big integers, about half of which make families, which makes L in
+    the hundreds take milliseconds to a tenth of a second and L = 1024
+    about 2.5 s, so `build_block_code` caches codes per (p, L).  Ranking
+    and unranking step one binomial per bit.
     """
 
     p: float

@@ -19,7 +19,7 @@ from threshcast.core import ProbabilityProfile
 from threshcast.dp import CostTable
 from threshcast.huffman import BernoulliBlockCode
 from threshcast.policy import annotate_reachable_states
-from threshcast.sim import SimulationReport
+from threshcast.sim import BLOCK_MAX_N, SimulationReport
 
 
 def run_cli(capsys, *argv):
@@ -565,6 +565,22 @@ class TestBlock:
         )
         assert code == 5 and err == ""
         assert int(kv(out)["error_count"]) > 0
+
+    def test_block_length_over_the_cap_is_refused_before_any_replication(self, capsys, monkeypatch):
+        class Ran(Exception):
+            pass
+
+        def ran(*a, **k):
+            raise Ran
+
+        monkeypatch.setattr("threshcast.sim.run_block_strategy", ran)
+        argv = ("block", "--probs", "0.3,0.6", "--theta", "1", "--reps", "2", "--seed", "5")
+        code, out, err = run_cli(capsys, *argv, "--N", str(BLOCK_MAX_N + 1))
+        assert code == 3 and out == ""
+        assert err == f"error: N={BLOCK_MAX_N + 1} is over the block length cap of {BLOCK_MAX_N}\n"
+        for n in (1024, BLOCK_MAX_N):
+            with pytest.raises(Ran):
+                main([*argv, "--N", str(n)])
 
     @pytest.mark.parametrize("order", ["x,y", "", "1,,2"])
     def test_malformed_order_exits_2(self, capsys, order):

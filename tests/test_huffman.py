@@ -190,6 +190,51 @@ class TestTwoQueueBuilder:
                 build_block_code.__wrapped__(0.7, 9)
 
 
+class TestOctaveBatches:
+    """Values that land on a batch's 2V bound, against the heap builder in conftest."""
+
+    def test_lengths_equal_where_p_over_q_is_near_a_power_of_two(self):
+        # class values step by p/q, so here they sit on or next to a power of two apart
+        rng = random.Random(18)
+        for p in (1 / 3, 2 / 3, 0.2, 0.8, 1 / 9, 1 / 17, 0.5 - 2**-40, 0.5 + 2**-40):
+            for L in [1, 2, 3] + rng.sample(range(4, 193), 4):
+                assert huffman._aggregate_lengths(p, L) == reference_aggregate_lengths(p, L), (p, L)
+
+    def test_tie_paths_on_weights_up_to_eight(self, monkeypatch):
+        # weights 1..8 put many values exactly on 2V, the bound of a batch
+        rng = random.Random(8)
+        for _ in range(1500):
+            L = rng.randint(1, 12)
+            vals = [rng.randint(1, 8) for _ in range(L + 1)]
+            monkeypatch.setattr(huffman, "_class_values", lambda p, L: list(vals))
+            monkeypatch.setattr(conftest, "_class_values", lambda p, L: list(vals))
+            assert huffman._aggregate_lengths(0.5, L) == reference_aggregate_lengths(0.5, L), vals
+
+    def test_fair_coin_gives_every_block_length_L(self):
+        for L in range(1, 65):
+            assert huffman._aggregate_lengths(0.5, L) == [{L: math.comb(L, w)} for w in range(L + 1)], L
+
+    def test_rank_round_trip_at_1024(self):
+        L = 1024
+        rng = random.Random(1024)
+        cases = [[0] * L, [1] * L]
+        cases += [[int(rng.random() < q) for _ in range(L)] for q in (0.001, 0.3, 0.5, 0.6, 0.999)]
+        for bits in cases:
+            w = sum(bits)
+            r = huffman._rank_in_class(bits, w)
+            # rank as a sum of binomials, one per one bit
+            left, expect = w, 0
+            for j, b in enumerate(bits):
+                if b:
+                    expect += math.comb(L - 1 - j, left)
+                    left -= 1
+            assert r == expect and 0 <= r < math.comb(L, w)
+            assert huffman._unrank_in_class(r, L, w) == bits
+        for w in (0, 1, L - 1, L):
+            assert huffman._unrank_in_class(0, L, w) == [0] * (L - w) + [1] * w
+            assert huffman._unrank_in_class(math.comb(L, w) - 1, L, w) == [1] * w + [0] * (L - w)
+
+
 class TestBlockCode:
     def test_exhaustive_round_trip_and_prefix_freedom(self):
         code = build_block_code(0.7, 6)
