@@ -31,6 +31,7 @@ from .core import (
     CapacityError,
     InputError,
     Leaf,
+    Node,
     ProbabilityProfile,
     ThresholdSpec,
     tree_states,
@@ -38,16 +39,11 @@ from .core import (
 # strategy_cost is not called here: perfbench/tracing.py wraps it under this module's name
 from .dp import DEFAULT_NODE_CAP, DEFAULT_TIE_TOL, CostTable, optimal_tree, strategy_cost
 # nor is tree_to_dict, for the same reason
-from .io import (IngestedProfile, check_strategy_size, load_profile, parse_probs_arg, read_text_file, render_json,
-                 tree_to_dict, tree_to_dot)
+from .io import (FLOAT_FORMAT, IngestedProfile, check_strategy_size, load_profile, parse_probs_arg, read_text_file,
+                 render_json, tree_to_dict, tree_to_dot)
 from .policy import StateAnnotation, annotate_reachable_states, build_index_tree, index_policy_cost
 from .sim import BLOCK_MAX_N, run_block_replications, simulate_tree
-from .verify import (
-    DEFAULT_LEMMA_TOL,
-    EXHAUSTIVE_MAX_N,
-    check_lemma_inequalities,
-    exhaustive_strategy_check,
-)
+from .verify import DEFAULT_LEMMA_TOL, EXHAUSTIVE_MAX_N, FAMILIES, check_lemma_inequalities, exhaustive_strategy_check
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -59,12 +55,7 @@ SEED_ENV_VAR = "THRESHCAST_SEED"
 
 
 def fmt(x: float) -> str:
-    return "%.12g" % x
-
-
-def jround(x: float) -> float:
-    """Round to the printed precision so JSON numbers match text output."""
-    return float(fmt(x))
+    return FLOAT_FORMAT % x
 
 
 # ---------------------------------------------------------------------------
@@ -189,14 +180,6 @@ def resolve_profile(args: argparse.Namespace, config: dict, required: bool) -> O
     return None
 
 
-def rank_map_items(ingested: IngestedProfile) -> Optional[list[tuple[int, int]]]:
-    """(rank, original 0-based position) pairs, or None if input was sorted."""
-    items = [(r + 1, pos) for r, pos in enumerate(ingested.original_index)]
-    if all(r - 1 == pos for r, pos in items):
-        return None
-    return items
-
-
 def rank_labels(ingested: IngestedProfile, labels_arg: Optional[str]) -> Optional[list[str]]:
     """Display names per rank, mapped through the ingestion permutation."""
     if labels_arg is None:
@@ -217,36 +200,37 @@ def render_csv(rows: list[list[str]]) -> str:
 
 
 def text_value(v) -> str:
-    """A record value as printed: floats by `fmt`, booleans lower case, None empty."""
+    """A record value as table and csv print it: a float by `fmt`, a bool lower
+    case, None empty, a tuple or list as its items joined by ";", a mapping
+    as its "k:v" items joined by ";", and a strategy as compact JSON."""
     if v is None or isinstance(v, bool):
         return "" if v is None else str(v).lower()
-    return fmt(v) if isinstance(v, float) else str(v)
+    if isinstance(v, float):
+        return fmt(v)
+    if isinstance(v, (list, tuple)):
+        return ";".join(map(text_value, v))
+    if isinstance(v, dict):
+        return ";".join(f"{k}:{text_value(x)}" for k, x in v.items())
+    return render_json(v, compact=True) if isinstance(v, (Node, Leaf)) else str(v)
 
 
-def json_value(v):
-    return jround(v) if isinstance(v, float) else v
-
-
-def render_record(record: list[tuple[str, object]], out_format: str, **json_extra) -> str:
-    """One flat record as key=value lines, a header-and-values csv, or json.
-
-    `json_extra` entries go into the json object only, as given: a strategy
-    there is rendered from its DAG (see `render_json`).
-    """
+def render_record(record: list[tuple[str, object]], out_format: str) -> str:
+    """One record of (key, raw value) pairs as key=value lines, a
+    header-and-values csv, or a json object (see `render_json`)."""
     if out_format == "json":
-        return render_json({**{k: json_value(v) for k, v in record}, **json_extra})
+        return render_json(dict(record))
     pairs = [(k, text_value(v)) for k, v in record]
     if out_format == "table":
         return "".join(f"{k}={v}\n" for k, v in pairs)
     return render_csv([[k for k, _ in pairs], [v for _, v in pairs]])
 
 
-def profile_fields(ingested: IngestedProfile) -> list[tuple[str, str]]:
-    pairs = [("probs", ";".join(fmt(p) for p in ingested.profile.probs))]
-    rmap = rank_map_items(ingested)
-    if rmap is not None:
-        pairs.append(("rank_map", ";".join(f"{r}:{pos}" for r, pos in rmap)))
-    return pairs
+def profile_fields(ingested: IngestedProfile) -> list[tuple[str, object]]:
+    """The sorted marginals, and unless the input was sorted, each rank's 0-based input position."""
+    fields: list[tuple[str, object]] = [("probs", ingested.profile.probs)]
+    if any(r != pos for r, pos in enumerate(ingested.original_index)):
+        fields.append(("rank_map", {str(r): pos for r, pos in enumerate(ingested.original_index, 1)}))
+    return fields
 
 
 def annotation_rows(annotations: list[StateAnnotation], n: int) -> list[list[str]]:
@@ -270,14 +254,6 @@ def annotation_rows(annotations: list[StateAnnotation], n: int) -> list[list[str
     return rows
 
 
-def profile_json(ingested: IngestedProfile) -> dict:
-    obj: dict = {"probs": [jround(p) for p in ingested.profile.probs]}
-    rmap = rank_map_items(ingested)
-    if rmap is not None:
-        obj["rank_map"] = {str(r): pos for r, pos in rmap}
-    return obj
-
-
 # ---------------------------------------------------------------------------
 # Subcommands: each takes the resolved options and returns (output, exit code)
 
@@ -293,7 +269,6 @@ def cmd_solve(opts: argparse.Namespace) -> tuple[str, int]:
         check_strategy_size(profile.n, theta)
     full = (1 << profile.n) - 1
     cost = table.cost(full, theta)
-    cost_f = float(cost)
     tree = optimal_tree(profile, theta, table=table, tol=opts.tol)
     if 1 <= theta <= profile.n:
         first = table.minimizers(full, theta, tol=opts.tol)
@@ -302,14 +277,10 @@ def cmd_solve(opts: argparse.Namespace) -> tuple[str, int]:
 
     if opts.format == "dot":
         return tree_to_dot(tree, labels=labels), EXIT_OK
-    record = [("n", profile.n), ("theta", theta), ("optimal_cost", cost_f)]
-    if opts.format == "json":
-        return render_record(record, "json", optimal_first_transmitters=list(first), tree=tree,
-                             **profile_json(ingested)), EXIT_OK
-    record.append(("optimal_first_transmitters", ";".join(str(r) for r in first)))
-    if opts.format == "table":
+    record = [("n", profile.n), ("theta", theta), ("optimal_cost", float(cost)), ("optimal_first_transmitters", first)]
+    if opts.format != "csv":
         record[2:2] = profile_fields(ingested)
-        record.append(("tree", render_json(tree, compact=True)))
+        record.append(("tree", tree))
     return render_record(record, opts.format), EXIT_OK
 
 
@@ -345,18 +316,15 @@ def cmd_policy(opts: argparse.Namespace) -> tuple[str, int]:
     if out_format == "dot":
         return tree_to_dot(tree, labels=labels), code
     record = [("n", profile.n), ("theta", theta), ("policy_cost", cost), *check.items()]
-    if out_format == "table":
-        text = render_record(record[:2] + profile_fields(ingested) + record[2:], "table")
+    if out_format != "csv":
+        record[2:2] = profile_fields(ingested)
+    if out_format == "json":
+        record.append(("tree", tree))
         if opts.annotate:
-            text += render_csv(annotation_rows(annotate_reachable_states(profile, theta), profile.n))
-    elif out_format == "json":
-        states = {}
-        if opts.annotate:
-            states["states"] = [{k: json_value(v) for k, v in vars(a).items()}
-                                for a in annotate_reachable_states(profile, theta)]
-        text = render_record(record, "json", tree=tree, **profile_json(ingested), **states)
-    else:
-        text = render_record(record, out_format)
+            record.append(("states", [vars(a) for a in annotate_reachable_states(profile, theta)]))
+    text = render_record(record, out_format)
+    if out_format == "table" and opts.annotate:
+        text += render_csv(annotation_rows(annotate_reachable_states(profile, theta), profile.n))
     return text, code
 
 
@@ -367,16 +335,6 @@ def _sweep_profiles(rng: np.random.Generator, sweeps: int, max_n: int) -> list[P
         probs = np.sort(rng.uniform(0.01, 0.99, size=m))
         out.append(ProbabilityProfile(tuple(float(p) for p in probs)))
     return out
-
-
-_WORST_COLUMNS = [
-    ("worst_T", "T<=0"),
-    ("worst_S1", "S1<=0"),
-    ("worst_S2", "S2<=0"),
-    ("worst_T_minus_S1", "T<=S1"),
-    ("worst_T_minus_S2", "T<=S2"),
-    ("worst_T_at_kp1", "T=0@i=k+1"),
-]
 
 
 def cmd_verify(opts: argparse.Namespace) -> tuple[str, int]:
@@ -399,39 +357,27 @@ def cmd_verify(opts: argparse.Namespace) -> tuple[str, int]:
     total_violations = 0
     exhaustive_failures = 0
     exhaustive_runs = 0
-    summary_rows = [
-        ["m", "probs", "violations"]
-        + [name for name, _ in _WORST_COLUMNS]
-        + ["exhaustive_trees", "exhaustive_ok"]
-    ]
+    summary_rows = [["m", "probs", "violations", *FAMILIES.values(), "exhaustive_trees", "exhaustive_ok"]]
     reports = []
     for profile in profiles:
         table = CostTable(profile)
         report = check_lemma_inequalities(profile, tolerance=tolerance, table=table)
         reports.append(report)
         total_violations += len(report.violations)
-        ex_trees = ""
-        ex_ok = ""
+        ex_trees = ex_ok = None
         if exhaustive and profile.n <= EXHAUSTIVE_MAX_N:
-            trees = 0
-            ok = True
-            for theta in range(1, profile.n + 1):
-                ex = exhaustive_strategy_check(profile, theta, tolerance=tolerance, table=table)
-                trees += ex.tree_count
-                ok = ok and ex.passed
-                exhaustive_runs += 1
-                if not ex.passed:
-                    exhaustive_failures += 1
-            ex_trees = str(trees)
-            ex_ok = str(ok).lower()
-        summary_rows.append(
-            [str(report.m), ";".join(fmt(p) for p in report.probs), str(len(report.violations))]
-            + [fmt(report.worst.get(fam, 0.0)) for _, fam in _WORST_COLUMNS]
-            + [ex_trees, ex_ok]
-        )
+            checks = [exhaustive_strategy_check(profile, theta, tolerance=tolerance, table=table)
+                      for theta in range(1, profile.n + 1)]
+            ex_trees = sum(ex.tree_count for ex in checks)
+            ex_ok = all(ex.passed for ex in checks)
+            exhaustive_runs += len(checks)
+            exhaustive_failures += sum(not ex.passed for ex in checks)
+        row = [report.m, report.probs, len(report.violations), *(report.worst.get(f, 0.0) for f in FAMILIES),
+               ex_trees, ex_ok]
+        summary_rows.append([text_value(v) for v in row])
 
     passed = total_violations == 0 and exhaustive_failures == 0
-    worst = [(name, max((r.worst.get(fam, 0.0) for r in reports), default=0.0)) for name, fam in _WORST_COLUMNS]
+    worst = {col: max((r.worst.get(fam, 0.0) for r in reports), default=0.0) for fam, col in FAMILIES.items()}
     record = [("profiles", len(profiles)), ("tolerance", tolerance), ("violations", total_violations)]
     exhaustive_fields = [("exhaustive_checks", exhaustive_runs), ("exhaustive_failures", exhaustive_failures)]
     if out_format == "csv" and explicit:
@@ -440,10 +386,11 @@ def cmd_verify(opts: argparse.Namespace) -> tuple[str, int]:
     elif out_format == "csv":
         text = render_csv(summary_rows)
     elif out_format == "json":
-        text = render_record(record + exhaustive_fields + [("passed", passed)], "json", worst={k: jround(v) for k, v in worst})
+        text = render_record(record + exhaustive_fields + [("passed", passed), ("worst", worst)], "json")
     else:
         verdict = [("verify", "passed" if passed else "failed")]
-        text = render_record(record + worst + (exhaustive_fields if exhaustive else []) + verdict, out_format)
+        text = render_record(record + list(worst.items()) + (exhaustive_fields if exhaustive else []) + verdict,
+                             out_format)
     return text, EXIT_OK if passed else EXIT_VERIFY
 
 
@@ -486,19 +433,13 @@ def cmd_block(opts: argparse.Namespace) -> tuple[str, int]:
         ("se_first_round_per_instance", summary.se_first_round_per_instance),
         ("error_count", summary.error_count),
     ]
-    transcript = {}
-    if opts.transcript:
-        transcript["replications"] = [
-            {
-                "total_bits": r.total_bits,
-                "bits_per_instance": jround(r.bits_per_instance),
-                "error_count": r.error_count,
-                "rounds": [vars(rd) for rd in r.rounds],
-            }
+    if opts.transcript and opts.format == "json":
+        record.append(("replications", [
+            {"total_bits": r.total_bits, "bits_per_instance": r.bits_per_instance, "error_count": r.error_count,
+             "rounds": [vars(rd) for rd in r.rounds]}
             for r in reports
-        ]
-    text = render_record(record, opts.format, **transcript)
-    return text, EXIT_SIM if summary.error_count > 0 else EXIT_OK
+        ]))
+    return render_record(record, opts.format), EXIT_SIM if summary.error_count > 0 else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -199,16 +199,10 @@ class CostTable:
         return tuple(sorted(r for r, c in cand.items() if c <= best + tol))
 
 
-def optimal_cost(
-    profile: ProbabilityProfile,
-    theta: int,
-    node_cap: int = DEFAULT_NODE_CAP,
-    exact: bool = False,
-    table: Optional[CostTable] = None,
-):
+def optimal_cost(profile: ProbabilityProfile, theta: int, table: Optional[CostTable] = None):
     spec = ThresholdSpec(profile.n, theta)
     if table is None:
-        table = CostTable(profile, node_cap=node_cap, exact=exact, theta=spec.theta)
+        table = CostTable(profile, theta=spec.theta)
     return table.cost((1 << spec.n) - 1, spec.theta)
 
 

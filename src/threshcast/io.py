@@ -1,6 +1,6 @@
 """Ingestion of probability profiles, tree (de)serialization, and
 rendering: the one JSON emitter for records and strategies, DOT export,
-and their caps.
+their caps, and the precision every printed float has.
 
 Profiles arrive as a JSON array or a single-column CSV in arbitrary
 order.  Solvers require ascending order, so ingestion sorts with a stable
@@ -18,6 +18,9 @@ from math import comb
 from typing import Sequence
 
 from .core import CapacityError, DecisionTree, InputError, Leaf, Node, ProbabilityProfile, dag_postorder
+
+# Every float printed, as text or as a JSON number, has 12 significant digits
+FLOAT_FORMAT = "%.12g"
 
 
 @dataclass(frozen=True)
@@ -174,7 +177,8 @@ def _check_render_caps(tree: DecisionTree, json_level: int | None = None) -> Non
 def render_json(obj, compact: bool = False) -> str:
     """`json.dumps(obj, sort_keys=True, indent=2) + "\\n"`, or with `compact`
     `json.dumps(obj, sort_keys=True)`, where a `Node` or `Leaf` stands in
-    for its `tree_to_dict` dict, under the same caps.
+    for its `tree_to_dict` dict, under the same caps, and every float (an
+    `np.float64` too) is rounded to FLOAT_FORMAT's 12 significant digits.
 
     Object keys must be strings.  A strategy is checked against the caps
     before its container's items are rendered, as indented JSON opening at
@@ -225,9 +229,11 @@ def render_json(obj, compact: bool = False) -> str:
             elif isinstance(value, (list, tuple)) and value:
                 items = [("", v) for v in value]
                 brackets = "[]"
+            elif type(value) is int:
+                out.append(int.__repr__(value))  # json's own text, without a json.dumps call per number
+                continue
             else:
-                # an int's text is json's own, without a json.dumps call per number
-                out.append(int.__repr__(value) if type(value) is int else json.dumps(value))
+                out.append(json.dumps(float(FLOAT_FORMAT % value) if isinstance(value, float) else value))
                 continue
             for _, v in items:
                 if isinstance(v, (Node, Leaf)):

@@ -46,7 +46,15 @@ from .policy import index_policy_cost
 DEFAULT_LEMMA_TOL = 1e-9
 EXHAUSTIVE_MAX_N = 4
 
-FAMILIES = ("T<=0", "S1<=0", "S2<=0", "T<=S1", "T<=S2", "T=0@i=k+1")
+# each inequality family, and the column its worst value is printed under
+FAMILIES = {
+    "T<=0": "worst_T",
+    "S1<=0": "worst_S1",
+    "S2<=0": "worst_S2",
+    "T<=S1": "worst_T_minus_S1",
+    "T<=S2": "worst_T_minus_S2",
+    "T=0@i=k+1": "worst_T_at_kp1",
+}
 
 
 @dataclass(frozen=True)
@@ -165,15 +173,15 @@ def check_lemma_inequalities(
 
 
 @lru_cache(maxsize=64)
-def enumerate_trees(n: int, theta: int, max_n: int = EXHAUSTIVE_MAX_N) -> tuple[DecisionTree, ...]:
+def enumerate_trees(n: int, theta: int) -> tuple[DecisionTree, ...]:
     """Every structurally valid strategy tree for (n, theta), built once per process.
 
     The count is a product over both branches at every choice, so it
-    explodes fast; the cap keeps this an oracle for small cases only.
+    explodes fast; EXHAUSTIVE_MAX_N keeps this an oracle for small cases only.
     """
     spec = ThresholdSpec(n, theta)
-    if n > max_n:
-        raise CapacityError(f"tree enumeration capped at n={max_n}, got n={n}")
+    if n > EXHAUSTIVE_MAX_N:
+        raise CapacityError(f"tree enumeration capped at n={EXHAUSTIVE_MAX_N}, got n={n}")
     memo: dict[tuple[int, int], list[DecisionTree]] = {}
 
     def build(mask: int, t: int) -> list[DecisionTree]:
@@ -219,7 +227,6 @@ def exhaustive_strategy_check(
     profile: ProbabilityProfile,
     theta: int,
     tolerance: float = DEFAULT_LEMMA_TOL,
-    max_n: int = EXHAUSTIVE_MAX_N,
     table: Optional[CostTable] = None,
 ) -> ExhaustiveReport:
     """Compare the table optimum against a full enumeration of strategies.
@@ -228,7 +235,7 @@ def exhaustive_strategy_check(
     beats the table's value, or if the closed-form policy fails to attain
     the enumerated minimum.
     """
-    trees = enumerate_trees(profile.n, theta, max_n=max_n)
+    trees = enumerate_trees(profile.n, theta)
     best_cost = float("inf")
     best_tree: Optional[DecisionTree] = None
     for tree, c in zip(trees, strategy_costs(trees, profile)):

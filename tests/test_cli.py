@@ -10,12 +10,13 @@ import time
 from math import comb
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import threshcast
 from threshcast import io as tio
-from threshcast.cli import COMMANDS, SEED_ENV_VAR, annotation_rows, build_parser, main
-from threshcast.core import ProbabilityProfile
+from threshcast.cli import COMMANDS, SEED_ENV_VAR, annotation_rows, build_parser, main, render_record
+from threshcast.core import Leaf, Node, ProbabilityProfile
 from threshcast.dp import CostTable
 from threshcast.huffman import BernoulliBlockCode
 from threshcast.policy import annotate_reachable_states
@@ -232,6 +233,33 @@ class TestPolicy:
         code, out, err = run_cli(capsys, "policy", "--probs", probs, "--theta", "600")
         assert code == 0 and err == ""
         assert 1.0 < float(kv(out)["policy_cost"]) <= n
+
+
+class TestRenderRecord:
+    """`render_record` decides how every kind of raw value prints, in each format."""
+
+    TREE = Node(1, Leaf(0), Leaf(1))
+    RECORD = [("none", None), ("flag", True), ("count", 3), ("cost", 2 / 3), ("np_cost", np.float64(1 / 7)),
+              ("ranks", (2, 1)), ("rank_map", {"1": 1, "2": 0}), ("tree", TREE)]
+    TREE_TEXT = '{"on_one": {"value": 1}, "on_zero": {"value": 0}, "transmitter": 1}'
+
+    def test_table(self):
+        assert render_record(self.RECORD, "table") == (
+            "none=\nflag=true\ncount=3\ncost=0.666666666667\nnp_cost=0.142857142857\nranks=2;1\n"
+            f"rank_map=1:1;2:0\ntree={self.TREE_TEXT}\n"
+        )
+
+    def test_csv(self):
+        # csv cells are not quoted: a strategy's commas split its cell, so no csv record holds one
+        assert render_record(self.RECORD, "csv") == (
+            "none,flag,count,cost,np_cost,ranks,rank_map,tree\n"
+            f",true,3,0.666666666667,0.142857142857,2;1,1:1;2:0,{self.TREE_TEXT}\n"
+        )
+
+    def test_json(self):
+        expected = {"none": None, "flag": True, "count": 3, "cost": 0.666666666667, "np_cost": 0.142857142857,
+                    "ranks": [2, 1], "rank_map": {"1": 1, "2": 0}, "tree": json.loads(self.TREE_TEXT)}
+        assert render_record(self.RECORD, "json") == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
 
 def scrambled_probs(n: int) -> str:

@@ -189,6 +189,52 @@ GOLDEN = [
         ["verify", "--probs", P8, "--format", "csv"],
         "888c4d6e3140cc431e10c649d2839e7b28c18a82410f3c78aeabce4491955a93",
     ),
+    # one pin for each (subcommand, format) pair the lines above leave open
+    (
+        "solve-csv-n8",
+        ["solve", "--probs", P8, "--theta", "3", "--format", "csv"],
+        "b01df70f892a365b05e111ce21c3e8d09b58f648d8201998d50ab5cfa37db74f",
+    ),
+    (
+        "solve-dot-n8",
+        ["solve", "--probs", P8, "--theta", "5", "--format", "dot", "--labels", "a,b,c,d,e,f,g,h"],
+        "0d91e6a960af9ca844a059b14331cd6c57f366471794da0f3f094b14a75e591a",
+    ),
+    (
+        "simulate-json-n10",
+        ["simulate", "--probs", P10, "--theta", "4", "--trials", "5000", "--seed", "7", "--format", "json"],
+        "419a46f78eb4cf612289dbcdcb1c7c89275092290b9a786137a0ab0d93756a9d",
+    ),
+    (
+        "simulate-csv-n10",
+        ["simulate", "--probs", P10, "--theta", "4", "--trials", "5000", "--seed", "7", "--format", "csv"],
+        "8f85219ea0a7eefeb82e4c64fa734626ff57727394760b36fc8eb844cbc6fd4e",
+    ),
+    (
+        "block-csv-n3",
+        ["block", "--probs", P3, "--theta", "2", "--N", "128", "--reps", "3", "--seed", "11", "--format", "csv"],
+        "a63d3f372bc2b4325faa7f3483113ac4978ea47b667fe4c5d72e9ca0200bf221",
+    ),
+    (
+        "block-json-n4",
+        ["block", "--probs", P4, "--theta", "2", "--N", "96", "--reps", "2", "--seed", "5", "--format", "json"],
+        "b6533bfa1046df8c726a1860934ee2ff99627bcaf53b64e7327003b5f685a0bd",
+    ),
+    (
+        "verify-table-n8",
+        ["verify", "--probs", P8],
+        "78744885cd04ddf63f0edef3d23c0d62465efd506127aae01d9cc659ec1c2436",
+    ),
+    (
+        "verify-json-n8",
+        ["verify", "--probs", P8, "--format", "json"],
+        "cc5eb4432fdfd9b92a00bd445ddbb1be5aee47269bbd8299d94a496c6fe5b65e",
+    ),
+    (
+        "policy-check-json-n8",
+        ["policy", "--probs", P8, "--theta", "3", "--check", "--format", "json"],
+        "1e8acee7c26fe735bcbaa2de61c7311b3345e11bb0805a1457c5c1066481757d",
+    ),
 ]
 
 

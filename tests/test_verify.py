@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from threshcast import verify
 from threshcast.cli import main
 from threshcast.core import (
     CapacityError,
@@ -133,12 +134,14 @@ class TestLemmaReport:
 
 
 class TestEnumeration:
-    def test_counts(self):
+    def test_counts(self, monkeypatch):
         assert len(enumerate_trees(1, 1)) == 1
         assert len(enumerate_trees(2, 1)) == 2
         assert len(enumerate_trees(3, 1)) == 6
         assert len(enumerate_trees(4, 2)) == 288
-        assert len(enumerate_trees(5, 1, max_n=5)) == 120
+        monkeypatch.setattr(verify, "EXHAUSTIVE_MAX_N", 5)
+        # past the per-process cache, which would keep the n = 5 trees after the cap is restored
+        assert len(enumerate_trees.__wrapped__(5, 1)) == 120
 
     def test_constant_thresholds(self):
         trees = enumerate_trees(3, 0)
