@@ -10,19 +10,23 @@ the set R as a bitmask with rank r at bit r - 1.  Each subset reads only
 subsets one element smaller, so the table is filled one cardinality
 level at a time (Held & Karp's subset DP): every l-subset has exactly l
 set bits, so a level takes l whole-array passes, the k-th over the k-th
-lowest bit of every subset at once.  A pass is two contiguous gathers:
-the band rows one level down, taken column-wise at the subsets without
-that bit, and the bit's probability, looked up by the one-bit mask
-itself.  A table without a theta answers every substate query for one
-profile; one built for a theta fills only the band of t that a walk from
-the full set can reach, one t per level at theta = 1 or n.  Subset
-enumeration is exponential in n; the cap guards against accidental huge
-instances.
+lowest bit of every subset at once.  Which columns one level down a pass
+reads, and which probability, depend on n alone, so that plan is built
+once per n and kept for the life of the process (`_plan`, about 5 bytes
+per (subset, set bit): 2.6 MB at n = 16, 52 MB at n = 20); a pass is
+then two contiguous gathers, the band rows one level down taken
+column-wise at the plan's columns, and the probabilities at the plan's
+bit indices.  A table without a theta answers every substate query for
+one profile; one built for a theta fills and stores only the band of t
+that a walk from the full set can reach, one t per level at theta = 1
+or n.  Subset enumeration is exponential in n; the cap guards against
+accidental huge instances.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Optional, Sequence
 
@@ -46,21 +50,62 @@ DEFAULT_TIE_TOL = 1e-12
 MAX_TABLE_N = 30
 
 
+@lru_cache(maxsize=None)
+def _plan(n: int) -> tuple:
+    """The profile-free part of an n-node fill: (row, cols, bits).
+
+    row maps a mask to its column within its level.  Pass k over level l
+    reads column cols[l][k] of level l-1, the subset without its k-th
+    lowest set bit, and the probability of rank bits[l][k] + 1, the bit
+    removed; both are (l, C(n, l)) arrays, int32 and int8.  Every table
+    of n nodes shares one plan, so its arrays are read-only.
+    """
+    popcount = np.zeros(1 << n, dtype=np.int8)
+    for i in range(n):
+        popcount[1 << i : 2 << i] = popcount[: 1 << i] + 1
+    by_level = np.argsort(popcount, kind="stable")
+    sizes = [comb(n, l) for l in range(n + 1)]
+    starts = np.cumsum([0] + sizes)
+    row = np.empty(1 << n, dtype=np.int32)
+    row[by_level] = np.arange(1 << n) - np.repeat(starts[:-1], sizes)
+    cols: list = [None]  # level 0 has no pass
+    bits: list = [None]
+    for l in range(1, n + 1):
+        masks = by_level[starts[l] : starts[l + 1]]
+        col = np.empty((l, sizes[l]), dtype=np.int32)
+        bit = np.empty((l, sizes[l]), dtype=np.int8)
+        rest = masks
+        for k in range(l):
+            # every l-subset has a k-th lowest set bit: remove it from all at once
+            low = rest & -rest
+            rest = rest ^ low
+            np.take(row, masks ^ low, out=col[k])
+            np.take(popcount, low - 1, out=bit[k])  # low == 1 << bit
+        col.flags.writeable = bit.flags.writeable = False
+        cols.append(col)
+        bits.append(bit)
+    row.flags.writeable = False
+    return memoryview(row), cols, bits
+
+
 class CostTable:
     """Cost table for one probability profile, filled on the first query.
 
-    Level l holds C(R, t) for every l-subset R as one (l+2, C(n, l))
-    array, t-major: row t, one column per subset in ascending mask order.
-    Rows t = 0 and t = l+1 are the determined states and stay 0.  With
-    theta=None every row is filled and the table answers every threshold.
-    With a theta, level l fills only the rows a walk from (all n nodes,
-    theta) can reach, t = max(1, theta-(n-l)) .. min(l, theta); the band
-    reads only the band one level down, so its entries equal the full
-    table's, and an undetermined query outside it raises InputError.
-    Level l's pass over the k-th lowest set bit `low` of every subset is
-    `np.take(band_rows, np.take(row, masks ^ low), axis=1)` on the band
-    rows of level l-1, sliced once per level, and `np.take(p_of_bit, low)`
-    on a 2**n array holding p_i at the one-bit mask 1 << (i-1).
+    Level l holds C(R, t) for every l-subset R, t-major: one row per t,
+    one column per subset in ascending mask order.  With theta=None every
+    row is filled and the table answers every threshold.  With a theta,
+    level l fills only the rows a walk from (all n nodes, theta) can
+    reach, t = lo .. hi with lo = max(1, theta-(n-l)) and hi = min(l,
+    theta); the band reads only the band one level down, so its entries
+    equal the full table's, and an undetermined query outside it raises
+    InputError.  Level l stores rows lo-1 .. hi+1: the band and a zero
+    row on each side, which the next level reads where it is determined
+    (t = 0 or l+1); a full table has lo = 1, so its row index is t.
+    Pass k of level l is `np.take(band_rows, cols[l][k], axis=1)` on the
+    band rows of level l-1, sliced once per level, and
+    `np.take(probs, bits[l][k])` on the n probabilities, from the plan
+    `_plan(n)`, built on the first fill at n and kept: 4 bytes per mask
+    and 5 per (subset, set bit).
     With exact=True the same fill runs over object arrays of rationals
     (probabilities taken at their exact binary float values), so ties
     are ties, not artifacts of rounding.
@@ -101,51 +146,41 @@ class CostTable:
         # per level, once filled: a memoryview of the float array (it reads
         # out Python floats), or the object array of Fractions itself
         self._levels: Optional[list] = None
-        self._row = None  # memoryview: mask -> column within its level
+        self._row = None  # the plan's memoryview: mask -> column within its level
 
     def _fill(self) -> None:
         n = self.profile.n
         one, zero = self._one, self._zero
         dtype = object if self.exact else np.float64
-        popcount = np.zeros(1 << n, dtype=np.int8)
-        for i in range(n):
-            popcount[1 << i : 2 << i] = popcount[: 1 << i] + 1
-        by_level = np.argsort(popcount, kind="stable")
-        sizes = [comb(n, l) for l in range(n + 1)]
-        starts = np.cumsum([0] + sizes)
-        row = np.empty(1 << n, dtype=np.int32)
-        row[by_level] = np.arange(1 << n) - np.repeat(starts[:-1], sizes)
-        # indexed by the one-bit mask itself: p_of_bit[1 << (rank - 1)] = p_rank
-        p_of_bit = np.full(1 << n, zero, dtype=dtype)
-        p_of_bit[1 << np.arange(n)] = np.array(self._probs, dtype=dtype)
+        row, cols, bits = _plan(n)
+        probs = np.array(self._probs, dtype=dtype)
         levels = [np.full((2, 1), zero, dtype=dtype)]
         for l in range(1, n + 1):
             lo, hi = self._lo[l], self._hi[l]
-            masks = by_level[starts[l] : starts[l + 1]]
-            band_rows = levels[l - 1][lo - 1 : hi + 1]
-            cur = np.full((l + 2, sizes[l]), zero, dtype=dtype)
-            rest = masks
+            # rows lo-1 .. hi of level l-1, which stores rows from its own lo-1
+            skip = lo - self._lo[l - 1]
+            band_rows = levels[l - 1][skip : skip + hi - lo + 2]
+            col, bit = cols[l], bits[l]
+            cur = np.full((hi - lo + 3, col.shape[1]), zero, dtype=dtype)
             for k in range(l):
-                # every l-subset has a k-th lowest set bit: remove it from all at once
-                low = rest & -rest
-                rest = rest ^ low
-                below = np.take(band_rows, np.take(row, masks ^ low), axis=1)
-                p = np.take(p_of_bit, low)
+                below = np.take(band_rows, col[k], axis=1)
+                p = np.take(probs, bit[k])
                 # the recurrence's operation order, so entries are bit-identical to it
                 c = one + p * below[:-1] + (one - p) * below[1:]
                 band = c if k == 0 else np.minimum(band, c, out=band)
-            cur[lo : hi + 1] = band
+            cur[1:-1] = band
             levels.append(cur)
-        self._row = memoryview(row)
+        self._row = row
         self._levels = levels if self.exact else [memoryview(a) for a in levels]
 
     def _entry(self, mask: int, t: int):
         """C(mask, t) for any mask, and any t in the band or determined, by table lookup."""
         level = mask.bit_count()
-        if self._lo[level] <= t <= self._hi[level]:
+        lo = self._lo[level]
+        if lo <= t <= self._hi[level]:
             if self._levels is None:
                 self._fill()
-            return self._levels[level][t, self._row[mask]]
+            return self._levels[level][t - lo + 1, self._row[mask]]
         if t <= 0 or t > level:
             return self._zero
         raise self._outside_band(level, t)

@@ -21,6 +21,7 @@ from threshcast.core import (
 from threshcast.dp import (
     MAX_TABLE_N,
     CostTable,
+    _plan,
     optimal_cost,
     optimal_tree,
     strategy_cost,
@@ -262,22 +263,74 @@ class TestThresholdBand:
                     assert band.cost((1 << n) - 1, theta) == full.cost((1 << n) - 1, theta)
 
     def test_extreme_theta_fills_one_row_per_level(self):
+        # a theta table stores only its band and the zero row on each side
         probs = tuple((i + 0.5) / 9 for i in range(9))
         for exact in (False, True):
             for theta in (1, 9):
                 table = CostTable(ProbabilityProfile(probs), exact=exact, theta=theta)
                 table.cost((1 << 9) - 1, theta)
                 for level in range(1, 10):
+                    band = band_of(9, theta, level)
+                    assert list(band) == [1 if theta == 1 else level]
                     stored = np.asarray(table._levels[level])
-                    assert stored.shape == (level + 2, comb(9, level))
-                    filled = [t for t in range(level + 2) if any(stored[t] != 0)]
-                    assert filled == list(band_of(9, theta, level)) == [1 if theta == 1 else level]
+                    assert stored.shape == (len(band) + 2, comb(9, level))
+                    assert (stored[1] != 0).all()
+                    assert (stored[0] == 0).all() and (stored[2] == 0).all()
+
+    def test_every_band_entry_equals_the_full_table(self):
+        rng = np.random.default_rng(41)
+        for n in range(1, 11):
+            profile = ProbabilityProfile(tuple(sorted(float(p) for p in rng.uniform(0.01, 0.99, n))))
+            for exact in (False, True):
+                full = CostTable(profile, exact=exact)
+                for theta in range(0, n + 2):
+                    table = CostTable(profile, exact=exact, theta=theta)
+                    for mask, t in all_entries(n):
+                        level = mask.bit_count()
+                        if 1 <= t <= level and t not in band_of(n, theta, level):
+                            with pytest.raises(InputError, match="band"):
+                                table.cost(mask, t)
+                        else:
+                            assert table.cost(mask, t) == full.cost(mask, t), (n, exact, theta, mask, t)
 
     def test_theta_is_validated(self):
         with pytest.raises(InputError):
             CostTable(ProbabilityProfile((0.3, 0.6)), theta=4)
         with pytest.raises(CapacityError):
             CostTable(ProbabilityProfile(tuple((i + 1) / 30.0 for i in range(25))), theta=99)
+
+
+class TestPlan:
+    """The profile-free plan: built once per n, smaller tables with a theta."""
+
+    def test_one_plan_per_n(self):
+        def filled(probs: tuple) -> CostTable:
+            table = CostTable(ProbabilityProfile(probs))
+            table.cost((1 << len(probs)) - 1, 1)
+            return table
+
+        a, b = filled((0.1, 0.5, 0.7, 0.9)), filled((0.3, 0.35, 0.6, 0.8))
+        assert a._row is b._row is _plan(4)[0]
+        assert filled((0.2, 0.4, 0.6))._row is not a._row
+        row, cols, bits = _plan(4)
+        for l in range(1, 5):
+            assert cols[l].shape == bits[l].shape == (l, comb(4, l))
+            assert row.readonly and not cols[l].flags.writeable and not bits[l].flags.writeable
+
+    def test_theta_table_peak_memory(self):
+        n = 16
+        CostTable(ProbabilityProfile(tuple((i + 0.5) / n for i in range(n))), theta=1).cost((1 << n) - 1, 1)
+        profile = ProbabilityProfile(tuple((i + 0.25) / n for i in range(n)))
+        tracemalloc.start()
+        try:
+            CostTable(profile, theta=1).cost((1 << n) - 1, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 6,848,183 B: this call's peak when every fill rebuilt the lattice and
+        # stored level l as l + 2 rows; 2,061,064 B with the plan built and
+        # only the band stored
+        assert peak < 6_848_183
 
 
 class TestCapacity:
