@@ -23,40 +23,91 @@ from .huffman import build_block_code
 from .policy import build_index_tree
 
 
+# Uniforms drawn at a time: 2 MiB of float64.  The generator's stream is
+# the same in blocks of rows as in one call, so only the memory changes.
+DRAW_BLOCK_CELLS = 1 << 18
+
+
 def draw_measurements(
     profile: ProbabilityProfile, trials: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Boolean (trials, n) matrix; row = one trial, column j ~ Bernoulli(p_{j+1})."""
-    return rng.random((trials, profile.n)) < np.asarray(profile.probs)
+    """Boolean (trials, n) matrix; row = one trial, column j ~ Bernoulli(p_{j+1}).
+
+    The uniforms are drawn and compared a block of rows at a time, and the
+    matrix is stored column-major, since the walks read it a column at a
+    time.
+    """
+    probs = np.asarray(profile.probs)
+    X = np.empty((trials, profile.n), dtype=bool, order="F")
+    step = max(1, DRAW_BLOCK_CELLS // profile.n)
+    for start in range(0, trials, step):
+        block = X[start : start + step]
+        np.less(rng.random(block.shape), probs, out=block)
+    return X
 
 
 def walk_trials(tree: DecisionTree, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Computed value (int8) and bits broadcast (int64) for every row of `X`.
 
-    Rows are pooled per DAG node: nodes are visited in topological order,
-    each takes the index arrays arriving from all its parents at once, and
-    an internal node adds one bit to each of them before splitting them on
-    its transmitter's column.  Python work is per DAG node, numpy work is
-    O(rows * depth), and a branch no row takes is never entered.
+    Rows are pooled per DAG node and depth: nodes are visited in
+    topological order, and each takes the index arrays arriving from all
+    its parents at one depth at once.  An internal node splits them on its
+    transmitter's column, read from a column-major copy of `X` (`X` itself
+    when it is stored so, as `draw_measurements` stores it); a leaf sets
+    their value, and their bit count to its depth.  Python work is per
+    (DAG node, depth) pair, which is one pair per node when nodes are
+    states, numpy work is O(rows * depth), and a branch no row takes is
+    never entered.
     """
     trials = X.shape[0]
+    columns = np.ascontiguousarray(X.T)
     bits = np.zeros(trials, dtype=np.int64)
     values = np.zeros(trials, dtype=np.int8)
-    arriving: dict[int, list[np.ndarray]] = {id(tree): [np.arange(trials)]}
+    arriving: dict[int, dict[int, list[np.ndarray]]] = {id(tree): {0: [np.arange(trials)]}}
     for t in reversed(dag_postorder(tree)):  # parents before children
-        parts = arriving.pop(id(t), None)
-        if parts is None:
-            continue
-        idx = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        if isinstance(t, Leaf):
-            values[idx] = t.value
-            continue
-        bits[idx] += 1
-        ones = X[idx, t.transmitter - 1]
-        for child, rows in ((t.on_zero, idx[~ones]), (t.on_one, idx[ones])):
-            if rows.size:
-                arriving.setdefault(id(child), []).append(rows)
+        for depth, parts in arriving.pop(id(t), {}).items():
+            idx = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            if isinstance(t, Leaf):
+                values[idx] = t.value
+                bits[idx] = depth
+                continue
+            ones = columns[t.transmitter - 1][idx]
+            for child, rows in ((t.on_zero, idx[~ones]), (t.on_one, idx[ones])):
+                if rows.size:
+                    arriving.setdefault(id(child), {}).setdefault(depth + 1, []).append(rows)
     return values, bits
+
+
+def _group_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of `X`, and for each row of `X` the index of its own.
+
+    Rows are renumbered by a radix pass over column chunks: a chunk's key
+    is the group id so far shifted left by the chunk's width and or'd with
+    its columns one at a time, and a presence table of at most
+    max(2**16, 4 * rows) entries turns the keys back into dense ids.  Once
+    more than a quarter of the rows are distinct with columns still
+    unread, grouping would save little walk work, so refining stops and
+    every row is its own group.
+    """
+    trials, n = X.shape
+    span = max(1 << 16, 4 * trials)
+    ids = np.zeros(trials, dtype=np.int64)
+    groups, col = 1, 0
+    while col < n and groups <= trials // 4:
+        width = min(n - col, (span // groups).bit_length() - 1)
+        for j in range(col, col + width):
+            ids <<= 1
+            ids |= X[:, j]
+        present = np.zeros(groups << width, dtype=bool)
+        present[ids] = True
+        dense = np.cumsum(present) - 1
+        ids = dense[ids]
+        groups, col = int(dense[-1]) + 1, col + width
+    if col < n:
+        return X, np.arange(trials)
+    first = np.empty(groups, dtype=np.int64)
+    first[ids] = np.arange(trials)  # any row of a group will do
+    return X[first], ids
 
 
 @dataclass(frozen=True)
@@ -71,6 +122,16 @@ class SimulationReport:
     error_count: int
 
 
+# Cells of the (trials, n) measurement draw.  Peak memory grows linearly
+# in trials at a fixed n.  At 10**7 cells a run peaks 241 MiB above the
+# interpreter at n = 1, 127 MiB at n = 2, 29 MiB at n = 12 and 25 MiB at
+# n = 60 (2-core x86-64 host, Python 3.11, numpy 2.4): the matrix is 1 B a
+# cell, and the per-trial arrays, about 25 B a trial, dominate at small n.
+# So at the cap that is about 1.2 GiB at n = 1, and under 0.15 GiB from
+# n = 12 up.
+SIM_MAX_CELLS = 5 * 10**7
+
+
 def simulate_tree(
     tree: DecisionTree,
     profile: ProbabilityProfile,
@@ -80,15 +141,24 @@ def simulate_tree(
 ) -> SimulationReport:
     """Run `trials` independent walks of `tree` and tally bits and errors.
 
-    The walks are `walk_trials` over one drawn measurement matrix, so
-    cost is O(trials * depth) in numpy plus O(DAG nodes) in Python.
+    The draw is grouped into its distinct rows, `walk_trials` walks each
+    distinct row once, and values and bits are expanded back per trial,
+    so numpy work is O(distinct rows * depth) plus O(trials * n) to group
+    and expand, and Python work is O(DAG nodes).  Fewer than 2 trials
+    raise InputError, and trials * n over SIM_MAX_CELLS CapacityError,
+    before anything is drawn.
     """
     if trials < 2:
         raise InputError("at least 2 trials are needed for a standard error")
+    if trials * profile.n > SIM_MAX_CELLS:
+        raise CapacityError(
+            f"trials x n = {trials * profile.n} is over the simulation cap of {SIM_MAX_CELLS} cells"
+        )
     X = draw_measurements(profile, trials, np.random.default_rng(seed))
-    values, bits = walk_trials(tree, X)
-    truth = (X.sum(axis=1) >= theta).astype(np.int8)
-    error_count = int((values != truth).sum())
+    rows, ids = _group_rows(X)
+    values, bits = walk_trials(tree, rows)
+    wrong = values != (rows.sum(axis=1) >= theta)
+    bits = bits[ids]
     mean = float(bits.mean())
     se = float(bits.std(ddof=1) / np.sqrt(trials))
     return SimulationReport(
@@ -99,7 +169,7 @@ def simulate_tree(
         expected_bits=strategy_cost(tree, profile, theta),
         mean_bits=mean,
         std_error=se,
-        error_count=error_count,
+        error_count=int(wrong[ids].sum()),
     )
 
 

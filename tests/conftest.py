@@ -1,8 +1,8 @@
 """Shared test plumbing: the acceptance-criteria result board, the
 policy's per-state picker and state walker over explicit remaining sets,
-the state-walking block protocol encoder, the recursive subset-cost
-oracle, the heap block-code builder and the explicit-alphabet Huffman
-code.
+the per-trial simulation report, the state-walking block protocol
+encoder, the recursive subset-cost oracle, the heap block-code builder
+and the explicit-alphabet Huffman code.
 
 Acceptance tests register one verdict per criterion before asserting, so
 the terminal summary always shows a pass/fail line per criterion even
@@ -18,8 +18,9 @@ from typing import Hashable, Iterable, Optional
 import numpy as np
 
 from threshcast.core import CapacityError, InputError, ProbabilityProfile
+from threshcast.dp import strategy_cost
 from threshcast.huffman import _class_values, build_block_code
-from threshcast.sim import RoundRecord, draw_measurements
+from threshcast.sim import RoundRecord, SimulationReport, draw_measurements, walk_trials
 
 ACCEPTANCE_RESULTS: dict[int, tuple[bool, str]] = {}
 
@@ -104,6 +105,24 @@ def reachable_decision_states(n: int, theta: int) -> list[State]:
                 seen.add(child)
                 stack.append(child)
     return out
+
+
+def reference_simulation_report(tree, profile: ProbabilityProfile, theta: int, trials: int, seed: int) -> SimulationReport:
+    """`simulate_tree`'s report with every trial walked, none grouped: the
+    oracle for walking each distinct row once."""
+    X = draw_measurements(profile, trials, np.random.default_rng(seed))
+    values, bits = walk_trials(tree, X)
+    truth = (X.sum(axis=1) >= theta).astype(np.int8)
+    return SimulationReport(
+        n=profile.n,
+        theta=theta,
+        trials=trials,
+        seed=seed,
+        expected_bits=strategy_cost(tree, profile, theta),
+        mean_bits=float(bits.mean()),
+        std_error=float(bits.std(ddof=1) / np.sqrt(trials)),
+        error_count=int((values != truth).sum()),
+    )
 
 
 def reference_block_rounds(

@@ -20,7 +20,7 @@ from threshcast.core import Leaf, Node, ProbabilityProfile
 from threshcast.dp import CostTable
 from threshcast.huffman import BernoulliBlockCode
 from threshcast.policy import annotate_reachable_states
-from threshcast.sim import BLOCK_MAX_N, SimulationReport
+from threshcast.sim import BLOCK_MAX_N, SIM_MAX_CELLS, SimulationReport
 
 
 def run_cli(capsys, *argv):
@@ -527,6 +527,23 @@ class TestSimulate:
         )
         assert code == 5
         assert kv(out)["error_count"] == "3"
+
+    def test_trials_over_the_cap_exit_3_before_the_draw(self, capsys, monkeypatch):
+        class Drew(Exception):
+            pass
+
+        def drew(*a, **k):
+            raise Drew
+
+        monkeypatch.setattr("threshcast.sim.draw_measurements", drew)
+        argv = ("simulate", "--probs", "0.3,0.6", "--theta", "1", "--seed", "7")
+        over = SIM_MAX_CELLS // 2 + 1
+        code, out, err = run_cli(capsys, *argv, "--trials", str(over))
+        assert code == 3 and out == ""
+        assert err == f"error: trials x n = {2 * over} is over the simulation cap of {SIM_MAX_CELLS} cells\n"
+        for trials in (1_000_000, SIM_MAX_CELLS // 2):
+            with pytest.raises(Drew):
+                main([*argv, "--trials", str(trials)])
 
 
 class TestBlock:

@@ -33,6 +33,7 @@ P15 = probs_arg(15, 4, 19)
 P16 = probs_arg(16, 7, 17)
 P18 = probs_arg(18, 5, 19)
 P10_11 = probs_arg(10, 3, 11)
+P17 = probs_arg(17, 5, 19)
 
 GOLDEN = [
     (
@@ -234,6 +235,37 @@ GOLDEN = [
         "policy-check-json-n8",
         ["policy", "--probs", P8, "--theta", "3", "--check", "--format", "json"],
         "1e8acee7c26fe735bcbaa2de61c7311b3345e11bb0805a1457c5c1066481757d",
+    ),
+    # the Monte Carlo walk at the benchmark's simulate sizes, in every format
+    (
+        "simulate-n12-theta6-100k",
+        ["simulate", "--probs", P12, "--theta", "6", "--trials", "100000", "--seed", "21"],
+        "92c0dbd51dba9ec5240771ef2b06a6ed91b58698dfe65fdf6385ff8abfa8fb66",
+    ),
+    (
+        "simulate-json-n12-theta6-100k",
+        ["simulate", "--probs", P12, "--theta", "6", "--trials", "100000", "--seed", "21", "--format", "json"],
+        "d397ef2e7ec0e80c1d533ff71a78da758f8f4b02f8afad367a25bf105051d89f",
+    ),
+    (
+        "simulate-csv-n12-theta6-100k",
+        ["simulate", "--probs", P12, "--theta", "6", "--trials", "100000", "--seed", "21", "--format", "csv"],
+        "87198cb8f494772c4fe248e031916c7deb8f49da5b1638fcbfcf6a046a1067ce",
+    ),
+    (
+        "simulate-n17-theta12-100k",
+        ["simulate", "--probs", P17, "--theta", "12", "--trials", "100000", "--seed", "21"],
+        "2bd61fa3f4b15c3c462a3682e1132b0ef93258f3917ab197653a48edc43e7e10",
+    ),
+    (
+        "simulate-json-n17-theta12-100k",
+        ["simulate", "--probs", P17, "--theta", "12", "--trials", "100000", "--seed", "21", "--format", "json"],
+        "b46eea12cc24c27a38fc279a4e1c0018eb52967671b7ea5e272b654084536834",
+    ),
+    (
+        "simulate-csv-n17-theta12-100k",
+        ["simulate", "--probs", P17, "--theta", "12", "--trials", "100000", "--seed", "21", "--format", "csv"],
+        "a81b571a8a00407eca56597ecf38583c4a2632df73c92b009cd1bc74bfb0f43e",
     ),
 ]
 

@@ -5,13 +5,17 @@ import time
 import numpy as np
 import pytest
 
-from conftest import reference_block_rounds
-from threshcast.core import InputError, Leaf, Node, ProbabilityProfile, walk_tree
+from conftest import reference_block_rounds, reference_simulation_report
+from threshcast import sim
+from threshcast.core import CapacityError, InputError, Leaf, Node, ProbabilityProfile, walk_tree
 from threshcast.huffman import BernoulliBlockCode
 from threshcast.dp import optimal_tree, strategy_cost
 from threshcast.policy import build_index_tree, index_policy_cost
 from threshcast.sim import (
+    DRAW_BLOCK_CELLS,
+    SIM_MAX_CELLS,
     BlockExperimentReport,
+    _group_rows,
     draw_measurements,
     run_block_replications,
     run_block_strategy,
@@ -39,6 +43,13 @@ class TestDrawMeasurements:
         a = draw_measurements(profile, 50, np.random.default_rng(7))
         b = draw_measurements(profile, 50, np.random.default_rng(7))
         assert (a == b).all()
+
+    def test_blocks_draw_the_same_stream_as_one_call(self):
+        profile = ProbabilityProfile((0.1, 0.3, 0.5, 0.7, 0.9))
+        trials = 2 * (DRAW_BLOCK_CELLS // 5) + 3  # two full blocks and a partial one
+        X = draw_measurements(profile, trials, np.random.default_rng(3))
+        assert X.flags.f_contiguous
+        assert (X == (np.random.default_rng(3).random((trials, 5)) < np.array(profile.probs))).all()
 
     def test_column_marginals(self):
         profile = ProbabilityProfile((0.2, 0.8))
@@ -121,6 +132,96 @@ class TestWalkTrials:
         X = draw_measurements(profile, 2000, np.random.default_rng(4))
         for theta in range(9):
             self.assert_rows_match(build_index_tree(7, theta), X)
+
+
+class TestGroupedWalk:
+    """Walking each distinct row once and expanding back gives every trial
+    the value and bit count of `walk_tree`, and the report of walking every
+    trial."""
+
+    def assert_trials_match(self, theta, X):
+        # the DAG is built here, not passed in: a failure report prints a
+        # helper's arguments, and a strategy's repr is its expanded tree
+        tree = build_index_tree(X.shape[1], theta)
+        rows, ids = _group_rows(X)
+        assert ids.shape == (X.shape[0],) and (rows[ids] == X).all()
+        assert len(np.unique(rows, axis=0)) == len(rows)
+        values, bits = walk_trials(tree, rows)
+        for row, value, count in zip(X, values[ids], bits[ids]):
+            assert walk_tree(tree, row) == (value, count)
+        return rows, ids
+
+    def test_mostly_repeats(self):
+        X = draw_measurements(ProbabilityProfile((0.2, 0.5, 0.9)), 5000, np.random.default_rng(6))
+        rows, _ = self.assert_trials_match(2, X)
+        assert len(rows) == 8
+
+    def test_distinct_rows_wider_than_a_word(self):
+        X = draw_measurements(ProbabilityProfile((0.5,) * 70), 2000, np.random.default_rng(70))
+        rows, ids = self.assert_trials_match(35, X)
+        assert rows is X and (ids == np.arange(2000)).all()
+        # 40 of those rows, each 50 times: grouping reads all 70 columns
+        repeated = X[np.random.default_rng(1).permutation(np.repeat(np.arange(40), 50))]
+        rows, _ = self.assert_trials_match(35, repeated)
+        assert len(rows) == 40
+
+    def test_single_column(self):
+        X = draw_measurements(ProbabilityProfile((0.3,)), 1000, np.random.default_rng(2))
+        rows, _ = self.assert_trials_match(1, X)
+        assert len(rows) == 2
+
+    def test_mostly_distinct_rows_fall_back_to_identity(self):
+        # 16 columns leave 600 rows nearly all distinct, and 4 columns are left to read
+        X = draw_measurements(ProbabilityProfile((0.5,) * 20), 600, np.random.default_rng(9))
+        rows, ids = self.assert_trials_match(10, X)
+        assert rows is X and (ids == np.arange(600)).all()
+
+    def test_zero_rows(self):
+        X = np.zeros((0, 5), dtype=bool)
+        rows, ids = _group_rows(X)
+        assert rows.shape == (0, 5) and ids.shape == (0,)
+        values, bits = walk_trials(build_index_tree(5, 2), rows)
+        assert values.shape == bits.shape == (0,)
+
+    @pytest.mark.parametrize("n,theta,trials", [(3, 2, 5000), (12, 6, 100_000), (17, 12, 100_000), (30, 14, 20_000)])
+    def test_report_equals_walking_every_trial(self, n, theta, trials):
+        rng = np.random.default_rng(n)
+        profile = ProbabilityProfile(tuple(np.sort(rng.uniform(0.01, 0.99, n)).tolist()))
+        tree = build_index_tree(n, theta)
+        report = simulate_tree(tree, profile, theta, trials, seed=n + 1)
+        assert report == reference_simulation_report(tree, profile, theta, trials, n + 1)
+
+    def test_walks_each_distinct_row_once(self, monkeypatch):
+        walked = []
+
+        def counting(tree, X):
+            walked.append(X.shape[0])
+            return walk_trials(tree, X)
+
+        monkeypatch.setattr(sim, "walk_trials", counting)
+        profile = ProbabilityProfile((0.05, 0.1, 0.2, 0.3, 0.45, 0.5, 0.6, 0.75, 0.85, 0.95))
+        simulate_tree(build_index_tree(10, 5), profile, 5, 100_000, seed=10)
+        X = draw_measurements(profile, 100_000, np.random.default_rng(10))
+        assert walked == [len(np.unique(X, axis=0))]
+        assert walked[0] <= 1 << 10
+
+
+class TestTrialCap:
+    def test_over_the_cap_is_refused_before_the_draw(self, monkeypatch):
+        class Drew(Exception):
+            pass
+
+        def drew(*a, **k):
+            raise Drew
+
+        monkeypatch.setattr(sim, "draw_measurements", drew)
+        profile = ProbabilityProfile((0.1, 0.4, 0.8))
+        tree = build_index_tree(3, 2)
+        over = SIM_MAX_CELLS // 3 + 1
+        with pytest.raises(CapacityError, match=f"over the simulation cap of {SIM_MAX_CELLS} cells"):
+            simulate_tree(tree, profile, 2, over)
+        with pytest.raises(Drew):
+            simulate_tree(tree, profile, 2, SIM_MAX_CELLS // 3)
 
 
 class TestBlockProtocol:
