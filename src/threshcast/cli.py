@@ -233,23 +233,19 @@ def profile_fields(ingested: IngestedProfile) -> list[tuple[str, object]]:
     return fields
 
 
-def annotation_rows(annotations: list[StateAnnotation], n: int) -> list[list[str]]:
-    """Csv header and rows of policy states, remaining ranks joined by "|".
+# The printed fields of a policy state, in csv column order
+STATE_COLUMNS = ("remaining", "residual_theta", "transmitter", "reach_probability", "expected_remaining_cost")
 
-    A policy state's remaining set is [1, a] and [b, n] around the block
-    of b - a - 1 ranks already spoken, and its transmitter is a or b, so
-    the column is cut from one "1|2|...|n|" string in two slices.
-    """
+
+def annotation_rows(annotations: list[StateAnnotation], n: int) -> list[list[str]]:
+    """Csv header and rows of policy states, the remaining ranks, 1..n less the
+    spoken block, cut from one "1|2|...|n|" string in two slices."""
     joined = "".join(f"{r}|" for r in range(1, n + 1))
     starts = list(accumulate((len(str(r)) + 1 for r in range(1, n + 1)), initial=0))  # rank r at starts[r - 1]
-    rows = [["remaining", "residual_theta", "transmitter", "reach_probability", "expected_remaining_cost"]]
+    rows = [list(STATE_COLUMNS)]
     for s in annotations:
-        rem, t = s.remaining, s.transmitter
-        spoken = n - len(rem)
-        # a ends the low run; the high run starts at b = a + spoken + 1
-        a = t if t <= len(rem) and rem[t - 1] == t else t - spoken - 1
-        remaining = (joined[: starts[a]] + joined[starts[a + spoken] :])[:-1]
-        rows.append([remaining, str(s.residual_theta), str(t),
+        remaining = (joined[: starts[s.spoken.start - 1]] + joined[starts[s.spoken.stop - 1] :])[:-1]
+        rows.append([remaining, str(s.residual_theta), str(s.transmitter),
                      fmt(s.reach_probability), fmt(s.expected_remaining_cost)])
     return rows
 
@@ -270,10 +266,7 @@ def cmd_solve(opts: argparse.Namespace) -> tuple[str, int]:
     full = (1 << profile.n) - 1
     cost = table.cost(full, theta)
     tree = optimal_tree(profile, theta, table=table, tol=opts.tol)
-    if 1 <= theta <= profile.n:
-        first = table.minimizers(full, theta, tol=opts.tol)
-    else:
-        first = ()
+    first = table.minimizers(full, theta, tol=opts.tol) if 1 <= theta <= profile.n else ()
 
     if opts.format == "dot":
         return tree_to_dot(tree, labels=labels), EXIT_OK
@@ -300,10 +293,8 @@ def cmd_policy(opts: argparse.Namespace) -> tuple[str, int]:
     if opts.check:
         table_cost = table.cost((1 << profile.n) - 1, theta)
         cost_ok = abs(table_cost - cost) <= opts.tol
-        bad_states = 0
-        for node, mask, t in tree_states(tree, spec):
-            if not isinstance(node, Leaf) and node.transmitter not in table.minimizers(mask, t, tol=opts.tol):
-                bad_states += 1
+        bad_states = sum(isinstance(node, Node) and node.transmitter not in table.minimizers(mask, t, tol=opts.tol)
+                         for node, mask, t in tree_states(tree, spec))
         passed = cost_ok and bad_states == 0
         check = {
             "table_cost": table_cost,
@@ -321,7 +312,8 @@ def cmd_policy(opts: argparse.Namespace) -> tuple[str, int]:
     if out_format == "json":
         record.append(("tree", tree))
         if opts.annotate:
-            record.append(("states", [vars(a) for a in annotate_reachable_states(profile, theta)]))
+            states = annotate_reachable_states(profile, theta)
+            record.append(("states", [{key: getattr(a, key) for key in STATE_COLUMNS} for a in states]))
     text = render_record(record, out_format)
     if out_format == "table" and opts.annotate:
         text += render_csv(annotation_rows(annotate_reachable_states(profile, theta), profile.n))
@@ -354,9 +346,7 @@ def cmd_verify(opts: argparse.Namespace) -> tuple[str, int]:
             raise InputError("sweep mode needs --seed (or the seed env var) for reproducibility")
         profiles = _sweep_profiles(np.random.default_rng(opts.seed), opts.sweeps, max_n)
 
-    total_violations = 0
-    exhaustive_failures = 0
-    exhaustive_runs = 0
+    total_violations = exhaustive_failures = exhaustive_runs = 0
     summary_rows = [["m", "probs", "violations", *FAMILIES.values(), "exhaustive_trees", "exhaustive_ok"]]
     reports = []
     for profile in profiles:
@@ -417,7 +407,6 @@ def cmd_simulate(opts: argparse.Namespace) -> tuple[str, int]:
 def cmd_block(opts: argparse.Namespace) -> tuple[str, int]:
     profile, theta, seed = opts.profile.profile, opts.theta, opts.seed
     reports, summary = run_block_replications(profile, theta, opts.N, opts.reps, seed=seed, order=opts.order)
-    single = index_policy_cost(profile, theta)
 
     record = [
         ("n", summary.n),
@@ -426,7 +415,7 @@ def cmd_block(opts: argparse.Namespace) -> tuple[str, int]:
         ("reps", summary.reps),
         ("seed", seed),
         ("order", summary.order),
-        ("single_instance_cost", single),
+        ("single_instance_cost", index_policy_cost(profile, theta)),
         ("mean_bits_per_instance", summary.mean_bits_per_instance),
         ("se_bits_per_instance", summary.se_bits_per_instance),
         ("mean_first_round_per_instance", summary.mean_first_round_per_instance),

@@ -101,11 +101,16 @@ class Leaf:
             raise InputError(f"leaf value must be 0 or 1, got {self.value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Node:
     transmitter: int
     on_zero: "DecisionTree"
     on_one: "DecisionTree"
+
+    def __repr__(self) -> str:  # the children one level deep, not the whole expanded tree
+        zero, one = (f"Node(transmitter={t.transmitter}, ...)" if isinstance(t, Node) else repr(t)
+                     for t in (self.on_zero, self.on_one))
+        return f"Node(transmitter={self.transmitter}, on_zero={zero}, on_one={one})"
 
 
 DecisionTree = Union[Leaf, Node]

@@ -13,14 +13,14 @@ set bits, so a level takes l whole-array passes, the k-th over the k-th
 lowest bit of every subset at once.  Which columns one level down a pass
 reads, and which probability, depend on n alone, so that plan is built
 once per n and kept for the life of the process (`_plan`, about 5 bytes
-per (subset, set bit): 2.6 MB at n = 16, 52 MB at n = 20); a pass is
-then two contiguous gathers, the band rows one level down taken
-column-wise at the plan's columns, and the probabilities at the plan's
-bit indices.  A table without a theta answers every substate query for
-one profile; one built for a theta fills and stores only the band of t
-that a walk from the full set can reach, one t per level at theta = 1
-or n.  Subset enumeration is exponential in n; the cap guards against
-accidental huge instances.
+per (subset, set bit) and 4 per mask: 2.9 MB at n = 16, 56.6 MB at
+n = 20); a pass is then two contiguous gathers, the band rows one level
+down taken column-wise at the plan's columns, and the probabilities at
+the plan's bit indices.  A table without a theta answers every substate
+query for one profile; one built for a theta fills and stores only the
+band of t that a walk from the full set can reach, one t per level at
+theta = 1 or n.  Subset enumeration is exponential in n; the cap guards
+against accidental huge instances.
 """
 
 from __future__ import annotations
@@ -228,10 +228,8 @@ class CostTable:
         if not tol >= 0:
             raise InputError(f"tie tolerance must be at least 0, got {tol!r}")
         cand = self.candidate_costs(mask, t)
-        best = min(cand.values())
-        if self.exact:
-            return tuple(sorted(r for r, c in cand.items() if c == best))
-        return tuple(sorted(r for r, c in cand.items() if c <= best + tol))
+        best = min(cand.values()) + (0 if self.exact else tol)  # rationals tie only when equal
+        return tuple(sorted(r for r, c in cand.items() if c <= best))
 
 
 def optimal_cost(profile: ProbabilityProfile, theta: int, table: Optional[CostTable] = None):

@@ -261,22 +261,30 @@ def tree_to_dict(tree: DecisionTree) -> dict:
 
 
 def tree_from_dict(data: object) -> DecisionTree:
-    if not isinstance(data, dict):
-        raise InputError(f"tree node must be an object, got {type(data).__name__}")
-    if "value" in data:
-        if set(data) != {"value"}:
-            raise InputError(f"leaf object has extra keys: {sorted(set(data) - {'value'})}")
-        value = data["value"]
-        if type(value) is not int or value not in (0, 1):  # refuses true, false and 1.0
-            raise InputError(f"leaf value must be 0 or 1, got {value!r}")
-        return Leaf(value)
-    want = {"transmitter", "on_zero", "on_one"}
-    if set(data) != want:
-        raise InputError(f"internal node keys must be {sorted(want)}, got {sorted(data)}")
-    transmitter = data["transmitter"]
-    if type(transmitter) is not int or transmitter < 1:
-        raise InputError(f"transmitter must be a positive integer, got {transmitter!r}")
-    return Node(transmitter, tree_from_dict(data["on_zero"]), tree_from_dict(data["on_one"]))
+    """The strategy a `tree_to_dict` dict describes, checked in preorder from an explicit stack."""
+    built: list[DecisionTree] = []
+    stack: list = [(data, None)]  # (object to check, None), or (None, transmitter) once both children are built
+    while stack:
+        data, transmitter = stack.pop()
+        if transmitter is not None:
+            on_one = built.pop()
+            built.append(Node(transmitter, built.pop(), on_one))
+        elif not isinstance(data, dict):
+            raise InputError(f"tree node must be an object, got {type(data).__name__}")
+        elif "value" in data:
+            if set(data) != {"value"}:
+                raise InputError(f"leaf object has extra keys: {sorted(set(data) - {'value'})}")
+            value = data["value"]
+            if type(value) is not int or value not in (0, 1):  # refuses true, false and 1.0
+                raise InputError(f"leaf value must be 0 or 1, got {value!r}")
+            built.append(Leaf(value))
+        elif set(data) != {"transmitter", "on_zero", "on_one"}:
+            raise InputError(f"internal node keys must be ['on_one', 'on_zero', 'transmitter'], got {sorted(data)}")
+        elif type(data["transmitter"]) is not int or data["transmitter"] < 1:
+            raise InputError(f"transmitter must be a positive integer, got {data['transmitter']!r}")
+        else:
+            stack += ((None, data["transmitter"]), (data["on_one"], None), (data["on_zero"], None))
+    return built[0]
 
 
 def tree_to_dot(tree: DecisionTree, labels: Sequence[str] | None = None) -> str:

@@ -125,15 +125,21 @@ def index_policy_cost(profile: ProbabilityProfile, theta: int) -> float:
     return float(_root(_cost_sweep(profile, theta)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StateAnnotation:
-    """One reachable decision state of the policy with its statistics."""
+    """A reachable policy state, its spoken rank block within 1..n, and its statistics."""
 
-    remaining: tuple[int, ...]
+    spoken: range
+    n: int
     residual_theta: int
     transmitter: int
     reach_probability: float
     expected_remaining_cost: float
+
+    @property
+    def remaining(self) -> tuple[int, ...]:
+        """The ranks not yet spoken, ascending."""
+        return (*range(1, self.spoken.start), *range(self.spoken.stop, self.n + 1))
 
 
 def annotate_reachable_states(profile: ProbabilityProfile, theta: int) -> list[StateAnnotation]:
@@ -150,7 +156,6 @@ def annotate_reachable_states(profile: ProbabilityProfile, theta: int) -> list[S
         return []
     costs = {d: (low.tolist(), high.tolist()) for d, low, high in _cost_sweep(profile, theta)}
     probs = np.asarray(profile.probs)
-    ranks = tuple(range(1, n + 1))
     reach_low, reach_high = np.zeros(k + 2), np.zeros(k + 2)
     reach_low[0] = 1.0
     out: list[StateAnnotation] = []
@@ -164,12 +169,12 @@ def annotate_reachable_states(profile: ProbabilityProfile, theta: int) -> list[S
         # threshold of the low point puts it second.
         for z, rank_low, rank_high in zip(range(a, b), low_ranks, high_ranks):
             t = theta - (d - z)
-            if z >= 1 or d == 0:  # spoken block [rank_low + 1, rank_low + d]
-                rest = ranks[:rank_low] + ranks[rank_low + d :]
-                out.append(StateAnnotation(rest, t, rank_low, here_low[z], cost_low[z]))
-            if z < d:  # spoken block [rank_high - d, rank_high - 1]
-                rest = ranks[: rank_high - d - 1] + ranks[rank_high - 1 :]
-                out.append(StateAnnotation(rest, t, rank_high, here_high[z], cost_high[z]))
+            if z >= 1 or d == 0:
+                spoken = range(rank_low + 1, rank_low + d + 1)
+                out.append(StateAnnotation(spoken, n, t, rank_low, here_low[z], cost_low[z]))
+            if z < d:
+                spoken = range(rank_high - d, rank_high)
+                out.append(StateAnnotation(spoken, n, t, rank_high, here_high[z], cost_high[z]))
         # A point has at most two parents, one per side, so its pooled reach
         # is one addition and does not depend on the order parents are met.
         p_low, p_high = _probs_of(probs, low_ranks), _probs_of(probs, high_ranks)

@@ -236,20 +236,15 @@ def exhaustive_strategy_check(
     the enumerated minimum.
     """
     trees = enumerate_trees(profile.n, theta)
-    best_cost = float("inf")
-    best_tree: Optional[DecisionTree] = None
-    for tree, c in zip(trees, strategy_costs(trees, profile)):
-        if c < best_cost:
-            best_cost = c
-            best_tree = tree
+    costs = strategy_costs(trees, profile)
+    best = min(range(len(trees)), key=costs.__getitem__)  # the first of equal minima
+    best_cost = costs[best]
     spec = ThresholdSpec(profile.n, theta)
     if table is None:
         table = CostTable(profile, theta=spec.theta)
     table_cost = table.cost((1 << spec.n) - 1, spec.theta)
     policy_cost = index_policy_cost(profile, theta)
-    witness: Optional[DecisionTree] = None
-    if abs(table_cost - best_cost) > tolerance or abs(policy_cost - best_cost) > tolerance:
-        witness = best_tree
+    off = abs(table_cost - best_cost) > tolerance or abs(policy_cost - best_cost) > tolerance
     return ExhaustiveReport(
         n=profile.n,
         theta=theta,
@@ -258,5 +253,5 @@ def exhaustive_strategy_check(
         table_cost=table_cost,
         policy_cost=policy_cost,
         tolerance=tolerance,
-        witness=witness,
+        witness=trees[best] if off else None,
     )

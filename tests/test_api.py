@@ -11,13 +11,15 @@ import argparse
 import ast
 import importlib
 import importlib.util
+import random
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
 import threshcast
-from threshcast.cli import build_parser
+from threshcast.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -25,15 +27,17 @@ ROOT = Path(__file__).resolve().parent.parent
 ORACLE_NAMES = ("tree_from_dict", "strategy_cost", "index_policy_cost", "annotate_reachable_states", "ProbabilityProfile")
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+def load_perfbench(name: str):
+    """perfbench/<name>.py as a module, without putting perfbench on the path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
 
 def test_traced_names_resolve():
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     assert tracing.FUNCTIONS and tracing.METHODS
     for mod, attr, _ in tracing.FUNCTIONS:
         assert callable(getattr(importlib.import_module(f"threshcast.{mod}"), attr)), (mod, attr)
@@ -53,6 +57,24 @@ def test_oracle_names_resolve():
     for name in ORACLE_NAMES:
         assert f"tc.{name}(" in workloads, name
         assert name in threshcast.__all__ and callable(getattr(threshcast, name)), name
+
+
+# every slot kind of perfbench/workloads.py at a small size: (kind, n, theta, N)
+ORACLE_OPS = (
+    ("solve", 6, 3, 0), ("check", 6, 2, 0), ("verify-probs", 5, 0, 0), ("verify-sweeps", 4, 0, 0),
+    ("table", 6, 4, 0), ("annotate", 6, 3, 0), ("json", 6, 3, 0), ("dot", 5, 2, 0),
+    ("simulate", 6, 3, 0), ("block", 5, 2, 32),
+)
+
+
+@pytest.mark.parametrize("kind,n,theta,N", ORACLE_OPS, ids=[op[0] for op in ORACLE_OPS])
+def test_benchmark_oracles_accept_cli_output(capsys, kind, n, theta, N):
+    """An output or package name the bench's oracles read breaks here, not as a failed bench op."""
+    workloads = load_perfbench("workloads")
+    op = workloads.make_op(workloads.Slot(kind, ((n, theta),), N=N), n, theta, random.Random(kind), k=0, reps=3)
+    assert main(list(op.argv)) == 0
+    outcome = op.check(capsys.readouterr().out, threshcast)
+    assert outcome.ok, outcome.why
 
 
 def test_readme_quick_start():

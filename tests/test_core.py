@@ -139,6 +139,13 @@ class TestTrees:
         assert walk_tree(tree, [1, 0]) == (1, 2)
         assert walk_tree(tree, [0, 0]) == (0, 2)
 
+    def test_repr_stops_one_level_down(self):
+        assert repr(self.or2_tree()) == "Node(transmitter=2, on_zero=Node(transmitter=1, ...), on_one=Leaf(value=1))"
+        # DAGs that expand to 48,619 and about 2 * 10**17 tree nodes; the first
+        # bounds what a repr of the whole expanded tree would cost before the second runs
+        for tree in (build_index_tree(16, 8), build_index_tree(60, 30)):
+            assert len(repr(tree)) < 200
+
     def test_leaf_value_validation(self):
         with pytest.raises(InputError):
             Leaf(2)

@@ -46,6 +46,27 @@ GOLDEN = [
         ["policy", "--probs", P12, "--theta", "5", "--annotate", "--format", "json"],
         "c3f050c78dd9436595783fe0754f84f42430303ab4bb40dbfb06171ab6bd4734",
     ),
+    # theta 1 and theta n: every spoken block touches rank 1 or rank n
+    (
+        "policy-annotate-table-n30-theta1",
+        ["policy", "--probs", P30, "--theta", "1", "--annotate"],
+        "078f955a963e19f467541a1d855e86f3b9c24cb01aff4b146d7355ec1a37f13c",
+    ),
+    (
+        "policy-annotate-json-n30-theta1",
+        ["policy", "--probs", P30, "--theta", "1", "--annotate", "--format", "json"],
+        "8ca4b21ef5d097d472a749a8a51897ae8bfa7b4d1893b21a9a68d7dbef642b1b",
+    ),
+    (
+        "policy-annotate-table-n30-theta30",
+        ["policy", "--probs", P30, "--theta", "30", "--annotate"],
+        "511a46084e9c39f2c9147106049b9b4fe6164d00a7d3b09108e13d06b5480bd0",
+    ),
+    (
+        "policy-annotate-json-n30-theta30",
+        ["policy", "--probs", P30, "--theta", "30", "--annotate", "--format", "json"],
+        "ae54a7cbb5235921947c4fcc41cf8396235df252820d23a99662f8e8800321db",
+    ),
     (
         "policy-json-n8",
         ["policy", "--probs", P8, "--theta", "3", "--format", "json"],

@@ -131,6 +131,22 @@ class TestTreeSerialization:
         with pytest.raises(InputError):
             tree_from_dict(bad)
 
+    @staticmethod
+    def chain(depth: int, bottom: dict) -> dict:
+        """`depth` nodes, each the zero branch of the one above, over `bottom`."""
+        for _ in range(depth):
+            bottom = {"transmitter": 1, "on_zero": bottom, "on_one": {"value": 1}}
+        return bottom
+
+    def test_deep_chain_parses(self):
+        # a parser that recursed once per level would raise RecursionError here
+        tree = tree_from_dict(self.chain(5000, {"value": 0}))
+        assert tree_extent(tree)[:2] == (10_001, 5000)
+
+    def test_deep_chain_refuses_a_bad_bottom_leaf(self):
+        with pytest.raises(InputError, match="leaf value must be 0 or 1, got 2"):
+            tree_from_dict(self.chain(5000, {"value": 2}))
+
     def test_dot_output(self):
         dot = tree_to_dot(self.tree())
         assert dot.startswith("digraph strategy {")

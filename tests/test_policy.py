@@ -9,6 +9,7 @@ subset table, DAG costing of the tree, and enumeration of every outcome.
 
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -254,6 +255,22 @@ class TestIntervalCoverage:
                     }
                     assert tree_keys == {(to_mask(remaining), t) for remaining, t in walked}
 
+    def test_spoken_block_layout(self):
+        # remaining is the walked set as a sorted, hashable tuple, around one
+        # contiguous spoken block with the transmitter just below or above it
+        for n in range(1, 13):
+            profile = ProbabilityProfile(tuple((i + 0.5) / n for i in range(n)))
+            for theta in range(1, n + 1):
+                walked = {(tuple(sorted(rem)), t) for rem, t in reachable_decision_states(n, theta)}
+                anns = annotate_reachable_states(profile, theta)
+                assert len(anns) == len(walked)
+                assert {(a.remaining, a.residual_theta) for a in anns} == walked, (n, theta)
+                for a in anns:
+                    assert type(a.remaining) is tuple and a.n == n
+                    assert a.spoken.step == 1 and 1 <= a.spoken.start <= a.spoken.stop <= n + 1
+                    assert set(a.spoken) == set(range(1, n + 1)) - set(a.remaining)
+                    assert a.transmitter in (a.spoken.start - 1, a.spoken.stop)
+
     def test_tree_states_are_yielded_once(self):
         # the DAG at (15, 7) has 11,439 root-to-leaf path states but 111 decision states
         n, theta = 15, 7
@@ -287,8 +304,9 @@ class TestAnnotations:
         profile = ProbabilityProfile((0.3, 0.6))
         anns = annotate_reachable_states(profile, 1)
         assert anns == [
-            StateAnnotation((1, 2), 1, 2, 1.0, pytest.approx(1.4)),
-            StateAnnotation((1,), 1, 1, pytest.approx(0.4), pytest.approx(1.0)),
+            # nothing spoken yet, then rank 2 spoken
+            StateAnnotation(range(3, 3), 2, 1, 2, 1.0, pytest.approx(1.4)),
+            StateAnnotation(range(2, 3), 2, 1, 1, pytest.approx(0.4), pytest.approx(1.0)),
         ]
 
     def test_reach_probabilities_sum_to_expected_bits(self):
@@ -311,6 +329,19 @@ class TestAnnotations:
         assert root.reach_probability == 1.0
         assert root.transmitter == 2
         assert root.expected_remaining_cost == pytest.approx(2.25)
+
+    def test_state_list_memory(self):
+        # 45,000 states; with an O(n) remaining tuple per state the peak was 62.6 MiB
+        n = 300
+        profile = ProbabilityProfile(tuple((i + 0.5) / n for i in range(n)))
+        tracemalloc.start()
+        try:
+            anns = annotate_reachable_states(profile, 150)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(anns) == 45_000
+        assert peak < 25 * 2**20
 
     def test_constant_function_has_no_states(self):
         assert annotate_reachable_states(ProbabilityProfile((0.3, 0.6)), 0) == []
