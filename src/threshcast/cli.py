@@ -235,6 +235,8 @@ def profile_fields(ingested: IngestedProfile) -> list[tuple[str, object]]:
 
 # The printed fields of a policy state, in csv column order
 STATE_COLUMNS = ("remaining", "residual_theta", "transmitter", "reach_probability", "expected_remaining_cost")
+# The printed fields of a lemma record, in csv column order
+LEMMA_COLUMNS = ("k", "i", "T", "S1", "S2")
 
 
 def annotation_rows(annotations: list[StateAnnotation], n: int) -> list[list[str]]:
@@ -371,8 +373,8 @@ def cmd_verify(opts: argparse.Namespace) -> tuple[str, int]:
     record = [("profiles", len(profiles)), ("tolerance", tolerance), ("violations", total_violations)]
     exhaustive_fields = [("exhaustive_checks", exhaustive_runs), ("exhaustive_failures", exhaustive_failures)]
     if out_format == "csv" and explicit:
-        lemma_rows = [[text_value(v) for v in vars(rec).values()] for rec in reports[0].records]
-        text = render_csv([["k", "i", "T", "S1", "S2"]] + lemma_rows)
+        lemma_rows = [[text_value(getattr(rec, key)) for key in LEMMA_COLUMNS] for rec in reports[0].records]
+        text = render_csv([list(LEMMA_COLUMNS)] + lemma_rows)
     elif out_format == "csv":
         text = render_csv(summary_rows)
     elif out_format == "json":

@@ -101,8 +101,10 @@ class Leaf:
             raise InputError(f"leaf value must be 0 or 1, got {self.value!r}")
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class Node:
+    """An internal node; equal when the expanded trees are, compared without recursion."""
+
     transmitter: int
     on_zero: "DecisionTree"
     on_one: "DecisionTree"
@@ -111,6 +113,31 @@ class Node:
         zero, one = (f"Node(transmitter={t.transmitter}, ...)" if isinstance(t, Node) else repr(t)
                      for t in (self.on_zero, self.on_one))
         return f"Node(transmitter={self.transmitter}, on_zero={zero}, on_one={one})"
+
+    def __eq__(self, other: object) -> bool:
+        # each pair of DAG nodes is compared once, so shared subtrees cost
+        # their DAG size, not their expanded size
+        if not isinstance(other, Node):
+            return NotImplemented
+        seen: set[tuple[int, int]] = set()
+        stack: list[tuple[DecisionTree, DecisionTree]] = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            if not isinstance(a, Node):
+                if a != b:  # a leaf against a leaf of the other value, or a node
+                    return False
+                continue
+            if not isinstance(b, Node) or a.transmitter != b.transmitter:
+                return False
+            seen.add((id(a), id(b)))
+            stack += ((a.on_zero, b.on_zero), (a.on_one, b.on_one))
+        return True
+
+    def __hash__(self) -> int:  # one level deep: equal trees agree there
+        return hash((self.transmitter, *(t.transmitter if isinstance(t, Node) else t
+                                         for t in (self.on_zero, self.on_one))))
 
 
 DecisionTree = Union[Leaf, Node]

@@ -9,18 +9,20 @@ with C = 0 at determined states.  Queries name a state as (mask, t),
 the set R as a bitmask with rank r at bit r - 1.  Each subset reads only
 subsets one element smaller, so the table is filled one cardinality
 level at a time (Held & Karp's subset DP): every l-subset has exactly l
-set bits, so a level takes l whole-array passes, the k-th over the k-th
-lowest bit of every subset at once.  Which columns one level down a pass
-reads, and which probability, depend on n alone, so that plan is built
-once per n and kept for the life of the process (`_plan`, about 5 bytes
-per (subset, set bit) and 4 per mask: 2.9 MB at n = 16, 56.6 MB at
-n = 20); a pass is then two contiguous gathers, the band rows one level
-down taken column-wise at the plan's columns, and the probabilities at
-the plan's bit indices.  A table without a theta answers every substate
-query for one profile; one built for a theta fills and stores only the
-band of t that a walk from the full set can reach, one t per level at
-theta = 1 or n.  Subset enumeration is exponential in n; the cap guards
-against accidental huge instances.
+set bits, so each subset takes l passes, the k-th over its k-th lowest
+bit.  Which columns one level down a pass reads, and which probability,
+depend on n alone, so that plan is built once per n and kept for the
+life of the process (`_plan`, about 5 bytes per (subset, set bit) and 4
+per mask: 2.9 MB at n = 16, 56.6 MB at n = 20).  A level is filled in
+column blocks of at most FILL_BLOCK_CELLS gathered cells, small enough
+to stay in cache; a block does all l passes at once with two gathers,
+the band rows one level down taken column-wise at the plan's columns
+and the probabilities at the plan's bit indices, then the arithmetic in
+place and one min-reduce over the passes.  A table without a theta
+answers every substate query for one profile; one built for a theta
+fills and stores only the band of t that a walk from the full set can
+reach, one t per level at theta = 1 or n.  Subset enumeration is
+exponential in n; the cap guards against accidental huge instances.
 """
 
 from __future__ import annotations
@@ -48,6 +50,9 @@ DEFAULT_NODE_CAP = 20
 DEFAULT_TIE_TOL = 1e-12
 # masks index an int32 row map, so no cap can lift n above this
 MAX_TABLE_N = 30
+# cells (band rows x passes x columns) one fill block gathers: 128 KiB of
+# float64, which stays in cache and below malloc's mmap threshold
+FILL_BLOCK_CELLS = 1 << 14
 
 
 @lru_cache(maxsize=None)
@@ -101,11 +106,13 @@ class CostTable:
     InputError.  Level l stores rows lo-1 .. hi+1: the band and a zero
     row on each side, which the next level reads where it is determined
     (t = 0 or l+1); a full table has lo = 1, so its row index is t.
-    Pass k of level l is `np.take(band_rows, cols[l][k], axis=1)` on the
-    band rows of level l-1, sliced once per level, and
-    `np.take(probs, bits[l][k])` on the n probabilities, from the plan
-    `_plan(n)`, built on the first fill at n and kept: 4 bytes per mask
-    and 5 per (subset, set bit).
+    Columns s:e of level l, a block of at most FILL_BLOCK_CELLS gathered
+    cells, take all l passes at once: `np.take(band_rows, cols[l][:, s:e],
+    axis=1)` on the band rows of level l-1, sliced once per level, and
+    `np.take(probs, bits[l][:, s:e])` on the n probabilities, from the
+    plan `_plan(n)`, built on the first fill at n and kept: 4 bytes per
+    mask and 5 per (subset, set bit); `np.minimum.reduce` over the
+    passes writes the block's columns.
     With exact=True the same fill runs over object arrays of rationals
     (probabilities taken at their exact binary float values), so ties
     are ties, not artifacts of rounding.
@@ -162,13 +169,18 @@ class CostTable:
             band_rows = levels[l - 1][skip : skip + hi - lo + 2]
             col, bit = cols[l], bits[l]
             cur = np.full((hi - lo + 3, col.shape[1]), zero, dtype=dtype)
-            for k in range(l):
-                below = np.take(band_rows, col[k], axis=1)
-                p = np.take(probs, bit[k])
-                # the recurrence's operation order, so entries are bit-identical to it
-                c = one + p * below[:-1] + (one - p) * below[1:]
-                band = c if k == 0 else np.minimum(band, c, out=band)
-            cur[1:-1] = band
+            width = max(1, FILL_BLOCK_CELLS // (len(band_rows) * l))
+            for s in range(0, col.shape[1], width):
+                e = s + width
+                below = np.take(band_rows, col[:, s:e], axis=1)  # (rows, pass, column)
+                p = np.take(probs, bit[:, s:e])
+                # one + p * A + (one - p) * B in the recurrence's rounding order,
+                # so entries are bit-identical to it; B is scaled once A is read
+                c = p * below[:-1]
+                c += one
+                below[1:] *= one - p
+                c += below[1:]
+                np.minimum.reduce(c, axis=1, out=cur[1:-1, s:e])
             levels.append(cur)
         self._row = row
         self._levels = levels if self.exact else [memoryview(a) for a in levels]

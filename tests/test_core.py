@@ -1,6 +1,7 @@
 """Domain type behavior: profiles, specs, (mask, t) states, trees."""
 
 import json
+from time import perf_counter
 
 import pytest
 from conftest import threshold_value
@@ -145,6 +146,29 @@ class TestTrees:
         # bounds what a repr of the whole expanded tree would cost before the second runs
         for tree in (build_index_tree(16, 8), build_index_tree(60, 30)):
             assert len(repr(tree)) < 200
+
+    def test_equality_visits_each_dag_pair_once(self):
+        # two separately built DAGs whose expanded trees have 10.4 M nodes; an
+        # equality that recursed per expanded path took seconds here
+        a, b = build_index_tree(24, 12), build_index_tree(24, 12)
+        assert a is not b
+        start = perf_counter()
+        assert a == b and hash(a) == hash(b)
+        assert perf_counter() - start < 1.0
+        assert a != build_index_tree(24, 11)
+        assert self.or2_tree() != Node(2, Node(1, Leaf(0), Leaf(0)), Leaf(1))
+        assert self.or2_tree() != Node(2, Leaf(1), Leaf(1)) and Leaf(1) != self.or2_tree()
+
+    def test_equality_and_hash_of_a_deep_chain(self):
+        def chain(bottom):
+            for _ in range(5000):
+                bottom = Node(1, bottom, Leaf(1))
+            return bottom
+
+        a, b = chain(Leaf(0)), chain(Leaf(0))
+        assert a == b and hash(a) == hash(b)
+        assert a != chain(Leaf(1))
+        assert len({a, b}) == 1
 
     def test_leaf_value_validation(self):
         with pytest.raises(InputError):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from conftest import reference_cost_table
 
+from threshcast import dp
 from threshcast.core import (
     CapacityError,
     InputError,
@@ -331,6 +332,46 @@ class TestPlan:
         # stored level l as l + 2 rows; 2,061,064 B with the plan built and
         # only the band stored
         assert peak < 6_848_183
+
+
+class TestFillBlocks:
+    """Levels filled in many column blocks give the same entries as in one."""
+
+    CELLS = 40
+
+    @pytest.fixture
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(dp, "FILL_BLOCK_CELLS", self.CELLS)
+        # at n = 10 some levels fall to one column per block, others have
+        # several columns per block and a last block that is partial
+        widths = {l: max(1, self.CELLS // ((l + 1) * l)) for l in range(1, 11)}
+        assert any(w == 1 for w in widths.values())
+        assert any(1 < w < comb(10, l) and comb(10, l) % w for l, w in widths.items())
+
+    def test_float_and_exact_fills_equal_the_recursion(self, small_blocks):
+        TestLevelFill().test_float_fill_is_bit_identical_to_the_recursion()
+        TestLevelFill().test_exact_fill_matches_the_rational_recursion()
+
+    def test_bands_equal_the_recursion_and_the_full_table(self, small_blocks):
+        bands = TestThresholdBand()
+        bands.test_float_band_equals_the_recursion()
+        bands.test_exact_band_equals_the_rational_recursion()
+        bands.test_every_band_entry_equals_the_full_table()
+
+    def test_full_fill_peak_memory(self):
+        n = 16
+        _plan(n)
+        table = CostTable(ProbabilityProfile(tuple((i + 0.25) / n for i in range(n))))
+        tracemalloc.start()
+        try:
+            table.cost((1 << n) - 1, n // 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        stored = sum(np.asarray(level).nbytes for level in table._levels)
+        # over the stored levels: 3,023,704 B when each pass allocated its
+        # band-by-level temporaries, 437,216 B with 2**14-cell blocks
+        assert peak - stored < 1_500_000
 
 
 class TestCapacity:

@@ -1,5 +1,7 @@
 """Inequality checks and the brute-force optimality oracle."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from threshcast.core import (
 from threshcast.dp import CostTable
 from threshcast.verify import (
     FAMILIES,
+    LemmaRecord,
     LemmaViolation,
     check_lemma_inequalities,
     enumerate_trees,
@@ -105,7 +108,7 @@ class TestLemmaReport:
     def test_csv_rows(self, capsys):
         assert main(["verify", "--probs", "0.6,0.3", "--format", "csv"]) == 0
         rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
-        assert rows[0] == ["k", "i", "T", "S1", "S2"]
+        assert rows[0] == ["k", "i", "T", "S1", "S2"] == [f.name for f in fields(LemmaRecord)]
         report = check_lemma_inequalities(ProbabilityProfile((0.3, 0.6)))
         assert [(r[0], r[1]) for r in rows[1:]] == [(str(rec.k), str(rec.i)) for rec in report.records]
         by_ki = {(r[0], r[1]): r for r in rows[1:]}
