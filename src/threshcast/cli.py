@@ -239,17 +239,19 @@ STATE_COLUMNS = ("remaining", "residual_theta", "transmitter", "reach_probabilit
 LEMMA_COLUMNS = ("k", "i", "T", "S1", "S2")
 
 
-def annotation_rows(annotations: list[StateAnnotation], n: int) -> list[list[str]]:
-    """Csv header and rows of policy states, the remaining ranks, 1..n less the
-    spoken block, cut from one "1|2|...|n|" string in two slices."""
+# A policy state's csv row in STATE_COLUMNS order, the one row a handler formats itself
+STATE_ROW = "%s,%d,%d," + FLOAT_FORMAT + "," + FLOAT_FORMAT + "\n"
+
+
+def annotation_rows(annotations: list[StateAnnotation], n: int) -> str:
+    """Csv text of policy states: the header, then one `STATE_ROW` per state, its remaining
+    ranks (1..n less the spoken block) cut from one "1|2|...|n|" string in two slices."""
     joined = "".join(f"{r}|" for r in range(1, n + 1))
     starts = list(accumulate((len(str(r)) + 1 for r in range(1, n + 1)), initial=0))  # rank r at starts[r - 1]
-    rows = [list(STATE_COLUMNS)]
-    for s in annotations:
-        remaining = (joined[: starts[s.spoken.start - 1]] + joined[starts[s.spoken.stop - 1] :])[:-1]
-        rows.append([remaining, str(s.residual_theta), str(s.transmitter),
-                     fmt(s.reach_probability), fmt(s.expected_remaining_cost)])
-    return rows
+    return ",".join(STATE_COLUMNS) + "\n" + "".join([
+        STATE_ROW % ((joined[: starts[spoken.start - 1]] + joined[starts[spoken.stop - 1] :])[:-1], t, rank, reach, cost)
+        for spoken, _, t, rank, reach, cost in annotations
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -283,12 +285,14 @@ def cmd_policy(opts: argparse.Namespace) -> tuple[str, int]:
     ingested, theta, out_format = opts.profile, opts.theta, opts.format
     profile = ingested.profile
     spec = ThresholdSpec(profile.n, theta)
-    cost = index_policy_cost(profile, theta)
     # the table's n-cap, then the labels, then the tree's size, before the tree is built
     table = CostTable(profile, node_cap=opts.max_n, theta=spec.theta) if opts.check else None
     labels = rank_labels(ingested, opts.labels) if out_format == "dot" else None
     if out_format in ("json", "dot"):
         check_strategy_size(profile.n, theta)
+    # the root state's onward cost is the policy cost, from the same sweep
+    states = annotate_reachable_states(profile, theta) if opts.annotate and out_format in ("table", "json") else []
+    cost = states[0].expected_remaining_cost if states else index_policy_cost(profile, theta)
     tree = build_index_tree(profile.n, theta) if opts.check or out_format in ("json", "dot") else None
 
     check, code = {}, EXIT_OK
@@ -314,11 +318,10 @@ def cmd_policy(opts: argparse.Namespace) -> tuple[str, int]:
     if out_format == "json":
         record.append(("tree", tree))
         if opts.annotate:
-            states = annotate_reachable_states(profile, theta)
             record.append(("states", [{key: getattr(a, key) for key in STATE_COLUMNS} for a in states]))
     text = render_record(record, out_format)
     if out_format == "table" and opts.annotate:
-        text += render_csv(annotation_rows(annotate_reachable_states(profile, theta), profile.n))
+        text += annotation_rows(states, profile.n)
     return text, code
 
 

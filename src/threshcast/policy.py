@@ -28,8 +28,7 @@ checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -125,8 +124,7 @@ def index_policy_cost(profile: ProbabilityProfile, theta: int) -> float:
     return float(_root(_cost_sweep(profile, theta)))
 
 
-@dataclass(frozen=True, slots=True)
-class StateAnnotation:
+class StateAnnotation(NamedTuple):
     """A reachable policy state, its spoken rank block within 1..n, and its statistics."""
 
     spoken: range
@@ -159,6 +157,7 @@ def annotate_reachable_states(profile: ProbabilityProfile, theta: int) -> list[S
     reach_low, reach_high = np.zeros(k + 2), np.zeros(k + 2)
     reach_low[0] = 1.0
     out: list[StateAnnotation] = []
+    state, append = StateAnnotation, out.append
     for d in range(k + theta):
         a, b, low_ranks, high_ranks = _diagonal(k, theta, d)
         cost_low, cost_high = costs[d]
@@ -166,15 +165,15 @@ def annotate_reachable_states(profile: ProbabilityProfile, theta: int) -> list[S
         # Within a diagonal, (z, low) precedes (z, high): its remaining set
         # keeps a longer prefix 1..k+1-z, so it sorts first, and it ties
         # with (z - 1, high) only on the set, where the larger residual
-        # threshold of the low point puts it second.
+        # threshold of the low point puts it second.  The residual
+        # threshold theta - (d - z) grows by one with z.
+        t = theta - d + a
         for z, rank_low, rank_high in zip(range(a, b), low_ranks, high_ranks):
-            t = theta - (d - z)
             if z >= 1 or d == 0:
-                spoken = range(rank_low + 1, rank_low + d + 1)
-                out.append(StateAnnotation(spoken, n, t, rank_low, here_low[z], cost_low[z]))
+                append(state(range(rank_low + 1, rank_low + d + 1), n, t, rank_low, here_low[z], cost_low[z]))
             if z < d:
-                spoken = range(rank_high - d, rank_high)
-                out.append(StateAnnotation(spoken, n, t, rank_high, here_high[z], cost_high[z]))
+                append(state(range(rank_high - d, rank_high), n, t, rank_high, here_high[z], cost_high[z]))
+            t += 1
         # A point has at most two parents, one per side, so its pooled reach
         # is one addition and does not depend on the order parents are met.
         p_low, p_high = _probs_of(probs, low_ranks), _probs_of(probs, high_ranks)

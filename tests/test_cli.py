@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -15,7 +16,7 @@ import pytest
 
 import threshcast
 from threshcast import io as tio
-from threshcast.cli import COMMANDS, SEED_ENV_VAR, annotation_rows, build_parser, main, render_record
+from threshcast.cli import COMMANDS, SEED_ENV_VAR, annotation_rows, build_parser, fmt, main, render_record
 from threshcast.core import Leaf, Node, ProbabilityProfile
 from threshcast.dp import CostTable
 from threshcast.huffman import BernoulliBlockCode
@@ -211,15 +212,21 @@ class TestPolicy:
         assert obj["policy_cost"] == 2.25
 
     def test_annotation_rows_join_the_remaining_ranks(self):
-        # the two-slice rendering must equal a plain join for every state,
-        # across the 9|10 digit boundary
+        # every row, template and two-slice rank column, must equal formatting
+        # each field on its own, across the 9|10 digit boundary; theta 0 and
+        # n + 1 print the header alone
+        header = "remaining,residual_theta,transmitter,reach_probability,expected_remaining_cost"
         for n in (1, 2, 5, 9, 10, 11, 13):
             profile = ProbabilityProfile(tuple((i + 0.5) / n for i in range(n)))
             for theta in range(n + 2):
                 states = annotate_reachable_states(profile, theta)
-                assert [row[0] for row in annotation_rows(states, n)[1:]] == [
-                    "|".join(map(str, s.remaining)) for s in states
-                ], (n, theta)
+                rows = [header] + [
+                    ",".join(["|".join(map(str, s.remaining)), str(s.residual_theta), str(s.transmitter),
+                              fmt(s.reach_probability), fmt(s.expected_remaining_cost)])
+                    for s in states
+                ]
+                assert annotation_rows(states, n) == "".join(row + "\n" for row in rows), (n, theta)
+                assert len(rows) > 1 or theta in (0, n + 1)
 
     def test_large_profile_without_check(self, capsys):
         probs = ",".join(str(round(0.02 + 0.019 * i, 6)) for i in range(50))
@@ -1006,17 +1013,40 @@ class TestSharedParser:
                 assert (code, captured.out, captured.err) == fresh[argv], argv
 
 
+ROOT = Path(__file__).resolve().parents[1]
+ROUND_TRIP_ARGV = ["solve", "--probs", "0.3,0.6", "--theta", "1", "--format", "json"]
+
+
 def installed_entry_point():
     return shutil.which("threshcast")
 
 
-@pytest.mark.skipif(installed_entry_point() is None, reason="console script not on PATH")
-def test_installed_entry_point_round_trip():
-    exe = installed_entry_point()
-    argv = [exe, "solve", "--probs", "0.3,0.6", "--theta", "1", "--format", "json"]
-    a = subprocess.run(argv, capture_output=True, text=True)
-    b = subprocess.run(argv, capture_output=True, text=True)
+def console_script_target() -> tuple[str, str]:
+    """Module and function of the `threshcast` console script in pyproject.toml."""
+    scripts = (ROOT / "pyproject.toml").read_text().split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    match = re.search(r'^threshcast\s*=\s*"([\w.]+):(\w+)"\s*$', scripts, re.M)
+    assert match, "pyproject.toml declares no threshcast console script"
+    return match.group(1), match.group(2)
+
+
+def assert_round_trip(argv, env=None):
+    a = subprocess.run(argv, capture_output=True, text=True, env=env)
+    b = subprocess.run(argv, capture_output=True, text=True, env=env)
     assert a.returncode == 0
     assert a.stdout == b.stdout
     assert json.loads(a.stdout)["optimal_cost"] == 1.4
     assert sys.version_info >= (3, 9)
+
+
+@pytest.mark.skipif(installed_entry_point() is None, reason="console script not on PATH")
+def test_installed_entry_point_round_trip():
+    assert_round_trip([installed_entry_point(), *ROUND_TRIP_ARGV])
+
+
+def test_declared_entry_point_round_trip():
+    # the console script's target, run as the generated wrapper would run it,
+    # from the source tree
+    module, func = console_script_target()
+    code = f"import sys; from {module} import {func}; sys.exit({func}())"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    assert_round_trip([sys.executable, "-c", code, *ROUND_TRIP_ARGV], env=env)

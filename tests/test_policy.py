@@ -309,6 +309,24 @@ class TestAnnotations:
             StateAnnotation(range(2, 3), 2, 1, 1, pytest.approx(0.4), pytest.approx(1.0)),
         ]
 
+    def test_state_is_an_immutable_hashable_record(self):
+        # `cli.annotation_rows` unpacks a state in field order, and equal
+        # states must hash alike
+        n, theta = 9, 4
+        anns = annotate_reachable_states(random_profile(np.random.default_rng(61), n), theta)
+        for s in anns:
+            spoken, size, t, rank, reach, cost = s
+            assert (spoken, size, t, rank, reach, cost) == (
+                s.spoken, s.n, s.residual_theta, s.transmitter, s.reach_probability, s.expected_remaining_cost
+            )
+            assert s.remaining == tuple(r for r in range(1, n + 1) if r not in s.spoken)
+            assert hash(s) == hash(StateAnnotation(*s))
+            for name in ("spoken", "n", "residual_theta", "transmitter", "reach_probability",
+                         "expected_remaining_cost", "remaining"):
+                with pytest.raises(AttributeError):
+                    setattr(s, name, getattr(s, name))
+        assert len(set(anns)) == len(anns) == lattice_size(n, theta)
+
     def test_reach_probabilities_sum_to_expected_bits(self):
         # each decision state contributes one broadcast when reached
         rng = np.random.default_rng(31)
