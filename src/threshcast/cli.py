@@ -23,7 +23,7 @@ import math
 import os
 import sys
 from itertools import accumulate
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -195,10 +195,6 @@ def rank_labels(ingested: IngestedProfile, labels_arg: Optional[str]) -> Optiona
 # Rendering helpers
 
 
-def render_csv(rows: list[list[str]]) -> str:
-    return "".join(",".join(row) + "\n" for row in rows)
-
-
 def text_value(v) -> str:
     """A record value as table and csv print it: a float by `fmt`, a bool lower
     case, None empty, a tuple or list as its items joined by ";", a mapping
@@ -214,15 +210,19 @@ def text_value(v) -> str:
     return render_json(v, compact=True) if isinstance(v, (Node, Leaf)) else str(v)
 
 
+def render_csv(rows: Iterable[Sequence]) -> str:
+    """Rows of raw values as csv lines, each cell printed by `text_value`."""
+    return "".join(",".join(map(text_value, row)) + "\n" for row in rows)
+
+
 def render_record(record: list[tuple[str, object]], out_format: str) -> str:
     """One record of (key, raw value) pairs as key=value lines, a
     header-and-values csv, or a json object (see `render_json`)."""
     if out_format == "json":
         return render_json(dict(record))
-    pairs = [(k, text_value(v)) for k, v in record]
     if out_format == "table":
-        return "".join(f"{k}={v}\n" for k, v in pairs)
-    return render_csv([[k for k, _ in pairs], [v for _, v in pairs]])
+        return "".join(f"{k}={text_value(v)}\n" for k, v in record)
+    return render_csv(zip(*record))  # the keys, then the values
 
 
 def profile_fields(ingested: IngestedProfile) -> list[tuple[str, object]]:
@@ -367,17 +367,16 @@ def cmd_verify(opts: argparse.Namespace) -> tuple[str, int]:
             ex_ok = all(ex.passed for ex in checks)
             exhaustive_runs += len(checks)
             exhaustive_failures += sum(not ex.passed for ex in checks)
-        row = [report.m, report.probs, len(report.violations), *(report.worst.get(f, 0.0) for f in FAMILIES),
-               ex_trees, ex_ok]
-        summary_rows.append([text_value(v) for v in row])
+        summary_rows.append([report.m, report.probs, len(report.violations),
+                             *(report.worst.get(f, 0.0) for f in FAMILIES), ex_trees, ex_ok])
 
     passed = total_violations == 0 and exhaustive_failures == 0
     worst = {col: max((r.worst.get(fam, 0.0) for r in reports), default=0.0) for fam, col in FAMILIES.items()}
     record = [("profiles", len(profiles)), ("tolerance", tolerance), ("violations", total_violations)]
     exhaustive_fields = [("exhaustive_checks", exhaustive_runs), ("exhaustive_failures", exhaustive_failures)]
     if out_format == "csv" and explicit:
-        lemma_rows = [[text_value(getattr(rec, key)) for key in LEMMA_COLUMNS] for rec in reports[0].records]
-        text = render_csv([list(LEMMA_COLUMNS)] + lemma_rows)
+        rows = [[getattr(rec, key) for key in LEMMA_COLUMNS] for rec in reports[0].records]
+        text = render_csv([LEMMA_COLUMNS, *rows])
     elif out_format == "csv":
         text = render_csv(summary_rows)
     elif out_format == "json":

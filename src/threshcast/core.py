@@ -9,13 +9,14 @@ conversion back to user labels happens at the ingestion boundary.
 A state of the decision problem is a pair (mask, t): the nodes that have
 not yet spoken, rank r at bit r - 1, and the residual threshold t.  It is
 determined once t <= 0 (value 1) or t > popcount(mask) (value 0);
-`tree_states` walks a strategy through these pairs.
+`state_strategies` builds strategies over these pairs and `tree_states`
+walks one through them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 
 class InputError(ValueError):
@@ -115,25 +116,17 @@ class Node:
         return f"Node(transmitter={self.transmitter}, on_zero={zero}, on_one={one})"
 
     def __eq__(self, other: object) -> bool:
-        # each pair of DAG nodes is compared once, so shared subtrees cost
-        # their DAG size, not their expanded size
+        # a fold over both DAGs: each distinct leaf, and each (transmitter, zero
+        # child's number, one child's number) shape, is numbered once, so equal
+        # subtrees share a number and shared ones cost their DAG size
         if not isinstance(other, Node):
             return NotImplemented
-        seen: set[tuple[int, int]] = set()
-        stack: list[tuple[DecisionTree, DecisionTree]] = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b or (id(a), id(b)) in seen:
-                continue
-            if not isinstance(a, Node):
-                if a != b:  # a leaf against a leaf of the other value, or a node
-                    return False
-                continue
-            if not isinstance(b, Node) or a.transmitter != b.transmitter:
-                return False
-            seen.add((id(a), id(b)))
-            stack += ((a.on_zero, b.on_zero), (a.on_one, b.on_one))
-        return True
+        shapes: dict = {}  # a leaf or a (transmitter, number, number) shape -> its number
+        number: dict[int, int] = {}
+        for t in dag_postorder(self, other):
+            shape = t if isinstance(t, Leaf) else (t.transmitter, number[id(t.on_zero)], number[id(t.on_one)])
+            number[id(t)] = shapes.setdefault(shape, len(shapes))
+        return number[id(self)] == number[id(other)]
 
     def __hash__(self) -> int:  # one level deep: equal trees agree there
         return hash((self.transmitter, *(t.transmitter if isinstance(t, Node) else t
@@ -241,3 +234,30 @@ def dag_postorder(*roots: DecisionTree) -> list[DecisionTree]:
                 place(t)
     return order
 
+
+def state_strategies(n: int, theta: int, choose: Callable[[int, int], Iterable[int]]) -> list[DecisionTree]:
+    """Every strategy from (all n nodes, theta) that asks, at each undetermined
+    (mask, t) it reaches, one of the ranks `choose(mask, t)` gives, in that order.
+
+    The strategies asking one rank first come in the order of their zero
+    branch, then of their one branch.  Each state is built once and its
+    strategies are shared by every parent that reaches it, so the result
+    is a DAG; determined states are leaves.  The recursion is n deep.
+    """
+    memo: dict[tuple[int, int], list[DecisionTree]] = {}
+
+    def build(mask: int, t: int) -> list[DecisionTree]:
+        got = memo.get((mask, t))
+        if got is None:
+            if t <= 0 or t > mask.bit_count():
+                got = [Leaf(1 if t <= 0 else 0)]
+            else:
+                got = []
+                for rank in choose(mask, t):
+                    rest = mask ^ (1 << (rank - 1))
+                    zeros, ones = build(rest, t), build(rest, t - 1)
+                    got += [Node(rank, zero, one) for zero in zeros for one in ones]
+            memo[mask, t] = got
+        return got
+
+    return build((1 << n) - 1, theta)

@@ -39,10 +39,10 @@ from .core import (
     DecisionTree,
     InputError,
     Leaf,
-    Node,
     ProbabilityProfile,
     ThresholdSpec,
     dag_postorder,
+    state_strategies,
     validate_tree,
 )
 
@@ -244,11 +244,19 @@ class CostTable:
         return tuple(sorted(r for r, c in cand.items() if c <= best))
 
 
+def matching_table(profile: ProbabilityProfile, table: Optional[CostTable], theta: Optional[int] = None) -> CostTable:
+    """`table` if it was built for `profile`, else, when it is None, a new table
+    for `profile`: the band for `theta`, or with theta None the full table."""
+    if table is None:
+        return CostTable(profile, theta=theta)
+    if table.profile != profile:
+        raise InputError(f"the table was built for the profile {table.profile.probs}, not {profile.probs}")
+    return table
+
+
 def optimal_cost(profile: ProbabilityProfile, theta: int, table: Optional[CostTable] = None):
     spec = ThresholdSpec(profile.n, theta)
-    if table is None:
-        table = CostTable(profile, theta=spec.theta)
-    return table.cost((1 << spec.n) - 1, spec.theta)
+    return matching_table(profile, table, spec.theta).cost((1 << spec.n) - 1, spec.theta)
 
 
 def optimal_tree(
@@ -263,26 +271,8 @@ def optimal_tree(
     memory even though it serializes as a tree.
     """
     spec = ThresholdSpec(profile.n, theta)
-    if table is None:
-        table = CostTable(profile, theta=spec.theta)
-    memo: dict[tuple[int, int], DecisionTree] = {}
-
-    def build(mask: int, t: int) -> DecisionTree:
-        if t <= 0:
-            return Leaf(1)
-        if t > mask.bit_count():
-            return Leaf(0)
-        key = (mask, t)
-        node = memo.get(key)
-        if node is not None:
-            return node
-        rank = table.minimizers(mask, t, tol=tol)[0]
-        sub = mask ^ (1 << (rank - 1))
-        node = Node(rank, build(sub, t), build(sub, t - 1))
-        memo[key] = node
-        return node
-
-    return build((1 << profile.n) - 1, spec.theta)
+    table = matching_table(profile, table, spec.theta)
+    return state_strategies(spec.n, spec.theta, lambda mask, t: table.minimizers(mask, t, tol=tol)[:1])[0]
 
 
 def strategy_costs(trees: Sequence[DecisionTree], profile: ProbabilityProfile) -> list[float]:

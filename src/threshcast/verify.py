@@ -34,13 +34,12 @@ from .core import (
     CapacityError,
     DecisionTree,
     InputError,
-    Leaf,
-    Node,
     ProbabilityProfile,
     ThresholdSpec,
+    state_strategies,
 )
 # strategy_cost is not called here: perfbench/tracing.py wraps it under this module's name
-from .dp import CostTable, strategy_cost, strategy_costs
+from .dp import CostTable, matching_table, strategy_cost, strategy_costs
 from .policy import index_policy_cost
 
 DEFAULT_LEMMA_TOL = 1e-9
@@ -136,8 +135,7 @@ def check_lemma_inequalities(
     exact float zero.  `worst` holds each family's largest checked value,
     so a passing report shows how much slack the inequalities had.
     """
-    if table is None:
-        table = CostTable(profile)
+    table = matching_table(profile, table)
     m = profile.n
     report = LemmaReport(m=m, probs=profile.probs, tolerance=tolerance)
     worst: dict[str, float] = {}
@@ -182,29 +180,8 @@ def enumerate_trees(n: int, theta: int) -> tuple[DecisionTree, ...]:
     spec = ThresholdSpec(n, theta)
     if n > EXHAUSTIVE_MAX_N:
         raise CapacityError(f"tree enumeration capped at n={EXHAUSTIVE_MAX_N}, got n={n}")
-    memo: dict[tuple[int, int], list[DecisionTree]] = {}
-
-    def build(mask: int, t: int) -> list[DecisionTree]:
-        if t <= 0:
-            return [Leaf(1)]
-        if t > mask.bit_count():
-            return [Leaf(0)]
-        key = (mask, t)
-        got = memo.get(key)
-        if got is None:
-            got = []
-            mm = mask
-            while mm:  # candidates in ascending rank, lowest bit first
-                low = mm & -mm
-                mm ^= low
-                rank, rest = low.bit_length(), mask ^ low
-                for on_zero in build(rest, t):
-                    for on_one in build(rest, t - 1):
-                        got.append(Node(rank, on_zero, on_one))
-            memo[key] = got
-        return got
-
-    return tuple(build((1 << n) - 1, spec.theta))
+    # every remaining rank, ascending
+    return tuple(state_strategies(n, spec.theta, lambda mask, t: [r + 1 for r in range(n) if mask >> r & 1]))
 
 
 @dataclass(frozen=True)
@@ -240,9 +217,7 @@ def exhaustive_strategy_check(
     best = min(range(len(trees)), key=costs.__getitem__)  # the first of equal minima
     best_cost = costs[best]
     spec = ThresholdSpec(profile.n, theta)
-    if table is None:
-        table = CostTable(profile, theta=spec.theta)
-    table_cost = table.cost((1 << spec.n) - 1, spec.theta)
+    table_cost = matching_table(profile, table, spec.theta).cost((1 << spec.n) - 1, spec.theta)
     policy_cost = index_policy_cost(profile, theta)
     off = abs(table_cost - best_cost) > tolerance or abs(policy_cost - best_cost) > tolerance
     return ExhaustiveReport(

@@ -52,6 +52,14 @@ def test_public_names_resolve():
     assert len(set(threshcast.__all__)) == len(threshcast.__all__)
 
 
+def test_public_imports_are_listed():
+    """Every public name the package imports is in `__all__`, so the two lists cannot drift apart."""
+    tree = ast.parse((ROOT / "src" / "threshcast" / "__init__.py").read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert {name for name in imported if not name.startswith("_")} == set(threshcast.__all__)
+
+
 def test_oracle_names_resolve():
     workloads = (ROOT / "perfbench" / "workloads.py").read_text(encoding="utf-8")
     for name in ORACLE_NAMES:

@@ -16,12 +16,14 @@ from threshcast.core import (
     ThresholdSpec,
     TreeInvalidError,
     dag_postorder,
+    state_strategies,
     tree_states,
     validate_tree,
     walk_tree,
 )
-from threshcast.io import tree_extent, tree_to_dict
+from threshcast.io import tree_extent, tree_from_dict, tree_to_dict
 from threshcast.policy import build_index_tree
+from threshcast.sim import strategy_dag
 
 
 class TestProbabilityProfile:
@@ -159,6 +161,15 @@ class TestTrees:
         assert self.or2_tree() != Node(2, Node(1, Leaf(0), Leaf(0)), Leaf(1))
         assert self.or2_tree() != Node(2, Leaf(1), Leaf(1)) and Leaf(1) != self.or2_tree()
 
+    def test_equality_ignores_how_subtrees_are_shared(self):
+        dag = build_index_tree(8, 4)
+        expanded = tree_from_dict(tree_to_dict(dag))  # one object per expanded node
+        assert len(dag_postorder(expanded)) > 2 * len(dag_postorder(dag))
+        assert dag == expanded and expanded == dag
+        shared = Node(1, Leaf(0), Leaf(1))
+        assert Node(2, shared, shared) == Node(2, Node(1, Leaf(0), Leaf(1)), Node(1, Leaf(0), Leaf(1)))
+        assert Node(2, shared, shared) != Node(2, shared, Node(1, Leaf(1), Leaf(0)))
+
     def test_equality_and_hash_of_a_deep_chain(self):
         def chain(bottom):
             for _ in range(5000):
@@ -232,6 +243,40 @@ class TestTrees:
         assert tree_extent(Leaf(1)) == (1, 0, 16)
         shared = Node(1, Leaf(0), Leaf(1))
         assert tree_extent(Node(2, shared, shared)) == (7, 2, json_bytes(Node(2, shared, shared)))
+
+
+class TestStateStrategies:
+    def test_fixed_order_is_the_row_built_dag(self):
+        def first_left(mask, t):
+            return [next(r for r in order if mask >> (r - 1) & 1)]
+
+        for n in range(1, 7):
+            order = (*range(2, n + 1), 1)
+            for theta in range(n + 2):
+                (tree,) = state_strategies(n, theta, first_left)
+                validate_tree(tree, ThresholdSpec(n, theta))
+                assert tree == strategy_dag(order, n, theta)
+
+    def test_states_are_built_once_and_shared(self):
+        calls = []
+
+        def lowest(mask, t):
+            calls.append((mask, t))
+            return [(mask & -mask).bit_length()]
+
+        (tree,) = state_strategies(6, 3, lowest)
+        assert len(calls) == len(set(calls)) == sum(isinstance(node, Node) for node in dag_postorder(tree))
+        # after ranks 1 and 2, a 0 then a 1 and a 1 then a 0 lead to one state
+        assert tree.on_zero.on_one is tree.on_one.on_zero
+
+    def test_order_is_rank_then_zero_branch_then_one_branch(self):
+        trees = state_strategies(3, 2, lambda mask, t: [r + 1 for r in range(3) if mask >> r & 1])
+        assert [t.transmitter for t in trees] == [1] * 4 + [2] * 4 + [3] * 4
+        (zero_a, one_a), (zero_b, one_b) = [(t.on_zero, t.on_one) for t in trees[:2]]
+        assert zero_a is zero_b and one_a is not one_b
+        assert state_strategies(2, 0, lambda mask, t: [1]) == [Leaf(1)]
+        assert state_strategies(2, 3, lambda mask, t: [1]) == [Leaf(0)]
+        assert state_strategies(2, 1, lambda mask, t: []) == []
 
 
 @settings(max_examples=60, deadline=None)

@@ -420,6 +420,23 @@ class TestTreeExtraction:
         assert optimal_tree(ProbabilityProfile((0.3, 0.6)), 3) == Leaf(0)
 
 
+class TestTableForAnotherProfile:
+    """A table built for another profile is refused, not read as this profile's."""
+
+    P1, P2 = ProbabilityProfile((0.1, 0.5, 0.9)), ProbabilityProfile((0.2, 0.3, 0.4))
+
+    def test_optimal_cost(self):
+        assert optimal_cost(self.P1, 2, table=CostTable(ProbabilityProfile(self.P1.probs))) == pytest.approx(2.1)
+        assert CostTable(self.P2).cost(0b111, 2) == pytest.approx(2.32)
+        with pytest.raises(InputError, match="built for the profile"):
+            optimal_cost(self.P1, 2, table=CostTable(self.P2))
+
+    def test_optimal_tree(self):
+        assert optimal_tree(self.P1, 2, table=CostTable(self.P1)) == optimal_tree(self.P1, 2)
+        with pytest.raises(InputError, match="built for the profile"):
+            optimal_tree(self.P1, 2, table=CostTable(self.P2))
+
+
 class TestStrategyCost:
     def test_hand_tree(self):
         profile = ProbabilityProfile((0.3, 0.6))

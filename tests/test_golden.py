@@ -1,4 +1,5 @@
-"""Golden CLI output: pinned sha256 digests of stdout for fixed command lines.
+"""Golden CLI output: pinned sha256 digests of stdout for fixed command lines,
+and of the trees `enumerate_trees` and `optimal_tree` build.
 
 Criterion 7 only compares two runs of the same code; these digests were
 captured once and pin the bytes across versions, so a refactor that
@@ -13,6 +14,10 @@ import hashlib
 import pytest
 
 from threshcast.cli import main
+from threshcast.core import ProbabilityProfile
+from threshcast.dp import CostTable, optimal_tree
+from threshcast.io import parse_probs_arg, render_json
+from threshcast.verify import enumerate_trees
 
 
 def probs_arg(n: int, step: int, modulus: int) -> str:
@@ -297,3 +302,49 @@ def test_stdout_matches_pinned_digest(capsys, argv, digest):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def tree_lines_digest(trees) -> str:
+    """The digest of the trees' compact JSON, one line per tree."""
+    return hashlib.sha256("".join(render_json(t, compact=True) + "\n" for t in trees).encode("utf-8")).hexdigest()
+
+
+# every tree of enumerate_trees(n, theta), in order, for theta 0..n+1: the
+# exhaustive check's witness is the first cheapest tree, so order is behaviour
+ENUMERATION_DIGESTS = {
+    1: "fb322e9284c492f4d5ab6a4faa2f936e24a68181fe36bf8762238a09f0de164e",
+    2: "b6ca83c29f7b499e4136894c0e529b5381890c50647a17bfa055260fa16b609d",
+    3: "f2e6f8761f1d3debf82fd99cd9775b0fa05306680f23e16418adabb0affc8cfa",
+    4: "42b3d9da8d39dbb1dab48e1cbd7d3ce00d90d1d879174bc1e73daa227d8f6463",
+}
+
+
+@pytest.mark.parametrize("n", sorted(ENUMERATION_DIGESTS))
+def test_enumeration_matches_pinned_digest(n):
+    trees = [t for theta in range(n + 2) for t in enumerate_trees(n, theta)]
+    assert tree_lines_digest(trees) == ENUMERATION_DIGESTS[n]
+
+
+# optimal_tree at every theta 0..n+1, ties broken toward the lowest rank: (name, probs, exact table, digest)
+OPTIMAL_TREES = [
+    ("half-n1", (0.5,), False,
+     "fb322e9284c492f4d5ab6a4faa2f936e24a68181fe36bf8762238a09f0de164e"),
+    ("half-n7", (0.5,) * 7, False,
+     "b3b5fbd169f84ba7805d87071d01e5df45f63e09f2aadd53f860020420121539"),
+    ("tied-n4", (0.17, 0.29, 0.29, 0.83), False,
+     "e73e2fd66d9cffd31b980e329977c7d64de17dd38759b0938bf8268be4c97b3b"),
+    ("tied-n10", (0.2, 0.2, 0.4, 0.4, 0.4, 0.4, 0.7, 0.7, 0.7, 0.9), False,
+     "4d54030b4211d5737057e72d3a0ee544061b42fc91f322b66d6668874405f99e"),
+    ("distinct-n12", parse_probs_arg(P12).profile.probs, False,
+     "b38856c68b9adca4d1ed1b46320794a026d95fe890854689e5fdc9c6b661f7fb"),
+    ("exact-tied-n8", (0.25, 0.25, 0.5, 0.5, 0.5, 0.75, 0.75, 0.9), True,
+     "fc86395ec221d2302c11549e5a32fc95fcb7ea272a7c47e223bb5b66bb4e2dac"),
+]
+
+
+@pytest.mark.parametrize("probs,exact,digest", [c[1:] for c in OPTIMAL_TREES], ids=[c[0] for c in OPTIMAL_TREES])
+def test_optimal_trees_match_pinned_digest(probs, exact, digest):
+    profile = ProbabilityProfile(probs)
+    table = CostTable(profile, exact=True) if exact else None
+    trees = [optimal_tree(profile, theta, table=table) for theta in range(profile.n + 2)]
+    assert tree_lines_digest(trees) == digest

@@ -130,6 +130,14 @@ class TestLemmaReport:
         worst_T = max(v.value for v in report.violations if v.family == "T<=0")
         assert worst_T == pytest.approx(0.6, abs=1e-12)
 
+    def test_refuses_a_table_of_another_profile(self):
+        profile = ProbabilityProfile((0.1, 0.5, 0.9))
+        other = CostTable(ProbabilityProfile((0.2, 0.3, 0.4)))
+        with pytest.raises(InputError, match="built for the profile"):
+            check_lemma_inequalities(profile, table=other)
+        assert check_lemma_inequalities(profile, table=CostTable(profile)).records == \
+            check_lemma_inequalities(profile).records
+
     def test_negative_tolerance_forces_violations(self):
         report = check_lemma_inequalities(ProbabilityProfile((0.3, 0.6)), tolerance=-1.0)
         assert not report.passed
@@ -197,6 +205,13 @@ class TestExhaustiveCheck:
         assert not report.passed
         assert report.witness is not None
         assert report.best_cost < report.table_cost - 0.5
+
+    def test_refuses_a_table_of_another_profile(self):
+        profile = ProbabilityProfile((0.1, 0.5, 0.9))
+        with pytest.raises(InputError, match="built for the profile"):
+            exhaustive_strategy_check(profile, 2, table=CostTable(ProbabilityProfile((0.2, 0.3, 0.4))))
+        report = exhaustive_strategy_check(profile, 2, table=CostTable(profile))
+        assert report.passed and report.table_cost == pytest.approx(2.1)
 
     # best and table costs as the per-tree cost scan gave them before the
     # one-pass fold; the fold must reproduce every one to the bit
