@@ -37,7 +37,7 @@ from .core import (
     tree_states,
 )
 # strategy_cost is not called here: perfbench/tracing.py wraps it under this module's name
-from .dp import DEFAULT_NODE_CAP, DEFAULT_TIE_TOL, CostTable, optimal_tree, strategy_cost
+from .dp import DEFAULT_NODE_CAP, DEFAULT_TIE_TOL, CostTable, optimal_cost, optimal_tree, strategy_cost
 # nor is tree_to_dict, for the same reason
 from .io import (FLOAT_FORMAT, IngestedProfile, check_strategy_size, load_profile, parse_probs_arg, read_text_file,
                  render_json, tree_to_dict, tree_to_dot)
@@ -267,10 +267,9 @@ def cmd_solve(opts: argparse.Namespace) -> tuple[str, int]:
     labels = rank_labels(ingested, opts.labels) if opts.format == "dot" else None
     if opts.format in ("table", "json", "dot"):
         check_strategy_size(profile.n, theta)
-    full = (1 << profile.n) - 1
-    cost = table.cost(full, theta)
+    cost = optimal_cost(profile, theta, table)
     tree = optimal_tree(profile, theta, table=table, tol=opts.tol)
-    first = table.minimizers(full, theta, tol=opts.tol) if 1 <= theta <= profile.n else ()
+    first = table.minimizers((1 << profile.n) - 1, theta, tol=opts.tol) if 1 <= theta <= profile.n else ()
 
     if opts.format == "dot":
         return tree_to_dot(tree, labels=labels), EXIT_OK
@@ -297,7 +296,7 @@ def cmd_policy(opts: argparse.Namespace) -> tuple[str, int]:
 
     check, code = {}, EXIT_OK
     if opts.check:
-        table_cost = table.cost((1 << profile.n) - 1, theta)
+        table_cost = optimal_cost(profile, theta, table)
         cost_ok = abs(table_cost - cost) <= opts.tol
         bad_states = sum(isinstance(node, Node) and node.transmitter not in table.minimizers(mask, t, tol=opts.tol)
                          for node, mask, t in tree_states(tree, spec))

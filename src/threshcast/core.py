@@ -121,6 +121,8 @@ class Node:
         # subtrees share a number and shared ones cost their DAG size
         if not isinstance(other, Node):
             return NotImplemented
+        if hash(self) != hash(other):  # equal trees hash alike, so differing tops are unequal
+            return False
         shapes: dict = {}  # a leaf or a (transmitter, number, number) shape -> its number
         number: dict[int, int] = {}
         for t in dag_postorder(self, other):

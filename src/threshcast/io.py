@@ -73,10 +73,10 @@ def parse_profile_text(text: str) -> IngestedProfile:
 
 
 def read_text_file(path: str, what: str) -> str:
-    """The file's UTF-8 text; an InputError naming `what` and the file if it
-    cannot be opened, read or decoded."""
+    """The file's UTF-8 text, without a leading byte-order mark; an InputError
+    naming `what` and the file if it cannot be opened, read or decoded."""
     try:
-        with open(path, "r", encoding="utf-8") as f:
+        with open(path, "r", encoding="utf-8-sig") as f:
             return f.read()
     except OSError as e:
         raise InputError(f"cannot read {what}: {e}") from e
@@ -106,14 +106,13 @@ def parse_probs_arg(arg: str) -> IngestedProfile:
 # Strategies are shared DAGs, and rendering expands them into trees.  A
 # tree past these caps is refused with CapacityError (exit 3) instead of
 # being printed: 10**6 nodes admits every policy tree up to n = 20 (at
-# most 705 k nodes).  Rendering is iterative at any depth, but
-# `tree_to_dict` expands a tree recursively, and a reader's `json.loads`
-# recurses once per level: at the default recursion limit it parses 990
-# nested arrays and raises RecursionError at 1,000, so 900 levels leave
-# room for its callers' frames.  Indented JSON grows two bytes per line
-# and level, so within those caps it can still reach gigabytes; 2**28
-# bytes admits every policy tree up to n = 20 (at most 104 MB, at n = 20,
-# theta = 11).
+# most 705 k nodes).  Rendering is iterative at any depth, but a reader's
+# `json.loads` recurses once per level: at the default recursion limit it
+# parses 990 nested arrays and raises RecursionError at 1,000, so 900
+# levels leave room for its callers' frames.  Indented JSON grows two
+# bytes per line and level, so within those caps it can still reach
+# gigabytes; 2**28 bytes admits every policy tree up to n = 20 (at most
+# 104 MB, at n = 20, theta = 11).
 MAX_RENDER_NODES = 1_000_000
 MAX_JSON_DEPTH = 900
 MAX_JSON_BYTES = 1 << 28
@@ -250,14 +249,14 @@ def render_json(obj, compact: bool = False) -> str:
 
 
 def tree_to_dict(tree: DecisionTree) -> dict:
+    """The strategy as nested dicts, under `render_json`'s caps at level 0: one dict per
+    distinct DAG node, built from its children's, so equal subtrees the DAG shares are one object."""
     _check_render_caps(tree, 0)
-
-    def expand(t: DecisionTree) -> dict:
-        if isinstance(t, Leaf):
-            return {"value": t.value}
-        return {"transmitter": t.transmitter, "on_zero": expand(t.on_zero), "on_one": expand(t.on_one)}
-
-    return expand(tree)
+    made: dict[int, dict] = {}
+    for t in dag_postorder(tree):
+        made[id(t)] = {"value": t.value} if isinstance(t, Leaf) else {
+            "transmitter": t.transmitter, "on_zero": made[id(t.on_zero)], "on_one": made[id(t.on_one)]}
+    return made[id(tree)]
 
 
 def tree_from_dict(data: object) -> DecisionTree:

@@ -145,8 +145,8 @@ def simulate_tree(
     distinct row once, and values and bits are expanded back per trial,
     so numpy work is O(distinct rows * depth) plus O(trials * n) to group
     and expand, and Python work is O(DAG nodes).  Fewer than 2 trials
-    raise InputError, and trials * n over SIM_MAX_CELLS CapacityError,
-    before anything is drawn.
+    raise InputError, trials * n over SIM_MAX_CELLS CapacityError and an
+    invalid tree TreeInvalidError, all before anything is drawn.
     """
     if trials < 2:
         raise InputError("at least 2 trials are needed for a standard error")
@@ -154,6 +154,7 @@ def simulate_tree(
         raise CapacityError(
             f"trials x n = {trials * profile.n} is over the simulation cap of {SIM_MAX_CELLS} cells"
         )
+    expected_bits = strategy_cost(tree, profile, theta)
     X = draw_measurements(profile, trials, np.random.default_rng(seed))
     rows, ids = _group_rows(X)
     values, bits = walk_trials(tree, rows)
@@ -166,7 +167,7 @@ def simulate_tree(
         theta=theta,
         trials=trials,
         seed=seed,
-        expected_bits=strategy_cost(tree, profile, theta),
+        expected_bits=expected_bits,
         mean_bits=mean,
         std_error=se,
         error_count=int(wrong[ids].sum()),

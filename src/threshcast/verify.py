@@ -39,7 +39,7 @@ from .core import (
     state_strategies,
 )
 # strategy_cost is not called here: perfbench/tracing.py wraps it under this module's name
-from .dp import CostTable, matching_table, strategy_cost, strategy_costs
+from .dp import CostTable, matching_table, optimal_cost, strategy_cost, strategy_costs
 from .policy import index_policy_cost
 
 DEFAULT_LEMMA_TOL = 1e-9
@@ -216,8 +216,7 @@ def exhaustive_strategy_check(
     costs = strategy_costs(trees, profile)
     best = min(range(len(trees)), key=costs.__getitem__)  # the first of equal minima
     best_cost = costs[best]
-    spec = ThresholdSpec(profile.n, theta)
-    table_cost = matching_table(profile, table, spec.theta).cost((1 << spec.n) - 1, spec.theta)
+    table_cost = optimal_cost(profile, theta, table)
     policy_cost = index_policy_cost(profile, theta)
     off = abs(table_cost - best_cost) > tolerance or abs(policy_cost - best_cost) > tolerance
     return ExhaustiveReport(

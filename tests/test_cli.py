@@ -930,6 +930,19 @@ class TestConfigAndOutput:
         assert code == 0
         assert kv(out)["optimal_cost"] == "1.4"
 
+    @pytest.mark.parametrize("option,text", [
+        ("--probs-file", "0.3\n0.6\n0.8\n"),  # a one-column CSV whose first value is no header
+        ("--probs-file", "[0.3, 0.6, 0.8]"),
+        ("--config", '{"probs": "0.3,0.6,0.8"}'),
+    ], ids=["csv", "json", "config"])
+    def test_leading_byte_order_mark_is_skipped(self, capsys, tmp_path, option, text):
+        path = tmp_path / "input.txt"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        code, out, err = run_cli(capsys, "solve", "--theta", "1", option, str(path))
+        assert (code, err) == (0, "")
+        assert out == run_cli(capsys, "solve", "--theta", "1", "--probs", "0.3,0.6,0.8")[1]
+        assert kv(out)["n"] == "3"
+
 
 class TestDeterminism:
     CASES = [

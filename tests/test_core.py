@@ -161,6 +161,16 @@ class TestTrees:
         assert self.or2_tree() != Node(2, Node(1, Leaf(0), Leaf(0)), Leaf(1))
         assert self.or2_tree() != Node(2, Leaf(1), Leaf(1)) and Leaf(1) != self.or2_tree()
 
+    def test_equality_of_trees_whose_tops_differ_does_not_fold(self, monkeypatch):
+        a, b = build_index_tree(24, 12), build_index_tree(24, 11)
+        moved_root = Node(a.transmitter + 1, a.on_zero, a.on_one)
+
+        def fold(*roots):
+            raise AssertionError("both DAGs were folded")
+
+        monkeypatch.setattr("threshcast.core.dag_postorder", fold)
+        assert a != b and a != moved_root
+
     def test_equality_ignores_how_subtrees_are_shared(self):
         dag = build_index_tree(8, 4)
         expanded = tree_from_dict(tree_to_dict(dag))  # one object per expanded node

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threshcast import io as tio
-from threshcast.core import CapacityError, InputError, Leaf, Node, ProbabilityProfile
-from threshcast.dp import optimal_tree
+from threshcast.core import CapacityError, InputError, Leaf, Node, ProbabilityProfile, dag_postorder
+from threshcast.dp import optimal_tree, strategy_cost
 from threshcast.io import (
     check_strategy_size,
     ingest_values,
@@ -329,3 +329,44 @@ class TestRenderJson:
         expected = {"a": [tree_to_dict(tree), {"b": tree_to_dict(shared)}], "c": tree_to_dict(shared), "n": 1}
         assert render_json(obj) == stdlib_json(expected)
         assert render_json(obj, compact=True) == json.dumps(expected, sort_keys=True)
+
+
+class TestDeepStrategies:
+    def test_every_reader_runs_900_levels_deep_from_150_frames_down(self):
+        # 1,801 nodes and 900 levels, inside every render cap; a reader that
+        # recursed once per level would pass the recursion limit here
+        tree = build_index_tree(900, 1)
+        assert tree_extent(tree) == (1801, 900, len(render_json(tree)) - 1)
+        profile = ProbabilityProfile((0.5,) * 900)
+
+        def read():
+            assert tree_from_dict(tree_to_dict(tree)) == tree
+            assert tree_to_dot(tree).count("->") == 1800
+            assert tree_extent(tree)[:2] == (1801, 900)
+            assert strategy_cost(tree, profile, 1) == pytest.approx(2.0)
+            assert tree == build_index_tree(900, 1)
+            return render_json(tree), render_json(tree, compact=True)
+
+        def nest(frames):
+            return nest(frames - 1) if frames else read()
+
+        try:
+            texts = nest(150)
+        except RecursionError:  # reported below, without its 1,000 frames of traceback
+            texts = None
+        assert texts is not None, "a reader recursed once per level"
+        # json.loads recurses per level, so the texts are parsed from up here
+        for text in texts:
+            assert tree_from_dict(json.loads(text)) == tree
+
+    @pytest.mark.parametrize("n,theta", [(900, 1), (12, 6)])
+    def test_dict_per_distinct_dag_node(self, n, theta):
+        tree = build_index_tree(n, theta)
+        seen: dict[int, dict] = {}
+        stack = [tree_to_dict(tree)]
+        while stack:
+            d = stack.pop()
+            if id(d) not in seen:
+                seen[id(d)] = d
+                stack += [d[k] for k in ("on_zero", "on_one") if k in d]
+        assert len(seen) == len(dag_postorder(tree))

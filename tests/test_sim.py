@@ -7,7 +7,7 @@ import pytest
 
 from conftest import reference_block_rounds, reference_simulation_report
 from threshcast import sim
-from threshcast.core import CapacityError, InputError, Leaf, Node, ProbabilityProfile, walk_tree
+from threshcast.core import CapacityError, InputError, Leaf, Node, ProbabilityProfile, TreeInvalidError, walk_tree
 from threshcast.huffman import BernoulliBlockCode
 from threshcast.dp import optimal_tree, strategy_cost
 from threshcast.policy import build_index_tree, index_policy_cost
@@ -204,6 +204,15 @@ class TestGroupedWalk:
         X = draw_measurements(profile, 100_000, np.random.default_rng(10))
         assert walked == [len(np.unique(X, axis=0))]
         assert walked[0] <= 1 << 10
+
+
+class TestTreeCheck:
+    @pytest.mark.parametrize("rank", [3, 0])
+    def test_an_invalid_tree_is_refused_before_the_draw(self, monkeypatch, rank):
+        # rank 3 is past a 2-node profile's columns, and rank 0 would read column -1
+        monkeypatch.setattr(sim, "draw_measurements", lambda *a, **k: pytest.fail("drew before the tree was checked"))
+        with pytest.raises(TreeInvalidError, match=f"transmitter {rank} not in remaining set"):
+            simulate_tree(Node(rank, Leaf(0), Leaf(1)), ProbabilityProfile((0.3, 0.6)), 1, 100)
 
 
 class TestTrialCap:
