@@ -119,6 +119,8 @@ class Node:
         # a fold over both DAGs: each distinct leaf, and each (transmitter, zero
         # child's number, one child's number) shape, is numbered once, so equal
         # subtrees share a number and shared ones cost their DAG size
+        if self is other:
+            return True
         if not isinstance(other, Node):
             return NotImplemented
         if hash(self) != hash(other):  # equal trees hash alike, so differing tops are unequal

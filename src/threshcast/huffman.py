@@ -40,6 +40,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from operator import itemgetter
 from typing import Sequence
 
@@ -68,17 +69,14 @@ def _class_values(p: float, L: int) -> list[int]:
     A, D = p.as_integer_ratio()
     a = D.bit_length() - 1
     B = D - A
-    E = math.ceil(L * math.log2(1.0 / min(p, 1.0 - p))) + 64
+    r = 1.0 / min(p, 1.0 - p)  # inf for p below about 5.6e-309, where -log2(p) stands in
+    E = math.ceil(L * (math.log2(r) if r < math.inf else -math.log2(p))) + 64
     shift = a * L - E
-    p_pows = [1] * (L + 1)
-    q_pows = [1] * (L + 1)
-    for w in range(1, L + 1):
-        p_pows[w] = p_pows[w - 1] * A
-        q_pows[w] = q_pows[w - 1] * B
     vals = []
+    num = B**L  # A^w B^(L-w), which B divides while w < L
     for w in range(L + 1):
-        num = p_pows[w] * q_pows[L - w]
         vals.append(num >> shift if shift >= 0 else num << -shift)
+        num = num // B * A
     return vals
 
 
@@ -109,9 +107,10 @@ def _aggregate_lengths(p: float, L: int) -> list[dict[int, int]]:
     end = 1 << (max(values).bit_length() + L + 1)
     lq.append((end, 0, -1))
     mq = []
-    # children of family L + 1 + i, as keys
-    ca, cb = array("q"), array("q")
-    put_a, put_b, put_m = ca.append, cb.append, mq.append
+    # children of family L + 1 + i, as keys: the first in ca and cb, the
+    # latest in fa and fb, moved over in blocks of 2**16 to bound memory
+    ca, cb, fa, fb = array("q"), array("q"), [], []
+    put_m = mq.append
     li = mi = 0
     step = 1 << S
     nk = (L + 1) << S
@@ -133,19 +132,23 @@ def _aggregate_lengths(p: float, L: int) -> list[dict[int, int]]:
                 batch.sort(key=first)
         li, mi = lj, mj
         for v2, c2, k2 in batch:
-            if c > 1 and v2 != v:
-                put_m((v + v, c >> 1, k + 1))
-                c &= 1
-            if c:
-                take = c if c < c2 else c2
-                put_a(k)
-                put_b(k2)
-                put_m((v + v2, take, nk))
-                nk += step
-                c -= take
-                if c:
+            if c > 1:
+                if v2 != v:
+                    put_m((v + v, c >> 1, k + 1))
+                    c &= 1
+                elif c > c2:  # equal values, and the front outlasts the entry
+                    fa.append(k)
+                    fb.append(k2)
+                    put_m((v + v2, c2, nk))
+                    nk += step
+                    c -= c2
                     continue
-                c2 -= take
+            if c:  # c <= c2 here: each tree left pairs with one of the entry's
+                fa.append(k)
+                fb.append(k2)
+                put_m((v + v2, c, nk))
+                nk += step
+                c2 -= c
             v, c, k = v2, c2, k2
         # every entry left is at or above the bound, so none equals v
         if c > 1:
@@ -154,6 +157,10 @@ def _aggregate_lengths(p: float, L: int) -> list[dict[int, int]]:
         if mi > 4096:
             del mq[:mi]
             mi = 0
+            if len(fa) > 65536:
+                ca.fromlist(fa)
+                cb.fromlist(fb)
+                fa, fb = [], []
 
     # Reverse pass from the root, the last family made (level j of it).
     # Node g's level-0 trees sit at depth dep[g] (cnt[g] of them; 0 =
@@ -176,30 +183,27 @@ def _aggregate_lengths(p: float, L: int) -> list[dict[int, int]]:
 
     j = k & mask
     dep[-1], cnt[-1] = j, 1 << j
-    for f, a, b in zip(range(nid - 1, L, -1), reversed(ca), reversed(cb)):
-        kids = a, b
+    for f, a, b in zip(range(nid - 1, L, -1), chain(reversed(fa), reversed(ca)), chain(reversed(fb), reversed(cb))):
         d, c = dep[f] + 1, cnt[f]
         cnt[f] = 0
-        for x in kids:
-            g, j = x >> S, x & mask
-            dj = d + j
-            if dep[g] == dj:
-                cnt[g] += c << j
-            elif dep[g]:
-                push(g, dj, c << j)
-            else:
-                dep[g], cnt[g] = dj, c << j
+        g, j = a >> S, a & mask
+        if not dep[g] or dep[g] == d + j:
+            dep[g], cnt[g] = d + j, cnt[g] + (c << j)
+        else:
+            push(g, d + j, c << j)
+        g, j = b >> S, b & mask
+        if not dep[g] or dep[g] == d + j:
+            dep[g], cnt[g] = d + j, cnt[g] + (c << j)
+        else:
+            push(g, d + j, c << j)
         tr = more[f]
         if tr:
             for i in range(0, len(tr), 2):
-                for x in kids:
+                for x in a, b:
                     j = x & mask
                     push(x >> S, tr[i] + 1 + j, tr[i + 1] << j)
-    out = []
-    for w in range(L + 1):
-        tr = [dep[w], cnt[w]] + (more[w] or [])
-        out.append(dict(sorted(zip(tr[::2], tr[1::2]))))
-    return out
+    trs = ([dep[w], cnt[w]] + (more[w] or []) for w in range(L + 1))
+    return [dict(sorted(zip(tr[::2], tr[1::2]))) for tr in trs]
 
 
 def _rank_in_class(bits: Sequence[int], w: int) -> int:
@@ -251,7 +255,7 @@ class BernoulliBlockCode:
     lengths come from octave batches of about 1.4 L**2 queue entries on
     big integers, about half of which make families, which makes L in
     the hundreds take milliseconds to a tenth of a second and L = 1024
-    about 2.5 s, so `build_block_code` caches codes per (p, L).  Ranking
+    about 1.5 s, so `build_block_code` caches codes per (p, L).  Ranking
     and unranking step one binomial per bit.
     """
 

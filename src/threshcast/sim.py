@@ -13,6 +13,7 @@ of the experiment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -285,10 +286,12 @@ def run_block_strategy(
     X = draw_measurements(profile, N, np.random.default_rng(seed))
     stream_parts: list[str] = []
     rounds: list[RoundRecord] = []
+    # one code per (rank, live count) for encode and decode: the builder's own LRU may evict it in between
+    code_for = cache(lambda rank, m: build_block_code(profile.p(rank), m))
 
     def encode(rank: int, live: np.ndarray) -> np.ndarray:
         # p(rank) refuses a rank outside 1..n with InputError before X is read (n + 1 is an IndexError there)
-        code = build_block_code(profile.p(rank), int(live.size))
+        code = code_for(rank, int(live.size))
         block = X[live, rank - 1]
         cw = code.encode_block(block.astype(int).tolist())
         rounds.append(RoundRecord(len(rounds), rank, int(live.size), len(cw)))
@@ -301,7 +304,7 @@ def run_block_strategy(
 
     def decode(rank: int, live: np.ndarray) -> np.ndarray:
         nonlocal cursor
-        block, cursor = build_block_code(profile.p(rank), int(live.size)).decode_block(stream, cursor)
+        block, cursor = code_for(rank, int(live.size)).decode_block(stream, cursor)
         return np.array(block, dtype=bool)
 
     try:

@@ -1,8 +1,8 @@
 """Shared test plumbing: the acceptance-criteria result board, the
 policy's per-state picker and state walker over explicit remaining sets,
 the per-trial simulation report, the state-walking block protocol
-encoder, the recursive subset-cost oracle, the heap block-code builder
-and the explicit-alphabet Huffman code.
+encoder, the recursive subset-cost oracle, the full-product block class
+values, the heap block-code builder and the explicit-alphabet Huffman code.
 
 Acceptance tests register one verdict per criterion before asserting, so
 the terminal summary always shows a pass/fail line per criterion even
@@ -19,7 +19,7 @@ import numpy as np
 
 from threshcast.core import CapacityError, InputError, ProbabilityProfile
 from threshcast.dp import strategy_cost
-from threshcast.huffman import _class_values, build_block_code
+from threshcast.huffman import build_block_code
 from threshcast.sim import RoundRecord, SimulationReport, draw_measurements, walk_trials
 
 ACCEPTANCE_RESULTS: dict[int, tuple[bool, str]] = {}
@@ -196,6 +196,36 @@ def reference_cost_table(probs: tuple, exact: bool = False):
         return best
 
     return cost
+
+
+def _class_values(p: float, L: int) -> list[int]:
+    """Truncated values of p^w q^(L-w) scaled to 2**E, w = 0..L, each from
+    its own full-width product A^w B^(L-w) of the exact numerators of p =
+    A / 2**a and q = B / 2**a: the oracle for the package's stepped values.
+
+    E is the package's scale, 64 bits above ceil(L log2(1 / min(p, q))),
+    with log2(1 / min(p, q)) read as -log2(min(p, q)) where 1 / min(p, q)
+    overflows.
+    """
+    A, D = p.as_integer_ratio()
+    a = D.bit_length() - 1
+    B = D - A
+    m = min(p, 1.0 - p)
+    try:
+        E = math.ceil(L * math.log2(1.0 / m)) + 64
+    except OverflowError:  # 1 / m is inf
+        E = math.ceil(L * -math.log2(m)) + 64
+    shift = a * L - E
+    p_pows = [1] * (L + 1)
+    for w in range(1, L + 1):
+        p_pows[w] = p_pows[w - 1] * A
+    vals = [0] * (L + 1)
+    q_pow = 1  # B^(L - w)
+    for w in range(L, -1, -1):
+        num = p_pows[w] * q_pow
+        vals[w] = num >> shift if shift >= 0 else num << -shift
+        q_pow *= B
+    return vals
 
 
 def reference_aggregate_lengths(p: float, L: int) -> list[dict[int, int]]:

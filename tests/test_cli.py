@@ -602,6 +602,16 @@ class TestBlock:
         assert code == 2
 
 
+    def test_subnormal_probability(self, capsys):
+        # 1 / p overflows to inf at p = 5e-324; the block code's scale must not
+        code, out, err = run_cli(
+            capsys,
+            "block", "--probs", "5e-324,0.5,0.7", "--theta", "2",
+            "--N", "8", "--reps", "2", "--seed", "1",
+        )
+        assert code == 0 and err == ""
+        assert kv(out)["error_count"] == "0"
+
     def test_failed_decode_replay_exits_5(self, capsys, monkeypatch):
         decode = BernoulliBlockCode.decode_block
 

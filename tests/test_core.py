@@ -171,6 +171,15 @@ class TestTrees:
         monkeypatch.setattr("threshcast.core.dag_postorder", fold)
         assert a != b and a != moved_root
 
+    def test_a_tree_equals_itself_without_a_fold(self, monkeypatch):
+        tree = build_index_tree(24, 12)
+
+        def fold(*roots):
+            raise AssertionError("the DAG was folded")
+
+        monkeypatch.setattr("threshcast.core.dag_postorder", fold)
+        assert tree == tree and not tree != tree
+
     def test_equality_ignores_how_subtrees_are_shared(self):
         dag = build_index_tree(8, 4)
         expanded = tree_from_dict(tree_to_dict(dag))  # one object per expanded node

@@ -210,6 +210,21 @@ class TestOctaveBatches:
             monkeypatch.setattr(conftest, "_class_values", lambda p, L: list(vals))
             assert huffman._aggregate_lengths(0.5, L) == reference_aggregate_lengths(0.5, L), vals
 
+    def test_lengths_equal_once_children_move_to_arrays(self, monkeypatch):
+        # over 2**16 families: the children of the first ones are packed into arrays
+        packed = []
+
+        class Recording(huffman.array):
+            def fromlist(self, keys):
+                packed.append(len(keys))
+                super().fromlist(keys)
+
+        monkeypatch.setattr(huffman, "array", Recording)
+        for p, L in ((0.6, 320), (0.3, 330)):
+            packed.clear()
+            assert huffman._aggregate_lengths(p, L) == reference_aggregate_lengths(p, L), (p, L)
+            assert packed and min(packed) > 2**16, (p, L)
+
     def test_fair_coin_gives_every_block_length_L(self):
         for L in range(1, 65):
             assert huffman._aggregate_lengths(0.5, L) == [{L: math.comb(L, w)} for w in range(L + 1)], L
@@ -233,6 +248,47 @@ class TestOctaveBatches:
         for w in (0, 1, L - 1, L):
             assert huffman._unrank_in_class(0, L, w) == [0] * (L - w) + [1] * w
             assert huffman._unrank_in_class(math.comb(L, w) - 1, L, w) == [1] * w + [0] * (L - w)
+
+
+class TestClassValues:
+    """The stepped class values against the full-product oracle in conftest."""
+
+    @pytest.mark.parametrize("p", [1 / 3, 0.6, 0.5 - 2**-40, 0.5 + 2**-40, 1e-300, 5e-324])
+    def test_equal_to_full_products(self, p):
+        for L in (1, 2, 7, 64, 256, 1024):
+            assert huffman._class_values(p, L) == conftest._class_values(p, L), (p, L)
+
+    def test_scale_is_unchanged_where_one_over_p_is_finite(self):
+        # log2(1 / p) rounds to 2 + 2**-51 here and -log2(p) to 2, which
+        # would move the scale by one bit at L = 1
+        p = 0.25 * (1 - 2**-53)
+        for L in (1, 2, 7):
+            assert huffman._class_values(p, L) == conftest._class_values(p, L), L
+
+    def test_subnormal_probabilities_keep_64_guard_bits(self):
+        # 1 / p overflows to inf below about 5.6e-309, not at 6e-309
+        for p in (5e-324, 2.0**-1070, 3e-309, 6e-309):
+            for L in (1, 8, 33):
+                vals = huffman._class_values(p, L)
+                assert vals == conftest._class_values(p, L), (p, L)
+                assert 2**64 <= min(vals) <= 2**65, (p, L)
+        code = build_block_code(5e-324, 8)
+        assert code.class_lengths[0] == {1: 1}
+        assert code.expected_length == pytest.approx(1.0)
+        for bits in ([0] * 8, [0, 0, 1, 0, 0, 0, 0, 0], [1] * 8):
+            assert code.decode_block(code.encode_block(bits)) == (bits, len(code.encode_block(bits)))
+
+    def test_one_waiting_tree_meets_an_equal_value(self, monkeypatch):
+        # small weights that tie: a single tree waits in front of an
+        # equal-valued entry of more trees, and an entry of more trees
+        # waits in front of an equal-valued single tree
+        cases = [(2, [1, 1, 1]), (3, [1, 1, 1, 1]), (3, [1, 1, 5, 1]), (4, [3, 1, 1, 2, 1])]
+        for L, vals in cases:
+            monkeypatch.setattr(huffman, "_class_values", lambda p, L: list(vals))
+            monkeypatch.setattr(conftest, "_class_values", lambda p, L: list(vals))
+            assert huffman._aggregate_lengths(0.5, L) == reference_aggregate_lengths(0.5, L), vals
+        monkeypatch.setattr(huffman, "_class_values", lambda p, L: [1] * (L + 1))
+        assert huffman._aggregate_lengths(0.5, 3) == [{3: math.comb(3, w)} for w in range(4)]
 
 
 class TestBlockCode:

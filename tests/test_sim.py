@@ -1,6 +1,7 @@
 """Monte Carlo walker and the lockstep block protocol."""
 
 import time
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -316,6 +317,29 @@ class TestBlockProtocol:
     def test_instance_count_floor(self):
         with pytest.raises(InputError):
             run_order(ProbabilityProfile((0.3, 0.6)), 1, 0, 0)
+
+    def test_each_code_is_built_once_per_run_when_the_builder_cache_is_small(self, monkeypatch):
+        # a builder LRU of 2 evicts codes between the encode walk and the
+        # decode replay; the run keeps its own codes, so none is rebuilt
+        profile = ProbabilityProfile((0.2, 0.35, 0.5, 0.65, 0.8))
+        tree = strategy_dag("conjectured", 5, 2)
+        seeds = np.random.SeedSequence(3).spawn(2)
+        expected = [run_block_strategy(tree, profile, 2, 64, seed=child) for child in seeds]
+        built, real = [], sim.build_block_code
+
+        def build(p, L):
+            built.append((p, L))
+            return real(p, L)
+
+        small = lru_cache(maxsize=2)(build)
+        monkeypatch.setattr(sim, "build_block_code", small)
+        for child, want in zip(seeds, expected):
+            built.clear()
+            small.cache_clear()
+            assert run_block_strategy(tree, profile, 2, 64, seed=child) == want
+            keys = {(profile.p(r.transmitter), r.live_count) for r in want.rounds}
+            assert len(keys) > 2
+            assert sorted(built) == sorted(keys)
 
     def test_decoded_values_match_function_everywhere(self):
         rng = np.random.default_rng(21)
