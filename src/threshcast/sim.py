@@ -12,15 +12,17 @@ of the experiment.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
-from functools import cache
+from operator import itemgetter
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from . import huffman
 from .core import CapacityError, DecisionTree, InputError, Leaf, Node, ProbabilityProfile, ThresholdSpec, dag_postorder
 from .dp import strategy_cost
-from .huffman import build_block_code
+from .huffman import BernoulliBlockCode, build_block_code
 from .policy import build_index_tree
 
 
@@ -251,9 +253,18 @@ class BlockExperimentReport:
     values: tuple[int, ...] = field(repr=False)
 
 
-# A cold block-code build at L = 2048 takes about 10 s and 240 MiB
+# A cold block-code build at L = 2048 takes about 7.4 s and 236 MiB
 # (p = 0.6, 2-core x86-64 host, Python 3.11), and both grow as L**2.
 BLOCK_MAX_N = 2048
+
+# Codes at least this long are built on worker processes when a run needs
+# two or more of them.  At L = 48 a build takes 1.5-3 ms, and handing it
+# to a worker and back adds about 0.6 ms (2-core x86-64 host, Python
+# 3.11), so shorter codes would gain little; a lone long code is built
+# here, where it costs no hand-off.
+PARALLEL_BUILD_MIN_L = 48
+
+_build_pool = None  # the worker pool, made by the first _submit_builds that needs it
 
 
 def _check_block_length(N: int) -> None:
@@ -263,48 +274,118 @@ def _check_block_length(N: int) -> None:
         raise CapacityError(f"N={N} is over the block length cap of {BLOCK_MAX_N}")
 
 
-def run_block_strategy(
-    tree: DecisionTree, profile: ProbabilityProfile, theta: int, N: int, seed=None
-) -> BlockExperimentReport:
-    """Run N instances of strategy `tree` in lockstep, one Huffman-coded block per scheduled node.
+def _drop_build_pool() -> None:
+    global _build_pool
+    if _build_pool is not None:
+        _build_pool.shutdown(wait=False, cancel_futures=True)
+        _build_pool = None
 
-    `seed` is anything `np.random.default_rng` takes.  The schedule walks
-    the strategy DAG depth first, zero branch before one branch.  At each
-    node the transmitter encodes its bits for exactly the instances still
-    live there, as one iid block under its own marginal; nodes with no
-    live instances transmit nothing.  Afterwards the same walk decodes the
-    whole run back from the bit stream alone.  The tree is not validated
-    first: an instance counts as an error when the value the strategy
-    reaches, or the value the replay decodes, disagrees with the
-    function, and a replay that misreads the stream or leaves some of it
-    unread decodes no instance.  A transmitter outside 1..n, or N below 1,
-    raises InputError, and N over BLOCK_MAX_N CapacityError.  At N = 1
-    every block is a single bit and the protocol degenerates to the plain
-    single-instance strategy.
+
+def _exit_with_parent() -> None:
+    """Worker initializer: end this worker once the process that made the pool
+    has ended, even by a signal that ran none of its exit handlers."""
+    import threading
+    from multiprocessing import parent_process
+    from multiprocessing.connection import wait
+
+    def watch(sentinel) -> None:
+        wait([sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, args=(parent_process().sentinel,), daemon=True).start()
+
+
+def _submit_builds(keys: list[tuple[float, int]]) -> dict:
+    """A future per (p, L) in `keys`, each code built on a worker process.
+
+    The pool has min(2, usable cores) workers, started with the default
+    method by the first call that submits anything, and lives for the
+    process.  On one usable core, or when the workers cannot start,
+    nothing is submitted and the caller builds every code.  Workers run
+    `huffman.build_block_code` by name, whatever this module's
+    `build_block_code` has been replaced with (a wrapper cannot always be
+    pickled).
     """
-    _check_block_length(N)
+    global _build_pool
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if cores < 2:
+        return {}
+    try:
+        if _build_pool is None:
+            from concurrent.futures import ProcessPoolExecutor
+
+            _build_pool = ProcessPoolExecutor(min(2, cores), initializer=_exit_with_parent)
+        return {key: _build_pool.submit(huffman.build_block_code, *key) for key in keys}
+    except (OSError, RuntimeError):  # a fork failed, or the pool broke
+        _drop_build_pool()
+        return {}
+
+
+def _build_codes(keys: set[tuple[float, int]]) -> dict[tuple[float, int], BernoulliBlockCode]:
+    """The block code of each (p, L) in `keys`, each built once.
+
+    When two or more are at least PARALLEL_BUILD_MIN_L long, those go to
+    worker processes, longest first, while this process builds the
+    others; a code whose worker died is built here.  A code is a pure
+    function of (p, L), so the codes are the same on either path.
+    """
+    large = sorted((key for key in keys if key[1] >= PARALLEL_BUILD_MIN_L), key=itemgetter(1), reverse=True)
+    pending = _submit_builds(large) if len(large) > 1 else {}
+    codes = {key: build_block_code(*key) for key in keys if key not in pending}
+    if pending:
+        from concurrent.futures import BrokenExecutor
+
+        for key, future in pending.items():
+            try:
+                codes[key] = future.result()
+            except BrokenExecutor:  # a worker was killed
+                _drop_build_pool()
+                codes[key] = build_block_code(*key)
+    return codes
+
+
+# one replication's draw, each instance's value as the strategy reaches it,
+# and each block it sends as (rank, p, the block's bits), in send order
+_BlockPlan = tuple[np.ndarray, np.ndarray, list[tuple[int, float, np.ndarray]]]
+
+
+def _plan_blocks(tree: DecisionTree, profile: ProbabilityProfile, N: int, seed) -> _BlockPlan:
+    """Draw one replication and walk it, listing the blocks it sends."""
     X = draw_measurements(profile, N, np.random.default_rng(seed))
+    blocks: list[tuple[int, float, np.ndarray]] = []
+
+    def send(rank: int, live: np.ndarray) -> np.ndarray:
+        # p(rank) refuses a rank outside 1..n with InputError before X is read (n + 1 is an IndexError there)
+        p = profile.p(rank)
+        bits = X[live, rank - 1]
+        blocks.append((rank, p, bits))
+        return bits
+
+    return X, _block_walk(tree, N, send), blocks
+
+
+def _encode_and_replay(
+    tree: DecisionTree, profile: ProbabilityProfile, theta: int, plan: _BlockPlan, codes: dict
+) -> BlockExperimentReport:
+    """Code a planned replication's blocks, then decode the run back from the stream alone."""
+    X, values, blocks = plan
+    N = X.shape[0]
     stream_parts: list[str] = []
     rounds: list[RoundRecord] = []
-    # one code per (rank, live count) for encode and decode: the builder's own LRU may evict it in between
-    code_for = cache(lambda rank, m: build_block_code(profile.p(rank), m))
-
-    def encode(rank: int, live: np.ndarray) -> np.ndarray:
-        # p(rank) refuses a rank outside 1..n with InputError before X is read (n + 1 is an IndexError there)
-        code = code_for(rank, int(live.size))
-        block = X[live, rank - 1]
-        cw = code.encode_block(block.astype(int).tolist())
-        rounds.append(RoundRecord(len(rounds), rank, int(live.size), len(cw)))
+    for rank, p, bits in blocks:
+        cw = codes[p, bits.size].encode_block(bits.astype(int).tolist())
+        rounds.append(RoundRecord(len(rounds), rank, bits.size, len(cw)))
         stream_parts.append(cw)
-        return block
-
-    values = _block_walk(tree, N, encode)
     stream = "".join(stream_parts)
     cursor = 0
 
     def decode(rank: int, live: np.ndarray) -> np.ndarray:
         nonlocal cursor
-        block, cursor = code_for(rank, int(live.size)).decode_block(stream, cursor)
+        key = (profile.p(rank), live.size)
+        code = codes.get(key)
+        if code is None:  # a misread stream can lead the replay off the encoder's path
+            code = codes[key] = build_block_code(*key)
+        block, cursor = code.decode_block(stream, cursor)
         return np.array(block, dtype=bool)
 
     try:
@@ -326,6 +407,42 @@ def run_block_strategy(
         error_count=int(((values != truth) | (decoded != truth)).sum()),
         values=tuple(int(v) for v in decoded),
     )
+
+
+def _run_blocks(
+    tree: DecisionTree, profile: ProbabilityProfile, theta: int, N: int, seeds: Sequence
+) -> list[BlockExperimentReport]:
+    """One lockstep run of `tree` per seed, in three phases: every run is
+    drawn and walked first, which lists its blocks, since each block's bits
+    decide where the walk goes next; then each distinct (p, live count)
+    code of all the runs is built once; then each run is encoded and
+    replayed from those codes."""
+    plans = [_plan_blocks(tree, profile, N, seed) for seed in seeds]
+    codes = _build_codes({(p, bits.size) for _, _, blocks in plans for _, p, bits in blocks})
+    return [_encode_and_replay(tree, profile, theta, plan, codes) for plan in plans]
+
+
+def run_block_strategy(
+    tree: DecisionTree, profile: ProbabilityProfile, theta: int, N: int, seed=None
+) -> BlockExperimentReport:
+    """Run N instances of strategy `tree` in lockstep, one Huffman-coded block per scheduled node.
+
+    `seed` is anything `np.random.default_rng` takes.  The schedule walks
+    the strategy DAG depth first, zero branch before one branch.  At each
+    node the transmitter encodes its bits for exactly the instances still
+    live there, as one iid block under its own marginal; nodes with no
+    live instances transmit nothing.  Afterwards the same walk decodes the
+    whole run back from the bit stream alone.  The tree is not validated
+    first: an instance counts as an error when the value the strategy
+    reaches, or the value the replay decodes, disagrees with the
+    function, and a replay that misreads the stream or leaves some of it
+    unread decodes no instance.  A transmitter outside 1..n, or N below 1,
+    raises InputError, and N over BLOCK_MAX_N CapacityError, before any
+    code is built.  At N = 1 every block is a single bit and the protocol
+    degenerates to the plain single-instance strategy.
+    """
+    _check_block_length(N)
+    return _run_blocks(tree, profile, theta, N, [seed])[0]
 
 
 @dataclass(frozen=True)
@@ -352,14 +469,16 @@ def run_block_replications(
     order: OrderSpec = "conjectured",
 ) -> tuple[list[BlockExperimentReport], ReplicationSummary]:
     """Independent repetitions of the lockstep protocol: `order`'s DAG is
-    built once, and each replication is `run_block_strategy` on it, seeded
-    with one spawned child of `SeedSequence(seed)`."""
+    built once, and each replication is the run `run_block_strategy` makes
+    on it, seeded with one spawned child of `SeedSequence(seed)`.  The
+    replications share their codes: each distinct (p, live count) of the
+    whole call is built once."""
     if reps < 2:
         raise InputError("at least 2 replications are needed for a standard error")
     _check_block_length(N)
     tree = strategy_dag(order, profile.n, theta)
     children = np.random.SeedSequence(seed).spawn(reps)
-    reports = [run_block_strategy(tree, profile, theta, N, seed=child) for child in children]
+    reports = _run_blocks(tree, profile, theta, N, children)
     per_inst = np.array([r.bits_per_instance for r in reports])
     first = np.array([r.first_round_bits / N for r in reports])
     summary = ReplicationSummary(

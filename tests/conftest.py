@@ -2,7 +2,8 @@
 policy's per-state picker and state walker over explicit remaining sets,
 the per-trial simulation report, the state-walking block protocol
 encoder, the recursive subset-cost oracle, the full-product block class
-values, the heap block-code builder and the explicit-alphabet Huffman code.
+values, the heap block-code builder and the explicit-alphabet Huffman code;
+and a session finalizer that shuts the block-code worker pool down.
 
 Acceptance tests register one verdict per criterion before asserting, so
 the terminal summary always shows a pass/fail line per criterion even
@@ -11,12 +12,15 @@ when a criterion's assertion fires.
 
 import heapq
 import math
+import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterable, Optional
 
 import numpy as np
+import pytest
 
+from threshcast import sim
 from threshcast.core import CapacityError, InputError, ProbabilityProfile
 from threshcast.dp import strategy_cost
 from threshcast.huffman import build_block_code
@@ -37,6 +41,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         passed, detail = ACCEPTANCE_RESULTS[num]
         status = "PASS" if passed else "FAIL"
         terminalreporter.write_line(f"[criterion {num}] {status} - {detail}")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_worker_outlives_the_session():
+    """Shut the block-code worker pool down, so the run never waits on a worker at exit."""
+    yield
+    if sim._build_pool is not None:
+        sim._build_pool.shutdown()
+    assert multiprocessing.active_children() == []
 
 
 # The oracles below walk explicit states: a (remaining rank set, residual

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import time
@@ -22,6 +23,10 @@ from threshcast.dp import CostTable
 from threshcast.huffman import BernoulliBlockCode
 from threshcast.policy import annotate_reachable_states
 from threshcast.sim import BLOCK_MAX_N, SIM_MAX_CELLS, SimulationReport
+
+
+TWO_CORES = pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                               reason="code builds go to worker processes only with two usable cores")
 
 
 def run_cli(capsys, *argv):
@@ -635,7 +640,7 @@ class TestBlock:
         def ran(*a, **k):
             raise Ran
 
-        monkeypatch.setattr("threshcast.sim.run_block_strategy", ran)
+        monkeypatch.setattr("threshcast.sim.draw_measurements", ran)
         argv = ("block", "--probs", "0.3,0.6", "--theta", "1", "--reps", "2", "--seed", "5")
         code, out, err = run_cli(capsys, *argv, "--N", str(BLOCK_MAX_N + 1))
         assert code == 3 and out == ""
@@ -643,6 +648,47 @@ class TestBlock:
         for n in (1024, BLOCK_MAX_N):
             with pytest.raises(Ran):
                 main([*argv, "--N", str(n)])
+
+    WORKER_RUN = ["block", "--probs", "0.3,0.6,0.45", "--theta", "2", "--N", "128", "--reps", "2", "--seed", "3"]
+
+    def start_worker_run(self, then: str) -> subprocess.Popen:
+        """A `block` run that builds its long codes on workers, in a session of its own;
+        it prints where the codes were built, then runs `then`."""
+        code = ("import sys, time; from threshcast import cli, sim; code = cli.main(sys.argv[1:]); "
+                f"print('workers' if sim._build_pool else 'in-process', file=sys.stderr, flush=True); {then}")
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        return subprocess.Popen([sys.executable, "-c", code, *self.WORKER_RUN], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True, env=env, start_new_session=True)
+
+    @TWO_CORES
+    def test_a_run_on_workers_leaves_no_process_behind(self, capsys, monkeypatch):
+        proc = self.start_worker_run("sys.exit(code)")
+        out, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (0, "workers\n")
+        with pytest.raises(ProcessLookupError):  # the session, whose leader was proc, is empty
+            os.killpg(proc.pid, 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert run_cli(capsys, *self.WORKER_RUN) == (0, out, "")
+
+    @TWO_CORES
+    def test_the_workers_end_with_a_killed_run(self):
+        # SIGKILL runs no exit handler, so only the workers themselves can notice
+        proc = self.start_worker_run("time.sleep(120)")
+        with proc.stdout, proc.stderr:
+            try:
+                assert proc.stderr.readline() == "workers\n"
+            finally:
+                proc.kill()
+                proc.wait(timeout=30)
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline:
+                try:
+                    os.killpg(proc.pid, 0)
+                except ProcessLookupError:
+                    return
+                time.sleep(0.05)
+            os.killpg(proc.pid, signal.SIGKILL)
+            pytest.fail("a worker outlived its killed run by 30 s")
 
     @pytest.mark.parametrize("order", ["x,y", "", "1,,2"])
     def test_malformed_order_exits_2(self, capsys, order):

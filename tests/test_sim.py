@@ -1,13 +1,17 @@
 """Monte Carlo walker and the lockstep block protocol."""
 
+import os
+import pickle
 import time
-from functools import lru_cache
+from concurrent import futures
+from concurrent.futures.process import BrokenProcessPool
+from functools import lru_cache, wraps
 
 import numpy as np
 import pytest
 
 from conftest import reference_block_rounds, reference_simulation_report
-from threshcast import sim
+from threshcast import cli, sim
 from threshcast.core import CapacityError, InputError, Leaf, Node, ProbabilityProfile, TreeInvalidError, walk_tree
 from threshcast.huffman import BernoulliBlockCode
 from threshcast.dp import optimal_tree, strategy_cost
@@ -469,3 +473,130 @@ class TestReplications:
     def test_replication_floor(self):
         with pytest.raises(InputError):
             run_block_replications(ProbabilityProfile((0.3, 0.6)), 1, 8, reps=1, seed=0)
+
+
+def build_path(monkeypatch, workers: bool) -> None:
+    """Every run that needs two or more codes builds them all on worker
+    processes (two usable cores, no length threshold), or all in this
+    process (one usable core)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1} if workers else {0}, raising=False)
+    monkeypatch.setattr(sim, "PARALLEL_BUILD_MIN_L", 0)
+
+
+def count_builds(monkeypatch) -> list:
+    """Record each (p, L) this process builds through `sim.build_block_code`."""
+    built, real = [], sim.build_block_code
+
+    def build(p, L):
+        built.append((p, L))
+        return real(p, L)
+
+    monkeypatch.setattr(sim, "build_block_code", build)
+    return built
+
+
+class FakePool:
+    """A pool whose workers cannot start, or whose every worker dies."""
+
+    fail = "start"
+
+    def __init__(self, workers, initializer):
+        pass
+
+    def submit(self, fn, *args):
+        if self.fail == "start":
+            raise OSError("fork failed")
+        future = futures.Future()
+        future.set_exception(BrokenProcessPool("a worker died"))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+class TestCodeBuilds:
+    """A call plans its blocks first, builds each code once, and builds the long ones on workers."""
+
+    profile = ProbabilityProfile((0.2, 0.35, 0.5, 0.65, 0.8))
+
+    def test_each_code_is_built_once_per_call_when_the_builder_cache_is_small(self, monkeypatch):
+        # a builder LRU of 2 would evict codes between replications; the
+        # call keeps its own, so a code its replications share is built once
+        build_path(monkeypatch, workers=False)
+        built = count_builds(monkeypatch)
+        monkeypatch.setattr(sim, "build_block_code", lru_cache(maxsize=2)(sim.build_block_code))
+        reports, _ = run_block_replications(self.profile, 2, 64, reps=4, seed=3)
+        per_rep = [{(self.profile.p(r.transmitter), r.live_count) for r in rep.rounds} for rep in reports]
+        keys = set().union(*per_rep)
+        assert len(keys) > 2 and sum(map(len, per_rep)) > len(keys)
+        assert sorted(built) == sorted(keys)
+
+    @pytest.mark.parametrize("order", ["conjectured", (3, 1, 5, 2, 4)])
+    def test_both_paths_give_equal_reports(self, monkeypatch, order):
+        build_path(monkeypatch, workers=False)
+        want = run_block_replications(self.profile, 2, 64, reps=3, seed=7, order=order)
+        build_path(monkeypatch, workers=True)
+        built = count_builds(monkeypatch)
+        assert run_block_replications(self.profile, 2, 64, reps=3, seed=7, order=order) == want
+        assert built == [] and sim._build_pool is not None
+
+    @pytest.mark.parametrize("order", [(), ("--order", "4,2,5,1,3")])
+    def test_both_paths_print_equal_stdout(self, monkeypatch, capsys, order):
+        argv = ["block", "--probs", "0.8,0.2,0.65,0.35,0.5", "--theta", "3", "--N", "96", "--reps", "3",
+                "--seed", "11", "--format", "json", "--transcript", *order]
+        out = []
+        for workers in (False, True):
+            build_path(monkeypatch, workers)
+            assert cli.main(argv) == 0
+            out.append(capsys.readouterr().out)
+        assert out[0] == out[1] and '"rounds"' in out[0]
+
+    def test_both_paths_refuse_an_out_of_range_transmitter_alike(self, monkeypatch):
+        # the zero branch of rank 1 asks rank 3 of a 2-node profile
+        profile = ProbabilityProfile((0.3, 0.6))
+        tree = Node(1, Node(2, Leaf(0), Node(3, Leaf(0), Leaf(1))), Leaf(1))
+        errors = []
+        for workers in (False, True):
+            build_path(monkeypatch, workers)
+            with pytest.raises(InputError) as e:
+                run_block_strategy(tree, profile, 1, 64, seed=2)
+            errors.append(str(e.value))
+        assert errors[0] == errors[1]
+
+    def test_a_wrapped_builder_does_not_reach_the_workers(self, monkeypatch):
+        # the benchmark's tracer wraps sim.build_block_code with functools.wraps,
+        # and such a wrapper cannot be pickled by name
+        build_path(monkeypatch, workers=False)
+        want = run_block_replications(self.profile, 2, 64, reps=3, seed=5)
+        real = sim.build_block_code
+
+        @wraps(real)
+        def traced(*args):
+            return real(*args)
+
+        with pytest.raises(pickle.PicklingError):
+            pickle.dumps(traced)
+        monkeypatch.setattr(sim, "build_block_code", traced)
+        build_path(monkeypatch, workers=True)
+        assert run_block_replications(self.profile, 2, 64, reps=3, seed=5) == want
+
+    def test_one_usable_core_starts_no_worker(self, monkeypatch):
+        monkeypatch.setattr(sim, "_build_pool", None)
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", lambda *a: pytest.fail("a pool was made"))
+        build_path(monkeypatch, workers=False)
+        run_block_replications(self.profile, 2, 64, reps=3, seed=5)
+        assert sim._build_pool is None
+
+    @pytest.mark.parametrize("fail", ["start", "die"])
+    def test_codes_the_workers_cannot_build_are_built_here(self, monkeypatch, fail):
+        build_path(monkeypatch, workers=False)
+        want = run_block_replications(self.profile, 2, 64, reps=3, seed=5)
+        monkeypatch.setattr(sim, "_build_pool", None)
+        monkeypatch.setattr(FakePool, "fail", fail)
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", FakePool)
+        build_path(monkeypatch, workers=True)
+        built = count_builds(monkeypatch)
+        assert run_block_replications(self.profile, 2, 64, reps=3, seed=5) == want
+        keys = {(self.profile.p(r.transmitter), r.live_count) for rep in want[0] for r in rep.rounds}
+        assert sorted(built) == sorted(keys)
+        assert sim._build_pool is None  # dropped, so the next call tries afresh
