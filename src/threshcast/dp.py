@@ -14,15 +14,15 @@ bit.  Which columns one level down a pass reads, and which probability,
 depend on n alone, so that plan is built once per n and kept for the
 life of the process (`_plan`, about 5 bytes per (subset, set bit) and 4
 per mask: 2.9 MB at n = 16, 56.6 MB at n = 20).  A level is filled in
-column blocks of at most FILL_BLOCK_CELLS gathered cells, small enough
-to stay in cache; a block does all l passes at once with two gathers,
-the band rows one level down taken column-wise at the plan's columns
-and the probabilities at the plan's bit indices, then the arithmetic in
-place and one min-reduce over the passes.  A table without a theta
-answers every substate query for one profile; one built for a theta
-fills and stores only the band of t that a walk from the full set can
-reach, one t per level at theta = 1 or n.  Subset enumeration is
-exponential in n; the cap guards against accidental huge instances.
+column blocks whose temporaries hold at most FILL_BLOCK_CELLS cells, small
+enough to stay in cache; a block does all l passes at once with two gathers,
+the band rows one level down less the determined zeros t = 0 and t = l taken
+column-wise at the plan's columns, and the probabilities at the plan's bit
+indices, then the arithmetic in place and one min-reduce over the passes.  A
+table without a theta answers every substate query for one profile; one
+built for a theta fills and stores only the band of t that a walk from the
+full set can reach, one t per level at theta = 1 or n.  Subset enumeration
+is exponential in n; the cap guards against accidental huge instances.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ DEFAULT_NODE_CAP = 20
 DEFAULT_TIE_TOL = 1e-12
 # masks index an int32 row map, so no cap can lift n above this
 MAX_TABLE_N = 30
-# cells (band rows x passes x columns) one fill block gathers: 128 KiB of
-# float64, which stays in cache and below malloc's mmap threshold
+# cells (rows x passes x columns) of one fill block's largest temporary:
+# 128 KiB of float64, which stays in cache and below malloc's mmap threshold
 FILL_BLOCK_CELLS = 1 << 14
 
 
@@ -106,13 +106,14 @@ class CostTable:
     InputError.  Level l stores rows lo-1 .. hi+1: the band and a zero
     row on each side, which the next level reads where it is determined
     (t = 0 or l+1); a full table has lo = 1, so its row index is t.
-    Columns s:e of level l, a block of at most FILL_BLOCK_CELLS gathered
-    cells, take all l passes at once: `np.take(band_rows, cols[l][:, s:e],
-    axis=1)` on the band rows of level l-1, sliced once per level, and
-    `np.take(probs, bits[l][:, s:e])` on the n probabilities, from the
-    plan `_plan(n)`, built on the first fill at n and kept: 4 bytes per
-    mask and 5 per (subset, set bit); `np.minimum.reduce` over the
-    passes writes the block's columns.
+    Columns s:e of level l take all l passes at once: `np.take(gathered,
+    cols[l][:, s:e], axis=1)` on rows lo-1 .. hi of level l-1, sliced once
+    per level less row 0 (if lo = 1) and row l (if hi = l), determined zeros
+    that leave output rows one + (1-p)*B and p*A + one, and `np.take(probs,
+    bits[l][:, s:e])` on the n probabilities, from the plan `_plan(n)`,
+    built on the first fill at n and kept: 4 bytes per mask and 5 per
+    (subset, set bit); `np.minimum.reduce` over the passes writes the
+    block's columns; a block is FILL_BLOCK_CELLS // (l * max(gathered, band rows)) columns.
     With exact=True the same fill runs over object arrays of rationals
     (probabilities taken at their exact binary float values), so ties
     are ties, not artifacts of rounding.
@@ -164,22 +165,25 @@ class CostTable:
         levels = [np.full((2, 1), zero, dtype=dtype)]
         for l in range(1, n + 1):
             lo, hi = self._lo[l], self._hi[l]
-            # rows lo-1 .. hi of level l-1, which stores rows from its own lo-1
-            skip = lo - self._lo[l - 1]
-            band_rows = levels[l - 1][skip : skip + hi - lo + 2]
+            rows, a, b = hi - lo + 1, int(lo == 1), int(hi == l)
+            # rows lo-1 .. hi of level l-1 (stored from its lo-1) less the zeros t = 0 (a) and t = l (b)
+            skip = lo - self._lo[l - 1] + a
+            gathered, rows_b = levels[l - 1][skip : skip + rows + 1 - a - b], slice(1 - a, rows + 1 - a - b)
             col, bit = cols[l], bits[l]
-            cur = np.full((hi - lo + 3, col.shape[1]), zero, dtype=dtype)
-            width = max(1, FILL_BLOCK_CELLS // (len(band_rows) * l))
+            cur = np.full((rows + 2, col.shape[1]), zero, dtype=dtype)
+            width = max(1, FILL_BLOCK_CELLS // (max(len(gathered), rows, 1) * l))
             for s in range(0, col.shape[1], width):
                 e = s + width
-                below = np.take(band_rows, col[:, s:e], axis=1)  # (rows, pass, column)
+                below = np.take(gathered, col[:, s:e], axis=1)  # (rows, pass, column)
                 p = np.take(probs, bit[:, s:e])
                 # one + p * A + (one - p) * B in the recurrence's rounding order,
                 # so entries are bit-identical to it; B is scaled once A is read
-                c = p * below[:-1]
-                c += one
-                below[1:] *= one - p
-                c += below[1:]
+                c = np.empty((rows,) + p.shape, dtype=dtype)
+                c[:a] = one
+                np.multiply(p, below[: rows - a], out=c[a:])
+                c[a:] += one
+                below[rows_b] *= one - p
+                c[: rows - b] += below[rows_b]
                 np.minimum.reduce(c, axis=1, out=cur[1:-1, s:e])
             levels.append(cur)
         self._row = row
@@ -216,13 +220,16 @@ class CostTable:
         return self._entry(mask, t)
 
     def candidate_costs(self, mask: int, t: int) -> dict[int, object]:
-        """Expected cost of each legal first transmitter at an undetermined state."""
+        """Expected cost of each legal first transmitter at an undetermined state, read off level |R| - 1."""
         self._check_mask(mask)
         level = mask.bit_count()
         if t <= 0 or t > level:
             raise InputError("candidate costs are defined only at undetermined states")
         if not self._lo[level] <= t <= self._hi[level]:
             raise self._outside_band(level, t)
+        if self._levels is None:
+            self._fill()
+        below, i, row = self._levels[level - 1], t - self._lo[level - 1], self._row
         out: dict[int, object] = {}
         one = self._one
         mm = mask
@@ -231,8 +238,8 @@ class CostTable:
             mm ^= low
             rank = low.bit_length()
             p = self._probs[rank - 1]
-            sub = mask ^ low
-            out[rank] = one + p * self._entry(sub, t - 1) + (one - p) * self._entry(sub, t)
+            c = row[mask ^ low]
+            out[rank] = one + p * below[i, c] + (one - p) * below[i + 1, c]
         return out
 
     def minimizers(self, mask: int, t: int, tol: float = DEFAULT_TIE_TOL) -> tuple[int, ...]:

@@ -256,6 +256,9 @@ class BlockExperimentReport:
 # A cold block-code build at L = 2048 takes about 7.4 s and 236 MiB
 # (p = 0.6, 2-core x86-64 host, Python 3.11), and both grow as L**2.
 BLOCK_MAX_N = 2048
+# The widest class values, N log2(1 / min(p, 1 - p)) bits, a build may use: the smallest round cap that admits
+# p = 5e-324 at N = 8.  At N = 2048 and p = 0.048 a build takes 7.3-7.9 s and 244 MiB (same host).
+BLOCK_MAX_WIDTH = 9000
 
 # Codes at least this long are built on worker processes when a run needs
 # two or more of them.  At L = 48 a build takes 1.5-3 ms, and handing it
@@ -267,11 +270,15 @@ PARALLEL_BUILD_MIN_L = 48
 _build_pool = None  # the worker pool, made by the first _submit_builds that needs it
 
 
-def _check_block_length(N: int) -> None:
+def _check_block(profile: ProbabilityProfile, N: int) -> None:
     if N < 1:
         raise InputError(f"N must be positive, got {N}")
     if N > BLOCK_MAX_N:
         raise CapacityError(f"N={N} is over the block length cap of {BLOCK_MAX_N}")
+    q = min(profile.probs[0], 1.0 - profile.probs[-1])  # the profile is sorted
+    if (width := N * -np.log2(q)) > BLOCK_MAX_WIDTH:
+        raise CapacityError(f"N={N} at min(p, 1 - p) = {q!r} needs {width:.0f}-bit class values, "
+                            f"over the block code width cap of {BLOCK_MAX_WIDTH}")
 
 
 def _drop_build_pool() -> None:
@@ -437,11 +444,11 @@ def run_block_strategy(
     reaches, or the value the replay decodes, disagrees with the
     function, and a replay that misreads the stream or leaves some of it
     unread decodes no instance.  A transmitter outside 1..n, or N below 1,
-    raises InputError, and N over BLOCK_MAX_N CapacityError, before any
-    code is built.  At N = 1 every block is a single bit and the protocol
-    degenerates to the plain single-instance strategy.
+    raises InputError, and N over BLOCK_MAX_N or N log2(1 / min(p, 1 - p))
+    over BLOCK_MAX_WIDTH at any p CapacityError, before any code is built.
+    At N = 1 every block is a single bit: the single-instance strategy.
     """
-    _check_block_length(N)
+    _check_block(profile, N)
     return _run_blocks(tree, profile, theta, N, [seed])[0]
 
 
@@ -475,7 +482,7 @@ def run_block_replications(
     whole call is built once."""
     if reps < 2:
         raise InputError("at least 2 replications are needed for a standard error")
-    _check_block_length(N)
+    _check_block(profile, N)
     tree = strategy_dag(order, profile.n, theta)
     children = np.random.SeedSequence(seed).spawn(reps)
     reports = _run_blocks(tree, profile, theta, N, children)

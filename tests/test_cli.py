@@ -22,7 +22,7 @@ from threshcast.core import Leaf, Node, ProbabilityProfile
 from threshcast.dp import CostTable
 from threshcast.huffman import BernoulliBlockCode
 from threshcast.policy import annotate_reachable_states
-from threshcast.sim import BLOCK_MAX_N, SIM_MAX_CELLS, SimulationReport
+from threshcast.sim import BLOCK_MAX_N, BLOCK_MAX_WIDTH, SIM_MAX_CELLS, SimulationReport
 
 
 TWO_CORES = pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
@@ -648,6 +648,26 @@ class TestBlock:
         for n in (1024, BLOCK_MAX_N):
             with pytest.raises(Ran):
                 main([*argv, "--N", str(n)])
+
+    def test_block_code_width_over_the_cap_is_refused_before_any_replication(self, capsys, monkeypatch):
+        class Ran(Exception):
+            pass
+
+        def ran(*a, **k):
+            raise Ran
+
+        monkeypatch.setattr("threshcast.sim.draw_measurements", ran)
+        argv = ("block", "--theta", "1", "--reps", "2", "--seed", "5")
+        # a rare outcome at either end: p near 0, or p near 1
+        for probs, N in (("1e-300,0.5", "512"), ("0.5,0.9999", "1024"), ("0.001,0.5", "1024")):
+            code, out, err = run_cli(capsys, *argv, "--probs", probs, "--N", N)
+            assert code == 3 and out == ""
+            assert err.startswith(f"error: N={N} at min(p, 1 - p) = ")
+            assert err.endswith(f"over the block code width cap of {BLOCK_MAX_WIDTH}\n")
+        # just under the cap, and the subnormal case of test_subnormal_probability
+        for probs, N in (("0.048,0.5", "2048"), ("0.01,0.99", "1024"), ("5e-324,0.5,0.7", "8")):
+            with pytest.raises(Ran):
+                main([*argv, "--probs", probs, "--N", N])
 
     WORKER_RUN = ["block", "--probs", "0.3,0.6,0.45", "--theta", "2", "--N", "128", "--reps", "2", "--seed", "3"]
 

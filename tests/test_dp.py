@@ -186,15 +186,59 @@ class TestLevelFill:
                 assert got == want(mask, t), (probs, mask, t)
 
     def test_candidate_costs_are_the_recurrence_terms(self):
-        probs = (0.15, 0.3, 0.3, 0.55, 0.8, 0.9)
-        table = CostTable(ProbabilityProfile(probs))
-        mask = 0b101011  # ranks 1, 2, 4, 6
-        cand = table.candidate_costs(mask, 2)
-        assert min(cand.values()) == table.cost(mask, 2)
-        for rank, c in cand.items():
-            rest = mask ^ (1 << (rank - 1))
-            p = probs[rank - 1]
-            assert c == 1.0 + p * table.cost(rest, 1) + (1.0 - p) * table.cost(rest, 2)
+        # every undetermined state a table holds, full and each theta's band,
+        # in floats and in rationals, against the recursion's terms
+        rng = np.random.default_rng(43)
+        for n in range(1, 9):
+            probs = tuple(sorted(float(p) for p in rng.uniform(0.01, 0.99, n)))
+            for exact in (False, True):
+                want = reference_cost_table(probs, exact=exact)
+                one = Fraction(1) if exact else 1.0
+                ps = tuple(Fraction(p) for p in probs) if exact else probs
+                for theta in (None, *range(0, n + 2)):
+                    table = CostTable(ProbabilityProfile(probs), exact=exact, theta=theta)
+                    for mask in range(1, 1 << n):
+                        level = mask.bit_count()
+                        for t in band_of(n, theta, level):
+                            cand = table.candidate_costs(mask, t)
+                            assert list(cand) == [r for r in range(1, n + 1) if mask >> (r - 1) & 1]
+                            assert min(cand.values()) == table.cost(mask, t)
+                            for rank, c in cand.items():
+                                rest = mask ^ (1 << (rank - 1))
+                                p = ps[rank - 1]
+                                assert type(c) is type(one)
+                                assert c == one + p * want(rest, t - 1) + (one - p) * want(rest, t), (theta, mask, t)
+
+    def test_stored_levels_equal_the_recursion_whichever_edge_rows_are_dropped(self):
+        # a level gathers neither row 0 one level down (when its band starts
+        # at t = 1) nor row l (when it ends at t = l); every combination
+        # occurs here, and the empty bands of theta 0 and n + 1 fill too
+        rng = np.random.default_rng(47)
+        dropped = set()
+        for n in range(1, 9):
+            probs = tuple(sorted(float(p) for p in rng.uniform(0.01, 0.99, n)))
+            row = _plan(n)[0]
+            by_level: dict = {}
+            for mask in range(1 << n):
+                by_level.setdefault(mask.bit_count(), []).append(mask)
+            for exact in (False, True):
+                want = reference_cost_table(probs, exact=exact)
+                for theta in (None, *range(0, n + 2)):
+                    table = CostTable(ProbabilityProfile(probs), exact=exact, theta=theta)
+                    table._fill()
+                    for level, masks in by_level.items():
+                        band = band_of(n, theta, level)
+                        stored = np.asarray(table._levels[level])
+                        assert stored.shape == (len(band) + 2, comb(n, level))
+                        assert (stored[0] == 0).all() and (stored[-1] == 0).all()
+                        if band:
+                            dropped.add((band[0] == 1, band[-1] == level))
+                        for t in band:
+                            for mask in masks:
+                                got = stored[t - band[0] + 1, row[mask]]
+                                assert got == want(mask, t), (exact, theta, mask, t)
+                                assert type(got) is (Fraction if exact else np.float64)
+        assert dropped == {(False, False), (False, True), (True, False), (True, True)}
 
     def test_n18_fill_within_budget(self):
         probs = tuple((i + 0.5) / 18 for i in range(18))
@@ -205,8 +249,11 @@ class TestLevelFill:
         assert 9.0 <= cost <= 18.0
 
 
-def band_of(n: int, theta: int, level: int) -> range:
-    """The t a walk from (all n nodes, theta) can reach with `level` nodes left."""
+def band_of(n: int, theta: int | None, level: int) -> range:
+    """The t a walk from (all n nodes, theta) can reach with `level` nodes
+    left; with theta None, every undetermined t."""
+    if theta is None:
+        return range(1, level + 1)
     return range(max(1, theta - (n - level)), min(level, theta) + 1)
 
 
@@ -343,20 +390,40 @@ class TestFillBlocks:
     def small_blocks(self, monkeypatch):
         monkeypatch.setattr(dp, "FILL_BLOCK_CELLS", self.CELLS)
         # at n = 10 some levels fall to one column per block, others have
-        # several columns per block and a last block that is partial
-        widths = {l: max(1, self.CELLS // ((l + 1) * l)) for l in range(1, 11)}
+        # several columns per block and a last block that is partial; a full
+        # level gathers l - 1 rows and writes l, so a block holds CELLS // l**2
+        widths = {l: max(1, self.CELLS // (l * l)) for l in range(1, 11)}
         assert any(w == 1 for w in widths.values())
         assert any(1 < w < comb(10, l) and comb(10, l) % w for l, w in widths.items())
 
     def test_float_and_exact_fills_equal_the_recursion(self, small_blocks):
         TestLevelFill().test_float_fill_is_bit_identical_to_the_recursion()
         TestLevelFill().test_exact_fill_matches_the_rational_recursion()
+        TestLevelFill().test_stored_levels_equal_the_recursion_whichever_edge_rows_are_dropped()
 
     def test_bands_equal_the_recursion_and_the_full_table(self, small_blocks):
         bands = TestThresholdBand()
         bands.test_float_band_equals_the_recursion()
         bands.test_exact_band_equals_the_rational_recursion()
         bands.test_every_band_entry_equals_the_full_table()
+
+    def test_no_block_temporary_exceeds_the_block_cells(self, monkeypatch):
+        # a full level writes one row more than it gathers, a band at theta 1
+        # or n as many, an empty band none
+        n = 12
+        _plan(n)
+        sizes = []
+        for name in ("empty", "take"):
+            def record(*args, _real=getattr(np, name), **kwargs):
+                out = _real(*args, **kwargs)
+                sizes.append(out.size)
+                return out
+
+            monkeypatch.setattr(dp.np, name, record)
+        profile = ProbabilityProfile(tuple((i + 0.25) / n for i in range(n)))
+        for theta in (None, 0, 1, n // 2, n, n + 1):
+            CostTable(profile, theta=theta)._fill()
+        assert sizes and max(sizes) <= dp.FILL_BLOCK_CELLS
 
     def test_full_fill_peak_memory(self):
         n = 16
