@@ -268,7 +268,8 @@ def cmd_solve(opts: argparse.Namespace) -> tuple[str, int]:
     if opts.format in ("table", "json", "dot"):
         check_strategy_size(profile.n, theta)
     cost = optimal_cost(profile, theta, table)
-    tree = optimal_tree(profile, theta, table=table, tol=opts.tol)
+    # csv prints no tree, so none is extracted
+    tree = None if opts.format == "csv" else optimal_tree(profile, theta, table=table, tol=opts.tol)
     first = table.minimizers((1 << profile.n) - 1, theta, tol=opts.tol) if 1 <= theta <= profile.n else ()
 
     if opts.format == "dot":

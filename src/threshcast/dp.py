@@ -189,18 +189,6 @@ class CostTable:
         self._row = row
         self._levels = levels if self.exact else [memoryview(a) for a in levels]
 
-    def _entry(self, mask: int, t: int):
-        """C(mask, t) for any mask, and any t in the band or determined, by table lookup."""
-        level = mask.bit_count()
-        lo = self._lo[level]
-        if lo <= t <= self._hi[level]:
-            if self._levels is None:
-                self._fill()
-            return self._levels[level][t - lo + 1, self._row[mask]]
-        if t <= 0 or t > level:
-            return self._zero
-        raise self._outside_band(level, t)
-
     def _outside_band(self, level: int, t: int) -> InputError:
         return InputError(
             f"C(R, {t}) with |R| = {level} is outside this table's band for theta {self.theta} "
@@ -217,7 +205,15 @@ class CostTable:
     def cost(self, mask: int, t: int):
         """Optimal expected bits from state (mask, t) (0 when already determined)."""
         self._check_mask(mask)
-        return self._entry(mask, t)
+        level = mask.bit_count()
+        lo = self._lo[level]
+        if lo <= t <= self._hi[level]:
+            if self._levels is None:
+                self._fill()
+            return self._levels[level][t - lo + 1, self._row[mask]]
+        if t <= 0 or t > level:
+            return self._zero
+        raise self._outside_band(level, t)
 
     def candidate_costs(self, mask: int, t: int) -> dict[int, object]:
         """Expected cost of each legal first transmitter at an undetermined state, read off level |R| - 1."""

@@ -39,7 +39,6 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
 from typing import Sequence
@@ -255,8 +254,7 @@ class BernoulliBlockCode:
     lengths come from octave batches of about 1.4 L**2 queue entries on
     big integers, about half of which make families, which makes L in
     the hundreds take milliseconds to a tenth of a second and L = 1024
-    about 1.5 s, so `build_block_code` caches codes per (p, L).  Ranking
-    and unranking step one binomial per bit.
+    about 1.5 s.  Ranking and unranking step one binomial per bit.
     """
 
     p: float
@@ -269,7 +267,10 @@ class BernoulliBlockCode:
     _runs: list[tuple[int, int, int, int]] = field(repr=False)
 
     def encode_block(self, bits: Sequence[int]) -> str:
-        w, r = self._locate(bits)
+        if len(bits) != self.L:
+            raise InputError(f"block has {len(bits)} bits, code expects {self.L}")
+        w = sum(1 for b in bits if b)
+        r = _rank_in_class(bits, w)
         for rank_end, length, base in self._class_runs[w]:
             if r < rank_end:
                 return format(base + r, "b").zfill(length)
@@ -292,16 +293,9 @@ class BernoulliBlockCode:
             raise InputError("bit stream ended inside a block codeword")
         return _unrank_in_class(rank_start + ((value - start) >> (width - length)), self.L, w), pos + length
 
-    def _locate(self, bits: Sequence[int]) -> tuple[int, int]:
-        if len(bits) != self.L:
-            raise InputError(f"block has {len(bits)} bits, code expects {self.L}")
-        w = sum(1 for b in bits if b)
-        return w, _rank_in_class(bits, w)
 
-
-@lru_cache(maxsize=256)
 def build_block_code(p: float, L: int) -> BernoulliBlockCode:
-    """Build (and cache) the aggregated block code for Bernoulli(p)^L."""
+    """Build the aggregated block code for Bernoulli(p)^L."""
     if not 0.0 < p < 1.0:
         raise InputError(f"p must be in (0, 1), got {p!r}")
     if L < 1:

@@ -267,7 +267,7 @@ BLOCK_MAX_WIDTH = 9000
 # here, where it costs no hand-off.
 PARALLEL_BUILD_MIN_L = 48
 
-_build_pool = None  # the worker pool, made by the first _submit_builds that needs it
+_build_pool = None  # the worker pool, made by the first _build_codes that needs it
 
 
 def _check_block(profile: ProbabilityProfile, N: int) -> None:
@@ -302,42 +302,33 @@ def _exit_with_parent() -> None:
     threading.Thread(target=watch, args=(parent_process().sentinel,), daemon=True).start()
 
 
-def _submit_builds(keys: list[tuple[float, int]]) -> dict:
-    """A future per (p, L) in `keys`, each code built on a worker process.
+def _build_codes(keys: set[tuple[float, int]]) -> dict[tuple[float, int], BernoulliBlockCode]:
+    """The block code of each (p, L) in `keys`, each built once, for one call.
 
-    The pool has min(2, usable cores) workers, started with the default
-    method by the first call that submits anything, and lives for the
-    process.  On one usable core, or when the workers cannot start,
-    nothing is submitted and the caller builds every code.  Workers run
-    `huffman.build_block_code` by name, whatever this module's
-    `build_block_code` has been replaced with (a wrapper cannot always be
-    pickled).
+    When two or more are at least PARALLEL_BUILD_MIN_L long and two cores
+    are usable, those go to worker processes, longest first, while this
+    process builds the others.  The pool has min(2, usable cores)
+    workers, started with the default method by the first call that
+    submits anything, and lives for the process.  When the workers cannot
+    start, every code is built here, as is a code whose worker died.
+    Workers run `huffman.build_block_code` by name, whatever this
+    module's `build_block_code` has been replaced with (a wrapper cannot
+    always be pickled).  A code is a pure function of (p, L), so the
+    codes are the same on either path.
     """
     global _build_pool
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if cores < 2:
-        return {}
-    try:
-        if _build_pool is None:
-            from concurrent.futures import ProcessPoolExecutor
-
-            _build_pool = ProcessPoolExecutor(min(2, cores), initializer=_exit_with_parent)
-        return {key: _build_pool.submit(huffman.build_block_code, *key) for key in keys}
-    except (OSError, RuntimeError):  # a fork failed, or the pool broke
-        _drop_build_pool()
-        return {}
-
-
-def _build_codes(keys: set[tuple[float, int]]) -> dict[tuple[float, int], BernoulliBlockCode]:
-    """The block code of each (p, L) in `keys`, each built once.
-
-    When two or more are at least PARALLEL_BUILD_MIN_L long, those go to
-    worker processes, longest first, while this process builds the
-    others; a code whose worker died is built here.  A code is a pure
-    function of (p, L), so the codes are the same on either path.
-    """
     large = sorted((key for key in keys if key[1] >= PARALLEL_BUILD_MIN_L), key=itemgetter(1), reverse=True)
-    pending = _submit_builds(large) if len(large) > 1 else {}
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    pending = {}
+    if len(large) > 1 and cores > 1:
+        try:
+            if _build_pool is None:
+                from concurrent.futures import ProcessPoolExecutor
+
+                _build_pool = ProcessPoolExecutor(min(2, cores), initializer=_exit_with_parent)
+            pending = {key: _build_pool.submit(huffman.build_block_code, *key) for key in large}
+        except (OSError, RuntimeError):  # a fork failed, or the pool broke
+            _drop_build_pool()
     codes = {key: build_block_code(*key) for key in keys if key not in pending}
     if pending:
         from concurrent.futures import BrokenExecutor

@@ -1,6 +1,7 @@
 """Command line behavior: formats, precedence, exit codes, determinism."""
 
 import argparse
+import errno
 import json
 import os
 import re
@@ -87,6 +88,15 @@ class TestSolve:
         lines = out.splitlines()
         assert lines[0] == "n,theta,optimal_cost,optimal_first_transmitters"
         assert lines[1] == "2,1,1.4,2"
+
+    def test_csv_extracts_no_tree(self, capsys, monkeypatch):
+        argv = ["solve", "--probs", "0.9,0.2,0.5,0.35,0.7,0.1", "--theta", "3"]
+        fields = kv(run_cli(capsys, *argv)[1])
+        monkeypatch.setattr("threshcast.cli.optimal_tree", lambda *a, **k: pytest.fail("csv extracted a tree"))
+        code, out, err = run_cli(capsys, *argv, "--format", "csv")
+        assert (code, err) == (0, "")
+        keys = ("n", "theta", "optimal_cost", "optimal_first_transmitters")
+        assert out == ",".join(keys) + "\n" + ",".join(fields[k] for k in keys) + "\n"
 
     def test_dot_output_with_labels(self, capsys):
         code, out, _ = run_cli(
@@ -924,6 +934,13 @@ class TestConfigAndOutput:
         code, _, err = run_cli(capsys, "solve", "--config", str(cfg), "--theta", "1")
         assert code == 2
 
+    def test_config_not_json_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"theta": 1,')
+        code, out, err = run_cli(capsys, "solve", "--probs", "0.3,0.6", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err.startswith("error: config file is not valid JSON: ") and err.count("\n") == 1
+
     def test_config_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--config", "/nonexistent/cfg.json", "--theta", "1")
         assert code == 2
@@ -1005,6 +1022,28 @@ class TestConfigAndOutput:
         code, out, _ = run_cli(capsys, "solve", "--probs-file", str(pf), "--theta", "1")
         assert code == 0
         assert kv(out)["optimal_cost"] == "1.4"
+
+    def test_probs_file_json_not_valid_exits_2(self, capsys, tmp_path):
+        pf = tmp_path / "probs.json"
+        pf.write_text("[0.3, 0.6")
+        code, out, err = run_cli(capsys, "solve", "--probs-file", str(pf), "--theta", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: invalid JSON profile: ") and err.count("\n") == 1
+
+    def test_probs_file_csv_blank_rows_are_skipped(self, capsys, tmp_path):
+        pf = tmp_path / "probs.csv"
+        pf.write_text("p\n0.3\n\n,\n0.6\n")
+        code, out, err = run_cli(capsys, "solve", "--probs-file", str(pf), "--theta", "1")
+        assert (code, err) == (0, "")
+        pf.write_text("0.3\n0.6")
+        assert out == run_cli(capsys, "solve", "--probs-file", str(pf), "--theta", "1")[1]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_out_write_failure_exits_2(self, capsys):
+        # /dev/full is writable, so it passes the up-front check, and every write to it fails
+        code, out, err = run_cli(capsys, "solve", "--probs", "0.3,0.6", "--theta", "1", "--out", "/dev/full")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write --out file: [Errno {errno.ENOSPC}] ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("option,text", [
         ("--probs-file", "0.3\n0.6\n0.8\n"),  # a one-column CSV whose first value is no header

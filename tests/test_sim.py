@@ -1,8 +1,10 @@
 """Monte Carlo walker and the lockstep block protocol."""
 
+import gc
 import os
 import pickle
 import time
+import weakref
 from concurrent import futures
 from concurrent.futures.process import BrokenProcessPool
 from functools import lru_cache, wraps
@@ -530,6 +532,21 @@ class TestCodeBuilds:
         keys = set().union(*per_rep)
         assert len(keys) > 2 and sum(map(len, per_rep)) > len(keys)
         assert sorted(built) == sorted(keys)
+
+    def test_no_code_outlives_its_call(self, monkeypatch):
+        build_path(monkeypatch, workers=False)
+        refs, real = [], sim.build_block_code
+
+        def build(p, L):
+            code = real(p, L)
+            refs.append(weakref.ref(code))
+            return code
+
+        monkeypatch.setattr(sim, "build_block_code", build)
+        reports, _ = run_block_replications(self.profile, 2, 64, reps=3, seed=5)
+        gc.collect()
+        assert len(refs) > 2 and reports
+        assert [ref for ref in refs if ref() is not None] == []
 
     @pytest.mark.parametrize("order", ["conjectured", (3, 1, 5, 2, 4)])
     def test_both_paths_give_equal_reports(self, monkeypatch, order):
