@@ -72,6 +72,9 @@ def load_config(path: Optional[str]) -> dict:
         raise InputError(f"config file is not valid JSON: {e}") from e
     if not isinstance(data, dict):
         raise InputError("config file must hold a JSON object of option defaults")
+    # any subcommand's option is allowed, so that one config serves several
+    if unknown := [key for key in data if key != "probs" and key not in OPTIONS]:
+        raise InputError(f"config file has unknown keys {', '.join(map(repr, unknown))}; it holds probs and options")
     return data
 
 

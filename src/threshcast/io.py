@@ -34,8 +34,15 @@ class IngestedProfile:
         return self.original_index[rank - 1]
 
 
+def _float(v) -> float:
+    try:
+        return float(v)
+    except OverflowError:  # an integer past the float range
+        raise InputError(f"probability {v!r} outside the open interval (0, 1)") from None
+
+
 def ingest_values(values: Sequence[float]) -> IngestedProfile:
-    vals = [float(v) for v in values]
+    vals = [_float(v) for v in values]
     order = sorted(range(len(vals)), key=lambda i: vals[i])
     profile = ProbabilityProfile(tuple(vals[i] for i in order))
     return IngestedProfile(profile, tuple(order))
@@ -49,7 +56,7 @@ def parse_profile_text(text: str) -> IngestedProfile:
     if stripped.startswith("["):
         try:
             data = json.loads(stripped)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # also an integer over the interpreter's digit limit
             raise InputError(f"invalid JSON profile: {e}") from e
         if not isinstance(data, list) or not all(isinstance(v, (int, float)) for v in data):
             raise InputError("JSON profile must be a flat array of numbers")

@@ -270,13 +270,14 @@ PARALLEL_BUILD_MIN_L = 48
 _build_pool = None  # the worker pool, made by the first _build_codes that needs it
 
 
-def _check_block(profile: ProbabilityProfile, N: int) -> None:
+def _check_block(profile: ProbabilityProfile, theta: int, N: int) -> None:
     if N < 1:
         raise InputError(f"N must be positive, got {N}")
     if N > BLOCK_MAX_N:
         raise CapacityError(f"N={N} is over the block length cap of {BLOCK_MAX_N}")
+    # no other theta sends a block, and at these every strategy asks every rank on some path
     q = min(profile.probs[0], 1.0 - profile.probs[-1])  # the profile is sorted
-    if (width := N * -np.log2(q)) > BLOCK_MAX_WIDTH:
+    if 1 <= theta <= profile.n and (width := N * -np.log2(q)) > BLOCK_MAX_WIDTH:
         raise CapacityError(f"N={N} at min(p, 1 - p) = {q!r} needs {width:.0f}-bit class values, "
                             f"over the block code width cap of {BLOCK_MAX_WIDTH}")
 
@@ -435,11 +436,11 @@ def run_block_strategy(
     reaches, or the value the replay decodes, disagrees with the
     function, and a replay that misreads the stream or leaves some of it
     unread decodes no instance.  A transmitter outside 1..n, or N below 1,
-    raises InputError, and N over BLOCK_MAX_N or N log2(1 / min(p, 1 - p))
-    over BLOCK_MAX_WIDTH at any p CapacityError, before any code is built.
+    raises InputError, and N over BLOCK_MAX_N, or at 1 <= theta <= n N log2(1 / min(p, 1 - p))
+    over BLOCK_MAX_WIDTH at any p, CapacityError, before any code is built.
     At N = 1 every block is a single bit: the single-instance strategy.
     """
-    _check_block(profile, N)
+    _check_block(profile, theta, N)
     return _run_blocks(tree, profile, theta, N, [seed])[0]
 
 
@@ -473,7 +474,7 @@ def run_block_replications(
     whole call is built once."""
     if reps < 2:
         raise InputError("at least 2 replications are needed for a standard error")
-    _check_block(profile, N)
+    _check_block(profile, theta, N)
     tree = strategy_dag(order, profile.n, theta)
     children = np.random.SeedSequence(seed).spawn(reps)
     reports = _run_blocks(tree, profile, theta, N, children)

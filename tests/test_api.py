@@ -2,17 +2,20 @@
 
 `perfbench/tracing.py` wraps threshcast functions at the module attribute
 its callers read, and the oracles in `perfbench/workloads.py` call package
-names; README's quick start documents the public API, its CLI section
-every option, and `__all__` lists it.  Deleting any of those names must fail here rather than at a
-traced bench run, a star import or for a reader of the docs.
+names; README's quick start documents the package root, its CLI section
+every option, and `__all__` lists the root's names.  Deleting any of those names must fail here rather
+than at a traced bench run, a star import or for a reader of the docs, and so must a root name no
+caller uses.
 """
 
 import argparse
 import ast
 import importlib
 import importlib.util
+import os
 import random
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -58,6 +61,25 @@ def test_public_imports_are_listed():
     imported = {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
     assert {name for name in imported if not name.startswith("_")} == set(threshcast.__all__)
+
+
+def test_root_exports_what_its_callers_use():
+    """The root exports the names README's quick start imports, the ones the oracles call, and the
+    error and tree types those calls raise and return; a re-export with no caller fails here."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    quick_start = {alias.name for node in ast.walk(ast.parse(block)) if isinstance(node, ast.ImportFrom)
+                   and node.module == "threshcast" for alias in node.names}
+    errors = {"InputError", "CapacityError", "TreeInvalidError"}
+    trees = {"Leaf", "Node", "DecisionTree"}
+    assert set(threshcast.__all__) == quick_start | set(ORACLE_NAMES) | errors | trees
+
+
+def test_root_loads_only_the_modules_it_exports_from():
+    code = "import sys, threshcast; print(sorted(m for m in sys.modules if m.startswith('threshcast.')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")}).stdout
+    assert out == "['threshcast.core', 'threshcast.dp', 'threshcast.io', 'threshcast.policy']\n"
 
 
 def test_oracle_names_resolve():

@@ -679,6 +679,15 @@ class TestBlock:
             with pytest.raises(Ran):
                 main([*argv, "--probs", probs, "--N", N])
 
+    @pytest.mark.parametrize("theta", ["0", "3"])
+    def test_block_code_width_is_not_capped_where_no_block_is_sent(self, capsys, theta):
+        # theta 0 and n + 1 are decided before anyone speaks; at theta 1 this
+        # profile and N are refused by the test above
+        code, out, err = run_cli(capsys, "block", "--probs", "1e-300,0.5", "--theta", theta,
+                                 "--N", "512", "--reps", "2", "--seed", "1")
+        assert (code, err) == (0, "")
+        assert kv(out)["mean_bits_per_instance"] == "0" and kv(out)["error_count"] == "0"
+
     WORKER_RUN = ["block", "--probs", "0.3,0.6,0.45", "--theta", "2", "--N", "128", "--reps", "2", "--seed", "3"]
 
     def start_worker_run(self, then: str) -> subprocess.Popen:
@@ -928,6 +937,21 @@ class TestConfigAndOutput:
         assert code == 2 and out == ""
         assert err == f"error: --format must be one of {allowed}, got {fmt!r}\n"
 
+    def test_config_unknown_key_is_refused_before_the_command_runs(self, capsys, tmp_path, monkeypatch):
+        # one config can serve several subcommands: simulate takes no sweeps and no check
+        settings = {"probs": "0.3,0.6", "theta": 1, "seed": 2, "trials": 100, "sweeps": 3, "check": True}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**settings, "trails": 100000, "sed": 3}))
+        with monkeypatch.context() as m:
+            m.setattr("threshcast.cli.simulate_tree", lambda *a, **k: pytest.fail("the command ran"))
+            code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err == "error: config file has unknown keys 'trails', 'sed'; it holds probs and options\n"
+        cfg.write_text(json.dumps(settings))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert (code, err) == (0, "")
+        assert kv(out)["trials"] == "100" and kv(out)["seed"] == "2"
+
     def test_config_must_be_object(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1, 2]")
@@ -1029,6 +1053,17 @@ class TestConfigAndOutput:
         code, out, err = run_cli(capsys, "solve", "--probs-file", str(pf), "--theta", "1")
         assert code == 2 and out == ""
         assert err.startswith("error: invalid JSON profile: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("digits,says", [
+        (400, "error: probability 1" + "0" * 400 + " outside the open interval (0, 1)\n"),  # past the float range
+        (5000, "error: invalid JSON profile: Exceeds the limit"),  # past the interpreter's digit limit
+    ], ids=["too-large-for-a-float", "too-long-to-parse"])
+    def test_probs_file_json_huge_integer_exits_2(self, capsys, tmp_path, digits, says):
+        pf = tmp_path / "probs.json"
+        pf.write_text(f"[1{'0' * digits}, 0.5]")
+        code, out, err = run_cli(capsys, "solve", "--probs-file", str(pf), "--theta", "1")
+        assert code == 2 and out == ""
+        assert err.startswith(says) and err.count("\n") == 1
 
     def test_probs_file_csv_blank_rows_are_skipped(self, capsys, tmp_path):
         pf = tmp_path / "probs.csv"

@@ -7,7 +7,7 @@ import time
 import weakref
 from concurrent import futures
 from concurrent.futures.process import BrokenProcessPool
-from functools import lru_cache, wraps
+from functools import wraps
 
 import numpy as np
 import pytest
@@ -324,24 +324,15 @@ class TestBlockProtocol:
         with pytest.raises(InputError):
             run_order(ProbabilityProfile((0.3, 0.6)), 1, 0, 0)
 
-    def test_each_code_is_built_once_per_run_when_the_builder_cache_is_small(self, monkeypatch):
-        # a builder LRU of 2 evicts codes between the encode walk and the
-        # decode replay; the run keeps its own codes, so none is rebuilt
+    def test_each_code_is_built_once_per_run(self, monkeypatch):
+        # the run keeps its own codes, so the decode replay rebuilds none of the encode walk's
         profile = ProbabilityProfile((0.2, 0.35, 0.5, 0.65, 0.8))
         tree = strategy_dag("conjectured", 5, 2)
         seeds = np.random.SeedSequence(3).spawn(2)
         expected = [run_block_strategy(tree, profile, 2, 64, seed=child) for child in seeds]
-        built, real = [], sim.build_block_code
-
-        def build(p, L):
-            built.append((p, L))
-            return real(p, L)
-
-        small = lru_cache(maxsize=2)(build)
-        monkeypatch.setattr(sim, "build_block_code", small)
+        built = count_builds(monkeypatch)
         for child, want in zip(seeds, expected):
             built.clear()
-            small.cache_clear()
             assert run_block_strategy(tree, profile, 2, 64, seed=child) == want
             keys = {(profile.p(r.transmitter), r.live_count) for r in want.rounds}
             assert len(keys) > 2
@@ -521,12 +512,10 @@ class TestCodeBuilds:
 
     profile = ProbabilityProfile((0.2, 0.35, 0.5, 0.65, 0.8))
 
-    def test_each_code_is_built_once_per_call_when_the_builder_cache_is_small(self, monkeypatch):
-        # a builder LRU of 2 would evict codes between replications; the
-        # call keeps its own, so a code its replications share is built once
+    def test_each_code_is_built_once_per_call(self, monkeypatch):
+        # the call keeps its own codes, so a code its replications share is built once
         build_path(monkeypatch, workers=False)
         built = count_builds(monkeypatch)
-        monkeypatch.setattr(sim, "build_block_code", lru_cache(maxsize=2)(sim.build_block_code))
         reports, _ = run_block_replications(self.profile, 2, 64, reps=4, seed=3)
         per_rep = [{(self.profile.p(r.transmitter), r.live_count) for r in rep.rounds} for rep in reports]
         keys = set().union(*per_rep)
