@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -43,7 +44,8 @@ from .io import (FLOAT_FORMAT, IngestedProfile, check_strategy_size, load_profil
                  render_json, tree_to_dict, tree_to_dot)
 from .policy import StateAnnotation, annotate_reachable_states, build_index_tree, index_policy_cost
 from .sim import BLOCK_MAX_N, run_block_replications, simulate_tree
-from .verify import DEFAULT_LEMMA_TOL, EXHAUSTIVE_MAX_N, FAMILIES, check_lemma_inequalities, exhaustive_strategy_check
+from .verify import (DEFAULT_LEMMA_TOL, EXHAUSTIVE_MAX_N, FAMILIES, LemmaRecord, check_lemma_inequalities,
+                     exhaustive_strategy_check)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -83,27 +85,16 @@ def _parse_order(v) -> Union[str, tuple[int, ...]]:
     return "conjectured" if v == "conjectured" else tuple(int(s) for s in str(v).split(","))
 
 
-def _flag(v) -> bool:
-    """A boolean option's value: only a JSON true or false, never a string such as "false"."""
-    if not isinstance(v, bool):
-        raise ValueError("expected true or false")
-    return v
-
-
-def _text(v) -> str:
-    """A string option's value: a JSON number or list is refused, not coerced."""
-    if not isinstance(v, str):
-        raise ValueError("expected a string")
-    return v
-
-
 def _convert(name: str, v, kind, low=None):
     """`kind(v)`, at least `low` and finite; otherwise an InputError naming the option.
 
-    A number option refuses a JSON true or false, and an integer option a
-    number with a fractional part, where `kind(v)` would truncate them.
+    A number option refuses a JSON true or false, an integer option a number
+    with a fractional part, and a `bool` or `str` option a value of another
+    type (the string "false", a JSON number), where `kind(v)` would coerce them.
     """
     try:
+        if kind in (bool, str) and not isinstance(v, kind):
+            raise ValueError("expected true or false" if kind is bool else "expected a string")
         if kind in (int, float) and isinstance(v, bool):
             raise ValueError("expected a number, not true or false")
         if kind is int and isinstance(v, float) and not v.is_integer():
@@ -123,25 +114,26 @@ REQUIRED = object()
 
 # option: (kind, lower bound, help).  The config key is the option name with
 # "_" for "-"; `int` and `float` are also the command line's argparse types,
-# and `_flag` options are store_true flags.
+# and `bool` options are store_true flags.
 OPTIONS = {
-    "format": (_text, None, "output format"),
+    "format": (str, None, "output format"),
     "theta": (int, None, "threshold: function is 1 iff at least theta ones"),
-    "max_n": (int, None, "solve, policy: node-count cap for the subset table; verify: largest random profile size"),
+    "max_n": (int, None, "solve, policy: node-count cap for the subset table; "
+              f"verify: largest random profile size, at most {DEFAULT_NODE_CAP}"),
     "tol": (float, 0, "tie tolerance for co-optimal transmitters and --check"),
-    "exact": (_flag, None, "rational arithmetic (exact ties)"),
-    "check": (_flag, None, "verify the order against the exact table"),
-    "annotate": (_flag, None, "list reachable states with reach probability and onward cost"),
-    "labels": (_text, None, "comma separated node names, in input order (dot output)"),
+    "exact": (bool, None, "rational arithmetic (exact ties)"),
+    "check": (bool, None, "verify the order against the exact table"),
+    "annotate": (bool, None, "list reachable states with reach probability and onward cost"),
+    "labels": (str, None, "comma separated node names, in input order (dot output)"),
     "sweeps": (int, 1, "number of random profiles (when no --probs)"),
     "seed": (int, 0, f"RNG seed (else the {SEED_ENV_VAR} environment variable)"),
     "tolerance": (float, None, "inequality slack treated as rounding"),
-    "exhaustive": (_flag, None, f"also enumerate all trees (n <= {EXHAUSTIVE_MAX_N})"),
+    "exhaustive": (bool, None, f"also enumerate all trees (n <= {EXHAUSTIVE_MAX_N})"),
     "trials": (int, None, "Monte Carlo walks"),
     "N": (int, None, f"instances per replication (at most {BLOCK_MAX_N})"),
     "reps": (int, None, "replications"),
     "order": (_parse_order, None, "'conjectured' or an explicit rank permutation like 2,1"),
-    "transcript": (_flag, None, "include per-round records (json)"),
+    "transcript": (bool, None, "include per-round records (json)"),
 }
 
 
@@ -177,7 +169,7 @@ def resolve_profile(args: argparse.Namespace, config: dict, required: bool) -> O
     if args.probs_file is not None:
         return load_profile(args.probs_file)
     if config.get("probs") is not None:
-        return parse_probs_arg(_convert("--probs", config["probs"], _text))
+        return parse_probs_arg(_convert("--probs", config["probs"], str))
     if required:
         raise InputError("no probabilities given: pass --probs or --probs-file")
     return None
@@ -238,8 +230,6 @@ def profile_fields(ingested: IngestedProfile) -> list[tuple[str, object]]:
 
 # The printed fields of a policy state, in csv column order
 STATE_COLUMNS = ("remaining", "residual_theta", "transmitter", "reach_probability", "expected_remaining_cost")
-# The printed fields of a lemma record, in csv column order
-LEMMA_COLUMNS = ("k", "i", "T", "S1", "S2")
 
 
 # A policy state's csv row in STATE_COLUMNS order, the one row a handler formats itself
@@ -348,8 +338,10 @@ def cmd_verify(opts: argparse.Namespace) -> tuple[str, int]:
                 f"n={EXHAUSTIVE_MAX_N}, got n={profiles[0].n}"
             )
     else:
-        # a random profile has at least 2 nodes
+        # a random profile has at least 2 nodes, and at most the node cap of the full tables it fills
         max_n = _convert("--max-n", opts.max_n, int, low=2)
+        if max_n > DEFAULT_NODE_CAP:
+            raise CapacityError(f"--max-n is capped at {DEFAULT_NODE_CAP}, the node cap of verify's tables, got {max_n}")
         if opts.seed is None:
             raise InputError("sweep mode needs --seed (or the seed env var) for reproducibility")
         profiles = _sweep_profiles(np.random.default_rng(opts.seed), opts.sweeps, max_n)
@@ -378,8 +370,8 @@ def cmd_verify(opts: argparse.Namespace) -> tuple[str, int]:
     record = [("profiles", len(profiles)), ("tolerance", tolerance), ("violations", total_violations)]
     exhaustive_fields = [("exhaustive_checks", exhaustive_runs), ("exhaustive_failures", exhaustive_failures)]
     if out_format == "csv" and explicit:
-        rows = [[getattr(rec, key) for key in LEMMA_COLUMNS] for rec in reports[0].records]
-        text = render_csv([LEMMA_COLUMNS, *rows])
+        rows = [vars(rec).values() for rec in reports[0].records]
+        text = render_csv([[f.name for f in fields(LemmaRecord)], *rows])
     elif out_format == "csv":
         text = render_csv(summary_rows)
     elif out_format == "json":
@@ -392,43 +384,15 @@ def cmd_verify(opts: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_simulate(opts: argparse.Namespace) -> tuple[str, int]:
-    profile, theta, seed = opts.profile.profile, opts.theta, opts.seed
-    tree = build_index_tree(profile.n, theta)
-    report = simulate_tree(tree, profile, theta, opts.trials, seed=seed)
-    z = (report.mean_bits - report.expected_bits) / report.std_error if report.std_error else 0.0
-
-    record = [
-        ("n", report.n),
-        ("theta", report.theta),
-        ("trials", report.trials),
-        ("seed", seed),
-        ("expected_bits", report.expected_bits),
-        ("mean_bits", report.mean_bits),
-        ("std_error", report.std_error),
-        ("z", z),
-        ("error_count", report.error_count),
-    ]
-    return render_record(record, opts.format), EXIT_SIM if report.error_count > 0 else EXIT_OK
+    profile, theta = opts.profile.profile, opts.theta
+    report = simulate_tree(build_index_tree(profile.n, theta), profile, theta, opts.trials, seed=opts.seed)
+    return render_record(list(vars(report).items()), opts.format), EXIT_SIM if report.error_count > 0 else EXIT_OK
 
 
 def cmd_block(opts: argparse.Namespace) -> tuple[str, int]:
     profile, theta, seed = opts.profile.profile, opts.theta, opts.seed
     reports, summary = run_block_replications(profile, theta, opts.N, opts.reps, seed=seed, order=opts.order)
-
-    record = [
-        ("n", summary.n),
-        ("theta", summary.theta),
-        ("N", summary.N),
-        ("reps", summary.reps),
-        ("seed", seed),
-        ("order", summary.order),
-        ("single_instance_cost", index_policy_cost(profile, theta)),
-        ("mean_bits_per_instance", summary.mean_bits_per_instance),
-        ("se_bits_per_instance", summary.se_bits_per_instance),
-        ("mean_first_round_per_instance", summary.mean_first_round_per_instance),
-        ("se_first_round_per_instance", summary.se_first_round_per_instance),
-        ("error_count", summary.error_count),
-    ]
+    record = list(vars(summary).items())
     if opts.transcript and opts.format == "json":
         record.append(("replications", [
             {"total_bits": r.total_bits, "bits_per_instance": r.bits_per_instance, "error_count": r.error_count,
@@ -487,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
         for key in command.options:
             kind, _, help_text = OPTIONS[key]
             flag = f"--{key.replace('_', '-')}"
-            if kind is _flag:
+            if kind is bool:
                 p.add_argument(flag, action="store_true", default=None, help=help_text)
             else:
                 p.add_argument(flag, type=kind if kind in (int, float) else None, help=help_text)

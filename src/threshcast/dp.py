@@ -48,8 +48,10 @@ from .core import (
 
 DEFAULT_NODE_CAP = 20
 DEFAULT_TIE_TOL = 1e-12
-# masks index an int32 row map, so no cap can lift n above this
-MAX_TABLE_N = 30
+# No cap lifts n above this.  Masks index an int32 row map, so n can never pass
+# 30, and the memory doubles with each node: a solve fill at theta n/2 peaks at
+# 2.6 GiB RSS at n = 24 and 5.3 GiB at n = 25 (2-core x86-64 host, Python 3.11, numpy 2.4)
+MAX_TABLE_N = 25
 # cells (rows x passes x columns) of one fill block's largest temporary:
 # 128 KiB of float64, which stays in cache and below malloc's mmap threshold
 FILL_BLOCK_CELLS = 1 << 14

@@ -23,7 +23,7 @@ from . import huffman
 from .core import CapacityError, DecisionTree, InputError, Leaf, Node, ProbabilityProfile, ThresholdSpec, dag_postorder
 from .dp import strategy_cost
 from .huffman import BernoulliBlockCode, build_block_code
-from .policy import build_index_tree
+from .policy import build_index_tree, index_policy_cost
 
 
 # Uniforms drawn at a time: 2 MiB of float64.  The generator's stream is
@@ -122,6 +122,7 @@ class SimulationReport:
     expected_bits: float
     mean_bits: float
     std_error: float
+    z: float
     error_count: int
 
 
@@ -173,6 +174,7 @@ def simulate_tree(
         expected_bits=expected_bits,
         mean_bits=mean,
         std_error=se,
+        z=(mean - expected_bits) / se if se else 0.0,
         error_count=int(wrong[ids].sum()),
     )
 
@@ -449,9 +451,10 @@ class ReplicationSummary:
     n: int
     theta: int
     N: int
-    order: str
     reps: int
     seed: Optional[int]
+    order: str
+    single_instance_cost: float
     mean_bits_per_instance: float
     se_bits_per_instance: float
     mean_first_round_per_instance: float
@@ -471,7 +474,8 @@ def run_block_replications(
     built once, and each replication is the run `run_block_strategy` makes
     on it, seeded with one spawned child of `SeedSequence(seed)`.  The
     replications share their codes: each distinct (p, live count) of the
-    whole call is built once."""
+    whole call is built once.  The summary's `single_instance_cost` is the
+    rank policy's single-instance cost, whatever `order` is."""
     if reps < 2:
         raise InputError("at least 2 replications are needed for a standard error")
     _check_block(profile, theta, N)
@@ -484,9 +488,10 @@ def run_block_replications(
         n=profile.n,
         theta=theta,
         N=N,
-        order="conjectured" if order == "conjectured" else str(tuple(order)),
         reps=reps,
         seed=seed,
+        order="conjectured" if order == "conjectured" else str(tuple(order)),
+        single_instance_cost=index_policy_cost(profile, theta),
         mean_bits_per_instance=float(per_inst.mean()),
         se_bits_per_instance=float(per_inst.std(ddof=1) / np.sqrt(reps)),
         mean_first_round_per_instance=float(first.mean()),

@@ -126,14 +126,17 @@ def reference_simulation_report(tree, profile: ProbabilityProfile, theta: int, t
     X = draw_measurements(profile, trials, np.random.default_rng(seed))
     values, bits = walk_trials(tree, X)
     truth = (X.sum(axis=1) >= theta).astype(np.int8)
+    expected = strategy_cost(tree, profile, theta)
+    mean, se = float(bits.mean()), float(bits.std(ddof=1) / np.sqrt(trials))
     return SimulationReport(
         n=profile.n,
         theta=theta,
         trials=trials,
         seed=seed,
-        expected_bits=strategy_cost(tree, profile, theta),
-        mean_bits=float(bits.mean()),
-        std_error=float(bits.std(ddof=1) / np.sqrt(trials)),
+        expected_bits=expected,
+        mean_bits=mean,
+        std_error=se,
+        z=(mean - expected) / se if se else 0.0,
         error_count=int((values != truth).sum()),
     )
 

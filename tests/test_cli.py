@@ -1,6 +1,7 @@
 """Command line behavior: formats, precedence, exit codes, determinism."""
 
 import argparse
+import dataclasses
 import errno
 import json
 import os
@@ -20,10 +21,11 @@ import threshcast
 from threshcast import io as tio
 from threshcast.cli import COMMANDS, SEED_ENV_VAR, annotation_rows, build_parser, fmt, main, render_record
 from threshcast.core import Leaf, Node, ProbabilityProfile
-from threshcast.dp import CostTable
+from threshcast.dp import DEFAULT_NODE_CAP, MAX_TABLE_N, CostTable
 from threshcast.huffman import BernoulliBlockCode
 from threshcast.policy import annotate_reachable_states
-from threshcast.sim import BLOCK_MAX_N, BLOCK_MAX_WIDTH, SIM_MAX_CELLS, SimulationReport
+from threshcast.sim import BLOCK_MAX_N, BLOCK_MAX_WIDTH, SIM_MAX_CELLS, ReplicationSummary, SimulationReport
+from threshcast.verify import LemmaRecord
 
 
 TWO_CORES = pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
@@ -137,7 +139,14 @@ class TestSolve:
         probs = ",".join(f"{(i + 0.5) / 31:.4f}" for i in range(31))
         code, out, err = run_cli(capsys, "solve", "--probs", probs, "--theta", "3", "--max-n", "40")
         assert code == 3 and out == ""
-        assert "30" in err
+        assert f"above the cap of {MAX_TABLE_N}" in err
+
+    def test_table_ceiling_is_refused_before_the_fill(self, capsys, monkeypatch):
+        monkeypatch.setattr(CostTable, "_fill", lambda self: pytest.fail("the table was filled"))
+        argv = ("--probs", scrambled_probs(26), "--theta", "13", "--max-n", "30", "--format", "csv")
+        code, out, err = run_cli(capsys, "solve", *argv)
+        assert code == 3 and out == ""
+        assert "above the cap of 25" in err
 
     def test_bad_probs_value(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--probs", "0.3,1.5", "--theta", "1")
@@ -282,6 +291,19 @@ class TestRenderRecord:
         expected = {"none": None, "flag": True, "count": 3, "cost": 0.666666666667, "np_cost": 0.142857142857,
                     "ranks": [2, 1], "rank_map": {"1": 1, "2": 0}, "tree": json.loads(self.TREE_TEXT)}
         assert render_record(self.RECORD, "json") == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
+def test_printed_keys_are_the_report_fields(capsys):
+    """simulate and block print their report's fields, in order, and verify's lemma csv LemmaRecord's."""
+    def names(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+
+    for argv, cls in ((("simulate", "--trials", "100"), SimulationReport),
+                      (("block", "--N", "8", "--reps", "2"), ReplicationSummary)):
+        code, out, _ = run_cli(capsys, *argv, "--probs", "0.3,0.6", "--theta", "1", "--seed", "1")
+        assert code == 0 and [line.partition("=")[0] for line in out.splitlines()] == names(cls)
+    code, out, _ = run_cli(capsys, "verify", "--probs", "0.3,0.6", "--format", "csv")
+    assert code == 0 and out.splitlines()[0].split(",") == names(LemmaRecord)
 
 
 def scrambled_probs(n: int) -> str:
@@ -540,7 +562,7 @@ class TestSimulate:
         def broken(tree, profile, theta, trials, seed=None):
             return SimulationReport(
                 n=profile.n, theta=theta, trials=trials, seed=seed,
-                expected_bits=1.4, mean_bits=1.4, std_error=0.01, error_count=3,
+                expected_bits=1.4, mean_bits=1.4, std_error=0.01, z=0.0, error_count=3,
             )
 
         monkeypatch.setattr("threshcast.cli.simulate_tree", broken)
@@ -775,6 +797,13 @@ class TestMalformedValues:
         code, out, err = run_cli(capsys, "verify", "--sweeps", "3", "--max-n", "1", "--seed", "1")
         assert code == 2 and out == ""
         assert "--max-n" in err
+
+    def test_sweep_max_n_above_the_node_cap_is_refused_before_any_profile(self, capsys, monkeypatch):
+        monkeypatch.setattr("threshcast.cli._sweep_profiles", lambda *a: pytest.fail("a profile was drawn"))
+        over = DEFAULT_NODE_CAP + 5
+        code, out, err = run_cli(capsys, "verify", "--sweeps", "5", "--max-n", str(over), "--seed", "1")
+        assert code == 3 and out == ""
+        assert err == f"error: --max-n is capped at {DEFAULT_NODE_CAP}, the node cap of verify's tables, got {over}\n"
 
     INT_KEYS = [("solve", "theta"), ("policy", "max_n"), ("simulate", "trials"), ("block", "N"), ("block", "seed")]
     FLOAT_KEYS = [("solve", "tol"), ("verify", "tolerance")]
