@@ -42,8 +42,8 @@ from .dp import DEFAULT_NODE_CAP, DEFAULT_TIE_TOL, CostTable, optimal_cost, opti
 # nor is tree_to_dict, for the same reason
 from .io import (FLOAT_FORMAT, IngestedProfile, check_strategy_size, load_profile, parse_probs_arg, read_text_file,
                  render_json, tree_to_dict, tree_to_dot)
-from .policy import StateAnnotation, annotate_reachable_states, build_index_tree, index_policy_cost
-from .sim import BLOCK_MAX_N, run_block_replications, simulate_tree
+from .policy import _reachable_states, annotate_reachable_states, build_index_tree, index_policy_cost
+from .sim import BLOCK_MAX_N, check_dag_size, run_block_replications, simulate_tree
 from .verify import (DEFAULT_LEMMA_TOL, EXHAUSTIVE_MAX_N, FAMILIES, LemmaRecord, check_lemma_inequalities,
                      exhaustive_strategy_check)
 
@@ -232,19 +232,18 @@ def profile_fields(ingested: IngestedProfile) -> list[tuple[str, object]]:
 STATE_COLUMNS = ("remaining", "residual_theta", "transmitter", "reach_probability", "expected_remaining_cost")
 
 
-# A policy state's csv row in STATE_COLUMNS order, the one row a handler formats itself
-STATE_ROW = "%s,%d,%d," + FLOAT_FORMAT + "," + FLOAT_FORMAT + "\n"
+# A policy state's csv row in STATE_COLUMNS order, remaining ranks in two pieces; the one row a handler formats itself
+STATE_ROW = "%s%s,%d,%d," + FLOAT_FORMAT + "," + FLOAT_FORMAT + "\n"
 
 
-def annotation_rows(annotations: list[StateAnnotation], n: int) -> str:
-    """Csv text of policy states: the header, then one `STATE_ROW` per state, its remaining
-    ranks (1..n less the spoken block) cut from one "1|2|...|n|" string in two slices."""
-    joined = "".join(f"{r}|" for r in range(1, n + 1))
-    starts = list(accumulate((len(str(r)) + 1 for r in range(1, n + 1)), initial=0))  # rank r at starts[r - 1]
-    return ",".join(STATE_COLUMNS) + "\n" + "".join([
-        STATE_ROW % ((joined[: starts[spoken.start - 1]] + joined[starts[spoken.stop - 1] :])[:-1], t, rank, reach, cost)
-        for spoken, _, t, rank, reach, cost in annotations
-    ])
+def annotation_rows(states: Iterable[tuple[int, int, int, int, float, float]], n: int) -> str:
+    """Csv text of `policy._reachable_states` tuples: the header, then one `STATE_ROW` per state, whose spoken
+    block [lo, hi) leaves two pieces precomputed per rank, ranks 1..lo-1 and hi..n, the latter "|"-led if lo > 1."""
+    text = "".join(f"|{r}" for r in range(1, n + 1))
+    cuts = [0, *accumulate((len(str(r)) + 1 for r in range(1, n + 1)), initial=0)]  # "|r" at cuts[r]
+    before, after = [text[1:c] for c in cuts], ([text[c + 1 :] for c in cuts], [text[c:] for c in cuts])
+    rows = [STATE_ROW % (before[lo], after[lo > 1][hi], t, r, reach, cost) for lo, hi, t, r, reach, cost in states]
+    return ",".join(STATE_COLUMNS) + "\n" + "".join(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +282,10 @@ def cmd_policy(opts: argparse.Namespace) -> tuple[str, int]:
     labels = rank_labels(ingested, opts.labels) if out_format == "dot" else None
     if out_format in ("json", "dot"):
         check_strategy_size(profile.n, theta)
-    # the root state's onward cost is the policy cost, from the same sweep
-    states = annotate_reachable_states(profile, theta) if opts.annotate and out_format in ("table", "json") else []
-    cost = states[0].expected_remaining_cost if states else index_policy_cost(profile, theta)
+    # the first state's onward cost is the policy cost, from the same sweep; the table formats its tuples
+    sweep = opts.annotate and {"table": _reachable_states, "json": annotate_reachable_states}.get(out_format)
+    states = list(sweep(profile, theta)) if sweep else []
+    cost = states[0][-1] if states else index_policy_cost(profile, theta)
     tree = build_index_tree(profile.n, theta) if opts.check or out_format in ("json", "dot") else None
 
     check, code = {}, EXIT_OK
@@ -385,6 +385,7 @@ def cmd_verify(opts: argparse.Namespace) -> tuple[str, int]:
 
 def cmd_simulate(opts: argparse.Namespace) -> tuple[str, int]:
     profile, theta = opts.profile.profile, opts.theta
+    check_dag_size(profile.n, theta)
     report = simulate_tree(build_index_tree(profile.n, theta), profile, theta, opts.trials, seed=opts.seed)
     return render_record(list(vars(report).items()), opts.format), EXIT_SIM if report.error_count > 0 else EXIT_OK
 

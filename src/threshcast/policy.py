@@ -17,7 +17,9 @@ k + 1 - z on the low side and k + 1 + o on the high side.  A 0 leads to
 decides the function.  The points are the root (0, 0), (z, o, low) for
 z >= 1 and (z, o, high) for o >= 1, with z <= k and o <= theta - 1:
 (k + 1) * theta + k * (theta - 1) in all.  One sweep over the
-anti-diagonals d = z + o, deepest first, yields costs and the tree.
+anti-diagonals d = z + o, deepest first, yields costs and the tree.  One
+reach sweep, root first, yields each reachable state as a tuple to two
+consumers: `annotate_reachable_states` and `cli.STATE_ROW`'s table rows.
 
 The policy has no per-state picker here: its consumers (the Monte Carlo
 walk, the block protocol, `policy --check`) take it as the DAG that
@@ -140,24 +142,16 @@ class StateAnnotation(NamedTuple):
         return (*range(1, self.spoken.start), *range(self.spoken.stop, self.n + 1))
 
 
-def annotate_reachable_states(profile: ProbabilityProfile, theta: int) -> list[StateAnnotation]:
-    """Reach probability and onward cost for every policy decision state.
-
-    States are keyed by (remaining, residual threshold); the two bit
-    orders that reach a lattice point pool their path probabilities.
-    Output is ordered by transmissions made, then remaining set, then
-    residual threshold, which is deterministic.
-    """
-    n = profile.n
-    k = ThresholdSpec(n, theta).k
-    if not 1 <= theta <= n:
-        return []
+def _reachable_states(profile: ProbabilityProfile, theta: int) -> Iterator[tuple[int, int, int, int, float, float]]:
+    """Each reachable policy state, in `annotate_reachable_states`' order, as a plain tuple: the
+    first spoken rank, one past the last, residual threshold, transmitter, reach and onward cost."""
+    k = ThresholdSpec(profile.n, theta).k
+    if not 1 <= theta <= profile.n:
+        return
     costs = {d: (low.tolist(), high.tolist()) for d, low, high in _cost_sweep(profile, theta)}
     probs = np.asarray(profile.probs)
     reach_low, reach_high = np.zeros(k + 2), np.zeros(k + 2)
     reach_low[0] = 1.0
-    out: list[StateAnnotation] = []
-    state, append = StateAnnotation, out.append
     for d in range(k + theta):
         a, b, low_ranks, high_ranks = _diagonal(k, theta, d)
         cost_low, cost_high = costs[d]
@@ -170,9 +164,9 @@ def annotate_reachable_states(profile: ProbabilityProfile, theta: int) -> list[S
         t = theta - d + a
         for z, rank_low, rank_high in zip(range(a, b), low_ranks, high_ranks):
             if z >= 1 or d == 0:
-                append(state(range(rank_low + 1, rank_low + d + 1), n, t, rank_low, here_low[z], cost_low[z]))
+                yield rank_low + 1, rank_low + d + 1, t, rank_low, here_low[z], cost_low[z]
             if z < d:
-                append(state(range(rank_high - d, rank_high), n, t, rank_high, here_high[z], cost_high[z]))
+                yield rank_high - d, rank_high, t, rank_high, here_high[z], cost_high[z]
             t += 1
         # A point has at most two parents, one per side, so its pooled reach
         # is one addition and does not depend on the order parents are met.
@@ -181,4 +175,10 @@ def annotate_reachable_states(profile: ProbabilityProfile, theta: int) -> list[S
         reach_low, reach_high = np.zeros(k + 2), np.zeros(k + 2)
         reach_low[a + 1 : b + 1] = from_low * (1.0 - p_low) + from_high * (1.0 - p_high)
         reach_high[a:b] = from_low * p_low + from_high * p_high
-    return out
+
+
+def annotate_reachable_states(profile: ProbabilityProfile, theta: int) -> list[StateAnnotation]:
+    """Reach probability and onward cost of every policy decision state, keyed by (remaining, residual threshold),
+    whose two bit orders pool their path probabilities; ordered by transmissions, remaining set, residual threshold."""
+    n = profile.n
+    return [StateAnnotation(range(a, b), n, t, r, p, c) for a, b, t, r, p, c in _reachable_states(profile, theta)]

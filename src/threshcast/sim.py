@@ -135,6 +135,19 @@ class SimulationReport:
 # n = 12 up.
 SIM_MAX_CELLS = 5 * 10**7
 
+# Nodes of the rank policy's DAG, one per lattice point.  At the cap theta = 1, n = 20000 is the slowest DAG: 3.2 s
+# and 69 MiB for `simulate --trials 2`, 3.0 s for `block --N 8 --reps 2`; past it, theta 500 at n = 1000 (5 x 10^5
+# nodes) took `simulate` 5.7 s and 234 MiB (2-core x86-64 host, Python 3.11).
+MAX_DAG_NODES = 20_000
+
+
+def check_dag_size(n: int, theta: int) -> None:
+    """Refuse an (n, theta) whose policy DAG is over MAX_DAG_NODES, before it is built; a fixed
+    order's DAG, (n - theta + 1) * theta nodes, is no larger."""
+    k = n - theta
+    if 1 <= theta <= n and (size := (k + 1) * theta + k * (theta - 1)) > MAX_DAG_NODES:
+        raise CapacityError(f"the strategy DAG has {size} nodes, over the DAG cap of {MAX_DAG_NODES}")
+
 
 def simulate_tree(
     tree: DecisionTree,
@@ -474,11 +487,13 @@ def run_block_replications(
     built once, and each replication is the run `run_block_strategy` makes
     on it, seeded with one spawned child of `SeedSequence(seed)`.  The
     replications share their codes: each distinct (p, live count) of the
-    whole call is built once.  The summary's `single_instance_cost` is the
+    whole call is built once, and a DAG over MAX_DAG_NODES is refused
+    before it is built.  The summary's `single_instance_cost` is the
     rank policy's single-instance cost, whatever `order` is."""
     if reps < 2:
         raise InputError("at least 2 replications are needed for a standard error")
     _check_block(profile, theta, N)
+    check_dag_size(profile.n, theta)
     tree = strategy_dag(order, profile.n, theta)
     children = np.random.SeedSequence(seed).spawn(reps)
     reports = _run_blocks(tree, profile, theta, N, children)

@@ -20,11 +20,12 @@ import pytest
 import threshcast
 from threshcast import io as tio
 from threshcast.cli import COMMANDS, SEED_ENV_VAR, annotation_rows, build_parser, fmt, main, render_record
-from threshcast.core import Leaf, Node, ProbabilityProfile
+from threshcast.core import Leaf, Node, ProbabilityProfile, dag_postorder
 from threshcast.dp import DEFAULT_NODE_CAP, MAX_TABLE_N, CostTable
 from threshcast.huffman import BernoulliBlockCode
-from threshcast.policy import annotate_reachable_states
-from threshcast.sim import BLOCK_MAX_N, BLOCK_MAX_WIDTH, SIM_MAX_CELLS, ReplicationSummary, SimulationReport
+from threshcast.policy import _reachable_states, annotate_reachable_states
+from threshcast.sim import (BLOCK_MAX_N, BLOCK_MAX_WIDTH, MAX_DAG_NODES, SIM_MAX_CELLS, ReplicationSummary,
+                            SimulationReport)
 from threshcast.verify import LemmaRecord
 
 
@@ -235,22 +236,32 @@ class TestPolicy:
         assert obj["states"][0]["transmitter"] == 2
         assert obj["policy_cost"] == 2.25
 
-    def test_annotation_rows_join_the_remaining_ranks(self):
-        # every row, template and two-slice rank column, must equal formatting
-        # each field on its own, across the 9|10 digit boundary; theta 0 and
-        # n + 1 print the header alone
+    def test_annotation_rows_join_the_remaining_ranks(self, capsys):
+        # every row, template and two-piece rank column, must equal formatting
+        # each field of `annotate_reachable_states`' states on its own, across the
+        # 9|10 digit boundary; theta 0 and n + 1 print the header alone
         header = "remaining,residual_theta,transmitter,reach_probability,expected_remaining_cost"
+
+        def joined(states):
+            return "".join(row + "\n" for row in [header] + [
+                ",".join(["|".join(map(str, s.remaining)), str(s.residual_theta), str(s.transmitter),
+                          fmt(s.reach_probability), fmt(s.expected_remaining_cost)])
+                for s in states
+            ])
+
         for n in (1, 2, 5, 9, 10, 11, 13):
             profile = ProbabilityProfile(tuple((i + 0.5) / n for i in range(n)))
             for theta in range(n + 2):
                 states = annotate_reachable_states(profile, theta)
-                rows = [header] + [
-                    ",".join(["|".join(map(str, s.remaining)), str(s.residual_theta), str(s.transmitter),
-                              fmt(s.reach_probability), fmt(s.expected_remaining_cost)])
-                    for s in states
-                ]
-                assert annotation_rows(states, n) == "".join(row + "\n" for row in rows), (n, theta)
-                assert len(rows) > 1 or theta in (0, n + 1)
+                assert annotation_rows(_reachable_states(profile, theta), n) == joined(states), (n, theta)
+                assert len(states) > 0 or theta in (0, n + 1)
+        # unsorted input through the command line, past the 99|100 boundary
+        probs = scrambled_probs(120)
+        profile = ProbabilityProfile(tuple(sorted(float(p) for p in probs.split(","))))
+        code, out, err = run_cli(capsys, "policy", "--probs", probs, "--theta", "45", "--annotate")
+        states = annotate_reachable_states(profile, 45)
+        assert (code, err) == (0, "") and kv(out)["policy_cost"] == fmt(states[0].expected_remaining_cost)
+        assert out[out.index(header):] == joined(states)
 
     def test_large_profile_without_check(self, capsys):
         probs = ",".join(str(round(0.02 + 0.019 * i, 6)) for i in range(50))
@@ -308,6 +319,34 @@ def test_printed_keys_are_the_report_fields(capsys):
 
 def scrambled_probs(n: int) -> str:
     return ",".join(f"{(i * 37 % (n + 1) + 0.5) / (n + 1):.6f}" for i in range(1, n + 1))
+
+
+class TestStrategyDagCap:
+    """simulate and block refuse an (n, theta) whose policy DAG is over the cap, before building it."""
+
+    AT, PAST = (200, 100), (201, 91)  # 20,000 and 20,001 lattice points
+    RUNS = {"simulate": ("--trials", "100"), "block": ("--N", "8", "--reps", "2")}
+
+    @pytest.mark.parametrize("command", ["simulate", "block"])
+    def test_a_dag_at_the_cap_runs(self, capsys, command):
+        n, theta = self.AT
+        assert sum(isinstance(v, Node) for v in dag_postorder(threshcast.build_index_tree(n, theta))) == MAX_DAG_NODES
+        code, out, err = run_cli(capsys, command, "--probs", scrambled_probs(n), "--theta", str(theta),
+                                 "--seed", "3", *self.RUNS[command])
+        assert (code, err) == (0, "") and kv(out)["error_count"] == "0"
+
+    @pytest.mark.parametrize("command", ["simulate", "block"])
+    def test_one_node_past_the_cap_exits_3_before_the_dag_is_built(self, capsys, monkeypatch, command):
+        def build(*a, **k):
+            pytest.fail("the DAG was built")
+
+        monkeypatch.setattr("threshcast.cli.build_index_tree", build)
+        monkeypatch.setattr("threshcast.sim.strategy_dag", build)
+        n, theta = self.PAST
+        code, out, err = run_cli(capsys, command, "--probs", scrambled_probs(n), "--theta", str(theta),
+                                 "--seed", "3", *self.RUNS[command])
+        assert code == 3 and out == ""
+        assert err == f"error: the strategy DAG has {MAX_DAG_NODES + 1} nodes, over the DAG cap of {MAX_DAG_NODES}\n"
 
 
 class TestTreeRenderingCaps:

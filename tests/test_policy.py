@@ -310,8 +310,7 @@ class TestAnnotations:
         ]
 
     def test_state_is_an_immutable_hashable_record(self):
-        # `cli.annotation_rows` unpacks a state in field order, and equal
-        # states must hash alike
+        # a state unpacks in field order, and equal states must hash alike
         n, theta = 9, 4
         anns = annotate_reachable_states(random_profile(np.random.default_rng(61), n), theta)
         for s in anns:
