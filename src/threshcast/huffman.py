@@ -10,13 +10,14 @@ two-queue method (ICALP 1976) in the run-length form of Moffat and
 Turpin (IEEE Trans. IT 44(4), 1998).  While the smallest live value is
 V, every entry a merge makes is at least 2V, so the entries below 2V
 are taken off both queues as one batch, merged by value with one stable
-sort and walked in order.  Pairing an entry's trees with each other
-makes no family: the entry rejoins the family queue with its value
-doubled and its count halved.  About 1.4 L**2 entries are walked, in
-line with Moffat and Turpin's bound of r log(n / r) for r = L + 1 runs
-over n = 2**L symbols, in about L log2(1 / min(p, 1 - p)) batches; only
-about half of them, 0.7 L**2, make a family for the reverse pass that
-hands depths down to the classes.
+sort and walked in order.  An entry whose trees pair with each other
+rejoins the queue with its value doubled and its count halved.  About
+1.4 L**2 entries are walked, in line with Moffat and Turpin's bound of
+r log(n / r) for r = L + 1 runs over n = 2**L symbols, in about
+L log2(1 / min(p, 1 - p)) batches.  The lengths are then read off the
+making order by level counting (Moffat and Katajainen, WADS 1995): each
+depth is one range of pairs, found from the leaves the pairs below it
+take, in a few steps per class rather than one per family.
 
 Family values are exact big integers at a fixed binary scale with 64
 guard bits.  A truncated family value of c outcomes is below the exact
@@ -36,10 +37,9 @@ to that length (Moffat and Turpin, IEEE Trans. Commun. 45(10), 1997).
 from __future__ import annotations
 
 import math
-from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate
 from operator import itemgetter
 from typing import Sequence
 
@@ -82,127 +82,144 @@ def _class_values(p: float, L: int) -> list[int]:
 def _aggregate_lengths(p: float, L: int) -> list[dict[int, int]]:
     """Codeword-length multiset per weight class: {length: count} for each w.
 
-    Queue entries are (value, count, key): `count` trees of `value`, each
-    a perfect subtree over 2**j level-0 trees of node key >> S, at level
-    j = key & (2**S - 1).  Nodes are the classes (0..L) and the families
-    (L+1..) in creation order; the class queue is sorted by (value, w),
-    the family queue is in creation order, and on equal values a class
-    goes first.  The smallest entry pairs its trees with the next
-    smallest's (take = the smaller count) when their values are equal or
-    it holds one tree, which makes a family; else it pairs them with each
-    other, and the entry rejoins the family queue one level up, with its
-    value doubled and its count halved, its odd tree left behind.
+    Queue entries are (value, count, key): `count` trees of `value`.  A
+    class's leaves are keyed ~w; any other entry holds the trees made by
+    pairs key, key + 1, ..., numbered in making order.  The class queue
+    is sorted by (value, w), the pair queue is in making order, and on
+    equal values a class goes first.  The smallest entry pairs its trees
+    with the next smallest's (take = the smaller count) when their values
+    are equal or it holds one tree; else it pairs them with each other,
+    its last tree left behind.
 
     Every entry made while the smallest live value is V is at least 2V,
     or v + V while a leftover tree of value v < V waits to pair with the
     next entry, so each batch below that bound is sliced off both queues,
     merged by one stable sort on value and walked in order.
+
+    Lengths come by level counting (Moffat and Katajainen, WADS 1995).
+    Made trees are taken in making order, so the pairs below q take made
+    trees 0 to rho(q) - 1, rho(q) = 2q - (the leaves they take).  If
+    pairs [a, b) sit at depth d, the root pair at depth 0, the leaves
+    they take get length d + 1 and pairs [rho(a), rho(b)) depth d + 1.
+    That fails only where a front of made trees takes turns with an
+    equal-valued entry of made trees, taking the entry's trees before
+    its own later ones.  Then the batches are walked again, logging
+    every merge, and each depth's tree count is handed from each merge
+    to the entries it took.
     """
     values = _class_values(p, L)
-    S = L.bit_length()
+    if values.count(values[0]) > L:  # a fair coin: every merge ties, and every block gets L bits
+        return [{L: math.comb(L, w)} for w in range(L + 1)]
     first = itemgetter(0)
-    lq = sorted(((values[w], math.comb(L, w), w << S) for w in range(L + 1)), key=first)
-    # above every family value: ends the class queue and is never taken
+    # above every merged value: ends the class queue and is never taken
     end = 1 << (max(values).bit_length() + L + 1)
-    lq.append((end, 0, -1))
-    mq = []
-    # children of family L + 1 + i, as keys: the first in ca and cb, the
-    # latest in fa and fb, moved over in blocks of 2**16 to bound memory
-    ca, cb, fa, fb = array("q"), array("q"), [], []
-    put_m = mq.append
-    li = mi = 0
-    step = 1 << S
-    nk = (L + 1) << S
-    # the front entry being walked: value, trees left, key
-    v = c = k = 0
-    while True:
-        top = lq[li][0]
-        if mi < len(mq) and mq[mi][0] < top:
-            top = mq[mi][0]
-        if c and top == end:
-            break
-        bound = (v if c else top) + top
-        lj = bisect_left(lq, bound, li, key=first)
-        mj = bisect_left(mq, bound, mi, key=first)
-        batch = lq[li:lj]
-        if mj > mi:
-            batch += mq[mi:mj]
-            if li < lj:
-                batch.sort(key=first)
-        li, mi = lj, mj
-        for v2, c2, k2 in batch:
+    # log the merges that take a key below lim: first those that take
+    # leaves, and, if a front took turns, every merge
+    for lim in 0, 1 << L:
+        lq = sorted(((values[w], math.comb(L, w), ~w) for w in range(L + 1)), key=first)
+        lq.append((end, 0, 0))
+        mq = []
+        put_m = mq.append
+        # (first pair, pairs, key, key) of each logged merge, after an empty one at 0
+        merges = [(0, 0, 0, 0)]
+        log = merges.append
+        li = mi = q = 0
+        # the front entry being walked: value, trees left, key
+        v = c = k = 0
+        turns = False
+        while True:
+            top = lq[li][0]
+            if mi < len(mq) and mq[mi][0] < top:
+                top = mq[mi][0]
+            if c and top == end:
+                break
+            bound = (v if c else top) + top
+            lj = bisect_left(lq, bound, li, key=first)
+            mj = bisect_left(mq, bound, mi, key=first)
+            batch = lq[li:lj]
+            if mj > mi:
+                batch += mq[mi:mj]
+                if li < lj:
+                    batch.sort(key=first)
+            li, mi = lj, mj
+            for v2, c2, k2 in batch:
+                if c > 1:
+                    if v2 != v:
+                        h = c >> 1
+                        if k < lim:
+                            log((q, h, k, k))
+                        put_m((v + v, h, q))
+                        q += h
+                        c &= 1
+                    elif c > c2:  # equal values, and the front outlasts the entry
+                        if k < lim or k2 < lim:
+                            log((q, c2, k, k2))
+                        else:
+                            turns = True
+                        put_m((v + v2, c2, q))
+                        q += c2
+                        c -= c2
+                        continue
+                if c:  # c <= c2 here: each tree left pairs with one of the entry's
+                    if k < lim or k2 < lim:
+                        log((q, c, k, k2))
+                    elif c > 1:
+                        turns = True
+                    put_m((v + v2, c, q))
+                    q += c
+                    c2 -= c
+                v, c, k = v2, c2, k2
+            # every entry left is at or above the bound, so none equals v
             if c > 1:
-                if v2 != v:
-                    put_m((v + v, c >> 1, k + 1))
-                    c &= 1
-                elif c > c2:  # equal values, and the front outlasts the entry
-                    fa.append(k)
-                    fb.append(k2)
-                    put_m((v + v2, c2, nk))
-                    nk += step
-                    c -= c2
-                    continue
-            if c:  # c <= c2 here: each tree left pairs with one of the entry's
-                fa.append(k)
-                fb.append(k2)
-                put_m((v + v2, c, nk))
-                nk += step
-                c2 -= c
-            v, c, k = v2, c2, k2
-        # every entry left is at or above the bound, so none equals v
-        if c > 1:
-            put_m((v + v, c >> 1, k + 1))
-            c &= 1
-        if mi > 4096:
-            del mq[:mi]
-            mi = 0
-            if len(fa) > 65536:
-                ca.fromlist(fa)
-                cb.fromlist(fb)
-                fa, fb = [], []
+                h = c >> 1
+                if k < lim:
+                    log((q, h, k, k))
+                put_m((v + v, h, q))
+                q += h
+                c &= 1
+            if mi > 4096:
+                del mq[:mi]
+                mi = 0
+        if not turns:
+            break
 
-    # Reverse pass from the root, the last family made (level j of it).
-    # Node g's level-0 trees sit at depth dep[g] (cnt[g] of them; 0 =
-    # none yet) and, rarely, at the further depths in more[g] = [depth,
-    # count, ...].  A child at level j of a tree at depth d - 1 holds
-    # 2**j level-0 trees at depth d + j.
-    nid, mask = nk >> S, step - 1
-    dep, cnt, more = [0] * nid, [0] * nid, [None] * nid
-
-    def push(g: int, d: int, c: int) -> None:
-        if dep[g] in (0, d):
-            dep[g], cnt[g] = d, cnt[g] + c
-            return
-        tr = more[g] = more[g] or []
-        for j in range(0, len(tr), 2):
-            if tr[j] == d:
-                tr[j + 1] += c
-                return
-        tr += (d, c)
-
-    j = k & mask
-    dep[-1], cnt[-1] = j, 1 << j
-    for f, a, b in zip(range(nid - 1, L, -1), chain(reversed(fa), reversed(ca)), chain(reversed(fb), reversed(cb))):
-        d, c = dep[f] + 1, cnt[f]
-        cnt[f] = 0
-        g, j = a >> S, a & mask
-        if not dep[g] or dep[g] == d + j:
-            dep[g], cnt[g] = d + j, cnt[g] + (c << j)
+    out = [{} for _ in range(L + 1)]
+    if lim:
+        at = {r[0]: i for i, r in enumerate(merges) if r[1]}
+        level, d = {len(merges) - 1: 1}, 1  # {merge: how many of its trees sit at depth d - 1}
+        while level:
+            below = {}
+            for i, n in level.items():
+                for kk in merges[i][2:]:
+                    if kk < 0:
+                        out[~kk][d] = out[~kk].get(d, 0) + n
+                    else:
+                        below[at[kk]] = below.get(at[kk], 0) + n
+            level, d = below, d + 1
+        return out
+    # leaves taken by each pair of a merge, and by all pairs below its first
+    per = [(r[2] < 0) + (r[3] < 0) for r in merges]
+    lam = list(accumulate((n * r[1] for n, r in zip(per, merges)), initial=0))
+    a, b, d, i = q - 1, q, 1, len(merges) - 1
+    while a < b:
+        # length d to the leaves pairs [a, b) take, from merge i down to the one at or below a
+        while True:
+            s, m, ka, kb = merges[i]
+            n = min(b, s + m) - max(a, s)
+            if n > 0:
+                for kk in ka, kb:
+                    if kk < 0:
+                        out[~kk][d] = out[~kk].get(d, 0) + n
+            if s <= a:
+                break
+            i -= 1
+        r, e, K = a + a - lam[i] - per[i] * min(a - s, m), s + m, lam[i + 1]
+        if e <= r < a:  # no pair down to merge i's end takes leaves: rho(x) = 2x - K doubles K - x per level
+            t = ((K - e) // (K - r)).bit_length()
+            a, b, d = K - (K - r << t), K - (K - r << t - 1), d + t + 1
         else:
-            push(g, d + j, c << j)
-        g, j = b >> S, b & mask
-        if not dep[g] or dep[g] == d + j:
-            dep[g], cnt[g] = d + j, cnt[g] + (c << j)
-        else:
-            push(g, d + j, c << j)
-        tr = more[f]
-        if tr:
-            for i in range(0, len(tr), 2):
-                for x in a, b:
-                    j = x & mask
-                    push(x >> S, tr[i] + 1 + j, tr[i + 1] << j)
-    trs = ([dep[w], cnt[w]] + (more[w] or []) for w in range(L + 1))
-    return [dict(sorted(zip(tr[::2], tr[1::2]))) for tr in trs]
+            a, b, d = r, a, d + 1
+    return out
 
 
 def _rank_in_class(bits: Sequence[int], w: int) -> int:
@@ -252,9 +269,9 @@ class BernoulliBlockCode:
     alphabet, codewords are assigned canonically by (length, weight,
     in-class rank).  Everything is computed from class-level counts: the
     lengths come from octave batches of about 1.4 L**2 queue entries on
-    big integers, about half of which make families, which makes L in
-    the hundreds take milliseconds to a tenth of a second and L = 1024
-    about 1.5 s.  Ranking and unranking step one binomial per bit.
+    big integers and a level count over a few merges per class, which
+    makes L in the hundreds take milliseconds to a tenth of a second and
+    L = 1024 about 1 s.  Ranking and unranking step one binomial per bit.
     """
 
     p: float

@@ -56,21 +56,24 @@ def _sweep(
     """Fold the lattice of an undetermined (n, theta) from its deepest diagonal to the root.
 
     A diagonal's values sit in a (low side, high side) pair of sequences
-    indexed by z.  `blank()` makes a pair of length k + 2 that holds, off
-    the diagonal, the value of a determined child: low entries are read
-    by a 0 past z = k, high entries by a 1 past o = theta - 1.
+    indexed by z.  `blank()` makes a pair of length k + 2 that holds the
+    value of a determined child: low entries are read by a 0 past z = k,
+    high entries by a 1 past o = theta - 1.  Two such pairs take the
+    diagonals in turn; the entries a diagonal reads outside the span
+    that its child diagonal filled (low at z = k + 1, high at z = d -
+    theta + 1) are never filled, so they keep those values.
     `step(ranks, on_zero, on_one)` maps a run of transmitters and the
     values of their 0- and 1-children to the run's values.  Yields
-    (d, low, high) for d = k + theta - 1 down to 0, so a caller that
-    keeps only the last pair needs O(n) memory.  Entries of the
+    (d, low, high) for d = k + theta - 1 down to 0, in O(n) memory; a
+    yielded pair is valid only until the next step.  Entries of the
     unreachable corner points (z = 0 < o on the low side, o = 0 on the
     high side) are filled but never read.
     """
-    low, high = blank()
+    spare, (low, high) = blank(), blank()
     for d in range(k + theta - 1, -1, -1):
         a, b, low_ranks, high_ranks = _diagonal(k, theta, d)
         on_zero, on_one = low[a + 1 : b + 1], high[a:b]
-        low, high = blank()
+        spare, (low, high) = (low, high), spare
         low[a:b] = step(low_ranks, on_zero, on_one)
         high[a:b] = step(high_ranks, on_zero, on_one)
         yield d, low, high

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 
 import conftest
 import numpy as np
@@ -210,20 +211,10 @@ class TestOctaveBatches:
             monkeypatch.setattr(conftest, "_class_values", lambda p, L: list(vals))
             assert huffman._aggregate_lengths(0.5, L) == reference_aggregate_lengths(0.5, L), vals
 
-    def test_lengths_equal_once_children_move_to_arrays(self, monkeypatch):
-        # over 2**16 families: the children of the first ones are packed into arrays
-        packed = []
-
-        class Recording(huffman.array):
-            def fromlist(self, keys):
-                packed.append(len(keys))
-                super().fromlist(keys)
-
-        monkeypatch.setattr(huffman, "array", Recording)
+    def test_lengths_equal_past_the_queue_trim(self):
+        # tens of thousands of entries: the taken front of the pair queue is cut off many times
         for p, L in ((0.6, 320), (0.3, 330)):
-            packed.clear()
             assert huffman._aggregate_lengths(p, L) == reference_aggregate_lengths(p, L), (p, L)
-            assert packed and min(packed) > 2**16, (p, L)
 
     def test_fair_coin_gives_every_block_length_L(self):
         for L in range(1, 65):
@@ -248,6 +239,46 @@ class TestOctaveBatches:
         for w in (0, 1, L - 1, L):
             assert huffman._unrank_in_class(0, L, w) == [0] * (L - w) + [1] * w
             assert huffman._unrank_in_class(math.comb(L, w) - 1, L, w) == [1] * w + [0] * (L - w)
+
+
+class TestLevelCounting:
+    """Lengths read off the making order, against the heap builder in conftest."""
+
+    @pytest.mark.parametrize("L,vals", [(4, [4, 1, 2, 1, 4]), (5, [1, 3, 1, 2, 1, 1]), (5, [2, 1, 2, 1, 1, 1])])
+    def test_depth_boundary_inside_an_alternation(self, monkeypatch, L, vals):
+        # a front of made trees takes turns with equal-valued entries of
+        # made trees, and a depth boundary falls among the pairs of those
+        # turns; in the last case the front runs out in its first turn
+        monkeypatch.setattr(huffman, "_class_values", lambda p, L: list(vals))
+        monkeypatch.setattr(conftest, "_class_values", lambda p, L: list(vals))
+        assert huffman._aggregate_lengths(0.5, L) == reference_aggregate_lengths(0.5, L)
+
+    def test_tie_paths_on_longer_blocks(self, monkeypatch):
+        # many split alternations per build, several levels apart
+        rng = random.Random(35)
+        for _ in range(300):
+            L = rng.randint(13, 40)
+            vals = [rng.randint(1, 8) for _ in range(L + 1)]
+            monkeypatch.setattr(huffman, "_class_values", lambda p, L: list(vals))
+            monkeypatch.setattr(conftest, "_class_values", lambda p, L: list(vals))
+            assert huffman._aggregate_lengths(0.5, L) == reference_aggregate_lengths(0.5, L), vals
+
+    def test_long_runs_of_levels_without_leaves(self):
+        # each class is 2**1000 or more times heavier than the next: a
+        # class's leaves sit many levels below the next leaves
+        for p in (5e-324, 1e-300, 1 - 2**-52):
+            for L in (2, 9, 24):
+                assert huffman._aggregate_lengths(p, L) == reference_aggregate_lengths(p, L), (p, L)
+
+    def test_memory_stays_near_linear_in_L(self):
+        # the builder keeps the live queue entries and a few runs per class, not every merge
+        tracemalloc.start()
+        try:
+            huffman._aggregate_lengths(0.6, 192)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
 
 
 class TestClassValues:

@@ -31,6 +31,7 @@ from threshcast.core import (
     tree_states,
     validate_tree,
 )
+from threshcast import policy
 from threshcast.dp import CostTable, optimal_cost, strategy_cost
 from threshcast.policy import (
     StateAnnotation,
@@ -125,6 +126,20 @@ class TestIndexTree:
                         nodes[id(t)] = t
                         stack += [t.on_zero, t.on_one]
                 assert len(nodes) == lattice_size(n, theta), (n, theta)
+
+    def test_sweep_takes_two_blank_pairs(self):
+        # the diagonals are written into two pairs in turn, not a fresh pair each
+        zero, one = Leaf(0), Leaf(1)
+        for n, theta in ((1, 1), (5, 2), (9, 4), (12, 12), (30, 11)):
+            k, made = n - theta, []
+
+            def blank():
+                made.append(None)
+                return [zero] * (k + 2), [one] * (k + 2)
+
+            sweep = policy._sweep(k, theta, blank, lambda ranks, on_zero, on_one: list(map(Node, ranks, on_zero, on_one)))
+            assert [d for d, _, _ in sweep] == list(range(n - 1, -1, -1))
+            assert len(made) == 2, (n, theta)
 
 
 class TestCostAgreement:

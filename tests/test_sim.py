@@ -325,11 +325,13 @@ class TestBlockProtocol:
             run_order(ProbabilityProfile((0.3, 0.6)), 1, 0, 0)
 
     def test_each_code_is_built_once_per_run(self, monkeypatch):
-        # the run keeps its own codes, so the decode replay rebuilds none of the encode walk's
+        # the run keeps its own codes, so the decode replay rebuilds none of the encode walk's;
+        # every code is built in this process, where the builds can be counted
         profile = ProbabilityProfile((0.2, 0.35, 0.5, 0.65, 0.8))
         tree = strategy_dag("conjectured", 5, 2)
         seeds = np.random.SeedSequence(3).spawn(2)
         expected = [run_block_strategy(tree, profile, 2, 64, seed=child) for child in seeds]
+        build_path(monkeypatch, workers=False)
         built = count_builds(monkeypatch)
         for child, want in zip(seeds, expected):
             built.clear()
