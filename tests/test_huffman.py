@@ -264,8 +264,8 @@ class TestLevelCounting:
             assert huffman._aggregate_lengths(0.5, L) == reference_aggregate_lengths(0.5, L), vals
 
     def test_long_runs_of_levels_without_leaves(self):
-        # each class is 2**1000 or more times heavier than the next: a
-        # class's leaves sit many levels below the next leaves
+        # each class is 2**52 or more times heavier than the next, so many
+        # levels that take no leaves lie between one class's leaves and the next's
         for p in (5e-324, 1e-300, 1 - 2**-52):
             for L in (2, 9, 24):
                 assert huffman._aggregate_lengths(p, L) == reference_aggregate_lengths(p, L), (p, L)
