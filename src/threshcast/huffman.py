@@ -28,10 +28,14 @@ cannot move the expected length at any tolerance used in this project.
 The resulting length multiset satisfies the Kraft equality exactly
 (checked in big integers) and codewords are assigned canonically, so a
 (length, weight) run of codewords is one range of consecutive codes.
-Encoding ranks an outcome within its weight class and finds the class's
-run of that rank; decoding reads the longest length's worth of bits and
-finds its run with one bisect over the runs' first codes, left-aligned
-to that length (Moffat and Turpin, IEEE Trans. Commun. 45(10), 1997).
+A code keeps one table of these runs, each with its first code
+left-aligned to the longest length and its first rank, and each class
+keeps the indices of its runs; the length counts and the expected length
+are read off that table when asked for.  Encoding ranks an outcome within
+its weight class and takes the class's last run starting at or below
+that rank; decoding reads the longest length's worth of bits and finds
+its run with one bisect over the runs' first codes (Moffat and Turpin,
+IEEE Trans. Commun. 45(10), 1997).
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, pairwise
 from operator import itemgetter
 from typing import Sequence
 
@@ -267,31 +271,48 @@ class BernoulliBlockCode:
     Within a weight class (all outcomes equally likely), shorter
     codewords go to lexicographically smaller outcomes; across the whole
     alphabet, codewords are assigned canonically by (length, weight,
-    in-class rank).  Everything is computed from class-level counts: the
-    lengths come from octave batches of about 1.4 L**2 queue entries on
-    big integers and a level count over a few merges per class, which
-    makes L in the hundreds take milliseconds to a tenth of a second and
-    L = 1024 about 1 s.  Ranking and unranking step one binomial per bit.
+    in-class rank).  The code is one table of those (length, weight) runs;
+    a run's count is the gap from its first code to the next run's, at its
+    own length.  Ranking and unranking step one binomial per bit.
     """
 
     p: float
     L: int
-    class_lengths: list[dict[int, int]]
-    expected_length: float
-    # per class, by length: (rank end, length, first code - first rank)
-    _class_runs: list[list[tuple[int, int, int]]] = field(repr=False)
     # every run in canonical order: (first code left-aligned to the longest length, length, w, first rank)
     _runs: list[tuple[int, int, int, int]] = field(repr=False)
+    # per class, the indices of its runs in _runs, shortest length first
+    _class_runs: list[tuple[int, ...]] = field(repr=False)
+
+    @property
+    def class_lengths(self) -> list[dict[int, int]]:
+        """Codeword-length multiset per weight class: {length: count} for each w."""
+        runs = self._runs
+        width = runs[-1][1]
+        out: list[dict[int, int]] = [{} for _ in range(self.L + 1)]
+        for (start, d, w, _), (end, *_) in pairwise(runs + [(1 << width,)]):
+            out[w][d] = (end - start) >> (width - d)
+        return out
+
+    @property
+    def expected_length(self) -> float:
+        """Expected codeword length in bits under Bernoulli(p)^L."""
+        L, log_p, log_q = self.L, math.log(self.p), math.log(1.0 - self.p)
+        expected = 0.0
+        for w, dm in enumerate(self.class_lengths):
+            log_pmf = math.lgamma(L + 1) - math.lgamma(w + 1) - math.lgamma(L - w + 1) + w * log_p + (L - w) * log_q
+            expected += math.exp(log_pmf) * (sum(d * cnt for d, cnt in dm.items()) / math.comb(L, w))
+        return expected
 
     def encode_block(self, bits: Sequence[int]) -> str:
         if len(bits) != self.L:
             raise InputError(f"block has {len(bits)} bits, code expects {self.L}")
         w = sum(1 for b in bits if b)
         r = _rank_in_class(bits, w)
-        for rank_end, length, base in self._class_runs[w]:
-            if r < rank_end:
-                return format(base + r, "b").zfill(length)
-        raise AssertionError("rank outside class range")
+        runs = self._runs
+        for i in reversed(self._class_runs[w]):
+            start, length, _, rank_start = runs[i]
+            if rank_start <= r:  # a class's first run starts at rank 0
+                return format((start >> (runs[-1][1] - length)) + r - rank_start, "b").zfill(length)
 
     def decode_block(self, stream: str, pos: int = 0) -> tuple[list[int], int]:
         """Read one codeword from `stream` at `pos`; return (block bits, new pos).
@@ -322,43 +343,20 @@ def build_block_code(p: float, L: int) -> BernoulliBlockCode:
     # canonical order: by length, then weight, then in-class rank
     by_length = sorted((d, w, cnt) for w, dm in enumerate(class_lengths) for d, cnt in dm.items())
     width = by_length[-1][0]
-    class_runs: list[list[tuple[int, int, int]]] = [[] for _ in class_lengths]
+    class_runs: list[tuple[int, ...]] = [()] * (L + 1)
     runs: list[tuple[int, int, int, int]] = []
     rank_end = [0] * (L + 1)
     code = prev = 0
     for d, w, cnt in by_length:
         code <<= d - prev
         prev = d
-        rank_start = rank_end[w]
+        class_runs[w] += (len(runs),)
+        runs.append((code << (width - d), d, w, rank_end[w]))
         rank_end[w] += cnt
-        class_runs[w].append((rank_end[w], d, code - rank_start))
-        runs.append((code << (width - d), d, w, rank_start))
         code += cnt
     for w, total in enumerate(rank_end):
         if total != math.comb(L, w):
             raise AssertionError(f"class {w} length counts do not sum to C({L},{w})")
     if code != 1 << width:
         raise AssertionError("length multiset misses Kraft equality")
-
-    q = 1.0 - p
-    expected = 0.0
-    lg_n = math.lgamma(L + 1)
-    for w, dm in enumerate(class_lengths):
-        log_pmf = (
-            lg_n
-            - math.lgamma(w + 1)
-            - math.lgamma(L - w + 1)
-            + w * math.log(p)
-            + (L - w) * math.log(q)
-        )
-        avg_len = sum(d * cnt for d, cnt in dm.items()) / math.comb(L, w)
-        expected += math.exp(log_pmf) * avg_len
-
-    return BernoulliBlockCode(
-        p=p,
-        L=L,
-        class_lengths=class_lengths,
-        expected_length=expected,
-        _class_runs=class_runs,
-        _runs=runs,
-    )
+    return BernoulliBlockCode(p=p, L=L, _runs=runs, _class_runs=class_runs)

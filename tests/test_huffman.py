@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import pickle
 import random
 import tracemalloc
 
@@ -365,6 +366,28 @@ class TestBlockCode:
                 assert code.decode_block(cw) == (bits, len(cw))
                 digest.update(cw.encode() + b"\n")
         assert digest.hexdigest() == "949b74d9994997970a709f5731be2e9045ee46d2a1a0277b81a600c5d022836a"
+
+    @pytest.mark.parametrize("p,L,two_run_classes", [(0.2, 256, 153), (0.6, 128, 6)])
+    def test_run_boundaries_at_large_L(self, p, L, two_run_classes):
+        # the first and last rank of every (length, weight) run, past where every codeword can be checked
+        code = build_block_code(p, L)
+        assert sum(len(dm) == 2 for dm in code.class_lengths) == two_run_classes
+        for w, dm in enumerate(code.class_lengths):
+            first = 0
+            for d, count in sorted(dm.items()):
+                words = []
+                for r in (first, first + count - 1):
+                    bits = huffman._unrank_in_class(r, L, w)
+                    cw = code.encode_block(bits)
+                    assert len(cw) == d and code.decode_block(cw) == (bits, d), (w, r)
+                    words.append(int(cw, 2))
+                assert words[1] == words[0] + count - 1, (w, d)
+                first += count
+            assert first == math.comb(L, w), w
+
+    def test_a_pickled_code_holds_one_run_table(self):
+        # build workers send their codes back pickled; a second table of the runs would double this
+        assert len(pickle.dumps(build_block_code(0.2, 256))) < 48_000
 
     @pytest.mark.parametrize("p,L", [(0.6, 8), (0.9, 12)])
     def test_stream_cut_anywhere(self, p, L):
