@@ -14,10 +14,11 @@ sort and walked in order.  An entry whose trees pair with each other
 rejoins the queue with its value doubled and its count halved.  About
 1.4 L**2 entries are walked, in line with Moffat and Turpin's bound of
 r log(n / r) for r = L + 1 runs over n = 2**L symbols, in about
-L log2(1 / min(p, 1 - p)) batches.  The lengths are then read off the
-making order by level counting (Moffat and Katajainen, WADS 1995): each
-depth is one range of pairs, found from the leaves the pairs below it
-take, in a few steps per class rather than one per family.
+L log2(1 / min(p, 1 - p)) batches.  Made trees pair their own first,
+tie or not, so they are taken in the order they were made, and lengths
+are read off that order by level counting (Moffat and Katajainen, WADS
+1995): each depth is one range of pairs, found from the leaves the pairs
+below it take, in a few steps per class rather than one per family.
 
 Family values are exact big integers at a fixed binary scale with 64
 guard bits.  A truncated family value of c outcomes is below the exact
@@ -91,9 +92,12 @@ def _aggregate_lengths(p: float, L: int) -> list[dict[int, int]]:
     pairs key, key + 1, ..., numbered in making order.  The class queue
     is sorted by (value, w), the pair queue is in making order, and on
     equal values a class goes first.  The smallest entry pairs its trees
-    with the next smallest's (take = the smaller count) when their values
-    are equal or it holds one tree; else it pairs them with each other,
-    its last tree left behind.
+    with each other, its last tree left to pair with the next entry's
+    first.  Only a class's leaves pair first with an equal-valued entry's
+    trees (take = the smaller count): at p = 1/4 and 3/4 leaves meet
+    equal made trees, and the tests pin those codes.  Made trees pair
+    their own even on a tie, so every made tree is taken in making order.
+    Huffman's construction is optimal however it breaks ties.
 
     Every entry made while the smallest live value is V is at least 2V,
     or v + V while a leftover tree of value v < V waits to pair with the
@@ -105,11 +109,6 @@ def _aggregate_lengths(p: float, L: int) -> list[dict[int, int]]:
     trees 0 to rho(q) - 1, rho(q) = 2q - (the leaves they take).  If
     pairs [a, b) sit at depth d, the root pair at depth 0, the leaves
     they take get length d + 1 and pairs [rho(a), rho(b)) depth d + 1.
-    That fails only where a front of made trees takes turns with an
-    equal-valued entry of made trees, taking the entry's trees before
-    its own later ones.  Then the batches are walked again, logging
-    every merge, and each depth's tree count is handed from each merge
-    to the entries it took.
     """
     values = _class_values(p, L)
     if values.count(values[0]) > L:  # a fair coin: every merge ties, and every block gets L bits
@@ -117,90 +116,66 @@ def _aggregate_lengths(p: float, L: int) -> list[dict[int, int]]:
     first = itemgetter(0)
     # above every merged value: ends the class queue and is never taken
     end = 1 << (max(values).bit_length() + L + 1)
-    # log the merges that take a key below lim: first those that take
-    # leaves, and, if a front took turns, every merge
-    for lim in 0, 1 << L:
-        lq = sorted(((values[w], math.comb(L, w), ~w) for w in range(L + 1)), key=first)
-        lq.append((end, 0, 0))
-        mq = []
-        put_m = mq.append
-        # (first pair, pairs, key, key) of each logged merge, after an empty one at 0
-        merges = [(0, 0, 0, 0)]
-        log = merges.append
-        li = mi = q = 0
-        # the front entry being walked: value, trees left, key
-        v = c = k = 0
-        turns = False
-        while True:
-            top = lq[li][0]
-            if mi < len(mq) and mq[mi][0] < top:
-                top = mq[mi][0]
-            if c and top == end:
-                break
-            bound = (v if c else top) + top
-            lj = bisect_left(lq, bound, li, key=first)
-            mj = bisect_left(mq, bound, mi, key=first)
-            batch = lq[li:lj]
-            if mj > mi:
-                batch += mq[mi:mj]
-                if li < lj:
-                    batch.sort(key=first)
-            li, mi = lj, mj
-            for v2, c2, k2 in batch:
-                if c > 1:
-                    if v2 != v:
-                        h = c >> 1
-                        if k < lim:
-                            log((q, h, k, k))
-                        put_m((v + v, h, q))
-                        q += h
-                        c &= 1
-                    elif c > c2:  # equal values, and the front outlasts the entry
-                        if k < lim or k2 < lim:
-                            log((q, c2, k, k2))
-                        else:
-                            turns = True
-                        put_m((v + v2, c2, q))
-                        q += c2
-                        c -= c2
-                        continue
-                if c:  # c <= c2 here: each tree left pairs with one of the entry's
-                    if k < lim or k2 < lim:
-                        log((q, c, k, k2))
-                    elif c > 1:
-                        turns = True
-                    put_m((v + v2, c, q))
-                    q += c
-                    c2 -= c
-                v, c, k = v2, c2, k2
-            # every entry left is at or above the bound, so none equals v
-            if c > 1:
-                h = c >> 1
-                if k < lim:
-                    log((q, h, k, k))
-                put_m((v + v, h, q))
-                q += h
-                c &= 1
-            if mi > 4096:
-                del mq[:mi]
-                mi = 0
-        if not turns:
+    lq = sorted(((values[w], math.comb(L, w), ~w) for w in range(L + 1)), key=first)
+    lq.append((end, 0, 0))
+    mq = []
+    put_m = mq.append
+    # (first pair, pairs, key, key) of each merge that takes leaves, after an empty one at 0
+    merges = [(0, 0, 0, 0)]
+    log = merges.append
+    li = mi = q = 0
+    # the front entry being walked: value, trees left, key
+    v = c = k = 0
+    while True:
+        top = lq[li][0]
+        if mi < len(mq) and mq[mi][0] < top:
+            top = mq[mi][0]
+        if c and top == end:
             break
+        bound = (v if c else top) + top
+        lj = bisect_left(lq, bound, li, key=first)
+        mj = bisect_left(mq, bound, mi, key=first)
+        batch = lq[li:lj]
+        if mj > mi:
+            batch += mq[mi:mj]
+            if li < lj:
+                batch.sort(key=first)
+        li, mi = lj, mj
+        for v2, c2, k2 in batch:
+            if c > 1:
+                if v2 != v or k >= 0:
+                    h = c >> 1
+                    if k < 0:
+                        log((q, h, k, k))
+                    put_m((v + v, h, q))
+                    q += h
+                    c &= 1
+                elif c > c2:  # a class outlasts an equal-valued entry
+                    log((q, c2, k, k2))
+                    put_m((v + v2, c2, q))
+                    q += c2
+                    c -= c2
+                    continue
+            if c:  # c <= c2 here: each tree left pairs with one of the entry's
+                if k < 0 or k2 < 0:
+                    log((q, c, k, k2))
+                put_m((v + v2, c, q))
+                q += c
+                c2 -= c
+            v, c, k = v2, c2, k2
+        # every entry left is at or above the bound, so none equals v
+        if c > 1:
+            h = c >> 1
+            if k < 0:
+                log((q, h, k, k))
+            put_m((v + v, h, q))
+            q += h
+            c &= 1
+        if mi > 4096:
+            del mq[:mi]
+            mi = 0
 
     out = [{} for _ in range(L + 1)]
-    if lim:
-        at = {r[0]: i for i, r in enumerate(merges) if r[1]}
-        level, d = {len(merges) - 1: 1}, 1  # {merge: how many of its trees sit at depth d - 1}
-        while level:
-            below = {}
-            for i, n in level.items():
-                for kk in merges[i][2:]:
-                    if kk < 0:
-                        out[~kk][d] = out[~kk].get(d, 0) + n
-                    else:
-                        below[at[kk]] = below.get(at[kk], 0) + n
-            level, d = below, d + 1
-        return out
     # leaves taken by each pair of a merge, and by all pairs below its first
     per = [(r[2] < 0) + (r[3] < 0) for r in merges]
     lam = list(accumulate((n * r[1] for n, r in zip(per, merges)), initial=0))

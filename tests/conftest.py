@@ -249,8 +249,13 @@ def reference_aggregate_lengths(p: float, L: int) -> list[dict[int, int]]:
     through a heap: the oracle for the two-queue builder in the package.
 
     Returns, for each w, a dict {length: count} with counts summing to
-    C(L, w).  Merge events are recorded forward and replayed in reverse
-    to push depth multisets from the root back down to the classes.
+    C(L, w).  The smallest family pairs its trees with each other, its
+    last one left behind, except where it holds one tree, or holds a
+    class's leaves and the next smallest family has the same value: then
+    it pairs them with that family's (take = the smaller count).  These
+    are the builder's tie rules.  Merge events are recorded forward and
+    replayed in reverse to push depth multisets from the root back down
+    to the classes.
     """
     values = _class_values(p, L)
     # heap entries: (family value, family id, tree count); ids 0..L are classes
@@ -266,7 +271,7 @@ def reference_aggregate_lengths(p: float, L: int) -> list[dict[int, int]]:
             root = g1
             break
         if c1 >= 2:
-            if heap and heap[0][0] == v1:
+            if g1 <= L and heap and heap[0][0] == v1:
                 v2, g2, c2 = heapq.heappop(heap)
                 take = min(c1, c2)
                 events.append((next_id, ((g1, 1), (g2, 1))))

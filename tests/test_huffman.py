@@ -1,6 +1,7 @@
 """Prefix codes: explicit builder, and the weight-class aggregated block code."""
 
 import hashlib
+import heapq
 import math
 import pickle
 import random
@@ -16,6 +17,12 @@ from hypothesis import strategies as st
 from threshcast import huffman
 from threshcast.core import CapacityError, InputError
 from threshcast.huffman import BernoulliBlockCode, bernoulli_entropy, build_block_code
+
+# sha256 of repr(class_lengths), one line per (p, L), over the grid in
+# TestTwoQueueBuilder.test_real_codes_are_pinned.  The heap oracle in
+# conftest shares the builder's tie rule, so this is the check of real
+# codes that does not move with it.
+REAL_CLASS_LENGTHS_SHA256 = "b7d50817059e35bca32dc07868b3ccc34bea359ab40935834d1430ee5627fb4a"
 
 
 class TestEntropy:
@@ -162,10 +169,17 @@ class TestTwoQueueBuilder:
         for p, L in cases:
             assert build_block_code(p, L).class_lengths == reference_aggregate_lengths(p, L), (p, L)
 
+    def test_real_codes_are_pinned(self):
+        digest = hashlib.sha256()
+        for p in (1 / 3, 1 / 4, 3 / 4, 3 / 8, 0.6, 0.01, 1e-6, 1 - 1e-6, 0.5 - 2**-40, 0.5 + 2**-40, 5e-324):
+            for L in list(range(1, 65)) + [128, 256]:
+                digest.update(repr(build_block_code(p, L).class_lengths).encode() + b"\n")
+        assert digest.hexdigest() == REAL_CLASS_LENGTHS_SHA256
+
     def test_tie_paths_on_small_integer_weights(self, monkeypatch):
-        # Equal-value fronts in one queue with the larger count in front
-        # almost never arise from real class values; small integer weights
-        # make them common, and both builders see the same weights.
+        # Fronts that meet an equal-valued entry are rare on real class
+        # values; small integer weights make them common, and both
+        # builders see the same weights.
         rng = random.Random(7)
         for _ in range(1500):
             L = rng.randint(1, 12)
@@ -247,15 +261,15 @@ class TestLevelCounting:
 
     @pytest.mark.parametrize("L,vals", [(4, [4, 1, 2, 1, 4]), (5, [1, 3, 1, 2, 1, 1]), (5, [2, 1, 2, 1, 1, 1])])
     def test_depth_boundary_inside_an_alternation(self, monkeypatch, L, vals):
-        # a front of made trees takes turns with equal-valued entries of
-        # made trees, and a depth boundary falls among the pairs of those
-        # turns; in the last case the front runs out in its first turn
+        # a front of made trees meets an equal-valued entry of made trees
+        # and pairs its own trees first, and a depth boundary falls among
+        # the pairs around that tie
         monkeypatch.setattr(huffman, "_class_values", lambda p, L: list(vals))
         monkeypatch.setattr(conftest, "_class_values", lambda p, L: list(vals))
         assert huffman._aggregate_lengths(0.5, L) == reference_aggregate_lengths(0.5, L)
 
     def test_tie_paths_on_longer_blocks(self, monkeypatch):
-        # many split alternations per build, several levels apart
+        # fronts of made trees meet equal-valued made trees in every build, several levels apart
         rng = random.Random(35)
         for _ in range(300):
             L = rng.randint(13, 40)
@@ -280,6 +294,36 @@ class TestLevelCounting:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * 2**20
+
+    def test_memory_stays_near_linear_in_L_on_tied_values(self, monkeypatch):
+        # all classes but one tie, so fronts of made trees meet equal-valued made trees
+        # again and again; the memory must not grow with the number of merges
+        monkeypatch.setattr(huffman, "_class_values", lambda p, L: [1] * L + [2])
+        tracemalloc.start()
+        try:
+            huffman._aggregate_lengths(0.5, 192)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
+
+    def test_cost_equals_a_heap_over_every_block(self, monkeypatch):
+        # the code's total cost against plain Huffman over all 2**L blocks,
+        # whose cost is the sum of every merged value whatever the tie rule
+        rng = random.Random(38)
+        for _ in range(200):
+            L = rng.randint(1, 12)
+            vals = [rng.randint(1, 8) for _ in range(L + 1)]
+            monkeypatch.setattr(huffman, "_class_values", lambda p, L: list(vals))
+            lengths = huffman._aggregate_lengths(0.5, L)
+            heap = [vals[w] for w in range(L + 1) for _ in range(math.comb(L, w))]
+            heapq.heapify(heap)
+            cost = 0
+            while len(heap) > 1:
+                merged = heapq.heappop(heap) + heapq.heappop(heap)
+                cost += merged
+                heapq.heappush(heap, merged)
+            assert sum(d * count * vals[w] for w, dm in enumerate(lengths) for d, count in dm.items()) == cost, vals
 
 
 class TestClassValues:
