@@ -11,14 +11,14 @@ Turpin (IEEE Trans. IT 44(4), 1998).  While the smallest live value is
 V, every entry a merge makes is at least 2V, so the entries below 2V
 are taken off both queues as one batch, merged by value with one stable
 sort and walked in order.  An entry whose trees pair with each other
-rejoins the queue with its value doubled and its count halved.  About
-1.4 L**2 entries are walked, in line with Moffat and Turpin's bound of
-r log(n / r) for r = L + 1 runs over n = 2**L symbols, in about
-L log2(1 / min(p, 1 - p)) batches.  Made trees pair their own first,
-tie or not, so they are taken in the order they were made, and lengths
-are read off that order by level counting (Moffat and Katajainen, WADS
-1995): each depth is one range of pairs, found from the leaves the pairs
-below it take, in a few steps per class rather than one per family.
+rejoins the queue with its value doubled and its count halved.  Made
+trees pair their own first, tie or not, so they are taken in the order
+they were made, and lengths are read off that order by level counting
+(Moffat and Katajainen, WADS 1995), in a few steps per class rather than
+one per family.  So the walk ends at the last leaf's pair, after about
+L |log2(p / (1 - p))| batches and at most about 1.4 L**2 entries (Moffat
+and Turpin's r log(n / r), r = L + 1 runs of n = 2**L symbols): 0.93
+L**2 at p = 0.3, 0.28 L**2 at 0.45, one batch of L + 1 at p = 1/2.
 
 Family values are exact big integers at a fixed binary scale with 64
 guard bits.  A truncated family value of c outcomes is below the exact
@@ -107,17 +107,18 @@ def _aggregate_lengths(p: float, L: int) -> list[dict[int, int]]:
     Lengths come by level counting (Moffat and Katajainen, WADS 1995).
     Made trees are taken in making order, so the pairs below q take made
     trees 0 to rho(q) - 1, rho(q) = 2q - (the leaves they take).  If
-    pairs [a, b) sit at depth d, the root pair at depth 0, the leaves
+    pairs [a, b) sit at depth d, the root pair 2**L - 2 at depth 0 (a
+    full binary tree on 2**L leaves has q = 2**L - 1 pairs), the leaves
     they take get length d + 1 and pairs [rho(a), rho(b)) depth d + 1.
+    So the walk stops once every class is taken and no leaf waits in
+    front: no later merge takes a leaf, so the merge log is final, and
+    later pairs take made trees in making order whatever their values.
     """
     values = _class_values(p, L)
-    if values.count(values[0]) > L:  # a fair coin: every merge ties, and every block gets L bits
-        return [{L: math.comb(L, w)} for w in range(L + 1)]
     first = itemgetter(0)
-    # above every merged value: ends the class queue and is never taken
-    end = 1 << (max(values).bit_length() + L + 1)
     lq = sorted(((values[w], math.comb(L, w), ~w) for w in range(L + 1)), key=first)
-    lq.append((end, 0, 0))
+    # above every merged value: ends the class queue and is never taken
+    lq.append((1 << (max(values).bit_length() + L + 1), 0, 0))
     mq = []
     put_m = mq.append
     # (first pair, pairs, key, key) of each merge that takes leaves, after an empty one at 0
@@ -126,12 +127,10 @@ def _aggregate_lengths(p: float, L: int) -> list[dict[int, int]]:
     li = mi = q = 0
     # the front entry being walked: value, trees left, key
     v = c = k = 0
-    while True:
+    while li <= L or (c and k < 0):
         top = lq[li][0]
         if mi < len(mq) and mq[mi][0] < top:
             top = mq[mi][0]
-        if c and top == end:
-            break
         bound = (v if c else top) + top
         lj = bisect_left(lq, bound, li, key=first)
         mj = bisect_left(mq, bound, mi, key=first)
@@ -179,7 +178,7 @@ def _aggregate_lengths(p: float, L: int) -> list[dict[int, int]]:
     # leaves taken by each pair of a merge, and by all pairs below its first
     per = [(r[2] < 0) + (r[3] < 0) for r in merges]
     lam = list(accumulate((n * r[1] for n, r in zip(per, merges)), initial=0))
-    a, b, d, i = q - 1, q, 1, len(merges) - 1
+    a, b, d, i = (1 << L) - 2, (1 << L) - 1, 1, len(merges) - 1
     while a < b:
         # length d to the leaves pairs [a, b) take, from merge i down to the one at or below a
         while True:

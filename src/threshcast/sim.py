@@ -268,17 +268,17 @@ class BlockExperimentReport:
     values: tuple[int, ...] = field(repr=False)
 
 
-# A cold block-code build at L = 2048 takes about 5.1-6.5 s and 47 MiB
+# A cold block-code build at L = 2048 takes about 1.4-2.2 s and 46 MiB
 # (p = 0.6, 2-core x86-64 host, Python 3.11): time grows as L**2, memory
 # as the live queue entries.
 BLOCK_MAX_N = 2048
 # The widest class values, N log2(1 / min(p, 1 - p)) bits, a build may use: the smallest round cap that admits
-# p = 5e-324 at N = 8.  At N = 2048 and p = 0.048 a build takes 7.1-7.8 s and 51 MiB (same host).
+# p = 5e-324 at N = 8.  At N = 2048 and p = 0.048 a build takes 4.0-4.6 s and 51 MiB (same host).
 BLOCK_MAX_WIDTH = 9000
 
 # Codes at least this long are built on worker processes when a run needs
-# two or more of them.  At L = 32 a build takes about 1-1.2 ms and at 48
-# about 2-2.6 ms, and handing it to a worker and back adds 0.3-0.6 ms
+# two or more of them.  At L = 32 a build takes about 0.45-0.65 ms and at
+# 48 about 0.95-1.15 ms, and handing it to a worker and back adds 0.3-0.6 ms
 # (2-core x86-64 host, Python 3.11).  `block` ran about 5% faster at 32
 # than at 48 (7 of 8 paired runs), and 24 gained nothing clear over 32.
 # A lone long code is built here, where it costs no hand-off.

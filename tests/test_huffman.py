@@ -1,5 +1,6 @@
 """Prefix codes: explicit builder, and the weight-class aggregated block code."""
 
+import bisect
 import hashlib
 import heapq
 import math
@@ -23,6 +24,9 @@ from threshcast.huffman import BernoulliBlockCode, bernoulli_entropy, build_bloc
 # conftest shares the builder's tie rule, so this is the check of real
 # codes that does not move with it.
 REAL_CLASS_LENGTHS_SHA256 = "b7d50817059e35bca32dc07868b3ccc34bea359ab40935834d1430ee5627fb4a"
+# The same, over the grid in TestTwoQueueBuilder.test_real_codes_near_a_fair_coin_are_pinned,
+# where the walk stops long before the root; taken from a builder that walked to the root.
+NEAR_FAIR_CLASS_LENGTHS_SHA256 = "bf8c08e0b2f8e0cd9ca044083c098c18b4c1a425857068058113fc5c8ddf04bc"
 
 
 class TestEntropy:
@@ -176,6 +180,18 @@ class TestTwoQueueBuilder:
                 digest.update(repr(build_block_code(p, L).class_lengths).encode() + b"\n")
         assert digest.hexdigest() == REAL_CLASS_LENGTHS_SHA256
 
+    def test_real_codes_near_a_fair_coin_are_pinned(self):
+        rng = random.Random(39)
+        ps = [0.5, 0.45, 0.55, 0.49, 0.51, 0.4, 0.6, 0.3, 0.7] + [round(rng.uniform(0.01, 0.99), 6) for _ in range(30)]
+        digest = hashlib.sha256()
+        for p in ps:
+            for L in list(range(1, 65)) + [96, 128, 200, 256]:
+                digest.update(repr(build_block_code(p, L).class_lengths).encode() + b"\n")
+        assert digest.hexdigest() == NEAR_FAIR_CLASS_LENGTHS_SHA256
+        # every merge ties at p = 1/2, and the walk stops after its one batch
+        for L in (1024, 2048):
+            assert build_block_code(0.5, L).class_lengths == [{L: math.comb(L, w)} for w in range(L + 1)], L
+
     def test_tie_paths_on_small_integer_weights(self, monkeypatch):
         # Fronts that meet an equal-valued entry are rare on real class
         # values; small integer weights make them common, and both
@@ -284,6 +300,19 @@ class TestLevelCounting:
         for p in (5e-324, 1e-300, 1 - 2**-52):
             for L in (2, 9, 24):
                 assert huffman._aggregate_lengths(p, L) == reference_aggregate_lengths(p, L), (p, L)
+
+    def test_walk_stops_once_every_leaf_is_taken(self, monkeypatch):
+        # each batch bisects both queues once: at (0.45, 256) the last leaf
+        # is paired in batch 75 of the 296 a walk to the root takes
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return bisect.bisect_left(*args, **kwargs)
+
+        monkeypatch.setattr(huffman, "bisect_left", counted)
+        huffman._aggregate_lengths(0.45, 256)
+        assert len(calls) < 200
 
     def test_memory_stays_near_linear_in_L(self):
         # the builder keeps the live queue entries and a few runs per class, not every merge
