@@ -191,8 +191,8 @@ def rank_labels(ingested: IngestedProfile, labels_arg: Optional[str]) -> Optiona
 
 
 def text_value(v) -> str:
-    """A record value as table and csv print it: a float by `fmt`, a bool lower
-    case, None empty, a tuple or list as its items joined by ";", a mapping
+    """A record value as table prints it, and as csv does before `csv_cell` quotes it: a float by
+    `fmt`, a bool lower case, None empty, a tuple or list as its items joined by ";", a mapping
     as its "k:v" items joined by ";", and a strategy as compact JSON."""
     if v is None or isinstance(v, bool):
         return "" if v is None else str(v).lower()
@@ -205,9 +205,16 @@ def text_value(v) -> str:
     return render_json(v, compact=True) if isinstance(v, (Node, Leaf)) else str(v)
 
 
+def csv_cell(v) -> str:
+    """A raw value as one csv cell: its `text_value`, quoted per RFC 4180 only when it holds a comma, a double
+    quote or a line break."""
+    s = text_value(v)
+    return '"' + s.replace('"', '""') + '"' if "," in s or '"' in s or "\n" in s or "\r" in s else s
+
+
 def render_csv(rows: Iterable[Sequence]) -> str:
-    """Rows of raw values as csv lines, each cell printed by `text_value`."""
-    return "".join(",".join(map(text_value, row)) + "\n" for row in rows)
+    """Rows of raw values as csv lines, each cell printed by `csv_cell`."""
+    return "".join(",".join(map(csv_cell, row)) + "\n" for row in rows)
 
 
 def render_record(record: list[tuple[str, object]], out_format: str) -> str:
@@ -396,8 +403,7 @@ def cmd_block(opts: argparse.Namespace) -> tuple[str, int]:
     record = list(vars(summary).items())
     if opts.transcript and opts.format == "json":
         record.append(("replications", [
-            {"total_bits": r.total_bits, "bits_per_instance": r.bits_per_instance, "error_count": r.error_count,
-             "rounds": [vars(rd) for rd in r.rounds]}
+            {**{k: v for k, v in vars(r).items() if k != "values"}, "rounds": [vars(rd) for rd in r.rounds]}
             for r in reports
         ]))
     return render_record(record, opts.format), EXIT_SIM if summary.error_count > 0 else EXIT_OK

@@ -256,12 +256,8 @@ class RoundRecord:
 
 @dataclass(frozen=True)
 class BlockExperimentReport:
-    n: int
-    theta: int
-    N: int
     total_bits: int
     bits_per_instance: float
-    first_round_bits: int
     rounds: tuple[RoundRecord, ...]
     error_count: int
     # each instance's decoded value; all -1 when the decode replay failed
@@ -360,12 +356,12 @@ def _build_codes(keys: set[tuple[float, int]]) -> dict[tuple[float, int], Bernou
     return codes
 
 
-# one replication's draw, each instance's value as the strategy reaches it,
-# and each block it sends as (rank, p, the block's bits), in send order
+# one replication's function value per instance, each instance's value as the
+# strategy reaches it, and each block it sends as (rank, p, the block's bits), in send order
 _BlockPlan = tuple[np.ndarray, np.ndarray, list[tuple[int, float, np.ndarray]]]
 
 
-def _plan_blocks(tree: DecisionTree, profile: ProbabilityProfile, N: int, seed) -> _BlockPlan:
+def _plan_blocks(tree: DecisionTree, profile: ProbabilityProfile, theta: int, N: int, seed) -> _BlockPlan:
     """Draw one replication and walk it, listing the blocks it sends."""
     X = draw_measurements(profile, N, np.random.default_rng(seed))
     blocks: list[tuple[int, float, np.ndarray]] = []
@@ -377,19 +373,19 @@ def _plan_blocks(tree: DecisionTree, profile: ProbabilityProfile, N: int, seed) 
         blocks.append((rank, p, bits))
         return bits
 
-    return X, _block_walk(tree, N, send), blocks
+    return (X.sum(axis=1) >= theta).astype(np.int8), _block_walk(tree, N, send), blocks
 
 
 def _encode_and_replay(
-    tree: DecisionTree, profile: ProbabilityProfile, theta: int, plan: _BlockPlan, codes: dict
+    tree: DecisionTree, profile: ProbabilityProfile, plan: _BlockPlan, codes: dict
 ) -> BlockExperimentReport:
     """Code a planned replication's blocks, then decode the run back from the stream alone."""
-    X, values, blocks = plan
-    N = X.shape[0]
+    truth, values, blocks = plan
+    N = truth.size
     stream_parts: list[str] = []
     rounds: list[RoundRecord] = []
     for rank, p, bits in blocks:
-        cw = codes[p, bits.size].encode_block(bits.astype(int).tolist())
+        cw = codes[p, bits.size].encode_block(bits.tolist())
         rounds.append(RoundRecord(len(rounds), rank, bits.size, len(cw)))
         stream_parts.append(cw)
     stream = "".join(stream_parts)
@@ -410,18 +406,13 @@ def _encode_and_replay(
             raise InputError("decoder did not consume the whole stream")
     except InputError:
         decoded = np.full(N, -1, dtype=np.int8)
-    truth = (X.sum(axis=1) >= theta).astype(np.int8)
     total_bits = len(stream)
     return BlockExperimentReport(
-        n=profile.n,
-        theta=theta,
-        N=N,
         total_bits=total_bits,
         bits_per_instance=total_bits / N,
-        first_round_bits=rounds[0].code_bits if rounds else 0,
         rounds=tuple(rounds),
         error_count=int(((values != truth) | (decoded != truth)).sum()),
-        values=tuple(int(v) for v in decoded),
+        values=tuple(decoded.tolist()),
     )
 
 
@@ -433,9 +424,9 @@ def _run_blocks(
     decide where the walk goes next; then each distinct (p, live count)
     code of all the runs is built once; then each run is encoded and
     replayed from those codes."""
-    plans = [_plan_blocks(tree, profile, N, seed) for seed in seeds]
+    plans = [_plan_blocks(tree, profile, theta, N, seed) for seed in seeds]
     codes = _build_codes({(p, bits.size) for _, _, blocks in plans for _, p, bits in blocks})
-    return [_encode_and_replay(tree, profile, theta, plan, codes) for plan in plans]
+    return [_encode_and_replay(tree, profile, plan, codes) for plan in plans]
 
 
 def run_block_strategy(
@@ -500,7 +491,7 @@ def run_block_replications(
     children = np.random.SeedSequence(seed).spawn(reps)
     reports = _run_blocks(tree, profile, theta, N, children)
     per_inst = np.array([r.bits_per_instance for r in reports])
-    first = np.array([r.first_round_bits / N for r in reports])
+    first = np.array([(r.rounds[0].code_bits if r.rounds else 0) / N for r in reports])
     summary = ReplicationSummary(
         n=profile.n,
         theta=theta,

@@ -3,7 +3,8 @@
 `perfbench/tracing.py` wraps threshcast functions at the module attribute
 its callers read, and the oracles in `perfbench/workloads.py` call package
 names; README's quick start documents the package root, its CLI section
-every option, and `__all__` lists the root's names.  Deleting any of those names must fail here rather
+every option, and `__all__` lists the root's names; pyproject's requires-python names the grammar `src/` is
+written in.  Deleting any of those names must fail here rather
 than at a traced bench run, a star import or for a reader of the docs, and so must a root name no
 caller uses.
 """
@@ -142,3 +143,14 @@ def test_readme_lists_every_cli_option():
                 if action.dest != "help":
                     declared.setdefault(option, set()).add(command)
     assert documented == declared
+
+
+def test_source_parses_under_the_oldest_supported_python():
+    """Every module of `src/` parses under the grammar of the oldest Python pyproject's requires-python admits,
+    so a newer construct (`except*`, say) fails here rather than on that Python."""
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    oldest = tuple(map(int, re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', pyproject, re.M).groups()))
+    sources = sorted((ROOT / "src" / "threshcast").glob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=oldest)

@@ -1,6 +1,7 @@
 """Command line behavior: formats, precedence, exit codes, determinism."""
 
 import argparse
+import csv
 import dataclasses
 import errno
 import json
@@ -24,8 +25,8 @@ from threshcast.core import Leaf, Node, ProbabilityProfile, dag_postorder
 from threshcast.dp import DEFAULT_NODE_CAP, MAX_TABLE_N, CostTable
 from threshcast.huffman import BernoulliBlockCode
 from threshcast.policy import _reachable_states, annotate_reachable_states
-from threshcast.sim import (BLOCK_MAX_N, BLOCK_MAX_WIDTH, MAX_DAG_NODES, SIM_MAX_CELLS, ReplicationSummary,
-                            SimulationReport)
+from threshcast.sim import (BLOCK_MAX_N, BLOCK_MAX_WIDTH, MAX_DAG_NODES, SIM_MAX_CELLS, BlockExperimentReport,
+                            ReplicationSummary, RoundRecord, SimulationReport)
 from threshcast.verify import LemmaRecord
 
 
@@ -292,16 +293,40 @@ class TestRenderRecord:
         )
 
     def test_csv(self):
-        # csv cells are not quoted: a strategy's commas split its cell, so no csv record holds one
+        # a cell is quoted per RFC 4180 only when it holds a comma, a double quote or a line break, as the
+        # strategy's does; no csv the CLI prints holds a strategy
+        quoted = '"' + self.TREE_TEXT.replace('"', '""') + '"'
         assert render_record(self.RECORD, "csv") == (
             "none,flag,count,cost,np_cost,ranks,rank_map,tree\n"
-            f",true,3,0.666666666667,0.142857142857,2;1,1:1;2:0,{self.TREE_TEXT}\n"
+            f",true,3,0.666666666667,0.142857142857,2;1,1:1;2:0,{quoted}\n"
         )
+        assert next(csv.reader([render_record(self.RECORD, "csv").splitlines()[1]]))[-1] == self.TREE_TEXT
 
     def test_json(self):
         expected = {"none": None, "flag": True, "count": 3, "cost": 0.666666666667, "np_cost": 0.142857142857,
                     "ranks": [2, 1], "rank_map": {"1": 1, "2": 0}, "tree": json.loads(self.TREE_TEXT)}
         assert render_record(self.RECORD, "json") == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
+BLOCK_RUN = ("block", "--probs", "0.3,0.6", "--theta", "1", "--N", "8", "--reps", "2", "--seed", "1")
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--probs", "0.3,0.6", "--theta", "1"),
+    ("policy", "--probs", "0.3,0.6", "--theta", "1", "--check"),
+    ("verify", "--probs", "0.3,0.6"),
+    ("verify", "--seed", "1", "--sweeps", "3"),
+    ("simulate", "--probs", "0.3,0.6", "--theta", "1", "--trials", "100", "--seed", "1"),
+    BLOCK_RUN,
+    BLOCK_RUN + ("--order", "2,1"),
+], ids=["solve", "policy-check", "verify-probs", "verify-sweeps", "simulate", "block", "block-order"])
+def test_every_csv_the_cli_prints_parses(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--format", "csv")
+    assert (code, err) == (0, "")
+    header, *rows = csv.reader(out.splitlines())
+    assert rows and all(len(row) == len(header) for row in rows)
+    if "order" in header:
+        assert [row[header.index("order")] for row in rows] == ["(2, 1)" if "--order" in argv else "conjectured"]
 
 
 def test_printed_keys_are_the_report_fields(capsys):
@@ -315,6 +340,19 @@ def test_printed_keys_are_the_report_fields(capsys):
         assert code == 0 and [line.partition("=")[0] for line in out.splitlines()] == names(cls)
     code, out, _ = run_cli(capsys, "verify", "--probs", "0.3,0.6", "--format", "csv")
     assert code == 0 and out.splitlines()[0].split(",") == names(LemmaRecord)
+
+
+def test_transcript_prints_every_report_field_but_the_values(capsys):
+    report_fields = [f.name for f in dataclasses.fields(BlockExperimentReport)]
+    assert report_fields == ["total_bits", "bits_per_instance", "rounds", "error_count", "values"]
+    round_fields = {f.name for f in dataclasses.fields(RoundRecord)}
+    for order in ("conjectured", "2,1"):
+        code, out, _ = run_cli(capsys, *BLOCK_RUN, "--order", order, "--format", "json", "--transcript")
+        replications = json.loads(out)["replications"]
+        assert code == 0 and len(replications) == 2
+        for rep in replications:
+            assert set(rep) == set(report_fields) - {"values"}
+            assert rep["rounds"] and all(set(rd) == round_fields for rd in rep["rounds"])
 
 
 def scrambled_probs(n: int) -> str:

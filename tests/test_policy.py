@@ -188,6 +188,22 @@ class TestCostAgreement:
                     optimal_cost(profile, theta, table=table), abs=1e-12
                 ), (probs, theta)
 
+    def test_exact_ties_at_tolerance_zero(self):
+        # tied and extreme marginals, which criterion 1's uniform draws never hold: the policy's cost is the
+        # rational table's root, and its rank is one of that table's exact minimizers at every state it reaches
+        values = (0.5, 0.25, 0.75, 1e-300, 1 - 2**-53, 0.1, 0.9, 2**-30)
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            n = int(rng.integers(1, 10))
+            profile = ProbabilityProfile(tuple(sorted(values[i] for i in rng.integers(0, len(values), n))))
+            theta = int(rng.integers(1, n + 1))
+            table = CostTable(profile, exact=True, theta=theta)
+            cost = index_policy_cost(profile, theta)
+            assert abs(float(table.cost((1 << n) - 1, theta)) - cost) <= 1e-15 * cost, (profile.probs, theta)
+            for node, mask, t in tree_states(build_index_tree(n, theta), ThresholdSpec(n, theta)):
+                if isinstance(node, Node):
+                    assert node.transmitter in table.minimizers(mask, t, tol=0), (profile.probs, theta, mask, t)
+
     def test_or_pair_hand_value(self):
         assert index_policy_cost(ProbabilityProfile((0.3, 0.6)), 1) == pytest.approx(1.4)
         assert index_policy_cost(ProbabilityProfile((0.3, 0.6)), 2) == pytest.approx(1.3)

@@ -281,7 +281,6 @@ class TestBlockProtocol:
         report = run_order(profile, 1, 4, 0)
         assert [r.live_count for r in report.rounds] == [4, 1]
         assert report.total_bits == sum(r.code_bits for r in report.rounds)
-        assert report.first_round_bits == report.rounds[0].code_bits
 
     def test_batching_beats_single_instance_cost(self):
         profile = ProbabilityProfile((0.3, 0.6))
@@ -319,6 +318,9 @@ class TestBlockProtocol:
         assert low.rounds == () and low.total_bits == 0 and low.values == (1,) * 8
         high = run_order(profile, 3, 8, 1)
         assert high.rounds == () and high.total_bits == 0 and high.values == (0,) * 8
+        for theta in (0, 3):  # with no round, a replication's first round sends 0 bits
+            _, summary = run_block_replications(profile, theta, 8, reps=2, seed=1)
+            assert summary.mean_first_round_per_instance == summary.mean_bits_per_instance == 0.0
 
     def test_instance_count_floor(self):
         with pytest.raises(InputError):
@@ -446,7 +448,7 @@ class TestReplications:
         assert summary.se_bits_per_instance == pytest.approx(
             per_inst.std(ddof=1) / np.sqrt(6), abs=1e-12
         )
-        first = np.array([r.first_round_bits / 64 for r in reports])
+        first = np.array([r.rounds[0].code_bits / 64 for r in reports])
         assert summary.mean_first_round_per_instance == pytest.approx(first.mean(), abs=1e-12)
         assert summary.error_count == 0
         assert summary.reps == 6 and summary.N == 64 and summary.seed == 100
