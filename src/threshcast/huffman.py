@@ -36,7 +36,8 @@ are read off that table when asked for.  Encoding ranks an outcome within
 its weight class and takes the class's last run starting at or below
 that rank; decoding reads the longest length's worth of bits and finds
 its run with one bisect over the runs' first codes (Moffat and Turpin,
-IEEE Trans. Commun. 45(10), 1997).
+IEEE Trans. Commun. 45(10), 1997).  Before any work, `check_block_code`
+refuses a build over BLOCK_CODE_MAX_WORK, raising CapacityError.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from itertools import accumulate, pairwise
 from operator import itemgetter
 from typing import Sequence
 
-from .core import InputError
+from .core import CapacityError, InputError
 
 
 def bernoulli_entropy(p: float) -> float:
@@ -61,6 +62,19 @@ def bernoulli_entropy(p: float) -> float:
 
 # ---------------------------------------------------------------------------
 # Weight-class aggregated construction
+
+
+# (0.048, 2048), the widest build the old CLI caps took, 4.2-5.3 s, 51 MiB; (5e-324, 327) 205 MiB (2-core x86-64)
+BLOCK_CODE_MAX_WORK = 2048**2 * 9000
+
+
+def check_block_code(p: float, L: int) -> None:
+    """Refuse, in O(1) floats, p outside (0, 1) or L < 1 (InputError) and L**3 log2(1 / min(p, 1 - p)), L**2 x the
+    class values' width, which a build's time tracks, over BLOCK_CODE_MAX_WORK (CapacityError)."""
+    if not (0.0 < p < 1.0 and L >= 1):
+        raise InputError(f"a block code needs p in (0, 1) and L >= 1, got p = {p!r}, L = {L}")
+    if L**3 * -math.log2(m := min(p, 1.0 - p)) > BLOCK_CODE_MAX_WORK:
+        raise CapacityError(f"L**3 log2(1 / {m!r}) at L={L} is over the block code build cap of {BLOCK_CODE_MAX_WORK}")
 
 
 def _class_values(p: float, L: int) -> list[int]:
@@ -307,11 +321,8 @@ class BernoulliBlockCode:
 
 
 def build_block_code(p: float, L: int) -> BernoulliBlockCode:
-    """Build the aggregated block code for Bernoulli(p)^L."""
-    if not 0.0 < p < 1.0:
-        raise InputError(f"p must be in (0, 1), got {p!r}")
-    if L < 1:
-        raise InputError(f"block length must be positive, got {L}")
+    """Build the aggregated block code for Bernoulli(p)^L; what `check_block_code` refuses raises first."""
+    check_block_code(p, L)
     class_lengths = _aggregate_lengths(p, L)
 
     # canonical order: by length, then weight, then in-class rank

@@ -22,7 +22,7 @@ import numpy as np
 from . import huffman
 from .core import CapacityError, DecisionTree, InputError, Leaf, Node, ProbabilityProfile, ThresholdSpec, dag_postorder
 from .dp import strategy_cost
-from .huffman import BernoulliBlockCode, build_block_code
+from .huffman import BernoulliBlockCode, build_block_code, check_block_code
 from .policy import build_index_tree, index_policy_cost
 
 
@@ -264,13 +264,7 @@ class BlockExperimentReport:
     values: tuple[int, ...] = field(repr=False)
 
 
-# A cold block-code build at L = 2048 takes about 1.4-2.2 s and 46 MiB
-# (p = 0.6, 2-core x86-64 host, Python 3.11): time grows as L**2, memory
-# as the live queue entries.
-BLOCK_MAX_N = 2048
-# The widest class values, N log2(1 / min(p, 1 - p)) bits, a build may use: the smallest round cap that admits
-# p = 5e-324 at N = 8.  At N = 2048 and p = 0.048 a build takes 4.0-4.6 s and 51 MiB (same host).
-BLOCK_MAX_WIDTH = 9000
+BLOCK_MAX_N = 2048  # instances per replication, capped at every theta: at 0 and n + 1 a run still draws N x n cells
 
 # Codes at least this long are built on worker processes when a run needs
 # two or more of them.  At L = 32 a build takes about 0.45-0.65 ms and at
@@ -288,11 +282,9 @@ def _check_block(profile: ProbabilityProfile, theta: int, N: int) -> None:
         raise InputError(f"N must be positive, got {N}")
     if N > BLOCK_MAX_N:
         raise CapacityError(f"N={N} is over the block length cap of {BLOCK_MAX_N}")
-    # no other theta sends a block, and at these every strategy asks every rank on some path
-    q = min(profile.probs[0], 1.0 - profile.probs[-1])  # the profile is sorted
-    if 1 <= theta <= profile.n and (width := N * -np.log2(q)) > BLOCK_MAX_WIDTH:
-        raise CapacityError(f"N={N} at min(p, 1 - p) = {q!r} needs {width:.0f}-bit class values, "
-                            f"over the block code width cap of {BLOCK_MAX_WIDTH}")
+    # only these theta send blocks, each at a profile p and at most N live, so the rarest p at N covers them all
+    if 1 <= theta <= profile.n:
+        check_block_code(min(profile.probs[0], 1.0 - profile.probs[-1]), N)  # the profile is sorted
 
 
 def _drop_build_pool() -> None:
@@ -444,8 +436,8 @@ def run_block_strategy(
     reaches, or the value the replay decodes, disagrees with the
     function, and a replay that misreads the stream or leaves some of it
     unread decodes no instance.  A transmitter outside 1..n, or N below 1,
-    raises InputError, and N over BLOCK_MAX_N, or at 1 <= theta <= n N log2(1 / min(p, 1 - p))
-    over BLOCK_MAX_WIDTH at any p, CapacityError, before any code is built.
+    raises InputError, and N over BLOCK_MAX_N, or at 1 <= theta <= n a (p, N)
+    `huffman.check_block_code` refuses, CapacityError, before anything is drawn.
     At N = 1 every block is a single bit: the single-instance strategy.
     """
     _check_block(profile, theta, N)

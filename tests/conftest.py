@@ -307,6 +307,38 @@ def reference_aggregate_lengths(p: float, L: int) -> list[dict[int, int]]:
     return [depth.get(w, {}) for w in range(L + 1)]
 
 
+def relaxed_two_length_optimum(p: float, L: int) -> float:
+    """Expected length of the best code for Bernoulli(p)^L whose words in a
+    weight class w take the lengths floor(y_w) and floor(y_w) + 1 in any
+    real proportion, y_w = -log2(p^w q^(L-w)) being a word's
+    self-information: an independent estimate of the optimum, in floats,
+    sharing nothing with the package's builder.
+
+    Every class starts at floor(y_w) + 1, which spends m_w 2**(u_w - 1) of
+    the Kraft sum, m_w being the class's probability mass and u_w =
+    frac(y_w).  Moving mass t of class w down to floor(y_w) saves t bits
+    and spends t 2**(u_w - 1) more, so the slack goes to the classes in
+    ascending u_w, the last one moving only in part.  Where every u_w is
+    the same x, as at p / (1 - p) = 2**-j, this is L h(p) + 2 - x - 2**(1 - x).
+    """
+    a, b = -math.log2(p), -math.log2(1.0 - p)
+    log_p, log_q = math.log(p), math.log(1.0 - p)
+    classes = []  # (u_w, m_w, floor(y_w))
+    for w in range(L + 1):
+        y = w * a + (L - w) * b
+        log_mass = math.lgamma(L + 1) - math.lgamma(w + 1) - math.lgamma(L - w + 1) + w * log_p + (L - w) * log_q
+        classes.append((y - math.floor(y), math.exp(log_mass), math.floor(y)))
+    expected = sum(m * (f + 1) for _, m, f in classes)
+    slack = 1.0 - sum(m * 2.0 ** (u - 1) for u, m, _ in classes)
+    for u, m, _ in sorted(classes):
+        if slack <= 0.0:
+            break
+        moved = min(m, slack / 2.0 ** (u - 1))
+        expected -= moved
+        slack -= moved * 2.0 ** (u - 1)
+    return expected
+
+
 # Explicit Huffman construction over a small alphabet: the oracle the
 # weight-class block code is checked against.
 

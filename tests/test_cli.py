@@ -23,9 +23,9 @@ from threshcast import io as tio
 from threshcast.cli import COMMANDS, SEED_ENV_VAR, annotation_rows, build_parser, fmt, main, render_record
 from threshcast.core import Leaf, Node, ProbabilityProfile, dag_postorder
 from threshcast.dp import DEFAULT_NODE_CAP, MAX_TABLE_N, CostTable
-from threshcast.huffman import BernoulliBlockCode
+from threshcast.huffman import BLOCK_CODE_MAX_WORK, BernoulliBlockCode
 from threshcast.policy import _reachable_states, annotate_reachable_states
-from threshcast.sim import (BLOCK_MAX_N, BLOCK_MAX_WIDTH, MAX_DAG_NODES, SIM_MAX_CELLS, BlockExperimentReport,
+from threshcast.sim import (BLOCK_MAX_N, MAX_DAG_NODES, SIM_MAX_CELLS, BlockExperimentReport,
                             ReplicationSummary, RoundRecord, SimulationReport)
 from threshcast.verify import LemmaRecord
 
@@ -767,14 +767,16 @@ class TestBlock:
 
         monkeypatch.setattr("threshcast.sim.draw_measurements", ran)
         argv = ("block", "--theta", "1", "--reps", "2", "--seed", "5")
-        # a rare outcome at either end: p near 0, or p near 1
-        for probs, N in (("1e-300,0.5", "512"), ("0.5,0.9999", "1024"), ("0.001,0.5", "1024")):
+        # a rare outcome at either end: p near 0, or p near 1; L**3 log2(1 / min(p, 1 - p)) is over the cap
+        for probs, N in (("1e-300,0.5", "512"), ("5e-324,0.5", "328"), ("0.001,0.5", "2048"), ("0.5,0.9999", "2048")):
             code, out, err = run_cli(capsys, *argv, "--probs", probs, "--N", N)
             assert code == 3 and out == ""
-            assert err.startswith(f"error: N={N} at min(p, 1 - p) = ")
-            assert err.endswith(f"over the block code width cap of {BLOCK_MAX_WIDTH}\n")
-        # just under the cap, and the subnormal case of test_subnormal_probability
-        for probs, N in (("0.048,0.5", "2048"), ("0.01,0.99", "1024"), ("5e-324,0.5,0.7", "8")):
+            assert err.startswith("error: L**3 log2(1 / ") and f") at L={N} is over" in err
+            assert err.endswith(f"over the block code build cap of {BLOCK_CODE_MAX_WORK}\n")
+        # just under the cap, the subnormal case of test_subnormal_probability, and two cases that the
+        # width cap of 9000 bits this cap replaced refused: N log2(1 / min(p, 1 - p)) is 10,205 and 13,606
+        for probs, N in (("0.048,0.5", "2048"), ("0.01,0.99", "1024"), ("5e-324,0.5,0.7", "8"), ("5e-324,0.5", "327"),
+                         ("0.001,0.5", "1024"), ("0.5,0.9999", "1024")):
             with pytest.raises(Ran):
                 main([*argv, "--probs", probs, "--N", N])
 

@@ -6,12 +6,14 @@ import heapq
 import math
 import pickle
 import random
+import time
 import tracemalloc
 
 import conftest
 import numpy as np
 import pytest
-from conftest import HuffmanCode, block_distribution, huffman_build, reference_aggregate_lengths
+from conftest import (HuffmanCode, block_distribution, huffman_build, reference_aggregate_lengths,
+                      relaxed_two_length_optimum)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -394,6 +396,72 @@ class TestClassValues:
             assert huffman._aggregate_lengths(0.5, L) == reference_aggregate_lengths(0.5, L), vals
         monkeypatch.setattr(huffman, "_class_values", lambda p, L: [1] * (L + 1))
         assert huffman._aggregate_lengths(0.5, 3) == [{3: math.comb(3, w)} for w in range(4)]
+
+
+class TestOptimumAtLargeL:
+    """Expected lengths of real codes against optima derived apart from the builder."""
+
+    # p / (1 - p) = 2**-j: every word's self-information has the same
+    # fractional part x, and an optimal code uses two lengths per class
+    @pytest.mark.parametrize("j, Ls", [(1, range(1, 129))] + [(j, range(33, 129)) for j in (2, 3, 4)],
+                             ids=["1/3", "1/5", "1/9", "1/17"])
+    def test_closed_form_where_p_over_q_is_a_power_of_two(self, j, Ls):
+        # At j >= 2 and L <= 32 the code is off the form by up to 0.20 (1/5), 0.44 (1/9) and
+        # 0.65 (1/17): the few words of the outer classes cannot split between two lengths in
+        # the proportion the form assumes.  Worst error over the grid: 4.8e-10 (1/3), 4.5e-10 (1/5)
+        # and 1.1e-10 (1/9, 1/17), all at L = 1024.
+        p = 1 / (1 + 2**j)
+        for L in [*Ls, 256, 512, 1024]:
+            x = L * math.log2(1 / (1 - p)) % 1.0
+            form = L * bernoulli_entropy(p) + 2 - x - 2 ** (1 - x)
+            assert build_block_code(p, L).expected_length == pytest.approx(form, rel=0, abs=1e-8), (p, L)
+
+    def test_relaxed_two_length_optimum(self):
+        # Worst error over these cases: 7.4e-13 on the fixed p, and 1.2e-6 on the random
+        # ones, at (0.948, 52), which leaves the 1e-5 tolerance a margin of 8.  At L <= 32
+        # the relaxation is off by up to 3e-2, so no case goes below L = 48.
+        rng = random.Random(41)
+        cases = [(p, L) for p in (0.1, 0.3, 0.45, 0.6) for L in (64, 96, 128, 200, 256, 512, 1024)]
+        cases += [(rng.uniform(0.05, 0.95), rng.randint(48, 256)) for _ in range(12)]
+        for p, L in cases:
+            expected = build_block_code(p, L).expected_length
+            assert expected == pytest.approx(relaxed_two_length_optimum(p, L), rel=0, abs=1e-5), (p, L)
+
+
+class TestBuildCap:
+    """The one cap on a build's work, L**3 log2(1 / min(p, 1 - p))."""
+
+    def test_a_build_over_the_cap_is_refused_at_once(self):
+        cap = f"over the block code build cap of {huffman.BLOCK_CODE_MAX_WORK}$"
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match=cap):
+            build_block_code(5e-324, 1024)  # about 40 s and 670 MiB without the cap
+        assert time.perf_counter() - start < 0.1
+        # the boundary at the smallest p, from either end
+        for p in (5e-324, 1 - 2**-53):
+            L = math.floor((huffman.BLOCK_CODE_MAX_WORK / -math.log2(min(p, 1 - p))) ** (1 / 3))
+            huffman.check_block_code(p, L)
+            with pytest.raises(CapacityError, match=cap):
+                huffman.check_block_code(p, L + 1)
+
+    def test_every_build_the_old_width_cap_admitted_passes(self):
+        # The CLI used to refuse N over 2048, and N -log2(min(p, 1 - p)) over 9000 bits, and
+        # asked for nothing else; N <= 2048 and N b <= 9000 give N**3 b <= 2048**2 x 9000.
+        def width_cap_admits(p, N):
+            return N * -np.log2(min(p, 1.0 - p)) <= 9000
+
+        ps = [*np.geomspace(5e-324, 0.5, 60).tolist(), 0.048, 0.0477]
+        ps += [1 - p for p in ps if 1 - p < 1]
+        # the floats nearest the old cap at N = 2048, where a rounding could tell the caps apart
+        edge = 2 ** (-9000 / 2048)
+        ps += [edge + k * math.ulp(edge) for k in range(-64, 65)]
+        admitted = 0
+        for p in ps:
+            for N in (1, 8, 128, 512, 1024, 2048):
+                if width_cap_admits(p, N):
+                    huffman.check_block_code(p, N)
+                    admitted += 1
+        assert admitted > len(ps) * 3
 
 
 class TestBlockCode:
