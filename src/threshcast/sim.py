@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from itertools import islice
 from operator import itemgetter
 from typing import Callable, Optional, Sequence, Union
 
@@ -266,15 +267,13 @@ class BlockExperimentReport:
 
 BLOCK_MAX_N = 2048  # instances per replication, capped at every theta: at 0 and n + 1 a run still draws N x n cells
 
-# Codes at least this long are built on worker processes when a run needs
-# two or more of them.  At L = 32 a build takes about 0.45-0.65 ms and at
-# 48 about 0.95-1.15 ms, and handing it to a worker and back adds 0.3-0.6 ms
-# (2-core x86-64 host, Python 3.11).  `block` ran about 5% faster at 32
-# than at 48 (7 of 8 paired runs), and 24 gained nothing clear over 32.
-# A lone long code is built here, where it costs no hand-off.
+# Codes at least this long go to the build workers when a call needs two or more.  A build takes about
+# 0.45-0.65 ms at L = 32 and 0.95-1.15 ms at 48; a one-key job's round trip through the queue takes
+# 0.10-0.18 ms (2-core x86-64 host, Python 3.11).  `block` ran about 5% faster at 32 than at 48 (7 of 8
+# paired runs, with the earlier executor's 0.3-0.6 ms hand-off), and 24 gained nothing clear over 32.
 PARALLEL_BUILD_MIN_L = 32
 
-_build_pool = None  # the worker pool, made by the first _build_codes that needs it
+_build_pool = None  # (job queue, [(worker, its result pipe)]), started by the first _build_codes that needs it
 
 
 def _check_block(profile: ProbabilityProfile, theta: int, N: int) -> None:
@@ -290,61 +289,72 @@ def _check_block(profile: ProbabilityProfile, theta: int, N: int) -> None:
 def _drop_build_pool() -> None:
     global _build_pool
     if _build_pool is not None:
-        _build_pool.shutdown(wait=False, cancel_futures=True)
+        queue, workers = _build_pool
         _build_pool = None
+        for worker, results in workers:
+            worker.terminate()
+            worker.join()
+            results.close()
+        queue.close()
 
 
-def _exit_with_parent() -> None:
-    """Worker initializer: end this worker once the process that made the pool
-    has ended, even by a signal that ran none of its exit handlers."""
+def _build_worker(queue, results) -> None:
+    """Send back on `results` the codes of each job, a list of (p, L), taken off `queue`.  A thread
+    ends this worker once the process that started it has ended, even by a signal."""
     import threading
-    from multiprocessing import parent_process
-    from multiprocessing.connection import wait
+    from multiprocessing import connection, parent_process
 
-    def watch(sentinel) -> None:
-        wait([sentinel])
-        os._exit(1)
-
-    threading.Thread(target=watch, args=(parent_process().sentinel,), daemon=True).start()
+    parent = parent_process().sentinel  # ready once that process has ended
+    threading.Thread(target=lambda: connection.wait([parent]) and os._exit(1), daemon=True).start()
+    while True:
+        results.send({key: huffman.build_block_code(*key) for key in queue.get()})
 
 
 def _build_codes(keys: set[tuple[float, int]]) -> dict[tuple[float, int], BernoulliBlockCode]:
     """The block code of each (p, L) in `keys`, each built once, for one call.
 
     When two or more are at least PARALLEL_BUILD_MIN_L long and two cores
-    are usable, those go to worker processes, longest first, while this
-    process builds the others.  The pool has min(2, usable cores)
-    workers, started with the default method by the first call that
-    submits anything, and lives for the process.  When the workers cannot
-    start, every code is built here, as is a code whose worker died.
-    Workers run `huffman.build_block_code` by name, whatever this
-    module's `build_block_code` has been replaced with (a wrapper cannot
-    always be pickled).  A code is a pure function of (p, L), so the
-    codes are the same on either path.
+    are usable, min(2, usable cores) worker processes build them all and
+    this one none, taking jobs off one queue: each long code alone, longest
+    first, then the short ones split across the workers, at most 256 a job.
+    At most two jobs a worker are out at once, so a put never waits on a
+    worker that waits to send.  A worker that dies (its pipe ends) or cannot
+    start, or an error while waiting, drops the pool, and what is missing
+    is built here.  Workers run `huffman.build_block_code` by name; a code
+    is a pure function of (p, L), so the codes are the same either way.
     """
     global _build_pool
-    large = sorted((key for key in keys if key[1] >= PARALLEL_BUILD_MIN_L), key=itemgetter(1), reverse=True)
+    ordered = sorted(keys, key=itemgetter(1), reverse=True)
+    large = sum(L >= PARALLEL_BUILD_MIN_L for _, L in ordered)
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    pending = {}
-    if len(large) > 1 and cores > 1:
+    codes: dict[tuple[float, int], BernoulliBlockCode] = {}
+    if large > 1 and cores > 1:
         try:
-            if _build_pool is None:
-                from concurrent.futures import ProcessPoolExecutor
+            import multiprocessing.connection
 
-                _build_pool = ProcessPoolExecutor(min(2, cores), initializer=_exit_with_parent)
-            pending = {key: _build_pool.submit(huffman.build_block_code, *key) for key in large}
-        except (OSError, RuntimeError):  # a fork failed, or the pool broke
+            queue, workers = _build_pool = _build_pool or (multiprocessing.SimpleQueue(), [])
+            while len(workers) < min(2, cores):  # started with the default method, they live for the process
+                results, end = multiprocessing.Pipe(duplex=False)
+                worker = multiprocessing.Process(target=_build_worker, args=(queue, end), daemon=True)
+                with end:  # the worker's copy is the only one left open
+                    worker.start()
+                workers.append((worker, results))
+            small = ordered[large:]
+            parts = max(len(workers), -(-len(small) // 256))
+            jobs = iter([[key] for key in ordered[:large]] + [small[i::parts] for i in range(min(parts, len(small)))])
+            for job in islice(jobs, 2 * len(workers)):
+                queue.put(job)
+            while len(codes) < len(keys):
+                for ready in multiprocessing.connection.wait([results for _, results in workers]):
+                    codes.update(ready.recv())  # EOFError once a worker has ended
+                    for job in islice(jobs, 1):
+                        queue.put(job)
+        except BaseException as error:  # a worker died or could not start, or the call was interrupted
             _drop_build_pool()
-    codes = {key: build_block_code(*key) for key in keys if key not in pending}
-    if pending:
-        from concurrent.futures import BrokenExecutor
-
-        for key, future in pending.items():
-            try:
-                codes[key] = future.result()
-            except BrokenExecutor:  # a worker was killed
-                _drop_build_pool()
-                codes[key] = build_block_code(*key)
+            if not isinstance(error, Exception):
+                raise
+    for key in keys - codes.keys():
+        codes[key] = build_block_code(*key)
     return codes
 
 

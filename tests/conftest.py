@@ -47,8 +47,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def no_worker_outlives_the_session():
     """Shut the block-code worker pool down, so the run never waits on a worker at exit."""
     yield
-    if sim._build_pool is not None:
-        sim._build_pool.shutdown()
+    sim._drop_build_pool()
     assert multiprocessing.active_children() == []
 
 

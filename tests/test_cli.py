@@ -830,6 +830,20 @@ class TestBlock:
             os.killpg(proc.pid, signal.SIGKILL)
             pytest.fail("a worker outlived its killed run by 30 s")
 
+    def test_spawned_workers_print_what_in_process_builds_print(self, capsys, monkeypatch):
+        # spawn is macOS's default start method, and forkserver is Linux's from Python 3.14;
+        # the run reports two usable cores, so its codes go to the workers on any host
+        code = ("import multiprocessing, os, sys; multiprocessing.set_start_method('spawn'); "
+                "os.sched_getaffinity = lambda pid: {0, 1}; from threshcast import cli, sim; "
+                "code = cli.main(sys.argv[1:]); print('workers' if sim._build_pool else 'in-process', file=sys.stderr); "
+                "sys.exit(code)")
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        proc = subprocess.run([sys.executable, "-c", code, *self.WORKER_RUN], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "workers\n")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert run_cli(capsys, *self.WORKER_RUN) == (0, proc.stdout, "")
+
     @pytest.mark.parametrize("order", ["x,y", "", "1,,2"])
     def test_malformed_order_exits_2(self, capsys, order):
         code, out, err = run_cli(

@@ -1,12 +1,12 @@
 """Monte Carlo walker and the lockstep block protocol."""
 
 import gc
+import multiprocessing
 import os
 import pickle
+import signal
 import time
 import weakref
-from concurrent import futures
-from concurrent.futures.process import BrokenProcessPool
 from functools import wraps
 
 import numpy as np
@@ -492,23 +492,13 @@ def count_builds(monkeypatch) -> list:
     return built
 
 
-class FakePool:
-    """A pool whose workers cannot start, or whose every worker dies."""
+def fail_to_start(self):
+    raise OSError("fork failed")
 
-    fail = "start"
 
-    def __init__(self, workers, initializer):
-        pass
-
-    def submit(self, fn, *args):
-        if self.fail == "start":
-            raise OSError("fork failed")
-        future = futures.Future()
-        future.set_exception(BrokenProcessPool("a worker died"))
-        return future
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        pass
+def take_a_job_and_die(queue, results):
+    queue.get()
+    os._exit(1)
 
 
 class TestCodeBuilds:
@@ -592,7 +582,7 @@ class TestCodeBuilds:
 
     def test_one_usable_core_starts_no_worker(self, monkeypatch):
         monkeypatch.setattr(sim, "_build_pool", None)
-        monkeypatch.setattr(futures, "ProcessPoolExecutor", lambda *a: pytest.fail("a pool was made"))
+        monkeypatch.setattr(multiprocessing, "Process", lambda *a, **k: pytest.fail("a worker was made"))
         build_path(monkeypatch, workers=False)
         run_block_replications(self.profile, 2, 64, reps=3, seed=5)
         assert sim._build_pool is None
@@ -602,11 +592,39 @@ class TestCodeBuilds:
         build_path(monkeypatch, workers=False)
         want = run_block_replications(self.profile, 2, 64, reps=3, seed=5)
         monkeypatch.setattr(sim, "_build_pool", None)
-        monkeypatch.setattr(FakePool, "fail", fail)
-        monkeypatch.setattr(futures, "ProcessPoolExecutor", FakePool)
+        if fail == "start":
+            monkeypatch.setattr(multiprocessing.Process, "start", fail_to_start)
+        else:
+            monkeypatch.setattr(sim, "_build_worker", take_a_job_and_die)
         build_path(monkeypatch, workers=True)
         built = count_builds(monkeypatch)
         assert run_block_replications(self.profile, 2, 64, reps=3, seed=5) == want
         keys = {(self.profile.p(r.transmitter), r.live_count) for rep in want[0] for r in rep.rounds}
         assert sorted(built) == sorted(keys)
         assert sim._build_pool is None  # dropped, so the next call tries afresh
+
+    def test_a_worker_killed_between_calls(self, monkeypatch):
+        build_path(monkeypatch, workers=False)
+        want = run_block_replications(self.profile, 2, 64, reps=3, seed=5)
+        build_path(monkeypatch, workers=True)
+        sim._drop_build_pool()
+        assert run_block_replications(self.profile, 2, 64, reps=3, seed=5) == want
+        worker = sim._build_pool[1][0][0]
+        os.kill(worker.pid, signal.SIGKILL)
+        worker.join(timeout=30)
+        assert worker.exitcode == -signal.SIGKILL
+        built = count_builds(monkeypatch)
+        assert run_block_replications(self.profile, 2, 64, reps=3, seed=5) == want
+        assert built and sim._build_pool is None  # the call saw the worker's pipe end, and built here
+        built.clear()
+        assert run_block_replications(self.profile, 2, 64, reps=3, seed=5) == want
+        assert built == [] and sim._build_pool is not None
+
+    def test_the_caller_builds_no_short_code_on_the_worker_path(self, monkeypatch):
+        # two usable cores at the default PARALLEL_BUILD_MIN_L: the workers build the short codes too
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        built = count_builds(monkeypatch)
+        reports, _ = run_block_replications(self.profile, 2, 64, reps=3, seed=5)
+        lengths = [r.live_count for rep in reports for r in rep.rounds]
+        assert sum(L >= sim.PARALLEL_BUILD_MIN_L for L in set(lengths)) > 1 and min(lengths) < sim.PARALLEL_BUILD_MIN_L
+        assert built == [] and sim._build_pool is not None
