@@ -43,7 +43,7 @@ from .dp import DEFAULT_NODE_CAP, DEFAULT_TIE_TOL, CostTable, optimal_cost, opti
 from .io import (FLOAT_FORMAT, IngestedProfile, check_strategy_size, load_profile, parse_probs_arg, read_text_file,
                  render_json, tree_to_dict, tree_to_dot)
 from .policy import _reachable_states, annotate_reachable_states, build_index_tree, index_policy_cost
-from .sim import BLOCK_MAX_N, check_dag_size, run_block_replications, simulate_tree
+from .sim import BLOCK_MAX_N, run_block_replications, simulate_tree, strategy_dag
 from .verify import (DEFAULT_LEMMA_TOL, EXHAUSTIVE_MAX_N, FAMILIES, LemmaRecord, check_lemma_inequalities,
                      exhaustive_strategy_check)
 
@@ -392,8 +392,7 @@ def cmd_verify(opts: argparse.Namespace) -> tuple[str, int]:
 
 def cmd_simulate(opts: argparse.Namespace) -> tuple[str, int]:
     profile, theta = opts.profile.profile, opts.theta
-    check_dag_size(profile.n, theta)
-    report = simulate_tree(build_index_tree(profile.n, theta), profile, theta, opts.trials, seed=opts.seed)
+    report = simulate_tree(strategy_dag("conjectured", profile.n, theta), profile, theta, opts.trials, seed=opts.seed)
     return render_record(list(vars(report).items()), opts.format), EXIT_SIM if report.error_count > 0 else EXIT_OK
 
 

@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass, field
 from itertools import islice
 from operator import itemgetter
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -142,14 +142,6 @@ SIM_MAX_CELLS = 5 * 10**7
 MAX_DAG_NODES = 20_000
 
 
-def check_dag_size(n: int, theta: int) -> None:
-    """Refuse an (n, theta) whose policy DAG is over MAX_DAG_NODES, before it is built; a fixed
-    order's DAG, (n - theta + 1) * theta nodes, is no larger."""
-    k = n - theta
-    if 1 <= theta <= n and (size := (k + 1) * theta + k * (theta - 1)) > MAX_DAG_NODES:
-        raise CapacityError(f"the strategy DAG has {size} nodes, over the DAG cap of {MAX_DAG_NODES}")
-
-
 def simulate_tree(
     tree: DecisionTree,
     profile: ProbabilityProfile,
@@ -197,22 +189,31 @@ def simulate_tree(
 # Lockstep block protocol
 
 
-OrderSpec = Union[str, Sequence[int]]
+OrderSpec = Union[str, Iterable[int]]
+
+
+def _read_order(order: OrderSpec) -> Union[str, tuple[int, ...]]:
+    """'conjectured', or the ints an order lists; InputError for another string or a rank that is not an int."""
+    ranks = order if isinstance(order, str) else tuple(order)
+    if ranks != "conjectured" and not all(isinstance(r, (int, np.integer)) and not isinstance(r, bool) for r in ranks):
+        raise InputError(f"order must be 'conjectured' or a permutation, got {ranks!r}")
+    return ranks if ranks == "conjectured" else tuple(map(int, ranks))
 
 
 def strategy_dag(order: OrderSpec, n: int, theta: int) -> DecisionTree:
     """The strategy DAG an order names: the rank policy's, or a fixed permutation's.
 
+    After the theta check, a policy DAG over MAX_DAG_NODES is refused before a node is built; no order's is larger.
     A permutation's DAG has one node per (ranks spoken j, residual
     threshold t): it asks order[j], and a 0 leads to (j + 1, t), a 1 to
     (j + 1, t - 1).  It is built bottom up, one row of t per j.
     """
     ThresholdSpec(n, theta)
-    if order == "conjectured":
+    if 1 <= theta <= n and (size := (n - theta + 1) * theta + (n - theta) * (theta - 1)) > MAX_DAG_NODES:
+        raise CapacityError(f"the strategy DAG has {size} nodes, over the DAG cap of {MAX_DAG_NODES}")
+    perm = _read_order(order)
+    if perm == "conjectured":
         return build_index_tree(n, theta)
-    if isinstance(order, str):
-        raise InputError(f"order must be 'conjectured' or a permutation, got {order!r}")
-    perm = tuple(int(r) for r in order)
     if sorted(perm) != list(range(1, n + 1)):
         raise InputError(f"order {perm!r} is not a permutation of 1..{n}")
     zero, one = Leaf(0), Leaf(1)
@@ -482,13 +483,12 @@ def run_block_replications(
     built once, and each replication is the run `run_block_strategy` makes
     on it, seeded with one spawned child of `SeedSequence(seed)`.  The
     replications share their codes: each distinct (p, live count) of the
-    whole call is built once, and a DAG over MAX_DAG_NODES is refused
-    before it is built.  The summary's `single_instance_cost` is the
-    rank policy's single-instance cost, whatever `order` is."""
+    whole call is built once.  The summary's `order` is the one the DAG is
+    built from, and its `single_instance_cost` the rank policy's."""
     if reps < 2:
         raise InputError("at least 2 replications are needed for a standard error")
     _check_block(profile, theta, N)
-    check_dag_size(profile.n, theta)
+    order = _read_order(order)
     tree = strategy_dag(order, profile.n, theta)
     children = np.random.SeedSequence(seed).spawn(reps)
     reports = _run_blocks(tree, profile, theta, N, children)
@@ -500,7 +500,7 @@ def run_block_replications(
         N=N,
         reps=reps,
         seed=seed,
-        order="conjectured" if order == "conjectured" else str(tuple(order)),
+        order=str(order),
         single_instance_cost=index_policy_cost(profile, theta),
         mean_bits_per_instance=float(per_inst.mean()),
         se_bits_per_instance=float(per_inst.std(ddof=1) / np.sqrt(reps)),

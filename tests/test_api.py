@@ -49,6 +49,23 @@ def test_traced_names_resolve():
         assert callable(getattr(getattr(importlib.import_module(f"threshcast.{mod}"), cls), meth)), (mod, cls, meth)
 
 
+def test_sibling_imports_are_used_or_traced():
+    """A name a `src/` module imports from a sibling module is used there, or is a seam: tracing.py
+    wraps it at that module's attribute.  A deletion cannot leave a dead import behind, nor a seam
+    import outlive its tracer entry."""
+    seams = {(mod, attr) for mod, attr, _ in load_perfbench("tracing").FUNCTIONS}
+    unused = set()
+    for path in sorted((ROOT / "src" / "threshcast").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {alias.asname or alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if path.stem == "__init__":
+            used |= set(threshcast.__all__)
+        unused |= {(path.stem, name) for name in imported - used}
+    assert unused - seams == set()
+
+
 def test_public_names_resolve():
     """`from threshcast import *` fails on a name left in `__all__` after its deletion."""
     missing = [name for name in threshcast.__all__ if not hasattr(threshcast, name)]

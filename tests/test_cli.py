@@ -379,7 +379,7 @@ class TestStrategyDagCap:
             pytest.fail("the DAG was built")
 
         monkeypatch.setattr("threshcast.cli.build_index_tree", build)
-        monkeypatch.setattr("threshcast.sim.strategy_dag", build)
+        monkeypatch.setattr("threshcast.sim.build_index_tree", build)
         n, theta = self.PAST
         code, out, err = run_cli(capsys, command, "--probs", scrambled_probs(n), "--theta", str(theta),
                                  "--seed", "3", *self.RUNS[command])
@@ -1117,6 +1117,15 @@ class TestConfigAndOutput:
         assert code == 2 and out == ""
         assert err.startswith("error: cannot write --out file: ") and err.count("\n") == 1
         assert repr(str(target)) in err
+
+    def test_out_without_write_permission_exits_2(self, capsys, tmp_path, monkeypatch):
+        # a process that may write anywhere never meets EACCES, so os.access is made to refuse
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+        target = tmp_path / "result.txt"
+        code, out, err = run_cli(capsys, "solve", "--probs", "0.3,0.6", "--theta", "1", "--out", str(target))
+        assert code == 2 and out == ""
+        assert err == f"error: cannot write --out file: [Errno 13] Permission denied: {str(target)!r}\n"
+        assert not target.exists()
 
     def test_unwritable_out_is_refused_before_the_command_runs(self, capsys, tmp_path, monkeypatch):
         entered = []

@@ -2,8 +2,10 @@
 
 import gc
 import multiprocessing
+import multiprocessing.connection
 import os
 import pickle
+import re
 import signal
 import time
 import weakref
@@ -20,6 +22,7 @@ from threshcast.dp import optimal_tree, strategy_cost
 from threshcast.policy import build_index_tree, index_policy_cost
 from threshcast.sim import (
     DRAW_BLOCK_CELLS,
+    MAX_DAG_NODES,
     SIM_MAX_CELLS,
     BlockExperimentReport,
     _group_rows,
@@ -240,6 +243,26 @@ class TestTrialCap:
             simulate_tree(tree, profile, 2, SIM_MAX_CELLS // 3)
 
 
+class TestStrategyDagCap:
+    """strategy_dag refuses a policy DAG over MAX_DAG_NODES, for any order, before it builds a node."""
+
+    def test_one_node_past_the_cap_is_refused_before_any_node_is_built(self, monkeypatch):
+        monkeypatch.setattr(sim, "build_index_tree", lambda *a: pytest.fail("the policy DAG was built"))
+        monkeypatch.setattr(sim, "Node", lambda *a: pytest.fail("a node was built"))
+        for order in ("conjectured", tuple(range(1, 202))):
+            with pytest.raises(CapacityError) as e:
+                strategy_dag(order, 201, 91)
+            assert str(e.value) == f"the strategy DAG has 20001 nodes, over the DAG cap of {MAX_DAG_NODES}"
+
+    def test_the_cap_comes_after_theta_and_before_the_order(self):
+        with pytest.raises(InputError, match="theta 203 outside"):
+            strategy_dag("sideways", 201, 203)
+        with pytest.raises(CapacityError):
+            strategy_dag("sideways", 201, 91)
+        with pytest.raises(InputError, match="not a permutation"):
+            strategy_dag((1, 1), 200, 100)
+
+
 class TestBlockProtocol:
     def test_rounds_deeper_than_the_recursion_limit(self):
         # over 1,000 rounds on one branch: the schedule and its decode
@@ -247,7 +270,7 @@ class TestBlockProtocol:
         n = 1100
         probs = tuple(sorted(0.45 + 0.1 * (i * 389 % n + 0.5) / n for i in range(n)))
         start = time.perf_counter()
-        report = run_order(ProbabilityProfile(probs), 550, 2, seed=1)
+        report = run_block_strategy(build_index_tree(n, 550), ProbabilityProfile(probs), 550, 2, seed=1)
         assert time.perf_counter() - start < 30.0
         assert report.error_count == 0
         # the two instances part after one round and each walks over 1,000 more
@@ -311,6 +334,24 @@ class TestBlockProtocol:
             strategy_dag((2, 3), 2, 1)
         with pytest.raises(InputError):
             strategy_dag("sideways", 2, 1)
+
+    @pytest.mark.parametrize("order", [(1.7, 2), (2.0, 1.0), (True, 2), (2, "1")],
+                             ids=["fraction", "float", "bool", "str"])
+    def test_a_rank_that_is_not_an_integer_is_refused_before_the_draw(self, monkeypatch, order):
+        monkeypatch.setattr(sim, "draw_measurements", lambda *a, **k: pytest.fail("drew"))
+        with pytest.raises(InputError, match=re.escape(f"a permutation, got {order!r}")):
+            run_block_replications(ProbabilityProfile((0.3, 0.6)), 1, 8, reps=2, seed=0, order=order)
+        with pytest.raises(InputError, match=re.escape(f"a permutation, got {order!r}")):
+            strategy_dag(order, 2, 1)
+
+    @pytest.mark.parametrize("order", [np.array([2, 1]), (np.int64(2), np.int32(1)), iter((2, 1)), [2, 1]],
+                             ids=["array", "numpy-ints", "iterator", "list"])
+    def test_any_iterable_of_integers_is_the_order_it_names(self, order):
+        profile = ProbabilityProfile((0.3, 0.6))
+        want = run_block_replications(profile, 1, 16, reps=2, seed=4, order=(2, 1))
+        reports, summary = run_block_replications(profile, 1, 16, reps=2, seed=4, order=order)
+        assert summary.order == "(2, 1)"
+        assert (reports, summary) == want
 
     def test_constant_thresholds_send_nothing(self):
         profile = ProbabilityProfile((0.3, 0.6))
@@ -619,6 +660,30 @@ class TestCodeBuilds:
         built.clear()
         assert run_block_replications(self.profile, 2, 64, reps=3, seed=5) == want
         assert built == [] and sim._build_pool is not None
+
+    def test_an_interrupt_drops_the_pool_and_is_re_raised(self, monkeypatch):
+        build_path(monkeypatch, workers=False)
+        want = run_block_replications(self.profile, 2, 64, reps=3, seed=5)
+        build_path(monkeypatch, workers=True)
+        sim._drop_build_pool()
+        real_wait, caller, interrupted = multiprocessing.connection.wait, os.getpid(), []
+
+        def wait(*args, **kwargs):
+            if os.getpid() != caller:  # a forked worker's watch on this process
+                return real_wait(*args, **kwargs)
+            interrupted.extend(worker for worker, _ in sim._build_pool[1])
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(multiprocessing.connection, "wait", wait)
+        with pytest.raises(KeyboardInterrupt):
+            run_block_replications(self.profile, 2, 64, reps=3, seed=5)
+        assert sim._build_pool is None
+        assert len(interrupted) == 2 and not any(worker.is_alive() for worker in interrupted)
+        monkeypatch.setattr(multiprocessing.connection, "wait", real_wait)
+        built = count_builds(monkeypatch)
+        assert run_block_replications(self.profile, 2, 64, reps=3, seed=5) == want
+        assert built == [] and sim._build_pool is not None
+        assert {worker for worker, _ in sim._build_pool[1]}.isdisjoint(interrupted)
 
     def test_the_caller_builds_no_short_code_on_the_worker_path(self, monkeypatch):
         # two usable cores at the default PARALLEL_BUILD_MIN_L: the workers build the short codes too
