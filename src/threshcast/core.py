@@ -144,11 +144,15 @@ def walk_tree(tree: DecisionTree, x: Sequence[int]) -> tuple[int, int]:
     """Run a strategy on a measurement vector.
 
     Returns (computed value, number of bits broadcast).  The transcript is
-    exactly the path taken, so the bit count is the path length.
+    exactly the path taken, so the bit count is the path length.  A
+    transmitter outside 1..len(x) raises InputError.
     """
     bits = 0
     cur = tree
+    n = len(x)
     while isinstance(cur, Node):
+        if not 0 < cur.transmitter <= n:
+            raise InputError(f"transmitter {cur.transmitter} outside 1..{n}")
         cur = cur.on_one if x[cur.transmitter - 1] else cur.on_zero
         bits += 1
     return cur.value, bits

@@ -99,15 +99,15 @@ class CostTable:
     """Cost table for one probability profile, filled on the first query.
 
     Level l holds C(R, t) for every l-subset R, t-major: one row per t,
-    one column per subset in ascending mask order.  With theta=None every
-    row is filled and the table answers every threshold.  With a theta,
-    level l fills only the rows a walk from (all n nodes, theta) can
-    reach, t = lo .. hi with lo = max(1, theta-(n-l)) and hi = min(l,
-    theta); the band reads only the band one level down, so its entries
-    equal the full table's, and an undetermined query outside it raises
-    InputError.  Level l stores rows lo-1 .. hi+1: the band and a zero
-    row on each side, which the next level reads where it is determined
-    (t = 0 or l+1); a full table has lo = 1, so its row index is t.
+    one column per subset in ascending mask order.  Level l fills rows t =
+    lo .. hi, lo = max(1, first-(n-l)) and hi = min(l, last), which a walk
+    from all n nodes reaches for a theta in first..last: theta alone, or
+    with theta=None 1..n, every row.  A band reads only the band one level
+    down, so its entries equal the full table's.  One check serves `cost`,
+    `candidate_costs` and `minimizers`: InputError for a mask past rank n,
+    then for an undetermined t outside the band.  Level l stores rows lo-1
+    .. hi+1: the band and a zero row on each side, which the next level
+    reads where it is determined (t = 0 or l+1); a full table keeps t at row t.
     Columns s:e of level l take all l passes at once: `np.take(gathered,
     cols[l][:, s:e], axis=1)` on rows lo-1 .. hi of level l-1, sliced once
     per level less row 0 (if lo = 1) and row l (if hi = l), determined zeros
@@ -139,13 +139,9 @@ class CostTable:
         self.profile = profile
         self.exact = exact
         self.theta = theta
-        if theta is None:
-            self._lo = [1] * (n + 1)
-            self._hi = list(range(n + 1))
-        else:
-            ThresholdSpec(n, theta)
-            self._lo = [max(1, theta - (n - l)) for l in range(n + 1)]
-            self._hi = [min(l, theta) for l in range(n + 1)]
+        first, last = (1, n) if theta is None else (ThresholdSpec(n, theta).theta,) * 2
+        self._lo = [max(1, first - (n - l)) for l in range(n + 1)]
+        self._hi = [min(l, last) for l in range(n + 1)]
         if exact:
             self._probs: tuple = tuple(Fraction(p) for p in profile.probs)
             self._one = Fraction(1)
@@ -191,42 +187,37 @@ class CostTable:
         self._row = row
         self._levels = levels if self.exact else [memoryview(a) for a in levels]
 
-    def _outside_band(self, level: int, t: int) -> InputError:
-        return InputError(
-            f"C(R, {t}) with |R| = {level} is outside this table's band for theta {self.theta} "
-            f"(t {self._lo[level]}..{self._hi[level]}); a table without a theta holds every t"
-        )
-
-    def _check_mask(self, mask: int) -> None:
+    def _level(self, mask: int, t: int) -> Optional[int]:
+        """|R| at an undetermined state in the band, the table filled; None at a determined state."""
         if mask < 0:
             raise InputError(f"state mask {mask} is negative")
         n = self.profile.n
         if mask >> n:
             raise InputError(f"rank {mask.bit_length()} outside this profile's 1..{n}")
+        level = mask.bit_count()
+        if t <= 0 or t > level:
+            return None
+        if not self._lo[level] <= t <= self._hi[level]:
+            raise InputError(
+                f"C(R, {t}) with |R| = {level} is outside this table's band for theta {self.theta} "
+                f"(t {self._lo[level]}..{self._hi[level]}); a table without a theta holds every t"
+            )
+        if self._levels is None:
+            self._fill()
+        return level
 
     def cost(self, mask: int, t: int):
         """Optimal expected bits from state (mask, t) (0 when already determined)."""
-        self._check_mask(mask)
-        level = mask.bit_count()
-        lo = self._lo[level]
-        if lo <= t <= self._hi[level]:
-            if self._levels is None:
-                self._fill()
-            return self._levels[level][t - lo + 1, self._row[mask]]
-        if t <= 0 or t > level:
+        level = self._level(mask, t)
+        if level is None:
             return self._zero
-        raise self._outside_band(level, t)
+        return self._levels[level][t - self._lo[level] + 1, self._row[mask]]
 
     def candidate_costs(self, mask: int, t: int) -> dict[int, object]:
         """Expected cost of each legal first transmitter at an undetermined state, read off level |R| - 1."""
-        self._check_mask(mask)
-        level = mask.bit_count()
-        if t <= 0 or t > level:
+        level = self._level(mask, t)
+        if level is None:
             raise InputError("candidate costs are defined only at undetermined states")
-        if not self._lo[level] <= t <= self._hi[level]:
-            raise self._outside_band(level, t)
-        if self._levels is None:
-            self._fill()
         below, i, row = self._levels[level - 1], t - self._lo[level - 1], self._row
         out: dict[int, object] = {}
         one = self._one

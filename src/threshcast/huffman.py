@@ -305,8 +305,10 @@ class BernoulliBlockCode:
     def decode_block(self, stream: str, pos: int = 0) -> tuple[list[int], int]:
         """Read one codeword from `stream` at `pos`; return (block bits, new pos).
 
-        Bits past the stream's end read as 0, and a codeword needing them is refused.
+        Bits past the stream's end read as 0, and a codeword needing them is refused, as is a negative pos.
         """
+        if pos < 0:
+            raise InputError(f"stream position {pos} is negative")
         runs = self._runs
         width = runs[-1][1]
         window = stream[pos : pos + width]

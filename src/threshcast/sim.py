@@ -61,14 +61,17 @@ def walk_trials(tree: DecisionTree, X: np.ndarray) -> tuple[np.ndarray, np.ndarr
     their value, and their bit count to its depth.  Python work is per
     (DAG node, depth) pair, which is one pair per node when nodes are
     states, numpy work is O(rows * depth), and a branch no row takes is
-    never entered.
+    never entered.  A node whose transmitter is outside 1..n, the columns
+    of `X`, raises InputError, reached or not.
     """
-    trials = X.shape[0]
+    trials, n = X.shape
     columns = np.ascontiguousarray(X.T)
     bits = np.zeros(trials, dtype=np.int64)
     values = np.zeros(trials, dtype=np.int8)
     arriving: dict[int, dict[int, list[np.ndarray]]] = {id(tree): {0: [np.arange(trials)]}}
     for t in reversed(dag_postorder(tree)):  # parents before children
+        if isinstance(t, Node) and not 0 < t.transmitter <= n:
+            raise InputError(f"transmitter {t.transmitter} outside 1..{n}")
         for depth, parts in arriving.pop(id(t), {}).items():
             idx = parts[0] if len(parts) == 1 else np.concatenate(parts)
             if isinstance(t, Leaf):
@@ -193,11 +196,16 @@ OrderSpec = Union[str, Iterable[int]]
 
 
 def _read_order(order: OrderSpec) -> Union[str, tuple[int, ...]]:
-    """'conjectured', or the ints an order lists; InputError for another string or a rank that is not an int."""
-    ranks = order if isinstance(order, str) else tuple(order)
-    if ranks != "conjectured" and not all(isinstance(r, (int, np.integer)) and not isinstance(r, bool) for r in ranks):
+    """'conjectured', or the ints an order lists; InputError for anything else, a rank that is not an int included."""
+    if isinstance(order, str) and order == "conjectured":
+        return order
+    try:
+        ranks = order if isinstance(order, str) else tuple(order)
+    except TypeError:  # not iterable, as 5, None or a 0-d array
+        ranks = order
+    if not isinstance(ranks, tuple) or any(isinstance(r, bool) or not isinstance(r, (int, np.integer)) for r in ranks):
         raise InputError(f"order must be 'conjectured' or a permutation, got {ranks!r}")
-    return ranks if ranks == "conjectured" else tuple(map(int, ranks))
+    return tuple(map(int, ranks))
 
 
 def strategy_dag(order: OrderSpec, n: int, theta: int) -> DecisionTree:
@@ -267,6 +275,12 @@ class BlockExperimentReport:
 
 
 BLOCK_MAX_N = 2048  # instances per replication, capped at every theta: at 0 and n + 1 a run still draws N x n cells
+# A replication's memory is about 3.5 KB plus 30 B per instance, so it counts as N + BLOCK_REP_FIXED instances, and a
+# call's reps x (N + BLOCK_REP_FIXED) is capped.  At the cap `block` (n = 5, theta 2) takes, process tree with workers:
+# 7,710 reps at N = 8 1.0 s and 64 MiB, 4,096 at 128 1.7 s and 153 MiB, 910 at 1024 12.3 s and 187 MiB, and 481 at
+# 2048 54 s and 316 MiB (2-core x86-64 host, Python 3.11).
+BLOCK_REP_FIXED = 128
+BLOCK_MAX_REP_INSTANCES = 1 << 20
 
 # Codes at least this long go to the build workers when a call needs two or more.  A build takes about
 # 0.45-0.65 ms at L = 32 and 0.95-1.15 ms at 48; a one-key job's round trip through the queue takes
@@ -484,10 +498,16 @@ def run_block_replications(
     on it, seeded with one spawned child of `SeedSequence(seed)`.  The
     replications share their codes: each distinct (p, live count) of the
     whole call is built once.  The summary's `order` is the one the DAG is
-    built from, and its `single_instance_cost` the rank policy's."""
+    built from, and its `single_instance_cost` the rank policy's.  After
+    `run_block_strategy`'s N checks, reps x (N + BLOCK_REP_FIXED) over
+    BLOCK_MAX_REP_INSTANCES raises CapacityError, before anything is drawn."""
     if reps < 2:
         raise InputError("at least 2 replications are needed for a standard error")
     _check_block(profile, theta, N)
+    if (size := reps * (N + BLOCK_REP_FIXED)) > BLOCK_MAX_REP_INSTANCES:
+        raise CapacityError(
+            f"reps x (N + {BLOCK_REP_FIXED}) = {size} is over the replication cap of {BLOCK_MAX_REP_INSTANCES}"
+        )
     order = _read_order(order)
     tree = strategy_dag(order, profile.n, theta)
     children = np.random.SeedSequence(seed).spawn(reps)

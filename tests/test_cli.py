@@ -25,8 +25,8 @@ from threshcast.core import Leaf, Node, ProbabilityProfile, dag_postorder
 from threshcast.dp import DEFAULT_NODE_CAP, MAX_TABLE_N, CostTable
 from threshcast.huffman import BLOCK_CODE_MAX_WORK, BernoulliBlockCode
 from threshcast.policy import _reachable_states, annotate_reachable_states
-from threshcast.sim import (BLOCK_MAX_N, MAX_DAG_NODES, SIM_MAX_CELLS, BlockExperimentReport,
-                            ReplicationSummary, RoundRecord, SimulationReport)
+from threshcast.sim import (BLOCK_MAX_N, BLOCK_MAX_REP_INSTANCES, BLOCK_REP_FIXED, MAX_DAG_NODES, SIM_MAX_CELLS,
+                            BlockExperimentReport, ReplicationSummary, RoundRecord, SimulationReport)
 from threshcast.verify import LemmaRecord
 
 
@@ -779,6 +779,24 @@ class TestBlock:
                          ("0.001,0.5", "1024"), ("0.5,0.9999", "1024")):
             with pytest.raises(Ran):
                 main([*argv, "--probs", probs, "--N", N])
+
+    @pytest.mark.parametrize("N, at_cap", [(8, 7710), (128, 4096), (1024, 910), (2048, 481)])
+    def test_replications_over_the_cap_exit_3_before_the_draw(self, capsys, monkeypatch, N, at_cap):
+        class Drew(Exception):
+            pass
+
+        def drew(*a, **k):
+            raise Drew
+
+        monkeypatch.setattr("threshcast.sim.draw_measurements", drew)
+        argv = ("block", "--probs", "0.3,0.6", "--theta", "1", "--N", str(N), "--seed", "5")
+        over = (at_cap + 1) * (N + BLOCK_REP_FIXED)
+        assert at_cap * (N + BLOCK_REP_FIXED) <= BLOCK_MAX_REP_INSTANCES < over
+        code, out, err = run_cli(capsys, *argv, "--reps", str(at_cap + 1))
+        assert code == 3 and out == ""
+        assert err == f"error: reps x (N + 128) = {over} is over the replication cap of {BLOCK_MAX_REP_INSTANCES}\n"
+        with pytest.raises(Drew):
+            main([*argv, "--reps", str(at_cap)])
 
     @pytest.mark.parametrize("theta", ["0", "3"])
     def test_block_code_width_is_not_capped_where_no_block_is_sent(self, capsys, theta):

@@ -142,6 +142,12 @@ class TestTrees:
         assert walk_tree(tree, [1, 0]) == (1, 2)
         assert walk_tree(tree, [0, 0]) == (0, 2)
 
+    @pytest.mark.parametrize("rank", [0, -1, 3])
+    def test_a_transmitter_outside_the_vector_is_refused(self, rank):
+        # 0 and -1 would read x from its end, and 3 past it
+        with pytest.raises(InputError, match=f"transmitter {rank} outside 1..2"):
+            walk_tree(Node(1, Leaf(0), Node(rank, Leaf(0), Leaf(1))), [1, 1])
+
     def test_repr_stops_one_level_down(self):
         assert repr(self.or2_tree()) == "Node(transmitter=2, on_zero=Node(transmitter=1, ...), on_one=Leaf(value=1))"
         # DAGs that expand to 48,619 and about 2 * 10**17 tree nodes; the first

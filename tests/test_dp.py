@@ -296,6 +296,23 @@ class TestThresholdBand:
         # the refusal comes before the fill, whose entries nothing asked for
         assert table._levels is None
 
+    @pytest.mark.parametrize("theta", [1, None], ids=["band", "full"])
+    def test_one_state_check_refuses_and_reads_determined_states_before_the_fill(self, theta):
+        table = CostTable(ProbabilityProfile((0.2, 0.4, 0.7)), theta=theta)
+        queries = (table.cost, table.candidate_costs, table.minimizers)
+        # the mask comes first, even at a t that would make the state determined
+        for mask, t, message in ((-1, 0, "negative"), (-0b11, 1, "negative"), (0b1001, 1, "rank 4 outside"),
+                                 (0b1000, 5, "rank 4 outside")):
+            for query in queries:
+                with pytest.raises(InputError, match=message):
+                    query(mask, t)
+        for mask, t in ((0, 0), (0, 1), (0b11, 0), (0b11, 3), (0b111, 4)):
+            assert table.cost(mask, t) == 0
+            for query in queries[1:]:
+                with pytest.raises(InputError, match="only at undetermined states"):
+                    query(mask, t)
+        assert table._levels is None
+
     def test_band_tree_equals_the_full_table_tree(self):
         rng = np.random.default_rng(37)
         for n in range(1, 9):

@@ -564,6 +564,14 @@ class TestBlockCode:
         assert block == [1, 0, 1, 0]
         assert pos == len(cw)
 
+    def test_a_negative_position_is_refused(self):
+        code = build_block_code(0.3, 4)
+        stream = "1101100"  # two codewords
+        assert code.decode_block(stream, 0) == ([1, 0, 0, 1], 5)
+        for pos in (-1, -3, -len(stream)):  # -3 would read the stream's last bits as a codeword
+            with pytest.raises(InputError, match=f"stream position {pos} is negative"):
+                code.decode_block(stream, pos)
+
     def test_within_class_shorter_codes_go_to_lex_smaller_blocks(self):
         code = build_block_code(0.75, 8)
         for w in range(9):

@@ -21,6 +21,8 @@ from threshcast.huffman import BernoulliBlockCode
 from threshcast.dp import optimal_tree, strategy_cost
 from threshcast.policy import build_index_tree, index_policy_cost
 from threshcast.sim import (
+    BLOCK_MAX_N,
+    BLOCK_MAX_REP_INSTANCES,
     DRAW_BLOCK_CELLS,
     MAX_DAG_NODES,
     SIM_MAX_CELLS,
@@ -128,6 +130,14 @@ class TestWalkTrials:
         assert values.dtype == np.int8 and bits.dtype == np.int64
         for row, value, count in zip(X, values, bits):
             assert walk_tree(tree, row) == (value, count)
+
+    @pytest.mark.parametrize("rank", [0, -1, 3])
+    def test_a_transmitter_outside_the_columns_is_refused(self, rank):
+        # 0 and -1 would read X's columns from the end, and 3 past them; no row reaches the node on zeros
+        tree = Node(1, Leaf(0), Node(rank, Leaf(0), Leaf(1)))
+        for X in (np.ones((3, 2), dtype=bool), np.zeros((3, 2), dtype=bool)):
+            with pytest.raises(InputError, match=f"transmitter {rank} outside 1..2"):
+                walk_trials(tree, X)
 
     def test_subtree_shared_at_two_depths(self):
         shared = Node(3, Node(4, Leaf(0), Leaf(1)), Leaf(1))
@@ -335,14 +345,26 @@ class TestBlockProtocol:
         with pytest.raises(InputError):
             strategy_dag("sideways", 2, 1)
 
-    @pytest.mark.parametrize("order", [(1.7, 2), (2.0, 1.0), (True, 2), (2, "1")],
-                             ids=["fraction", "float", "bool", "str"])
+    @pytest.mark.parametrize("order", [(1.7, 2), (2.0, 1.0), (True, 2), (2, "1"), 5, None, np.array(5)],
+                             ids=["fraction", "float", "bool", "str", "int", "none", "0-d-array"])
     def test_a_rank_that_is_not_an_integer_is_refused_before_the_draw(self, monkeypatch, order):
         monkeypatch.setattr(sim, "draw_measurements", lambda *a, **k: pytest.fail("drew"))
         with pytest.raises(InputError, match=re.escape(f"a permutation, got {order!r}")):
             run_block_replications(ProbabilityProfile((0.3, 0.6)), 1, 8, reps=2, seed=0, order=order)
         with pytest.raises(InputError, match=re.escape(f"a permutation, got {order!r}")):
             strategy_dag(order, 2, 1)
+
+    def test_the_replication_cap_comes_after_the_block_checks_and_before_theta_and_order(self, monkeypatch):
+        monkeypatch.setattr(sim, "draw_measurements", lambda *a, **k: pytest.fail("drew"))
+        profile, reps = ProbabilityProfile((0.3, 0.6)), BLOCK_MAX_REP_INSTANCES
+        with pytest.raises(InputError, match="at least 2 replications"):
+            run_block_replications(profile, 1, BLOCK_MAX_N + 1, 1)
+        with pytest.raises(CapacityError, match="block length cap"):
+            run_block_replications(profile, 1, BLOCK_MAX_N + 1, reps)
+        with pytest.raises(CapacityError, match="block code build cap"):
+            run_block_replications(ProbabilityProfile((1e-300, 0.5)), 1, 512, reps)
+        with pytest.raises(CapacityError, match=f"replication cap of {BLOCK_MAX_REP_INSTANCES}"):
+            run_block_replications(profile, 9, 8, reps, order=5)
 
     @pytest.mark.parametrize("order", [np.array([2, 1]), (np.int64(2), np.int32(1)), iter((2, 1)), [2, 1]],
                              ids=["array", "numpy-ints", "iterator", "list"])
