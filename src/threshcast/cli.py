@@ -40,9 +40,9 @@ from .core import (
 # strategy_cost is not called here: perfbench/tracing.py wraps it under this module's name
 from .dp import DEFAULT_NODE_CAP, DEFAULT_TIE_TOL, CostTable, optimal_cost, optimal_tree, strategy_cost
 # nor is tree_to_dict, for the same reason
-from .io import (FLOAT_FORMAT, IngestedProfile, check_strategy_size, load_profile, parse_probs_arg, read_text_file,
-                 render_json, tree_to_dict, tree_to_dot)
-from .policy import _reachable_states, annotate_reachable_states, build_index_tree, index_policy_cost
+from .io import (FLOAT_FORMAT, MAX_ANNOTATE_CELLS, IngestedProfile, check_strategy_size, load_profile, parse_probs_arg,
+                 read_text_file, render_json, tree_to_dict, tree_to_dot)
+from .policy import _reachable_states, annotate_reachable_states, build_index_tree, index_policy_cost, lattice_points
 from .sim import BLOCK_MAX_N, run_block_replications, simulate_tree, strategy_dag
 from .verify import (DEFAULT_LEMMA_TOL, EXHAUSTIVE_MAX_N, FAMILIES, LemmaRecord, check_lemma_inequalities,
                      exhaustive_strategy_check)
@@ -291,6 +291,9 @@ def cmd_policy(opts: argparse.Namespace) -> tuple[str, int]:
         check_strategy_size(profile.n, theta)
     # the first state's onward cost is the policy cost, from the same sweep; the table formats its tuples
     sweep = opts.annotate and {"table": _reachable_states, "json": annotate_reachable_states}.get(out_format)
+    if sweep and (cells := lattice_points(profile.n, theta) * profile.n) > MAX_ANNOTATE_CELLS:
+        raise CapacityError(f"--annotate lists {cells} remaining ranks (lattice points x n), over the annotation "
+                            f"cap of {MAX_ANNOTATE_CELLS}")
     states = list(sweep(profile, theta)) if sweep else []
     cost = states[0][-1] if states else index_policy_cost(profile, theta)
     tree = build_index_tree(profile.n, theta) if opts.check or out_format in ("json", "dot") else None

@@ -16,6 +16,7 @@ walks one through them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 
@@ -29,6 +30,13 @@ class CapacityError(RuntimeError):
 
 class TreeInvalidError(InputError):
     """A decision tree violates a structural invariant."""
+
+
+def as_int(name: str, v) -> int:
+    """A size argument as an int; InputError for a bool or a value that is not an integer, 2.0 included."""
+    if isinstance(v, bool) or not isinstance(v, Integral):
+        raise InputError(f"{name} must be an integer, got {v!r}")
+    return int(v)
 
 
 @dataclass(frozen=True)
@@ -78,6 +86,8 @@ class ThresholdSpec:
     theta: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", as_int("n", self.n))
+        object.__setattr__(self, "theta", as_int("theta", self.theta))
         if self.n < 1:
             raise InputError("n must be at least 1")
         if not 0 <= self.theta <= self.n + 1:

@@ -49,7 +49,7 @@ from itertools import accumulate, pairwise
 from operator import itemgetter
 from typing import Sequence
 
-from .core import CapacityError, InputError
+from .core import CapacityError, InputError, as_int
 
 
 def bernoulli_entropy(p: float) -> float:
@@ -70,7 +70,9 @@ BLOCK_CODE_MAX_WORK = 2048**2 * 9000
 
 def check_block_code(p: float, L: int) -> None:
     """Refuse, in O(1) floats, p outside (0, 1) or L < 1 (InputError) and L**3 log2(1 / min(p, 1 - p)), L**2 x the
-    class values' width, which a build's time tracks, over BLOCK_CODE_MAX_WORK (CapacityError)."""
+    class values' width, which a build's time tracks, over BLOCK_CODE_MAX_WORK (CapacityError); an L that is
+    not an integer raises InputError first."""
+    L = as_int("L", L)
     if not (0.0 < p < 1.0 and L >= 1):
         raise InputError(f"a block code needs p in (0, 1) and L >= 1, got p = {p!r}, L = {L}")
     if L**3 * -math.log2(m := min(p, 1.0 - p)) > BLOCK_CODE_MAX_WORK:

@@ -124,6 +124,14 @@ MAX_RENDER_NODES = 1_000_000
 MAX_JSON_DEPTH = 900
 MAX_JSON_BYTES = 1 << 28
 
+# `policy --annotate` prints each reachable state's remaining ranks, so its
+# output grows as lattice points x n, and that product is capped.  At the
+# cap a table run is largest at theta 1, n = 5,792: 0.6-0.8 s, 491 MiB peak
+# RSS and 75 MiB of csv; theta n/2 reaches n = 406 (0.5 s, 235 MiB, 60 MiB).
+# JSON's own caps stop first, at 2.4 x 10^6 cells or fewer: theta 1, n = 900
+# takes 0.6 s and 112 MiB (CLI processes, 2-core x86-64 host, Python 3.11).
+MAX_ANNOTATE_CELLS = 1 << 25
+
 
 def tree_extent(tree: DecisionTree) -> tuple[int, int, int]:
     """(node count, depth in edges, JSON bytes) of the tree a DAG expands to,

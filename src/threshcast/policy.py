@@ -41,6 +41,11 @@ from .core import DecisionTree, Leaf, Node, ProbabilityProfile, ThresholdSpec
 # The (z, o, side) lattice
 
 
+def lattice_points(n: int, theta: int) -> int:
+    """Decision points of the policy's lattice for (n, theta), one DAG node each; 0 where theta decides alone."""
+    return (n - theta + 1) * theta + (n - theta) * (theta - 1) if 1 <= theta <= n else 0
+
+
 def _diagonal(k: int, theta: int, d: int) -> tuple[int, int, range, range]:
     """z span [a, b) of anti-diagonal d, and the low- and high-side transmitters over it."""
     a, b = max(0, d - theta + 1), min(k, d) + 1
@@ -151,33 +156,38 @@ def _reachable_states(profile: ProbabilityProfile, theta: int) -> Iterator[tuple
     k = ThresholdSpec(profile.n, theta).k
     if not 1 <= theta <= profile.n:
         return
-    costs = {d: (low.tolist(), high.tolist()) for d, low, high in _cost_sweep(profile, theta)}
+    # each diagonal's costs and reach are kept over its span [a, b) only, one entry per lattice point
+    costs = {}
+    for d, low, high in _cost_sweep(profile, theta):
+        a, b = _diagonal(k, theta, d)[:2]
+        costs[d] = low[a:b].tolist(), high[a:b].tolist()
     probs = np.asarray(profile.probs)
     reach_low, reach_high = np.zeros(k + 2), np.zeros(k + 2)
     reach_low[0] = 1.0
     for d in range(k + theta):
         a, b, low_ranks, high_ranks = _diagonal(k, theta, d)
-        cost_low, cost_high = costs[d]
-        here_low, here_high = reach_low.tolist(), reach_high.tolist()
         # Within a diagonal, (z, low) precedes (z, high): its remaining set
         # keeps a longer prefix 1..k+1-z, so it sorts first, and it ties
         # with (z - 1, high) only on the set, where the larger residual
         # threshold of the low point puts it second.  The residual
         # threshold theta - (d - z) grows by one with z.
         t = theta - d + a
-        for z, rank_low, rank_high in zip(range(a, b), low_ranks, high_ranks):
+        points = zip(range(a, b), low_ranks, high_ranks, reach_low[a:b].tolist(), reach_high[a:b].tolist(), *costs[d])
+        for z, rank_low, rank_high, here_low, here_high, cost_low, cost_high in points:
             if z >= 1 or d == 0:
-                yield rank_low + 1, rank_low + d + 1, t, rank_low, here_low[z], cost_low[z]
+                yield rank_low + 1, rank_low + d + 1, t, rank_low, here_low, cost_low
             if z < d:
-                yield rank_high - d, rank_high, t, rank_high, here_high[z], cost_high[z]
+                yield rank_high - d, rank_high, t, rank_high, here_high, cost_high
             t += 1
         # A point has at most two parents, one per side, so its pooled reach
         # is one addition and does not depend on the order parents are met.
+        # Updated in place: of the next diagonal, (a, low) and (b, high) have no
+        # parent here; the first is zeroed, the second was never written.
         p_low, p_high = _probs_of(probs, low_ranks), _probs_of(probs, high_ranks)
         from_low, from_high = reach_low[a:b], reach_high[a:b]
-        reach_low, reach_high = np.zeros(k + 2), np.zeros(k + 2)
-        reach_low[a + 1 : b + 1] = from_low * (1.0 - p_low) + from_high * (1.0 - p_high)
+        to_low = from_low * (1.0 - p_low) + from_high * (1.0 - p_high)
         reach_high[a:b] = from_low * p_low + from_high * p_high
+        reach_low[a], reach_low[a + 1 : b + 1] = 0.0, to_low
 
 
 def annotate_reachable_states(profile: ProbabilityProfile, theta: int) -> list[StateAnnotation]:

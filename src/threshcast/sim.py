@@ -21,10 +21,11 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 import numpy as np
 
 from . import huffman
-from .core import CapacityError, DecisionTree, InputError, Leaf, Node, ProbabilityProfile, ThresholdSpec, dag_postorder
+from .core import (CapacityError, DecisionTree, InputError, Leaf, Node, ProbabilityProfile, ThresholdSpec, as_int,
+                   dag_postorder)
 from .dp import strategy_cost
 from .huffman import BernoulliBlockCode, build_block_code, check_block_code
-from .policy import build_index_tree, index_policy_cost
+from .policy import build_index_tree, index_policy_cost, lattice_points
 
 
 # Uniforms drawn at a time: 2 MiB of float64.  The generator's stream is
@@ -157,10 +158,12 @@ def simulate_tree(
     The draw is grouped into its distinct rows, `walk_trials` walks each
     distinct row once, and values and bits are expanded back per trial,
     so numpy work is O(distinct rows * depth) plus O(trials * n) to group
-    and expand, and Python work is O(DAG nodes).  Fewer than 2 trials
-    raise InputError, trials * n over SIM_MAX_CELLS CapacityError and an
-    invalid tree TreeInvalidError, all before anything is drawn.
+    and expand, and Python work is O(DAG nodes).  Trials that are not an
+    integer or fewer than 2 raise InputError, trials * n over SIM_MAX_CELLS
+    CapacityError and an invalid tree TreeInvalidError, all before anything
+    is drawn.
     """
+    trials = as_int("trials", trials)
     if trials < 2:
         raise InputError("at least 2 trials are needed for a standard error")
     if trials * profile.n > SIM_MAX_CELLS:
@@ -217,7 +220,7 @@ def strategy_dag(order: OrderSpec, n: int, theta: int) -> DecisionTree:
     (j + 1, t - 1).  It is built bottom up, one row of t per j.
     """
     ThresholdSpec(n, theta)
-    if 1 <= theta <= n and (size := (n - theta + 1) * theta + (n - theta) * (theta - 1)) > MAX_DAG_NODES:
+    if (size := lattice_points(n, theta)) > MAX_DAG_NODES:
         raise CapacityError(f"the strategy DAG has {size} nodes, over the DAG cap of {MAX_DAG_NODES}")
     perm = _read_order(order)
     if perm == "conjectured":
@@ -292,7 +295,7 @@ _build_pool = None  # (job queue, [(worker, its result pipe)]), started by the f
 
 
 def _check_block(profile: ProbabilityProfile, theta: int, N: int) -> None:
-    if N < 1:
+    if as_int("N", N) < 1:
         raise InputError(f"N must be positive, got {N}")
     if N > BLOCK_MAX_N:
         raise CapacityError(f"N={N} is over the block length cap of {BLOCK_MAX_N}")
@@ -460,11 +463,13 @@ def run_block_strategy(
     first: an instance counts as an error when the value the strategy
     reaches, or the value the replay decodes, disagrees with the
     function, and a replay that misreads the stream or leaves some of it
-    unread decodes no instance.  A transmitter outside 1..n, or N below 1,
-    raises InputError, and N over BLOCK_MAX_N, or at 1 <= theta <= n a (p, N)
+    unread decodes no instance.  A theta `ThresholdSpec` refuses, an N that
+    is not an integer or below 1, or a transmitter outside 1..n raises
+    InputError, and N over BLOCK_MAX_N, or at 1 <= theta <= n a (p, N)
     `huffman.check_block_code` refuses, CapacityError, before anything is drawn.
     At N = 1 every block is a single bit: the single-instance strategy.
     """
+    ThresholdSpec(profile.n, theta)
     _check_block(profile, theta, N)
     return _run_blocks(tree, profile, theta, N, [seed])[0]
 
@@ -501,7 +506,7 @@ def run_block_replications(
     built from, and its `single_instance_cost` the rank policy's.  After
     `run_block_strategy`'s N checks, reps x (N + BLOCK_REP_FIXED) over
     BLOCK_MAX_REP_INSTANCES raises CapacityError, before anything is drawn."""
-    if reps < 2:
+    if as_int("reps", reps) < 2:
         raise InputError("at least 2 replications are needed for a standard error")
     _check_block(profile, theta, N)
     if (size := reps * (N + BLOCK_REP_FIXED)) > BLOCK_MAX_REP_INSTANCES:

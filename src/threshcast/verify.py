@@ -130,39 +130,31 @@ def check_lemma_inequalities(
 ) -> LemmaReport:
     """Evaluate every inequality at every legal (k, i) for one profile.
 
-    Families "T<=0", "S1<=0", "S2<=0", "T<=S1", "T<=S2" are violated when
-    the checked expression exceeds the tolerance; "T=0@i=k+1" demands
-    exact float zero.  `worst` holds each family's largest checked value,
-    so a passing report shows how much slack the inequalities had.
+    Each record's checks are listed once as (family, checked value, largest
+    passing value): the tolerance, or 0.0 for |T| under "T=0@i=k+1", which
+    demands exact float zero.  A value over its bound is a violation.
+    `worst` holds each family's largest checked value, so a passing report
+    shows how much slack the inequalities had.
     """
     table = matching_table(profile, table)
     m = profile.n
     report = LemmaReport(m=m, probs=profile.probs, tolerance=tolerance)
-    worst: dict[str, float] = {}
-
-    def consider(family: str, k: int, i: int, value: float, violated: bool) -> None:
-        if family not in worst or value > worst[family]:
-            worst[family] = value
-        if violated:
-            report.violations.append(LemmaViolation(family, k, i, value))
-
+    worst = report.worst
     for k in range(m):
         for i in range(1, m + 1):
             rec = lemma_record(table, k, i)
             report.records.append(rec)
             T, S1, S2 = rec.T, rec.S1, rec.S2
-            if i == k + 1:
-                consider("T=0@i=k+1", k, i, abs(T), T != 0.0)
-            else:
-                consider("T<=0", k, i, T, T > tolerance)
+            checks = [("T=0@i=k+1", abs(T), 0.0) if i == k + 1 else ("T<=0", T, tolerance)]
             if S1 is not None:
-                consider("S1<=0", k, i, S1, S1 > tolerance)
-                consider("T<=S1", k, i, T - S1, T - S1 > tolerance)
+                checks += [("S1<=0", S1, tolerance), ("T<=S1", T - S1, tolerance)]
             if S2 is not None:
-                consider("S2<=0", k, i, S2, S2 > tolerance)
-                consider("T<=S2", k, i, T - S2, T - S2 > tolerance)
-
-    report.worst = worst
+                checks += [("S2<=0", S2, tolerance), ("T<=S2", T - S2, tolerance)]
+            for family, value, bound in checks:
+                if family not in worst or value > worst[family]:
+                    worst[family] = value
+                if value > bound:
+                    report.violations.append(LemmaViolation(family, k, i, value))
     return report
 
 

@@ -387,6 +387,46 @@ class TestStrategyDagCap:
         assert err == f"error: the strategy DAG has {MAX_DAG_NODES + 1} nodes, over the DAG cap of {MAX_DAG_NODES}\n"
 
 
+class TestAnnotateCap:
+    """policy --annotate refuses lattice points x n over the cap, after the other refusals and before the sweep."""
+
+    ARGS = ("policy", "--probs", "0.2,0.5,0.7", "--theta", "2", "--annotate")  # 5 lattice points x 3 ranks
+
+    class Swept(Exception):
+        pass
+
+    @pytest.fixture
+    def stub_sweep(self, monkeypatch):
+        def sweep(*a):
+            raise self.Swept
+
+        monkeypatch.setattr("threshcast.cli._reachable_states", sweep)
+        monkeypatch.setattr("threshcast.cli.annotate_reachable_states", sweep)
+
+    @pytest.mark.parametrize("out_format", ["table", "json"])
+    def test_one_cell_over_the_cap_exits_3_before_the_sweep(self, capsys, monkeypatch, stub_sweep, out_format):
+        monkeypatch.setattr("threshcast.cli.MAX_ANNOTATE_CELLS", 14)
+        code, out, err = run_cli(capsys, *self.ARGS, "--format", out_format)
+        assert (code, out) == (3, "")
+        assert err == "error: --annotate lists 15 remaining ranks (lattice points x n), over the annotation cap of 14\n"
+
+    @pytest.mark.parametrize("out_format", ["table", "json"])
+    def test_a_run_at_the_cap_reaches_the_sweep(self, monkeypatch, stub_sweep, out_format):
+        monkeypatch.setattr("threshcast.cli.MAX_ANNOTATE_CELLS", 15)
+        with pytest.raises(self.Swept):
+            main([*self.ARGS, "--format", out_format])
+
+    def test_formats_that_print_no_states_are_not_capped(self, capsys, monkeypatch, stub_sweep):
+        monkeypatch.setattr("threshcast.cli.MAX_ANNOTATE_CELLS", 14)
+        assert run_cli(capsys, *self.ARGS, "--format", "csv")[0] == 0
+
+    def test_theta_1_is_admitted_up_to_n_5792(self, capsys, stub_sweep):
+        with pytest.raises(self.Swept):
+            main(["policy", "--probs", scrambled_probs(5792), "--theta", "1", "--annotate"])
+        code, out, err = run_cli(capsys, "policy", "--probs", scrambled_probs(5793), "--theta", "1", "--annotate")
+        assert (code, out) == (3, "") and "over the annotation cap of 33554432" in err
+
+
 class TestTreeRenderingCaps:
     """Rendering expands the policy DAG; deep or huge trees exit 3, never crash."""
 

@@ -3,6 +3,7 @@
 import json
 from time import perf_counter
 
+import numpy as np
 import pytest
 from conftest import threshold_value
 from hypothesis import given, settings
@@ -21,9 +22,11 @@ from threshcast.core import (
     validate_tree,
     walk_tree,
 )
+from threshcast.dp import optimal_cost, optimal_tree, strategy_cost
+from threshcast.huffman import build_block_code, check_block_code
 from threshcast.io import tree_extent, tree_from_dict, tree_to_dict
-from threshcast.policy import build_index_tree
-from threshcast.sim import strategy_dag
+from threshcast.policy import annotate_reachable_states, build_index_tree, index_policy_cost
+from threshcast.sim import run_block_replications, run_block_strategy, simulate_tree, strategy_dag
 
 
 class TestProbabilityProfile:
@@ -67,6 +70,10 @@ class TestThresholdSpec:
         with pytest.raises(InputError):
             ThresholdSpec(0, 0)
 
+    def test_numpy_integers_are_stored_as_ints(self):
+        spec = ThresholdSpec(np.int64(5), np.int32(2))
+        assert (type(spec.n), type(spec.theta), spec.k) == (int, int, 3)
+
     def test_rank_offset(self):
         assert ThresholdSpec(5, 2).k == 3
         assert ThresholdSpec(5, 5).k == 0
@@ -77,6 +84,37 @@ class TestThresholdSpec:
         tree = Node(2, Node(1, Leaf(0), Leaf(1)), Node(1, Leaf(1), Leaf(1)))
         assert next(tree_states(tree, ThresholdSpec(3, 2)))[1:] == (0b111, 2)
         assert next(tree_states(Leaf(0), ThresholdSpec(1, 2)))[1:] == (0b1, 2)
+
+
+THREE = ProbabilityProfile((0.2, 0.5, 0.7))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ThresholdSpec(3, 2.0),
+    lambda: ThresholdSpec(3.0, 2),
+    lambda: ThresholdSpec(3, True),
+    lambda: index_policy_cost(THREE, 2.0),
+    lambda: annotate_reachable_states(THREE, 2.0),
+    lambda: optimal_cost(THREE, 2.0),
+    lambda: optimal_tree(THREE, 2.5),
+    lambda: build_index_tree(3, 2.0),
+    lambda: strategy_dag("conjectured", 3, 2.0),
+    lambda: strategy_cost(build_index_tree(3, 2), THREE, 1.5),
+    lambda: simulate_tree(build_index_tree(3, 2), THREE, 2.0, 100),
+    lambda: simulate_tree(build_index_tree(3, 2), THREE, 2, 10.0),
+    lambda: run_block_strategy(build_index_tree(3, 2), THREE, 2.0, 8),
+    lambda: run_block_strategy(build_index_tree(3, 2), THREE, 2, 8.0),
+    lambda: run_block_strategy(Leaf(1), THREE, 0, 8.0),
+    lambda: run_block_replications(THREE, 2, 8.0, 2),
+    lambda: run_block_replications(THREE, 2, 8, 2.5),
+    lambda: check_block_code(0.3, 4.0),
+    lambda: build_block_code(0.3, 4.0),
+], ids=["spec-theta", "spec-n", "spec-bool", "policy-cost", "annotate", "optimal-cost", "optimal-tree", "index-tree",
+        "strategy-dag", "strategy-cost", "simulate-theta", "simulate-trials", "block-theta", "block-N",
+        "block-N-theta-0", "replications-N", "replications-reps", "check-code-L", "build-code-L"])
+def test_sizes_that_are_not_integers_raise_input_error(call):
+    with pytest.raises(InputError, match="must be an integer"):
+        call()
 
 
 class TestStateClassification:

@@ -38,6 +38,7 @@ from threshcast.policy import (
     annotate_reachable_states,
     build_index_tree,
     index_policy_cost,
+    lattice_points,
 )
 
 
@@ -117,7 +118,7 @@ class TestIndexTree:
 
     def test_one_node_per_lattice_point(self):
         for n in range(1, 9):
-            for theta in range(1, n + 1):
+            for theta in range(0, n + 2):
                 nodes = {}
                 stack = [build_index_tree(n, theta)]
                 while stack:
@@ -125,7 +126,9 @@ class TestIndexTree:
                     if isinstance(t, Node) and id(t) not in nodes:
                         nodes[id(t)] = t
                         stack += [t.on_zero, t.on_one]
-                assert len(nodes) == lattice_size(n, theta), (n, theta)
+                assert len(nodes) == lattice_points(n, theta), (n, theta)
+                if 1 <= theta <= n:
+                    assert len(nodes) == lattice_size(n, theta), (n, theta)
 
     def test_sweep_takes_two_blank_pairs(self):
         # the diagonals are written into two pairs in turn, not a fresh pair each
@@ -390,6 +393,20 @@ class TestAnnotations:
             tracemalloc.stop()
         assert len(anns) == 45_000
         assert peak < 25 * 2**20
+
+    def test_reach_sweep_memory_at_theta_one(self):
+        # theta 1 has one lattice point per diagonal; keeping every diagonal's
+        # costs and reach whole made this call's peak 61.7 MiB, growing as n^2
+        n = 1000
+        profile = ProbabilityProfile(tuple(np.linspace(0.01, 0.99, n)))
+        tracemalloc.start()
+        try:
+            anns = annotate_reachable_states(profile, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(anns) == n
+        assert peak < 4 * 2**20
 
     def test_constant_function_has_no_states(self):
         assert annotate_reachable_states(ProbabilityProfile((0.3, 0.6)), 0) == []

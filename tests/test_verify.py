@@ -143,6 +143,23 @@ class TestLemmaReport:
         assert not report.passed
         assert all(isinstance(v, LemmaViolation) for v in report.violations)
 
+    def test_negative_tolerance_flags_every_inequality_but_exact_zero(self):
+        report = check_lemma_inequalities(ProbabilityProfile((0.15, 0.4, 0.55, 0.9)), tolerance=-1.0)
+        expected, zeros = [], []
+        for r in report.records:
+            checks = {"T<=0": r.T} if r.i != r.k + 1 else {}
+            if r.S1 is not None:
+                checks.update({"S1<=0": r.S1, "T<=S1": r.T - r.S1})
+            if r.S2 is not None:
+                checks.update({"S2<=0": r.S2, "T<=S2": r.T - r.S2})
+            expected += [LemmaViolation(family, r.k, r.i, value) for family, value in checks.items()]
+            zeros += [abs(r.T)] if r.i == r.k + 1 else []
+        assert len(report.records) == 16 and len(zeros) == 4
+        assert report.violations == expected
+        worst = {family: max(v.value for v in expected if v.family == family) for family in FAMILIES
+                 if family != "T=0@i=k+1"}
+        assert report.worst == {**worst, "T=0@i=k+1": max(zeros)}
+
 
 class TestEnumeration:
     def test_counts(self, monkeypatch):
