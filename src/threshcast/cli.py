@@ -124,8 +124,8 @@ OPTIONS = {
     "exact": (bool, None, "rational arithmetic (exact ties)"),
     "check": (bool, None, "verify the order against the exact table"),
     "annotate": (bool, None, "list reachable states with reach probability and onward cost"),
-    "labels": (str, None, "comma separated node names, in input order (dot output)"),
-    "sweeps": (int, 1, "number of random profiles (when no --probs)"),
+    "labels": (str, None, "comma separated node names, in input order"),
+    "sweeps": (int, 1, "number of random profiles"),
     "seed": (int, 0, f"RNG seed (else the {SEED_ENV_VAR} environment variable)"),
     "tolerance": (float, None, "inequality slack treated as rounding"),
     "exhaustive": (bool, None, f"also enumerate all trees (n <= {EXHAUSTIVE_MAX_N})"),
@@ -133,7 +133,7 @@ OPTIONS = {
     "N": (int, None, f"instances per replication (at most {BLOCK_MAX_N})"),
     "reps": (int, None, "replications"),
     "order": (_parse_order, None, "'conjectured' or an explicit rank permutation like 2,1"),
-    "transcript": (bool, None, "include per-round records (json)"),
+    "transcript": (bool, None, "include per-round records"),
 }
 
 
@@ -142,7 +142,8 @@ def resolve(args: argparse.Namespace, config: dict, command: Command) -> argpars
 
     Each option comes from the command line, else the config file (a JSON
     null counts as unset), else SEED_ENV_VAR for `seed`, else the command's
-    default; an option whose default is REQUIRED must be given.
+    default; an option whose default is REQUIRED must be given.  An option outside
+    its `Command.conditions` entry is then refused if typed, else reset to its default.
     """
     values = {"profile": resolve_profile(args, config, command.needs_probs)}
     for key, default in {"format": "table", **command.options}.items():
@@ -160,7 +161,13 @@ def resolve(args: argparse.Namespace, config: dict, command: Command) -> argpars
         values[key] = None if v is None else _convert(name, v, kind, low)
     if values["format"] not in command.formats:
         raise InputError(f"--format must be one of {', '.join(command.formats)}, got {values['format']!r}")
-    return argparse.Namespace(**values)
+    opts = argparse.Namespace(**values)
+    for key, (applies, wording) in command.conditions.items():
+        if not applies(opts):
+            if getattr(args, key) is not None:
+                raise InputError(f"--{key.replace('_', '-')} applies only {wording}")
+            setattr(opts, key, command.options[key])
+    return opts
 
 
 def resolve_profile(args: argparse.Namespace, config: dict, required: bool) -> Optional[IngestedProfile]:
@@ -263,7 +270,7 @@ def cmd_solve(opts: argparse.Namespace) -> tuple[str, int]:
     # the table's n-cap, then the labels, then the size of the tree that
     # table, json and dot print, all before the table is filled
     table = CostTable(profile, node_cap=opts.max_n, exact=opts.exact, theta=theta)
-    labels = rank_labels(ingested, opts.labels) if opts.format == "dot" else None
+    labels = rank_labels(ingested, opts.labels)
     if opts.format in ("table", "json", "dot"):
         check_strategy_size(profile.n, theta)
     cost = optimal_cost(profile, theta, table)
@@ -286,15 +293,15 @@ def cmd_policy(opts: argparse.Namespace) -> tuple[str, int]:
     spec = ThresholdSpec(profile.n, theta)
     # the table's n-cap, then the labels, then the tree's size, before the tree is built
     table = CostTable(profile, node_cap=opts.max_n, theta=spec.theta) if opts.check else None
-    labels = rank_labels(ingested, opts.labels) if out_format == "dot" else None
+    labels = rank_labels(ingested, opts.labels)
     if out_format in ("json", "dot"):
         check_strategy_size(profile.n, theta)
-    # the first state's onward cost is the policy cost, from the same sweep; the table formats its tuples
-    sweep = opts.annotate and {"table": _reachable_states, "json": annotate_reachable_states}.get(out_format)
-    if sweep and (cells := lattice_points(profile.n, theta) * profile.n) > MAX_ANNOTATE_CELLS:
+    if opts.annotate and (cells := lattice_points(profile.n, theta) * profile.n) > MAX_ANNOTATE_CELLS:
         raise CapacityError(f"--annotate lists {cells} remaining ranks (lattice points x n), over the annotation "
                             f"cap of {MAX_ANNOTATE_CELLS}")
-    states = list(sweep(profile, theta)) if sweep else []
+    # the first state's onward cost is the policy cost, from the same sweep; the table formats its tuples
+    sweep = annotate_reachable_states if out_format == "json" else _reachable_states
+    states = list(sweep(profile, theta)) if opts.annotate else []
     cost = states[0][-1] if states else index_policy_cost(profile, theta)
     tree = build_index_tree(profile.n, theta) if opts.check or out_format in ("json", "dot") else None
 
@@ -329,12 +336,9 @@ def cmd_policy(opts: argparse.Namespace) -> tuple[str, int]:
 
 
 def _sweep_profiles(rng: np.random.Generator, sweeps: int, max_n: int) -> list[ProbabilityProfile]:
-    out = []
-    for _ in range(sweeps):
-        m = int(rng.integers(2, max_n + 1))
-        probs = np.sort(rng.uniform(0.01, 0.99, size=m))
-        out.append(ProbabilityProfile(tuple(float(p) for p in probs)))
-    return out
+    """`sweeps` profiles, each of a size drawn from 2..max_n, then its sorted uniform(0.01, 0.99) marginals."""
+    return [ProbabilityProfile(np.sort(rng.uniform(0.01, 0.99, size=int(rng.integers(2, max_n + 1)))))
+            for _ in range(sweeps)]
 
 
 def cmd_verify(opts: argparse.Namespace) -> tuple[str, int]:
@@ -403,7 +407,7 @@ def cmd_block(opts: argparse.Namespace) -> tuple[str, int]:
     profile, theta, seed = opts.profile.profile, opts.theta, opts.seed
     reports, summary = run_block_replications(profile, theta, opts.N, opts.reps, seed=seed, order=opts.order)
     record = list(vars(summary).items())
-    if opts.transcript and opts.format == "json":
+    if opts.transcript:
         record.append(("replications", [
             {**{k: v for k, v in vars(r).items() if k != "values"}, "rounds": [vars(rd) for rd in r.rounds]}
             for r in reports
@@ -420,24 +424,31 @@ class Command(NamedTuple):
     help: str
     formats: tuple[str, ...]
     options: dict  # option -> default, in OPTIONS
+    conditions: dict  # option that applies only under a condition -> (test of the resolved options, its wording)
     needs_probs: bool = True
 
 
 FORMATS = ("table", "json", "csv")
+DOT_ONLY = (lambda opts: opts.format == "dot", "with --format dot")
+WITH_CHECK = (lambda opts: opts.check, "with --check")
+SWEEP_ONLY = (lambda opts: opts.profile is None, "in sweep mode, with no probabilities given")
 
 COMMANDS = {
     "solve": Command(cmd_solve, "exact optimal cost and one optimal strategy tree", FORMATS + ("dot",), {
-        "theta": REQUIRED, "max_n": DEFAULT_NODE_CAP, "tol": DEFAULT_TIE_TOL, "exact": False, "labels": None}),
+        "theta": REQUIRED, "max_n": DEFAULT_NODE_CAP, "tol": DEFAULT_TIE_TOL, "exact": False, "labels": None},
+        {"labels": DOT_ONLY}),
     "policy": Command(cmd_policy, "closed-form transmission order and its cost", FORMATS + ("dot",), {
         "theta": REQUIRED, "check": False, "annotate": False, "max_n": DEFAULT_NODE_CAP, "tol": DEFAULT_TIE_TOL,
-        "labels": None}),
+        "labels": None}, {"labels": DOT_ONLY, "tol": WITH_CHECK, "max_n": WITH_CHECK,
+                          "annotate": (lambda opts: opts.format in ("table", "json"), "with --format table or json")}),
     "verify": Command(cmd_verify, "inequality sweeps; optionally brute-force tree enumeration", FORMATS, {
         "sweeps": 100, "max_n": 8, "seed": None, "tolerance": DEFAULT_LEMMA_TOL, "exhaustive": False},
-        needs_probs=False),
+        {"sweeps": SWEEP_ONLY, "max_n": SWEEP_ONLY, "seed": SWEEP_ONLY}, needs_probs=False),
     "simulate": Command(cmd_simulate, "Monte Carlo walks of the policy strategy", FORMATS, {
-        "theta": REQUIRED, "trials": 10000, "seed": None}),
+        "theta": REQUIRED, "trials": 10000, "seed": None}, {}),
     "block": Command(cmd_block, "lockstep multi-instance runs with coded blocks", FORMATS, {
-        "theta": REQUIRED, "N": 1024, "reps": 10, "seed": None, "order": "conjectured", "transcript": False}),
+        "theta": REQUIRED, "N": 1024, "reps": 10, "seed": None, "order": "conjectured", "transcript": False},
+        {"transcript": (lambda opts: opts.format == "json", "with --format json")}),
 }
 
 
@@ -459,6 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=command.formats, help=OPTIONS["format"][2])
         for key in command.options:
             kind, _, help_text = OPTIONS[key]
+            help_text += f" (only {command.conditions[key][1]})" if key in command.conditions else ""
             flag = f"--{key.replace('_', '-')}"
             if kind is bool:
                 p.add_argument(flag, action="store_true", default=None, help=help_text)

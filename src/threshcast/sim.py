@@ -161,8 +161,10 @@ def simulate_tree(
     and expand, and Python work is O(DAG nodes).  Trials that are not an
     integer or fewer than 2 raise InputError, trials * n over SIM_MAX_CELLS
     CapacityError and an invalid tree TreeInvalidError, all before anything
-    is drawn.
+    is drawn, as does a seed that is not None or an integer at least 0.
     """
+    if seed is not None and (seed := as_int("seed", seed)) < 0:
+        raise InputError(f"seed must be at least 0, got {seed}")
     trials = as_int("trials", trials)
     if trials < 2:
         raise InputError("at least 2 trials are needed for a standard error")
@@ -498,14 +500,14 @@ def run_block_replications(
     seed: Optional[int] = None,
     order: OrderSpec = "conjectured",
 ) -> tuple[list[BlockExperimentReport], ReplicationSummary]:
-    """Independent repetitions of the lockstep protocol: `order`'s DAG is
-    built once, and each replication is the run `run_block_strategy` makes
-    on it, seeded with one spawned child of `SeedSequence(seed)`.  The
-    replications share their codes: each distinct (p, live count) of the
-    whole call is built once.  The summary's `order` is the one the DAG is
-    built from, and its `single_instance_cost` the rank policy's.  After
-    `run_block_strategy`'s N checks, reps x (N + BLOCK_REP_FIXED) over
+    """Independent repetitions of the lockstep protocol: `order`'s DAG is built once, and each replication is the
+    run `run_block_strategy` makes on it, seeded with one spawned child of `SeedSequence(seed)`.  The replications
+    share their codes: each distinct (p, live count) of the whole call is built once.  The summary's `order` is the
+    one the DAG is built from, and its `single_instance_cost` the rank policy's.  A seed that is not None or an
+    integer at least 0 raises InputError; after `run_block_strategy`'s N checks, reps x (N + BLOCK_REP_FIXED) over
     BLOCK_MAX_REP_INSTANCES raises CapacityError, before anything is drawn."""
+    if seed is not None and (seed := as_int("seed", seed)) < 0:
+        raise InputError(f"seed must be at least 0, got {seed}")
     if as_int("reps", reps) < 2:
         raise InputError("at least 2 replications are needed for a standard error")
     _check_block(profile, theta, N)

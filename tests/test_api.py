@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 import threshcast
-from threshcast.cli import build_parser, main
+from threshcast.cli import COMMANDS, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -146,12 +146,17 @@ def test_readme_quick_start():
 
 
 def test_readme_lists_every_cli_option():
-    """README's options table names each option with the subcommands that take it."""
+    """README's options table names each option with the subcommands that take it, and in the row of an option
+    that applies only under a condition, that condition as `cli.COMMANDS` words it."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("## CLI", 1)[1].split("\n## ", 1)[0]
-    documented = {}
-    for row in re.findall(r"^\| `(--[\w-]+)` \| ([^|]*) \|", section, re.M):
+    documented, rows = {}, {}
+    for row in re.findall(r"^\| `(--[\w-]+)` \| ([^|]*) \|(.*)$", section, re.M):
         documented[row[0]] = set(row[1].split(", "))
+        rows[row[0]] = row[2].replace("`", "")
+    for command, spec in COMMANDS.items():
+        for option, (_, wording) in spec.conditions.items():
+            assert f"only {wording}" in rows[f"--{option.replace('_', '-')}"], (command, option)
     subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     declared: dict = {}
     for command, parser in subparsers.choices.items():

@@ -416,15 +416,119 @@ class TestAnnotateCap:
         with pytest.raises(self.Swept):
             main([*self.ARGS, "--format", out_format])
 
-    def test_formats_that_print_no_states_are_not_capped(self, capsys, monkeypatch, stub_sweep):
+    @pytest.mark.parametrize("out_format", ["csv", "dot"])
+    def test_formats_that_print_no_states_refuse_annotate(self, capsys, monkeypatch, stub_sweep, out_format):
         monkeypatch.setattr("threshcast.cli.MAX_ANNOTATE_CELLS", 14)
-        assert run_cli(capsys, *self.ARGS, "--format", "csv")[0] == 0
+        code, out, err = run_cli(capsys, *self.ARGS, "--format", out_format)
+        assert (code, out) == (2, "")
+        assert err == "error: --annotate applies only with --format table or json\n"
 
     def test_theta_1_is_admitted_up_to_n_5792(self, capsys, stub_sweep):
         with pytest.raises(self.Swept):
             main(["policy", "--probs", scrambled_probs(5792), "--theta", "1", "--annotate"])
         code, out, err = run_cli(capsys, "policy", "--probs", scrambled_probs(5793), "--theta", "1", "--annotate")
         assert (code, out) == (3, "") and "over the annotation cap of 33554432" in err
+
+
+# When each conditional option applies, stated here apart from cli.COMMANDS: a test of the run's (format, --check,
+# sweep mode), and a word its refusal and help must hold
+APPLIES_ONLY = {
+    ("solve", "labels"): (lambda fmt, check, sweep: fmt == "dot", "dot"),
+    ("policy", "labels"): (lambda fmt, check, sweep: fmt == "dot", "dot"),
+    ("policy", "annotate"): (lambda fmt, check, sweep: fmt in ("table", "json"), "table or json"),
+    ("policy", "tol"): (lambda fmt, check, sweep: check, "--check"),
+    ("policy", "max_n"): (lambda fmt, check, sweep: check, "--check"),
+    ("verify", "sweeps"): (lambda fmt, check, sweep: sweep, "sweep mode"),
+    ("verify", "max_n"): (lambda fmt, check, sweep: sweep, "sweep mode"),
+    ("verify", "seed"): (lambda fmt, check, sweep: sweep, "sweep mode"),
+    ("block", "transcript"): (lambda fmt, check, sweep: fmt == "json", "json"),
+}
+
+# A value each option takes in every run below, as typed and as a config value
+OPTION_VALUES = {
+    "theta": ("2", 2), "max_n": ("4", 4), "tol": ("1e-6", 1e-6), "exact": (None, True), "check": (None, True),
+    "annotate": (None, True), "labels": ("a,b,c", "a,b,c"), "sweeps": ("2", 2), "seed": ("1", 1),
+    "tolerance": ("1e-6", 1e-6), "exhaustive": (None, True), "trials": ("200", 200), "N": ("16", 16),
+    "reps": ("2", 2), "order": ("2,1,3", "2,1,3"), "transcript": (None, True),
+}
+
+PROBS = ["--probs", "0.7,0.2,0.5"]
+RUN_ARGS = {
+    "solve": PROBS + ["--theta", "2"],
+    "policy": PROBS + ["--theta", "2"],
+    "verify": PROBS,
+    "simulate": PROBS + ["--theta", "2", "--trials", "200", "--seed", "3"],
+    "block": PROBS + ["--theta", "2", "--N", "16", "--reps", "2", "--seed", "5"],
+}
+
+
+def option_cases():
+    """(command, argv without the option, option, whether it applies) for each subcommand, format and option,
+    with and without --check on policy and in both verify modes."""
+    for command, spec in COMMANDS.items():
+        for fmt in spec.formats:
+            modes = {"policy": [False, True], "verify": [False, True]}.get(command, [False])
+            for mode in modes:
+                check, sweep = command == "policy" and mode, command == "verify" and mode
+                base = [command, "--format", fmt, *(["--check"] if check else [])]
+                base += ["--sweeps", "2", "--max-n", "4", "--seed", "2"] if sweep else RUN_ARGS[command]
+                for option in spec.options:
+                    applies, _ = APPLIES_ONLY.get((command, option), (lambda *a: True, None))
+                    case_id = f"{command}-{fmt}{'-check' * check}{'-sweep' * sweep}-{option}"
+                    yield pytest.param(command, base, option, applies(fmt, check, sweep), id=case_id)
+
+
+def option_argv(option):
+    typed, _ = OPTION_VALUES[option]
+    return [f"--{option.replace('_', '-')}", *([typed] if typed is not None else [])]
+
+
+class TestOptionConditions:
+    """An option that applies only under a condition is refused outside it when typed, and reset to its
+    default when it comes from a config file or the seed environment variable."""
+
+    def test_the_table_names_each_commands_own_options(self):
+        declared = {(command, option) for command, spec in COMMANDS.items() for option in spec.conditions}
+        assert declared == set(APPLIES_ONLY)
+        for command, spec in COMMANDS.items():
+            assert set(spec.conditions) <= set(spec.options)
+            for option, (_, wording) in spec.conditions.items():
+                assert APPLIES_ONLY[command, option][1] in wording
+
+    def test_help_names_each_condition(self):
+        subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        for command, spec in COMMANDS.items():
+            helps = {a.dest: a.help for a in subparsers.choices[command]._actions}
+            for option in spec.options:
+                only = f" (only {spec.conditions[option][1]})" if option in spec.conditions else ""
+                assert helps[option].endswith(only) and "(only" not in helps[option][:len(helps[option]) - len(only)]
+
+    @pytest.mark.parametrize("command,base,option,applies", option_cases())
+    def test_typed_option(self, capsys, monkeypatch, command, base, option, applies):
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        code, out, err = run_cli(capsys, *base, *option_argv(option))
+        if applies:
+            assert (code, err) == (0, "") and out
+        else:
+            wording = COMMANDS[command].conditions[option][1]
+            assert (code, out) == (2, "")
+            assert err == f"error: --{option.replace('_', '-')} applies only {wording}\n"
+
+    @pytest.mark.parametrize("command,base,option,applies",
+                             [case for case in option_cases() if not case.values[-1]])
+    def test_option_from_config_or_environment_is_reset(self, capsys, monkeypatch, tmp_path, command, base, option,
+                                                        applies):
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        without = run_cli(capsys, *base)
+        assert without[0] == 0 and without[1]
+        # values that would fail the run if they were not reset: two labels for three nodes, no annotation room
+        monkeypatch.setattr("threshcast.cli.MAX_ANNOTATE_CELLS", 0)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({option: "a,b" if option == "labels" else OPTION_VALUES[option][1]}))
+        assert run_cli(capsys, *base, "--config", str(cfg)) == without
+        if option == "seed":
+            monkeypatch.setenv(SEED_ENV_VAR, "1")
+            assert run_cli(capsys, *base) == without
 
 
 class TestTreeRenderingCaps:

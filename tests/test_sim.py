@@ -122,6 +122,34 @@ class TestSimulateTree:
         assert abs(report.mean_bits - report.expected_bits) < 5 * report.std_error
 
 
+class TestSeedArgument:
+    """simulate_tree and run_block_replications take None or an integer at least 0 as the seed, and refuse
+    anything else with InputError before anything is drawn."""
+
+    PROFILE = ProbabilityProfile((0.2, 0.5, 0.7))
+    RUNS = {
+        "simulate_tree": lambda seed: simulate_tree(build_index_tree(3, 2), TestSeedArgument.PROFILE, 2, 50, seed=seed),
+        "run_block_replications": lambda seed: run_block_replications(TestSeedArgument.PROFILE, 2, 8, 2, seed=seed)[1],
+    }
+
+    @pytest.mark.parametrize("seed", ["x", 1.5, -1, True], ids=repr)
+    @pytest.mark.parametrize("run", RUNS)
+    def test_refused_before_the_draw(self, monkeypatch, run, seed):
+        monkeypatch.setattr(sim, "draw_measurements", lambda *a: pytest.fail("a measurement was drawn"))
+        with pytest.raises(InputError, match="seed"):
+            self.RUNS[run](seed)
+
+    @pytest.mark.parametrize("run", RUNS)
+    def test_a_numpy_integer_is_the_int(self, run):
+        report = self.RUNS[run](np.int64(3))
+        assert report == self.RUNS[run](3)
+        assert type(report.seed) is int and str(report.seed) == "3"
+
+    @pytest.mark.parametrize("run", RUNS)
+    def test_none_draws_fresh_entropy(self, run):
+        assert self.RUNS[run](None).seed is None
+
+
 class TestWalkTrials:
     """The pooled walk gives every row the value and bit count of `walk_tree`."""
 
